@@ -297,7 +297,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--variant", choices=["replace", "discard", "both"], default=None)
-    parser.add_argument("--simplified", action="store_true")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

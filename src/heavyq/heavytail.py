@@ -5,7 +5,9 @@ with mean 1/kappa and no higher finite moments (the interface deliberately
 exposes no second moment).  Its stationary-excess survival has a closed form
 through the scaled complementary error function; the constructor verifies
 that form against numerical inversion of the excess transform before
-adopting it, and otherwise falls back to a cached inversion grid.
+adopting it, and raises HeavyTailError when they disagree.  A tail whose
+excess survival is only known through its transform goes through
+custom_heavytail, which builds a cached inversion grid.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def abate_whitt(kappa: float) -> HeavyTail:
 def _verify_excess_closed_form(tail: HeavyTail, tol: float = 1e-7):
     """Compare the closed-form excess survival with numerical inversion.
 
-    Guards the analytic formula before it is trusted anywhere; on failure the
-    tail is rebuilt with an inversion-backed survival instead of raising.
+    Guards the analytic formula before it is trusted anywhere; on failure it
+    raises HeavyTailError, whose message points to custom_heavytail with a
+    numerically inverted survival.
     """
     from .oracle import invert
 
@@ -118,7 +121,10 @@ def _verify_excess_closed_form(tail: HeavyTail, tol: float = 1e-7):
 
 
 def _inversion_backed_survival(excess_lst, mean):
-    """Dense-grid Euler inversion with monotone interpolation (fallback path)."""
+    """Dense-grid Euler inversion with monotone interpolation.
+
+    custom_heavytail uses it when no excess survival is supplied.
+    """
     from scipy.interpolate import PchipInterpolator
 
     from .oracle import invert

@@ -288,25 +288,32 @@ def xi_polys(model: MarpModel, pt, r: int) -> dict:
     Indexing of the (i, l) maps is (component i, state l), zero-based, i.e.
     the adjugate entry used is Adj_{l,i}.
     """
+    return clearing_families(det_E(model), adjoint_matrix(model), pt, r)
+
+
+def clearing_families(detg: GPoly, adj, pt, r: int) -> dict:
+    """The xi_polys families from an already expanded det E and adjugate.
+
+    adj is indexed adj[l][i] = Adj_{l,i}, as returned by adjoint_matrix; a
+    base solution carries both, so the correction reuses them instead of
+    expanding the subset sums again.
+    """
     q, p = pt.q, pt.p
     if abs(p.lead - 1.0) > 1e-12:
         raise KernelError("denominator of the service transform must be monic")
-    g = np.polynomial.polynomial.polyval
     # reject a shared root: q and p may not vanish together
     from .polyalg import poly_roots
     for root, _ in poly_roots(p, 1e-9):
         if abs(q(root)) < 1e-9 * max(1.0, float(np.max(np.abs(q.coeffs)))):
             raise KernelError("service transform has a common numerator/denominator root")
-    detg = det_E(model)
-    n = model.n_states
+    n = len(adj)
     xi = detg.cleared_kweighted(q, p, r)
     xi_by_state = {}
     xi_prime_by_state = {}
     for i in range(n):
         for l in range(n):
-            adj = adjoint_entry(model, l, i)
-            xi_by_state[(i, l)] = adj.cleared_kweighted(q, p, r)
-            xi_prime_by_state[(i, l)] = adj.cleared(q, p, r)
+            xi_by_state[(i, l)] = adj[l][i].cleared_kweighted(q, p, r)
+            xi_prime_by_state[(i, l)] = adj[l][i].cleared(q, p, r)
     return {"xi": xi, "xi_by_state": xi_by_state, "xi_prime_by_state": xi_prime_by_state}
 
 

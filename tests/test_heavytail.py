@@ -81,6 +81,18 @@ def test_kappa_one_rejected():
         abate_whitt(1.0)
 
 
+def test_closed_form_mismatch_raises_and_points_to_custom():
+    # a wrong closed form is rejected, not replaced by an inversion grid
+    from dataclasses import replace
+
+    from heavyq.heavytail import _verify_excess_closed_form
+
+    ht = abate_whitt(2.0)
+    wrong = replace(ht, excess_survival=lambda t: 1.01 * ht.excess_survival(t))
+    with pytest.raises(HeavyTailError, match="custom_heavytail"):
+        _verify_excess_closed_form(wrong)
+
+
 def test_custom_roundtrip_of_builtin():
     ht = abate_whitt(2.0)
     again = custom_heavytail(ht.mean, ht.excess_lst, ht.excess_survival,
