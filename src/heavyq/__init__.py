@@ -3,8 +3,7 @@
 The package solves the phase-type base model exactly through its transform,
 perturbs it to first order in the heavy-tail mixing weight, and evaluates the
 corrected approximations together with an independent numerical-inversion
-oracle and a discrete-event simulator.  Set HEAVYQ_PRECISION=extended to run
-polynomial evaluation and root polishing in 80-bit floats.
+oracle and a discrete-event simulator.
 """
 
 from .base_solver import BaseSolution, RationalLST, solve_base

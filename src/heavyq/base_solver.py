@@ -42,7 +42,7 @@ class RationalLST:
     mean: float
 
     @staticmethod
-    def from_coeffs(q_coeffs, p_coeffs, expected_mean: float | None = None) -> "RationalLST":
+    def from_coeffs(q_coeffs, p_coeffs) -> "RationalLST":
         q = Poly(np.asarray(q_coeffs, dtype=complex))
         p = Poly(np.asarray(p_coeffs, dtype=complex))
         if q.is_zero or p.is_zero:
@@ -63,8 +63,6 @@ class RationalLST:
         mean = -(q.deriv()(0.0) * p(0.0) - q(0.0) * p.deriv()(0.0)).real / p(0.0).real ** 2
         if mean <= 0:
             raise ValueError("service transform has nonpositive mean")
-        if expected_mean is not None and abs(mean - expected_mean) > 1e-10 * max(1.0, expected_mean):
-            raise ValueError(f"declared mean {expected_mean} != transform mean {mean:.12g}")
         return RationalLST(q=q, p=p, mean=float(mean))
 
     @staticmethod
@@ -190,27 +188,24 @@ def _adjoint_column_deriv(adj, m: int, s: complex, g: complex, gprime: complex) 
     return out
 
 
-def solve_u(model: MarpModel, detg: GPoly, pt: RationalLST,
-            cluster_tol: float = 1e-7, column_choice: int | None = None,
-            adj=None) -> BaseSolution:
-    """Roots, null-space columns, and the boundary vector of the base model.
+def solve_u(model: MarpModel, detg: GPoly, adj, pt: RationalLST,
+            column_choice: int | None = None) -> BaseSolution:
+    """Roots, null-space columns, boundary vector and delay law of the base model.
 
-    The returned solution has the transform fields filled in as well (the
-    remaining pipeline steps are deterministic given u).  column_choice
-    forces one adjugate column index for every root; by default the column
-    of largest norm is taken per root.
+    detg and adj are det E and its adjugate, which depend on the model only,
+    so one expansion serves every service transform.  column_choice forces
+    one adjugate column index for every root; by default the column of
+    largest norm is taken per root.
     """
     n = model.n_states
     rep = stability_report(model, pt.mean)
     if rep["margin"] <= 0:
         raise SolverError(f"unstable model: load {rep['load']:.6f}")
-    if adj is None:
-        adj = tuple(tuple(row) for row in adjoint_matrix(model))
     adj_gdeg = max(adj[i][j].g_degree for i in range(n) for j in range(n))
     cd = clear_denominator(detg, pt, min_power=adj_gdeg)
     poly, r = cd["poly"], cd["r"]
 
-    roots = poly_roots(poly, cluster_tol)
+    roots = poly_roots(poly)
     nonneg = [(rho, m) for rho, m in roots if rho.real >= -ZERO_ROOT_TOL]
     stable = [(rho, m) for rho, m in roots if rho.real < -ZERO_ROOT_TOL]
     count = sum(m for _, m in nonneg)
@@ -223,7 +218,7 @@ def solve_u(model: MarpModel, detg: GPoly, pt: RationalLST,
     positive = [rm for k, rm in enumerate(nonneg) if k != zero_idx]
     if any(m > 1 for _, m in positive):
         raise SolverError("repeated positive roots are not supported (simple-root assumption)")
-    rho_pos = sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag))
+    rho_pos = tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
 
     a_vectors, a_derivs, columns = [], [], []
     for rho in rho_pos:
@@ -237,34 +232,30 @@ def solve_u(model: MarpModel, detg: GPoly, pt: RationalLST,
         a_derivs.append(_adjoint_column_deriv(adj, m, rho, g, pt.deriv_at(rho)))
         columns.append(m)
 
-    mmat = pt.mean * (model.q_real * model.trans)
-    rhs0 = float(model.pi @ (np.diag(model.lam_inv_one) - mmat) @ np.ones(n))
     amat = np.empty((n, n), dtype=complex)
     amat[:, 0] = model.lam_inv_one
     for idx, a in enumerate(a_vectors):
         amat[:, idx + 1] = a
     c = np.zeros(n, dtype=complex)
-    c[0] = rhs0
+    c[0] = rep["margin"]
     u = linsolve(amat.T, c)
     if np.max(np.abs(u.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(u)))):
         raise SolverError("boundary vector came out complex")
-    u = u.real
+    u = np.array(u.real)
     for a in a_vectors:
         res = abs(np.dot(u, a))
         if res > 1e-9 * max(1.0, float(np.linalg.norm(u) * np.linalg.norm(a))):
             raise SolverError(f"u . a residual {res:.3e} too large")
 
     den_roots = RootSet(tuple(rho for rho, _ in stable), tuple(m for _, m in stable))
-    sol = BaseSolution(
+    num_roots, w_hat, w_law = delay_transform(model, pt, adj, r, poly, rho_pos, u, den_roots)
+    return BaseSolution(
         model=model, pt=pt, detg=detg, adj=adj, r=r, cleared=poly,
-        rho_pos=tuple(rho_pos), column_choice=tuple(columns),
+        rho_pos=rho_pos, column_choice=tuple(columns),
         a_vectors=tuple(np.array(a) for a in a_vectors),
         a_derivs=tuple(np.array(a) for a in a_derivs),
-        u=u, den_roots=den_roots,
-        num_roots=RootSet((), ()), w_hat=RationalFn(Poly.one(), Poly.one()),
-        w_law=ExpPolyMeasure(),
+        u=u, den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
     )
-    return delay_transform(sol, cluster_tol)
 
 
 def _deflate(poly: Poly, roots) -> Poly:
@@ -281,16 +272,17 @@ def _deflate(poly: Poly, roots) -> Poly:
     return Poly(c)
 
 
-def delay_transform(sol: BaseSolution, cluster_tol: float = 1e-7) -> BaseSolution:
+def delay_transform(model: MarpModel, pt: RationalLST, adj, r: int, cleared: Poly,
+                    rho_pos: tuple, u: np.ndarray, den_roots: RootSet):
     """Cancel the shared nonnegative roots and assemble the delay transform.
 
+    Returns the stable numerator roots, the transform and the delay law.
     The cancellation is root-matched, but the surviving factors are obtained
     by deflating the exact cleared polynomials with the (simple, accurately
     known) nonnegative roots rather than by re-expanding the stable roots:
     clustered stable roots are individually ill-conditioned while the
     deflated coefficients are not.
     """
-    model, pt = sol.model, sol.pt
     n = model.n_states
     omega = model.omega
     num_poly = Poly.zero()
@@ -298,19 +290,19 @@ def delay_transform(sol: BaseSolution, cluster_tol: float = 1e-7) -> BaseSolutio
         if omega[i] == 0.0:
             continue
         for l in range(n):
-            if sol.u[l] == 0.0:
+            if u[l] == 0.0:
                 continue
-            num_poly = num_poly + sol.adj[l][i].cleared(pt.q, pt.p, sol.r).scale(omega[i] * sol.u[l])
-    uw = float(sol.u @ omega)
+            num_poly = num_poly + adj[l][i].cleared(pt.q, pt.p, r).scale(omega[i] * u[l])
+    uw = float(u @ omega)
     if abs(num_poly.lead - uw) > 1e-7 * max(1.0, abs(uw)):
         raise SolverError("numerator leading coefficient does not match u . omega")
 
-    roots = poly_roots(num_poly, cluster_tol)
+    roots = poly_roots(num_poly)
     remaining = []
     matched = set()
     for rho, mult in roots:
         hit = False
-        for kdx, target in enumerate(sol.rho_pos):
+        for kdx, target in enumerate(rho_pos):
             if kdx not in matched and abs(rho - target) <= CANCEL_TOL * max(1.0, abs(target)):
                 matched.add(kdx)
                 hit = True
@@ -319,31 +311,23 @@ def delay_transform(sol: BaseSolution, cluster_tol: float = 1e-7) -> BaseSolutio
                 break
         if not hit:
             remaining.append((rho, mult))
-    if len(matched) != len(sol.rho_pos):
+    if len(matched) != len(rho_pos):
         raise SolverError("cancellation mismatch: a positive root is missing from the numerator")
     for rho, _ in remaining:
         if rho.real >= 0:
             raise SolverError(f"numerator root {rho} not in the open left half-plane")
 
     num_roots = RootSet(tuple(r for r, _ in remaining), tuple(m for _, m in remaining))
-    w_num = _deflate(num_poly, sol.rho_pos)
-    w_den = _deflate(sol.cleared, [0.0] + list(sol.rho_pos))
+    w_num = _deflate(num_poly, rho_pos)
+    w_den = _deflate(cleared, [0.0] + list(rho_pos))
     for poly in (w_num, w_den):
         if np.max(np.abs(poly.coeffs.imag)) > 1e-9 * np.max(np.abs(poly.coeffs)):
             raise SolverError("deflated transform factor came out complex")
-    w_num = Poly(w_num.coeffs.real)
-    w_den = Poly(w_den.coeffs.real)
-    w_hat = RationalFn(w_num, w_den)
+    w_hat = RationalFn(Poly(w_num.coeffs.real), Poly(w_den.coeffs.real))
     norm = w_hat(0.0)
     if abs(norm - 1.0) > 1e-8:
         raise SolverError(f"delay transform not normalised: W(0) = {norm}")
-    w_law = to_time_domain(w_hat, sol.den_roots)
-    return BaseSolution(
-        model=sol.model, pt=sol.pt, detg=sol.detg, adj=sol.adj, r=sol.r,
-        cleared=sol.cleared, rho_pos=sol.rho_pos, column_choice=sol.column_choice,
-        a_vectors=sol.a_vectors, a_derivs=sol.a_derivs, u=np.array(sol.u),
-        den_roots=sol.den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
-    )
+    return num_roots, w_hat, to_time_domain(w_hat, den_roots)
 
 
 def to_time_domain(f: RationalFn, den_roots: RootSet | None = None) -> ExpPolyMeasure:
@@ -355,8 +339,9 @@ def to_time_domain(f: RationalFn, den_roots: RootSet | None = None) -> ExpPolyMe
     return law
 
 
-def solve_base(model: MarpModel, pt: RationalLST, cluster_tol: float = 1e-7,
+def solve_base(model: MarpModel, pt: RationalLST,
                column_choice: int | None = None) -> BaseSolution:
     """Full base-model solve: det E through the time-domain delay law."""
     detg = det_E(model)
-    return solve_u(model, detg, pt, cluster_tol=cluster_tol, column_choice=column_choice)
+    adj = tuple(tuple(row) for row in adjoint_matrix(model))
+    return solve_u(model, detg, adj, pt, column_choice=column_choice)

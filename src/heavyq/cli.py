@@ -2,7 +2,8 @@
 
 A run file is a line-based key = value format; values are numbers, exact
 rationals (8/9), bracketed vectors/matrices of those, or bare words.  Keys
-outside the schema are rejected with the offending line number.  Commands:
+outside the schema and scalar settings out of range are rejected with the
+offending line number.  Commands:
 
   heavyq solve    --config run.cfg --out dir     base-model report + survival
   heavyq approx   --config run.cfg --out dir     corrected approximations CSV
@@ -39,8 +40,29 @@ KNOWN_KEYS = {
 FLOAT_FMT = "%.12g"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+# range rules of the scalar settings: key -> (test, description)
+RULES = {
+    "eps": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "grid.points": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "grid.tmax": (lambda v: 0 < v < float("inf"), "a finite number > 0"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "simulate.customers": (lambda v: _is_int(v) and v >= 10 ** 4, "an integer >= 10000"),
+}
+
+
 class ConfigError(ValueError):
     """Malformed run file; message carries the line number."""
+
+
+def _check(key: str, value, where: str):
+    test, rule = RULES[key]
+    if not isinstance(value, (int, float)) or not test(value):
+        raise ConfigError(f"{where}: {key} must be {rule}, got {value!r}")
+    return value
 
 
 def _parse_scalar(tok: str):
@@ -129,6 +151,10 @@ def parse_config(path: str) -> RunConfig:
 
     def take(key, default=None):
         return entries.get(key, (default, 0))[0]
+
+    for key, (value, line_no) in entries.items():
+        if key in RULES:
+            _check(key, value, f"line {line_no}")
 
     try:
         if "d1" in entries or "d2" in entries:
@@ -303,9 +329,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.eps is not None:
-            cfg.eps = args.eps
+            cfg.eps = _check("eps", args.eps, "--eps")
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check("seed", args.seed, "--seed")
         if args.variant is not None:
             cfg.variants = ("replace", "discard") if args.variant == "both" else (args.variant,)
         if cfg.eps > 0 and not mixture_stable(cfg.model, cfg.pt, cfg.ht, cfg.eps):

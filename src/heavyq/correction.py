@@ -26,8 +26,9 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 from scipy.interpolate import PchipInterpolator
 
-from .base_solver import BaseSolution, RationalLST, solve_base
+from .base_solver import BaseSolution, RationalLST, solve_base, solve_u
 from .measures import ExpPolyMeasure
+from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
 from .polyalg import Poly, RationalFn, RootSet, partial_fractions
 from .symbolic_kernel import clearing_families
@@ -39,6 +40,7 @@ CONV_RATE_WIDTH = 8.0      # |a| * panel width in x, 16-point panels of Y + E
 BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
 V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
 DECAY = 50.0               # a term c x^m e^(-a x) is negligible past Re(a) x = DECAY + 5 m
+GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
 
 
 class CorrectionError(RuntimeError):
@@ -486,16 +488,16 @@ class ApproxOutput:
             getattr(self, name).setflags(write=False)
 
 
-def default_grid(sol: BaseSolution, points: int = 200, floor: float = 1e-6,
+def default_grid(sol: BaseSolution, points: int = 200,
                  t_max: float | None = None) -> np.ndarray:
-    """Geometric grid out to where the base survival drops below the floor."""
+    """Geometric grid out to where the base survival drops below GRID_FLOOR."""
     if t_max is None:
         lo, hi = 1e-3, 1.0
-        while float(sol.survival(np.array([hi]))[0]) > floor and hi < 1e6:
+        while float(sol.survival(np.array([hi]))[0]) > GRID_FLOOR and hi < 1e6:
             hi *= 2.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if float(sol.survival(np.array([mid]))[0]) > floor:
+            if float(sol.survival(np.array([mid]))[0]) > GRID_FLOOR:
                 lo = mid
             else:
                 hi = mid
@@ -504,11 +506,7 @@ def default_grid(sol: BaseSolution, points: int = 200, floor: float = 1e-6,
 
 
 def mixture_stable(model, pt: RationalLST, ht, eps: float) -> bool:
-    mean_mix = (1 - eps) * pt.mean + eps * ht.mean
-    margin = float(model.pi @ (np.diag(1.0 / model.rates)
-                               - mean_mix * (model.q_real * model.trans))
-                   @ np.ones(model.n_states))
-    return margin > 0
+    return stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean) > 0
 
 
 def discard_base_lst(pt: RationalLST, eps: float) -> RationalLST:
@@ -524,8 +522,9 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
 
     variant "replace": base survival is the phase-type delay, correction
     scaled by eps / (u . omega).  variant "discard": base is the delay under
-    the thinned service law (1-eps) q/p + eps solved exactly, coefficients
-    use z - z_discard, and the prefactor uses u + eps z_discard.
+    the thinned service law (1-eps) q/p + eps solved exactly with the base
+    solution's det E and adjugate, coefficients use z - z_discard, and the
+    prefactor uses u + eps z_discard.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")
@@ -547,7 +546,7 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
         pdata_disc = perturb(sol, ht, "discard")
         verify_delta_identity(sol, pdata_disc, ht, xi)
         coeffs = correction_coeffs(sol, pdata, xi, z_discard=pdata_disc.z)
-        base_sol = solve_base(model, discard_base_lst(pt, eps))
+        base_sol = solve_u(model, sol.detg, sol.adj, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 

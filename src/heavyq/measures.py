@@ -36,15 +36,14 @@ class ExpPolyMeasure:
         return ExpPolyMeasure(atom=w, terms=())
 
     @staticmethod
-    def from_rational(f: RationalFn, den_roots: RootSet | None = None,
-                      cluster_tol: float = 1e-7) -> "ExpPolyMeasure":
+    def from_rational(f: RationalFn, den_roots: RootSet | None = None) -> "ExpPolyMeasure":
         """Invert a proper rational transform with left-half-plane poles.
 
         A constant part of the transform becomes the atom at zero.  Raises
         when a pole has nonnegative real part.
         """
         if den_roots is None:
-            den_roots = poly_roots(f.den, cluster_tol)
+            den_roots = poly_roots(f.den)
         for rho, _ in den_roots:
             if rho.real >= 0:
                 raise MeasureError(f"pole {rho} not in the open left half-plane")
@@ -72,13 +71,6 @@ class ExpPolyMeasure:
 
     def mean(self) -> complex:
         return sum(c * math.factorial(m + 1) / a ** (m + 2) for a, m, c in self.terms)
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        vals = self.survival(np.linspace(0.0, 5.0, 7))
-        return bool(np.max(np.abs(vals.imag)) <= tol)
-
-    def scaled(self, c: complex) -> "ExpPolyMeasure":
-        return ExpPolyMeasure(self.atom * c, tuple((a, m, k * c) for a, m, k in self.terms))
 
     def __add__(self, other: "ExpPolyMeasure") -> "ExpPolyMeasure":
         return ExpPolyMeasure(self.atom + other.atom, _merge(list(self.terms) + list(other.terms)))
@@ -123,15 +115,7 @@ class ExpPolyMeasure:
 
     def expo_tail_transform(self, rho: complex, t):
         """integral_0^inf e^(-rho y) P(X > t + y) dy, elementwise in t."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a, m, c in self.survival_terms().terms:
-            # integral_0^inf e^(-rho y) (t+y)^m e^(-a(t+y)) dy
-            acc = np.zeros(t.shape, dtype=complex)
-            for k in range(m + 1):
-                acc += math.comb(m, k) * t ** (m - k) * math.factorial(k) / (a + rho) ** (k + 1)
-            out += c * np.exp(-a * t) * acc
-        return out
+        return self.survival_terms().tilted_tail(rho, t)
 
     def between_exp(self, rho: complex, t):
         """P(t < X < t + Y) for Y ~ Exp(rho) independent; analytic in rho."""

@@ -173,15 +173,23 @@ def build_mmpp(rates, trans_spec) -> MarpModel:
     return build_marp(d1, d2)
 
 
+def stability_margin(model: MarpModel, mean_service: float) -> float:
+    """pi (Lambda^-1 - mean * (Q2 o P)) 1: positive iff the queue is stable.
+
+    The same number is the right-hand side of the boundary-vector system.
+    """
+    m = mean_service * (model.q_real * model.trans)
+    return float(model.pi @ (np.diag(model.lam_inv_one) - m) @ np.ones(model.n_states))
+
+
 def stability_report(model: MarpModel, mean_service: float) -> dict:
     """Stability margin and offered load for a given mean service time.
 
-    margin = pi (Lambda^-1 - mean * (Q2 o P)) 1; the system is stable iff
-    the margin is positive, equivalently iff load < 1.
+    The system is stable iff the margin is positive, equivalently iff
+    load < 1.
     """
     if not np.isfinite(mean_service) or mean_service <= 0:
         raise ModelError("mean service time must be positive and finite")
-    m = mean_service * (model.q_real * model.trans)
-    margin = float(model.pi @ (np.diag(model.lam_inv_one) - m) @ np.ones(model.n_states))
+    margin = stability_margin(model, mean_service)
     load = model.real_arrival_rate() * mean_service
     return {"margin": margin, "load": load, "stable": margin > 0}

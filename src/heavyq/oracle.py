@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_solver import BaseSolution, RationalLST, solve_base
-from .model import MarpModel
+from .model import MarpModel, stability_margin
 
 EULER_TERMS = 40       # raw Bromwich terms before averaging; sqrt-type
                        # branch points need this many for 1e-7 accuracy
@@ -150,9 +150,7 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         raise OracleError("mixing weight out of the supported range [0, 0.2]")
     if base is None:
         base = solve_base(model, pt)
-    mean_mix = (1 - eps) * pt.mean + eps * ht.mean
-    margin = float(model.pi @ (np.diag(1.0 / model.rates)
-                               - mean_mix * (model.q_real * model.trans)) @ np.ones(model.n_states))
+    margin = stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean)
     if margin <= 0:
         raise OracleError("mixture model is unstable")
     mix = _MixtureLST(pt, ht, eps)
@@ -197,9 +195,8 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         cols = np.array([[base.adj[jj][mm](x, g) for mm in range(n)] for jj in range(n)])
         m = int(np.argmax(np.linalg.norm(cols, axis=0)))
         amat[:, idx + 1] = cols[:, m]
-    mmat = mean_mix * (model.q_real * model.trans)
     c = np.zeros(n, dtype=complex)
-    c[0] = float(model.pi @ (np.diag(1.0 / model.rates) - mmat) @ np.ones(n))
+    c[0] = margin
     from .polyalg import linsolve
     u_eps = linsolve(amat.T, c)
     if np.max(np.abs(u_eps.imag)) > 1e-7 * max(1.0, float(np.max(np.abs(u_eps)))):
@@ -259,10 +256,7 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
     """
     if n_customers < 10 ** 4:
         raise OracleError("simulation needs at least 1e4 customers")
-    mean_mix = (1 - eps) * pt.mean + eps * ht.mean
-    margin = float(model.pi @ (np.diag(1.0 / model.rates)
-                               - mean_mix * (model.q_real * model.trans)) @ np.ones(model.n_states))
-    if margin <= 0:
+    if stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean) <= 0:
         raise OracleError("refusing to simulate an unstable model")
 
     rng = np.random.default_rng(seed)

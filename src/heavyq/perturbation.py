@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_solver import BaseSolution
+from .model import stability_margin
 from .polyalg import linsolve
 from .symbolic_kernel import eval_E, eval_E_deriv
 
@@ -137,27 +138,24 @@ def k_vectors(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> np.n
     return out
 
 
-def z_vector(sol: BaseSolution, ht, variant: str = "replace",
-              pdata_parts=None) -> PerturbationData:
-    """Assemble the linear system of the perturbed boundary vector and solve z.
+def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
+    """Root shifts, correction vectors and the first-order boundary shift z.
 
-    c A^-1 must reproduce the base vector u (consistency of the assembled
-    system); z = (u B + d) A^-1.  The residue identity that re-derives each
-    delta from z is enforced afterwards by verify_delta_identity.
+    The boundary system is assembled so that c A^-1 reproduces the base
+    vector u (checked); z = (u B + d) A^-1.  The residue identity that
+    re-derives each delta from z is enforced afterwards by
+    verify_delta_identity.
     """
     model, pt = sol.model, sol.pt
     n = model.n_states
-    if pdata_parts is None:
-        deltas = []
-        deltas_alt = []
-        kvecs = []
-        for idx in range(len(sol.rho_pos)):
-            d1, d2 = compute_delta(sol, ht, idx, variant)
-            deltas.append(d1)
-            deltas_alt.append(d2)
-            kvecs.append(k_vectors(sol, ht, idx, variant))
-    else:
-        deltas, deltas_alt, kvecs = pdata_parts
+    deltas = []
+    deltas_alt = []
+    kvecs = []
+    for idx in range(len(sol.rho_pos)):
+        d1, d2 = compute_delta(sol, ht, idx, variant)
+        deltas.append(d1)
+        deltas_alt.append(d2)
+        kvecs.append(k_vectors(sol, ht, idx, variant))
 
     a_mat = np.empty((n, n), dtype=complex)
     a_mat[:, 0] = 1.0 / model.rates
@@ -166,9 +164,8 @@ def z_vector(sol: BaseSolution, ht, variant: str = "replace",
         a_mat[:, idx + 1] = sol.a_vectors[idx]
         b_mat[:, idx + 1] = deltas[idx] * sol.a_derivs[idx] - kvecs[idx]
 
-    mmat = pt.mean * (model.q_real * model.trans)
     c = np.zeros(n, dtype=complex)
-    c[0] = float(model.pi @ (np.diag(1.0 / model.rates) - mmat) @ np.ones(n))
+    c[0] = stability_margin(model, pt.mean)
     d = np.zeros(n, dtype=complex)
     real_mass = float(model.pi @ (model.q_real * model.trans) @ np.ones(n))
     if variant == "replace":
@@ -191,11 +188,6 @@ def z_vector(sol: BaseSolution, ht, variant: str = "replace",
         k_vecs=tuple(np.array(k) for k in kvecs),
         a_mat=a_mat, b_mat=b_mat, c_vec=c, d_vec=d, z=z,
     )
-
-
-def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
-    """Full perturbation pipeline for one variant."""
-    return z_vector(sol, ht, variant)
 
 
 def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht,

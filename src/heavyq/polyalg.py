@@ -10,17 +10,12 @@ conditions for repeated poles in triangular form.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 _EPS = np.finfo(float).eps
-
-# HEAVYQ_PRECISION=extended switches evaluation/refinement to 80-bit floats;
-# companion eigenvalues stay in double (LAPACK has no long-double path).
-def _extended() -> bool:
-    return os.environ.get("HEAVYQ_PRECISION", "") == "extended"
+CLUSTER_TOL = 1e-7  # default relative radius of one root cluster
 
 
 class PolyalgError(ValueError):
@@ -94,13 +89,7 @@ class Poly:
     def __call__(self, s):
         if self.is_zero:
             return np.zeros_like(np.asarray(s, dtype=complex)) if np.ndim(s) else 0j
-        c = self.coeffs
-        if _extended():
-            c = c.astype(np.clongdouble)
-            s = np.asarray(s, dtype=np.clongdouble)
-            out = np.polynomial.polynomial.polyval(s, c)
-            return out.astype(complex) if np.ndim(out) else complex(out)
-        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=complex), c)
+        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=complex), self.coeffs)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
@@ -199,19 +188,17 @@ class RootSet:
         return out
 
 
-def _newton_polish(coeffs: np.ndarray, x: complex, mult: int = 1, iters: int = 30) -> complex:
-    """Modified Newton x -> x - mult*f/f' with step damping and a cap."""
-    dtype = np.clongdouble if _extended() else complex
-    c = coeffs.astype(dtype)
-    dc = np.polynomial.polynomial.polyder(c)
-    x = dtype(x)
+def _newton_polish(coeffs: np.ndarray, x: complex) -> complex:
+    """Newton x -> x - f/f' on a simple root, with step damping and 30 steps at most."""
+    dc = np.polynomial.polynomial.polyder(coeffs)
+    x = complex(x)
     scale = max(1.0, float(abs(x)))
-    for _ in range(iters):
-        f = np.polynomial.polynomial.polyval(x, c)
+    for _ in range(30):
+        f = np.polynomial.polynomial.polyval(x, coeffs)
         df = np.polynomial.polynomial.polyval(x, dc)
         if df == 0:
             break
-        step = mult * f / df
+        step = f / df
         if abs(step) > 0.5 * scale:
             step = step / abs(step) * 0.5 * scale
         x = x - step
@@ -259,7 +246,7 @@ def _multiple_root_consistent(coeffs: np.ndarray, c: complex, m: int) -> bool:
     return True
 
 
-def poly_roots(p: Poly, cluster_tol: float = 1e-7) -> RootSet:
+def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
     """All roots of p, clustered into (root, multiplicity) entries.
 
     Companion-matrix eigenvalues are clustered at cluster_tol (relative to

@@ -85,11 +85,6 @@ class GPoly:
                 dval = dval + c(s) * k * g ** (k - 1) * gprime
         return val, dval
 
-    def g_derivative(self) -> "GPoly":
-        """Partial derivative with respect to g."""
-        out = [c.scale(k) for k, c in enumerate(self.coeffs_in_g)][1:]
-        return GPoly(tuple(out) if out else (Poly.zero(),))
-
     def cleared(self, q: Poly, p: Poly, r: int) -> Poly:
         """p**r times the value at g = q/p, as an exact polynomial in s."""
         if self.g_degree > r:
@@ -254,28 +249,6 @@ def adjoint_matrix(model: MarpModel) -> list:
     """All N*N adjugate entries, row-major nested lists of GPoly."""
     n = model.n_states
     return [[adjoint_entry(model, i, j) for j in range(n)] for i in range(n)]
-
-
-def numerator_vec(model: MarpModel, u: np.ndarray, i: int) -> GPoly:
-    """Numerator s * sum_l u_l Adj_{l,i}(s) of the i-th transform component.
-
-    Expanded through the same subset sums as the adjugate entries: the
-    diagonal contribution carries u_i and the off-diagonal (l, i) blocks
-    carry u_l with the (-1)**(l+i) sign built in.
-    """
-    n = model.n_states
-    _check_cap(n)
-    if not 0 <= i < n:
-        raise KernelError("state index out of range")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise KernelError("u has the wrong length")
-    acc = _adjoint_diag(model, i).scale(u[i])
-    for l in range(n):
-        if l != i and u[l] != 0.0:
-            acc = acc + _adjoint_offdiag(model, l, i).scale(u[l])
-    s_poly = Poly.monomial(1)
-    return GPoly(tuple(c * s_poly for c in acc.coeffs_in_g))
 
 
 def xi_polys(model: MarpModel, pt, r: int) -> dict:

@@ -102,6 +102,37 @@ def test_cli_approx_eps_zero_collapses(tmp_path):
         assert vals[4] == pytest.approx(vals[1], abs=1e-12)  # corrected == base
 
 
+MINIMAL = """mmpp.rates = [10, 1/2]
+mmpp.p = [[8/9, 1/9], [97/100, 3/100]]
+service.exp = 3
+heavytail.abate_whitt = 2
+"""
+
+
+@pytest.mark.parametrize("line, args", [
+    ("eps = -0.01", []),
+    ("eps = 1", []),
+    ("grid.points = 0", []),
+    ("grid.points = 2.5", []),
+    ("grid.tmax = -5", []),
+    ("seed = -1", []),
+    ("simulate.customers = 100", []),
+    ("", ["--eps", "-0.05"]),
+    ("", ["--seed", "-1"]),
+])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, line, args):
+    text = MINIMAL + line + "\n"
+    cfgpath = write(tmp_path, text)
+    code = main(["simulate", "--config", cfgpath, "--out", str(tmp_path / "o")] + args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    if line:
+        assert f"line {len(text.splitlines())}: {line.split()[0]} must be" in err
+    else:
+        assert f"{args[0]}: {args[0][2:]} must be" in err
+
+
 def test_cli_unstable_eps_rejected(tmp_path, capsys):
     # heavy mean 1/1.05 at eps 0.2 tips the two-state model over
     text = GOOD.replace("heavytail.abate_whitt = 2", "heavytail.abate_whitt = 1.05")

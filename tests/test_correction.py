@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavyq.base_solver import RationalLST, solve_base
+from heavyq.base_solver import RationalLST, solve_base, solve_u
 from heavyq.correction import (
     ApproxOutput,
     CorrectionError,
@@ -262,6 +262,20 @@ def test_approximate_discard_base_atom(mmpp2_setup):
     base_sol = solve_base(model, disc)
     plain = solve_base(model, pt)
     assert base_sol.w_law.atom.real > plain.w_law.atom.real
+
+
+def test_discard_base_reuses_the_base_kernel(mmpp2_setup):
+    # the discard base solved from the base solution's det E and adjugate is
+    # the same solution as a fresh solve_base, bit for bit
+    model, pt, ht, sol, *_ = mmpp2_setup
+    disc = discard_base_lst(pt, 0.01)
+    reused = solve_u(model, sol.detg, sol.adj, disc)
+    fresh = solve_base(model, disc)
+    assert reused.w_law.atom == fresh.w_law.atom
+    assert reused.w_law.terms == fresh.w_law.terms
+    np.testing.assert_array_equal(reused.u, fresh.u)
+    grid = default_grid(fresh)
+    np.testing.assert_array_equal(reused.survival(grid), fresh.survival(grid))
 
 
 def test_approximate_variants_run(mmpp2_setup):

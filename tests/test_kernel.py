@@ -10,7 +10,6 @@ from heavyq.symbolic_kernel import (
     adjoint_matrix,
     det_E,
     eval_E,
-    numerator_vec,
     xi_polys,
 )
 
@@ -130,34 +129,6 @@ def test_adjoint_g_degree_bound():
         for i in range(n):
             for j in range(n):
                 assert adjoint_entry(m, i, j).g_degree <= n - 1
-
-
-def test_numerator_running_example():
-    # s u Adj e_1 = s u1 (s-lam) - s u2 lam g
-    m = erlang2_model()
-    u = np.array([0.4, 0.6])
-    gp = numerator_vec(m, u, 0)
-    np.testing.assert_allclose(gp.coeffs_in_g[0].coeffs, [0.0, -0.4, 0.4], atol=1e-14)
-    np.testing.assert_allclose(gp.coeffs_in_g[1].coeffs, [0.0, -0.6], atol=1e-14)
-
-
-def test_numerator_zero_u():
-    m = erlang2_model()
-    gp = numerator_vec(m, np.zeros(2), 1)
-    assert all(c.is_zero for c in gp.coeffs_in_g)
-
-
-def test_numerator_matches_adjoint_combination():
-    rng = np.random.default_rng(5)
-    m = random_model(rng, 3)
-    u = rng.normal(size=3)
-    for i in range(3):
-        gp = numerator_vec(m, u, i)
-        for _ in range(5):
-            s = complex(rng.normal(), rng.normal())
-            g = complex(rng.normal(), rng.normal())
-            want = s * sum(u[l] * adjoint_entry(m, l, i)(s, g) for l in range(3))
-            assert abs(gp(s, g) - want) <= 1e-11 * max(1.0, abs(want))
 
 
 def test_det_cap():

@@ -189,12 +189,3 @@ def test_linsolve_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         linsolve(a, np.array([1.0, 1.0]))
-
-
-def test_extended_precision_toggle(monkeypatch):
-    monkeypatch.setenv("HEAVYQ_PRECISION", "extended")
-    p = Poly(np.array([1.0, 2.0, 3.0]))
-    assert p(2.0) == pytest.approx(17.0)
-    rs = poly_roots(Poly.from_roots([-1.0, -2.5]), 1e-8)
-    got = sorted(r.real for r, _ in rs)
-    np.testing.assert_allclose(got, [-2.5, -1.0], rtol=1e-12)
