@@ -1,9 +1,9 @@
 """Delay laws for single-server FIFO queues fed by a Markovian arrival process.
 
-The package solves the phase-type base model exactly through its transform,
-perturbs it to first order in the heavy-tail mixing weight, and evaluates the
-corrected approximations together with an independent numerical-inversion
-oracle and a discrete-event simulator.
+The package solves the phase-type base model exactly as a fluid queue (a
+Riccati solve), perturbs its transform to first order in the heavy-tail
+mixing weight, and evaluates the corrected approximations together with an
+independent numerical-inversion oracle and a discrete-event simulator.
 """
 
 from .base_solver import BaseSolution, RationalLST, solve_base

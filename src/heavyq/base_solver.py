@@ -1,26 +1,71 @@
-"""Exact phase-type base model: transform roots, unknown vector, delay law.
+"""Exact phase-type base model: the delay law through a fluid-queue Riccati solve.
 
-Pipeline: clear the rational service transform out of det E to get a monic
-polynomial, split its roots into the N nonnegative ones (one at zero) and
-the stable denominator roots, build the null-space columns of the adjugate
-at each positive root, solve the linear system for the unknown boundary
-vector, cancel the shared nonnegative roots from the transform, and invert
-what remains into an exponential-polynomial delay law.
+The workload of the MArP/PH/1 queue is the level of a Markov-modulated fluid
+queue (Ramaswami 1999).  Down phases are the N arrival states: the level
+falls at rate 1 and the phase moves by Q-- = d1 + atom * d2, where atom is
+the service law's mass at zero (a zero-length service leaves the level
+alone).  Up phases are pairs (entered state j, service phase): the level
+rises at rate 1 while the service realisation (alpha, T) runs, Q++ = I o T,
+and its exit t = -T 1 returns to down phase j.  A real arrival i -> j enters
+up phase (j, .) with the vector alpha, Q-+ = d2 o alpha; only states that
+real arrivals enter carry up phases.  When the columns of d2 for those
+states are dependent (renewal arrivals, say), up phases run over a column
+basis instead and the exit returns through the mixing weights
+(_arrival_basis), so K below has order M times the rank of d2.
+
+The first-passage matrix Psi from up to down phases solves the Riccati
+equation Q+- + Q++ Psi + Psi Q-- + Psi Q-+ Psi = 0.  Newton's method from
+Psi = 0 converges to it with one Sylvester solve per step (Guo & Laub 2000).
+With K = Q++ + Psi Q-+, U = Q-- + Q-+ Psi and p0 U = 0, the delay of a real
+arrival has P(W > x) proportional to p0 Q-+ (-K)^-1 e^(Kx) Psi d2 1, and
+its transform is the realisation atom + h (sI - K)^-1 b.  What the rest of
+the pipeline needs follows from these matrices:
+
+- the N-1 positive roots of det E are -eig(U) without its zero root, and
+  the poles and zeros of the delay transform are eig(K) and eig(K - b h /
+  atom), clustered into multiplicities like polynomial roots, less the
+  pairs they share;
+- the null vectors of E at the positive roots come from an SVD, and the
+  boundary vector u from the same linear system as in the paper;
+- the time-domain law comes from a block diagonalisation of K, one block
+  per eigenvalue cluster.
+
+Checks, each raising SolverError with its value: the Riccati residual; N
+eigenvalues of -U in the closed right half-plane with a simple one at zero;
+the arrival-weighted mass of the law against the real arrival rate times
+its time mass ("W(0) = ..." names their ratio); the u . a residuals; the
+law's atom against u . omega; and the total mass of the time-domain law
+(again "W(0) = ...").
+
+The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
+of the solve.  The perturbation, the correction and the oracle read them
+from a solution's detg, adj, r, cleared, a_vectors, a_derivs and
+column_choice, which expand the kernel on first use, once per solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import qr, schur, solve_sylvester
 
 from .measures import ExpPolyMeasure, MeasureError
 from .model import MarpModel, stability_report
-from .polyalg import Poly, RationalFn, RootSet, linsolve, poly_roots
-from .symbolic_kernel import GPoly, adjoint_matrix, det_E
+from .polyalg import CLUSTER_TOL, Poly, RationalFn, RootSet, eig_roots, linsolve, poly_roots
+from . import symbolic_kernel
+from .symbolic_kernel import GPoly, eval_E
 
-ZERO_ROOT_TOL = 1e-9    # Re >= -tol counts as a nonnegative root
-CANCEL_TOL = 1e-6       # root-matched cancellation window
+NEWTON_STEPS = 60        # Riccati Newton steps before giving up
+NEWTON_STEP_TOL = 1e-14  # last step size; Psi holds probabilities
+RICCATI_TOL = 1e-10      # Riccati residual, relative to the largest rate
+RANK_TOL = 1e-12         # pivot of d2's entered columns, relative to the first
+ZERO_ROOT_TOL = 1e-9     # Re >= -tol * max(1, largest |root|) is nonnegative
+MASS_TOL = 1e-8          # arrival- against time-weighted mass; the law's mass
+UA_TOL = 1e-9            # u . a residual, relative to |u| |a|
+ATOM_TOL = 1e-7          # law atom against u . omega
 
 
 class SolverError(RuntimeError):
@@ -35,14 +80,28 @@ class RationalLST:
     open left half-plane.  deg q == deg p is allowed and corresponds to a
     service-time atom at zero of mass lead(q) (the discard base model needs
     exactly that), otherwise deg q <= deg p - 1.
+
+    (alpha, tmat) realises the law without its atom: q/p = atom +
+    alpha (sI - tmat)^-1 t with t = -tmat 1, and alpha 1 = 1 - atom.  The
+    named constructors use the phase-type form; from_coeffs builds a
+    companion realisation unless one is given.  poles, when known, are the
+    roots of p with their multiplicities; None leaves them to poly_roots.
     """
 
     q: Poly
     p: Poly
     mean: float
+    alpha: np.ndarray = field(repr=False, compare=False)
+    tmat: np.ndarray = field(repr=False, compare=False)
+    poles: RootSet | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.alpha.setflags(write=False)
+        self.tmat.setflags(write=False)
 
     @staticmethod
-    def from_coeffs(q_coeffs, p_coeffs) -> "RationalLST":
+    def from_coeffs(q_coeffs, p_coeffs, realisation=None,
+                    poles: RootSet | None = None) -> "RationalLST":
         q = Poly(np.asarray(q_coeffs, dtype=complex))
         p = Poly(np.asarray(p_coeffs, dtype=complex))
         if q.is_zero or p.is_zero:
@@ -57,25 +116,34 @@ class RationalLST:
         ratio0 = q(0.0) / p(0.0)
         if abs(ratio0 - 1.0) > 1e-10:
             raise ValueError(f"q(0)/p(0) = {ratio0:.12g}, not a proper distribution")
-        for root, _ in poly_roots(p, 1e-9):
+        for root, _ in (poly_roots(p, 1e-9) if poles is None else poles):
             if root.real >= 0:
                 raise ValueError(f"pole {root} of the service transform is not stable")
         mean = -(q.deriv()(0.0) * p(0.0) - q(0.0) * p.deriv()(0.0)).real / p(0.0).real ** 2
         if mean <= 0:
             raise ValueError("service transform has nonpositive mean")
-        return RationalLST(q=q, p=p, mean=float(mean))
+        atom = float(q.lead.real) if q.degree == p.degree else 0.0
+        if realisation is None:
+            alpha, tmat = _companion(q, p, atom)
+        else:
+            alpha, tmat = (np.array(x, dtype=float) for x in realisation)
+        _check_realisation(q, p, atom, alpha, tmat)
+        return RationalLST(q=q, p=p, mean=float(mean), alpha=alpha, tmat=tmat, poles=poles)
 
     @staticmethod
     def exponential(nu: float) -> "RationalLST":
         if nu <= 0:
             raise ValueError("rate must be positive")
-        return RationalLST.from_coeffs([nu], [nu, 1.0])
+        return RationalLST.from_coeffs([nu], [nu, 1.0], realisation=([1.0], [[-nu]]))
 
     @staticmethod
     def erlang(rate: float, shape: int) -> "RationalLST":
         den = Poly.from_roots([-rate] * shape)
         num = Poly(np.array([rate ** shape]))
-        return RationalLST.from_coeffs(num.coeffs.real, den.coeffs.real)
+        tmat = rate * (np.eye(shape, k=1) - np.eye(shape))
+        return RationalLST.from_coeffs(
+            num.coeffs.real, den.coeffs.real, realisation=(np.eye(shape)[0], tmat),
+            poles=RootSet((complex(-rate, 0.0),), (shape,)))
 
     @staticmethod
     def hyperexponential(probs, rates) -> "RationalLST":
@@ -86,7 +154,11 @@ class RationalLST:
         for k, (pr, rt) in enumerate(zip(probs, rates)):
             others = [-r for j, r in enumerate(rates) if j != k]
             num = num + Poly.from_roots(others).scale(pr * rt)
-        return RationalLST.from_coeffs(num.coeffs.real, den.coeffs.real)
+        distinct = sorted(set(rates.tolist()))
+        poles = RootSet(tuple(complex(-r, 0.0) for r in distinct),
+                        tuple(int(np.sum(rates == r)) for r in distinct))
+        return RationalLST.from_coeffs(num.coeffs.real, den.coeffs.real,
+                                       realisation=(probs, np.diag(-rates)), poles=poles)
 
     @property
     def order(self) -> int:
@@ -112,11 +184,60 @@ class RationalLST:
         return RationalFn(num, self.p.scale(self.mean))
 
     def excess_measure(self) -> ExpPolyMeasure:
-        return to_time_domain(self.excess)
+        return to_time_domain(self.excess, self.poles)
 
     def service_measure(self) -> ExpPolyMeasure:
         """The service law itself (with its atom, if any) in the time domain."""
-        return to_time_domain(RationalFn(self.q, self.p))
+        return to_time_domain(RationalFn(self.q, self.p), self.poles)
+
+
+def _companion(q: Poly, p: Poly, atom: float):
+    """A realisation (alpha, T) of q/p - atom with exit vector t = -T 1.
+
+    The controllable companion form (C / p(0)) (sI - A)^-1 (p(0) e_M) of
+    (q - atom p)/p has -A^-1 p(0) e_M = e_1, so the similarity
+    S = I + (e_1 - 1) e_1^T, with S 1 = e_1 and det S = 1, turns its input
+    vector into -T 1.
+    """
+    m = p.degree
+    pc = p.coeffs.real
+    num = np.zeros(m)
+    rest = (q - p.scale(atom)).coeffs.real[:m]
+    num[:rest.size] = rest / pc[0]
+    a = np.eye(m, k=1)
+    a[-1, :] = -pc[:m]
+    s = np.eye(m)
+    s[1:, 0] = -1.0
+    return num @ s, np.linalg.solve(s, a @ s)
+
+
+def _check_realisation(q: Poly, p: Poly, atom: float, alpha, tmat):
+    m = p.degree
+    if alpha.shape != (m,) or tmat.shape != (m, m):
+        raise ValueError(f"realisation must have order {m}")
+    exit_vec = -tmat.sum(axis=1)
+    for s in (1.0, 1j):
+        got = atom + alpha @ np.linalg.solve(s * np.eye(m) - tmat, exit_vec)
+        want = q(s) / p(s)
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            raise ValueError(f"realisation gives {got} at s = {s}, the transform {want}")
+
+
+@dataclass(frozen=True)
+class Realisation:
+    """The delay transform atom + h (sI - K)^-1 b, at scalar or array s."""
+
+    atom: float
+    h: np.ndarray
+    k: np.ndarray
+    b: np.ndarray
+
+    def __call__(self, s):
+        z = np.asarray(s, dtype=complex)
+        eye = np.eye(self.k.shape[0])
+        vals = [self.atom + self.h @ np.linalg.solve(x * eye - self.k, self.b) for x in z.ravel()]
+        out = np.array(vals, dtype=complex).reshape(z.shape)
+        return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)
@@ -125,19 +246,13 @@ class BaseSolution:
 
     model: MarpModel
     pt: RationalLST
-    detg: GPoly
-    adj: tuple                 # N x N nested tuple of GPoly adjugate entries
-    r: int                     # power of the service denominator cleared
-    cleared: Poly              # p**r det E, monic of degree N + r*M
     rho_pos: tuple             # the N-1 simple roots with positive real part
-    column_choice: tuple       # adjugate column index m used per positive root
-    a_vectors: tuple           # null-space columns a_i at each positive root
-    a_derivs: tuple            # d/ds of the same adjugate column at rho_i
     u: np.ndarray              # boundary vector
-    den_roots: RootSet         # stable roots of the cleared determinant (-s_j)
-    num_roots: RootSet         # stable roots of the cleared numerator (-shat_j)
-    w_hat: RationalFn          # delay transform after cancellation
+    den_roots: RootSet         # poles of the delay transform, eig(K) (-s_j)
+    num_roots: RootSet         # zeros of the delay transform (-shat_j)
+    w_hat: Realisation         # delay transform
     w_law: ExpPolyMeasure      # delay law in the time domain
+    column_request: int | None = None   # adjugate column forced for a_vectors
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -151,6 +266,68 @@ class BaseSolution:
         if np.max(np.abs(np.atleast_1d(vals).imag)) > 1e-10:
             raise SolverError("delay survival came out complex")
         return vals.real
+
+    # -- the subset-sum kernel, expanded on first use ------------------------
+    @cached_property
+    def detg(self) -> GPoly:
+        return symbolic_kernel.det_E(self.model)
+
+    @cached_property
+    def adj(self) -> tuple:
+        """N x N nested tuple of GPoly adjugate entries, adj[l][i] = Adj_{l,i}."""
+        return tuple(tuple(row) for row in symbolic_kernel.adjoint_matrix(self.model))
+
+    @cached_property
+    def _clearing(self) -> dict:
+        n = self.model.n_states
+        adj_gdeg = max(self.adj[i][j].g_degree for i in range(n) for j in range(n))
+        return clear_denominator(self.detg, self.pt, min_power=adj_gdeg)
+
+    @property
+    def r(self) -> int:
+        """Power of the service denominator cleared."""
+        return self._clearing["r"]
+
+    @property
+    def cleared(self) -> Poly:
+        """p**r det E, monic of degree N + r*M."""
+        return self._clearing["poly"]
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Adjugate column, its value and its s-derivative at each positive root.
+
+        The column of largest norm is taken per root unless column_request
+        forces one index for every root.
+        """
+        pt, adj = self.pt, self.adj
+        columns, a_vectors, a_derivs = [], [], []
+        for rho in self.rho_pos:
+            g = pt(rho)
+            amat = _numeric_adjoint(adj, rho, g)
+            norms = np.linalg.norm(amat, axis=0)
+            m = int(np.argmax(norms)) if self.column_request is None else self.column_request
+            if norms[m] <= 1e-12 * max(1.0, float(norms.max())):
+                raise SolverError(f"adjugate column {m} at root {rho} is numerically zero")
+            columns.append(m)
+            a_vectors.append(np.array(amat[:, m]))
+            a_derivs.append(_adjoint_column_deriv(adj, m, rho, g, pt.deriv_at(rho)))
+        return tuple(columns), tuple(a_vectors), tuple(a_derivs)
+
+    @property
+    def column_choice(self) -> tuple:
+        """Adjugate column index m used per positive root."""
+        return self._columns[0]
+
+    @property
+    def a_vectors(self) -> tuple:
+        """Adjugate null-space columns a_i at each positive root."""
+        return self._columns[1]
+
+    @property
+    def a_derivs(self) -> tuple:
+        """d/ds of the same adjugate column at rho_i."""
+        return self._columns[2]
 
 
 def clear_denominator(detg: GPoly, pt: RationalLST, min_power: int = 1) -> dict:
@@ -188,146 +365,241 @@ def _adjoint_column_deriv(adj, m: int, s: complex, g: complex, gprime: complex) 
     return out
 
 
-def solve_u(model: MarpModel, detg: GPoly, adj, pt: RationalLST,
-            column_choice: int | None = None) -> BaseSolution:
-    """Roots, null-space columns, boundary vector and delay law of the base model.
+def _arrival_basis(d2: np.ndarray) -> tuple:
+    """Columns of d2 that carry up phases, and where the service exit returns.
 
-    detg and adj are det E and its adjugate, which depend on the model only,
-    so one expansion serves every service transform.  column_choice forces
-    one adjugate column index for every root; by default the column of
-    largest norm is taken per root.
+    With every entered column independent these are the entered states and
+    the exit returns to the state itself.  Otherwise d2 restricted to the
+    entered states factors as d2[:, basis] @ mix over a column basis (pivoted
+    QR), and the exit from up phase l returns to state j with weight
+    mix[l, j].  The factored blocks intertwine with the full ones through
+    P = mix o I, so they share U and the transform, and K loses the copies
+    of T's modes that the dependent columns add and the delay cannot see.
     """
-    n = model.n_states
-    rep = stability_report(model, pt.mean)
-    if rep["margin"] <= 0:
-        raise SolverError(f"unstable model: load {rep['load']:.6f}")
-    adj_gdeg = max(adj[i][j].g_degree for i in range(n) for j in range(n))
-    cd = clear_denominator(detg, pt, min_power=adj_gdeg)
-    poly, r = cd["poly"], cd["r"]
+    n = d2.shape[0]
+    entered = np.nonzero(d2.sum(axis=0) > 0)[0]
+    cols = d2[:, entered]
+    tri, piv = qr(cols, mode="r", pivoting=True)
+    pivots = np.abs(np.diag(tri))
+    rank = int(np.sum(pivots > RANK_TOL * pivots[0]))
+    if rank == entered.size:
+        basis, mix = entered, np.eye(rank)
+    else:
+        basis = entered[np.sort(piv[:rank])]
+        mix = np.linalg.lstsq(d2[:, basis], cols, rcond=None)[0]
+    route = np.zeros((rank, n))
+    route[:, entered] = mix
+    return basis, route
 
-    roots = poly_roots(poly)
-    nonneg = [(rho, m) for rho, m in roots if rho.real >= -ZERO_ROOT_TOL]
-    stable = [(rho, m) for rho, m in roots if rho.real < -ZERO_ROOT_TOL]
-    count = sum(m for _, m in nonneg)
-    if count != n:
-        raise SolverError(f"expected {n} nonnegative roots, found {count}")
+
+@dataclass(frozen=True)
+class FluidModel:
+    """Generator blocks of the fluid queue (see the module docstring)."""
+
+    q_pp: np.ndarray
+    q_pm: np.ndarray
+    q_mm: np.ndarray
+    q_mp: np.ndarray
+
+    @staticmethod
+    def build(model: MarpModel, pt: RationalLST) -> "FluidModel":
+        d2 = model.d2
+        basis, route = _arrival_basis(d2)
+        exit_vec = -pt.tmat.sum(axis=1)
+        return FluidModel(
+            q_pp=np.kron(np.eye(basis.size), pt.tmat),
+            q_pm=np.kron(route, exit_vec[:, None]),
+            q_mm=model.d1 + pt.atom * d2,
+            q_mp=np.kron(d2[:, basis], pt.alpha[None, :]),
+        )
+
+    def residual(self, psi: np.ndarray) -> np.ndarray:
+        return self.q_pm + self.q_pp @ psi + psi @ self.q_mm + psi @ self.q_mp @ psi
+
+    def solve_psi(self) -> np.ndarray:
+        """Newton from Psi = 0: (Q++ + Psi Q-+) X + X (Q-- + Q-+ Psi) = -R(Psi)."""
+        scale = max(1.0, float(np.max(np.abs(self.q_mm))), float(np.max(np.abs(self.q_pp))))
+        psi = np.zeros_like(self.q_pm)
+        for _ in range(NEWTON_STEPS):
+            try:
+                step = solve_sylvester(self.q_pp + psi @ self.q_mp, self.q_mm + self.q_mp @ psi,
+                                       -self.residual(psi))
+            except (np.linalg.LinAlgError, ValueError) as exc:   # singular or diverged
+                raise SolverError(f"Riccati Newton step failed: {exc}") from exc
+            psi = psi + step
+            if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+                break
+        err = float(np.max(np.abs(self.residual(psi)))) / scale
+        if not err <= RICCATI_TOL:
+            raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
+        return psi
+
+
+def _positive_roots(u_gen: np.ndarray) -> tuple:
+    """The N-1 positive roots: -eig(U) without its simple zero root."""
+    n = u_gen.shape[0]
+    roots = eig_roots(-u_gen)
     scale = max(1.0, max(abs(rho) for rho, _ in roots))
-    zero_idx = min(range(len(nonneg)), key=lambda k: abs(nonneg[k][0]))
-    if abs(nonneg[zero_idx][0]) > 1e-6 * scale or nonneg[zero_idx][1] != 1:
-        raise SolverError("could not identify the simple root at zero")
-    positive = [rm for k, rm in enumerate(nonneg) if k != zero_idx]
+    count = sum(m for rho, m in roots if rho.real >= -ZERO_ROOT_TOL * scale)
+    if count != n:
+        raise SolverError(f"expected {n} eigenvalues of -U in the closed right "
+                          f"half-plane, found {count}")
+    zero_idx = min(range(len(roots)), key=lambda k: abs(roots.roots[k]))
+    zero, zero_mult = roots.roots[zero_idx], roots.multiplicities[zero_idx]
+    if abs(zero) > 1e-6 * scale or zero_mult != 1:
+        raise SolverError(f"could not identify the simple root at zero (nearest {zero})")
+    positive = [rm for k, rm in enumerate(roots) if k != zero_idx]
     if any(m > 1 for _, m in positive):
         raise SolverError("repeated positive roots are not supported (simple-root assumption)")
-    rho_pos = tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
+    return tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
 
-    a_vectors, a_derivs, columns = [], [], []
-    for rho in rho_pos:
-        g = pt(rho)
-        amat = _numeric_adjoint(adj, rho, g)
-        norms = np.linalg.norm(amat, axis=0)
-        m = int(np.argmax(norms)) if column_choice is None else column_choice
-        if norms[m] <= 1e-12 * max(1.0, float(norms.max())):
-            raise SolverError(f"adjugate column {m} at root {rho} is numerically zero")
-        a_vectors.append(amat[:, m])
-        a_derivs.append(_adjoint_column_deriv(adj, m, rho, g, pt.deriv_at(rho)))
-        columns.append(m)
 
+def _null_vector(mat: np.ndarray) -> np.ndarray:
+    """Right singular vector of the smallest singular value."""
+    return np.linalg.svd(mat)[2][-1].conj()
+
+
+def _boundary_vector(model: MarpModel, pt: RationalLST, rho_pos, margin: float) -> np.ndarray:
+    """u from u Lambda^-1 1 = margin and u a_i = 0 at every positive root."""
+    n = model.n_states
     amat = np.empty((n, n), dtype=complex)
     amat[:, 0] = model.lam_inv_one
-    for idx, a in enumerate(a_vectors):
-        amat[:, idx + 1] = a
+    for idx, rho in enumerate(rho_pos):
+        amat[:, idx + 1] = _null_vector(eval_E(model, rho, pt(rho)))
     c = np.zeros(n, dtype=complex)
-    c[0] = rep["margin"]
+    c[0] = margin
     u = linsolve(amat.T, c)
     if np.max(np.abs(u.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(u)))):
         raise SolverError("boundary vector came out complex")
     u = np.array(u.real)
-    for a in a_vectors:
+    for a in amat.T[1:]:
         res = abs(np.dot(u, a))
-        if res > 1e-9 * max(1.0, float(np.linalg.norm(u) * np.linalg.norm(a))):
+        if res > UA_TOL * max(1.0, float(np.linalg.norm(u) * np.linalg.norm(a))):
             raise SolverError(f"u . a residual {res:.3e} too large")
-
-    den_roots = RootSet(tuple(rho for rho, _ in stable), tuple(m for _, m in stable))
-    num_roots, w_hat, w_law = delay_transform(model, pt, adj, r, poly, rho_pos, u, den_roots)
-    return BaseSolution(
-        model=model, pt=pt, detg=detg, adj=adj, r=r, cleared=poly,
-        rho_pos=rho_pos, column_choice=tuple(columns),
-        a_vectors=tuple(np.array(a) for a in a_vectors),
-        a_derivs=tuple(np.array(a) for a in a_derivs),
-        u=u, den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
-    )
+    return u
 
 
-def _deflate(poly: Poly, roots) -> Poly:
-    """Divide out known simple roots by synthetic division."""
-    c = np.array(poly.coeffs, dtype=complex)
-    for r in roots:
-        n = c.size
-        out = np.zeros(n - 1, dtype=complex)
-        acc = c[-1]
-        for i in range(n - 2, -1, -1):
-            out[i] = acc
-            acc = c[i] + acc * r
-        c = out
-    return Poly(c)
+def _law_terms(k: np.ndarray, h: np.ndarray, b: np.ndarray, clusters: RootSet) -> list:
+    """Density terms of h e^(Kx) b, block-diagonalising K cluster by cluster.
 
-
-def delay_transform(model: MarpModel, pt: RationalLST, adj, r: int, cleared: Poly,
-                    rho_pos: tuple, u: np.ndarray, den_roots: RootSet):
-    """Cancel the shared nonnegative roots and assemble the delay transform.
-
-    Returns the stable numerator roots, the transform and the delay law.
-    The cancellation is root-matched, but the surviving factors are obtained
-    by deflating the exact cleared polynomials with the (simple, accurately
-    known) nonnegative roots rather than by re-expanding the stable roots:
-    clustered stable roots are individually ill-conditioned while the
-    deflated coefficients are not.
+    Each step moves one eigenvalue cluster to the top of a Schur form and
+    decouples it from the rest by a Sylvester solve; on the cluster's block
+    B = c I + N, e^(Bx) = e^(cx) sum_j (N x)^j / j! over j < multiplicity.
+    Coefficients of conjugate clusters are made exact conjugates.
     """
+    rest, left, right = k.astype(complex), h.astype(complex), b.astype(complex)
+    coefs = {}
+    pending = list(clusters)
+    while pending:
+        center, mult = pending.pop(0)
+        if pending:
+            others = np.array([c for c, _ in pending])
+            radius = 0.5 * float(np.min(np.abs(others - center)))
+            t, z, sdim = schur(rest, output="complex",
+                               sort=lambda x, c=center, r=radius: abs(x - c) < r)
+            if sdim != mult:
+                raise SolverError(f"could not separate the eigenvalue cluster at {center}")
+            y = solve_sylvester(t[:mult, :mult], -t[mult:, mult:], -t[:mult, mult:])
+            lz, rz = left @ z, z.conj().T @ right
+            block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
+            rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
+        else:
+            block, lb, rb = rest, left, right
+        nil = block - center * np.eye(mult)
+        acc = rb
+        for j in range(mult):
+            coefs[(center, j)] = complex(lb @ acc) / math.factorial(j)
+            acc = nil @ acc
+    terms = []
+    for (center, j), coef in coefs.items():
+        if center.imag < 0:
+            coef = coefs.get((center.conjugate(), j), coef.conjugate()).conjugate()
+        elif center.imag == 0:
+            coef = complex(coef.real, 0.0)
+        terms.append((-center, j, coef))
+    return terms
+
+
+def _cancel_shared(poles: RootSet, zeros: RootSet) -> tuple:
+    """Drop the pole-zero pairs of a non-minimal realisation.
+
+    A lumpable environment (states that the arrivals cannot tell apart)
+    leaves modes in K that the delay cannot see; they are eigenvalues of
+    both K and K - b h / atom.  Dependent columns of d2 would do the same
+    with exact copies of T's Jordan blocks, which eigvals scatters beyond
+    CLUSTER_TOL, so FluidModel.build factors those out beforehand.
+    """
+    pole_m, zero_m = list(poles.multiplicities), list(zeros.multiplicities)
+    for i, p in enumerate(poles.roots):
+        for j, z in enumerate(zeros.roots):
+            if abs(p - z) <= CLUSTER_TOL * max(1.0, abs(p)):
+                shared = min(pole_m[i], zero_m[j])
+                pole_m[i] -= shared
+                zero_m[j] -= shared
+
+    def kept(rs, mults):
+        return RootSet(tuple(r for r, m in zip(rs.roots, mults) if m), tuple(m for m in mults if m))
+
+    return kept(poles, pole_m), kept(zeros, zero_m)
+
+
+def solve_base(model: MarpModel, pt: RationalLST,
+               column_choice: int | None = None) -> BaseSolution:
+    """Roots, boundary vector, delay transform and law of the base model.
+
+    column_choice forces one adjugate column index for every root in the
+    kernel-side a_vectors (by default the column of largest norm per root).
+    """
+    rep = stability_report(model, pt.mean)
+    if rep["margin"] <= 0:
+        raise SolverError(f"unstable model: load {rep['load']:.6f}")
+
+    fluid = FluidModel.build(model, pt)
+    psi = fluid.solve_psi()
+    k = fluid.q_pp + psi @ fluid.q_mp
+    u_gen = fluid.q_mm + fluid.q_mp @ psi
+    rho_pos = _positive_roots(u_gen)
+    u = _boundary_vector(model, pt, rho_pos, rep["margin"])
+
+    # boundary masses p0 U = 0; densities p0 Q-+ e^(Kx) (up), times Psi (down)
     n = model.n_states
-    omega = model.omega
-    num_poly = Poly.zero()
-    for i in range(n):
-        if omega[i] == 0.0:
-            continue
-        for l in range(n):
-            if u[l] == 0.0:
-                continue
-            num_poly = num_poly + adj[l][i].cleared(pt.q, pt.p, r).scale(omega[i] * u[l])
-    uw = float(u @ omega)
-    if abs(num_poly.lead - uw) > 1e-7 * max(1.0, abs(uw)):
-        raise SolverError("numerator leading coefficient does not match u . omega")
+    lhs = u_gen.T.copy()
+    lhs[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    p0 = linsolve(lhs, rhs).real
+    enter = p0 @ fluid.q_mp
+    up_mass = np.linalg.solve(-k.T, enter)          # p0 Q-+ (-K)^-1
+    arrivals = model.d2.sum(axis=1)
+    b = psi @ arrivals
+    time_mass = p0.sum() + up_mass @ psi.sum(axis=1)
+    arrival_mass = p0 @ arrivals + up_mass @ b
+    ratio = float(arrival_mass / (model.real_arrival_rate() * time_mass))
+    if not abs(ratio - 1.0) <= MASS_TOL:
+        raise SolverError(f"delay law not normalised: W(0) = {ratio:.17g} "
+                          f"(arrival-weighted over rate times time mass)")
+    atom = float(p0 @ arrivals / arrival_mass)
+    uw = float(u @ model.omega)
+    if abs(atom - uw) > ATOM_TOL * max(1.0, abs(atom)):
+        raise SolverError(f"delay atom {atom:.12g} does not match u . omega = {uw:.12g}")
 
-    roots = poly_roots(num_poly)
-    remaining = []
-    matched = set()
-    for rho, mult in roots:
-        hit = False
-        for kdx, target in enumerate(rho_pos):
-            if kdx not in matched and abs(rho - target) <= CANCEL_TOL * max(1.0, abs(target)):
-                matched.add(kdx)
-                hit = True
-                if mult > 1:
-                    remaining.append((rho, mult - 1))
-                break
-        if not hit:
-            remaining.append((rho, mult))
-    if len(matched) != len(rho_pos):
-        raise SolverError("cancellation mismatch: a positive root is missing from the numerator")
-    for rho, _ in remaining:
-        if rho.real >= 0:
-            raise SolverError(f"numerator root {rho} not in the open left half-plane")
-
-    num_roots = RootSet(tuple(r for r, _ in remaining), tuple(m for _, m in remaining))
-    w_num = _deflate(num_poly, rho_pos)
-    w_den = _deflate(cleared, [0.0] + list(rho_pos))
-    for poly in (w_num, w_den):
-        if np.max(np.abs(poly.coeffs.imag)) > 1e-9 * np.max(np.abs(poly.coeffs)):
-            raise SolverError("deflated transform factor came out complex")
-    w_hat = RationalFn(Poly(w_num.coeffs.real), Poly(w_den.coeffs.real))
-    norm = w_hat(0.0)
-    if abs(norm - 1.0) > 1e-8:
-        raise SolverError(f"delay transform not normalised: W(0) = {norm}")
-    return num_roots, w_hat, to_time_domain(w_hat, den_roots)
+    h = enter / arrival_mass
+    w_hat = Realisation(atom=atom, h=h, k=k, b=b)
+    poles = eig_roots(k)
+    den_roots, num_roots = _cancel_shared(poles, eig_roots(k - np.outer(b, h) / atom))
+    for root, _ in list(poles) + list(num_roots):
+        if root.real >= 0:
+            raise SolverError(f"transform root {root} not in the open left half-plane")
+    w_law = ExpPolyMeasure.from_terms(atom, _law_terms(k, h, b, poles))
+    mass = complex(w_law.total_mass())
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise SolverError(f"delay law not normalised: W(0) = {mass.real:.17g} "
+                          f"(mass of the time-domain law, off by {abs(mass - 1.0):.3e})")
+    return BaseSolution(
+        model=model, pt=pt, rho_pos=rho_pos, u=u,
+        den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
+        column_request=column_choice,
+    )
 
 
 def to_time_domain(f: RationalFn, den_roots: RootSet | None = None) -> ExpPolyMeasure:
@@ -337,11 +609,3 @@ def to_time_domain(f: RationalFn, den_roots: RootSet | None = None) -> ExpPolyMe
     except MeasureError as exc:
         raise SolverError(str(exc)) from exc
     return law
-
-
-def solve_base(model: MarpModel, pt: RationalLST,
-               column_choice: int | None = None) -> BaseSolution:
-    """Full base-model solve: det E through the time-domain delay law."""
-    detg = det_E(model)
-    adj = tuple(tuple(row) for row in adjoint_matrix(model))
-    return solve_u(model, detg, adj, pt, column_choice=column_choice)

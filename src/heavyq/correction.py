@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 from scipy.interpolate import PchipInterpolator
 
-from .base_solver import BaseSolution, RationalLST, solve_base, solve_u
+from .base_solver import BaseSolution, RationalLST, solve_base
 from .measures import ExpPolyMeasure
 from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
@@ -510,9 +510,14 @@ def mixture_stable(model, pt: RationalLST, ht, eps: float) -> bool:
 
 
 def discard_base_lst(pt: RationalLST, eps: float) -> RationalLST:
-    """Service transform of the discard base: (1-eps) q/p + eps, atom eps."""
+    """Service transform of the discard base: (1-eps) q/p + eps, atom eps.
+
+    Its realisation is the base law's with the entry vector scaled by 1-eps.
+    """
     q = pt.q.scale(1.0 - eps) + pt.p.scale(eps)
-    return RationalLST.from_coeffs(q.coeffs.real, pt.p.coeffs.real)
+    return RationalLST.from_coeffs(q.coeffs.real, pt.p.coeffs.real,
+                                   realisation=((1.0 - eps) * pt.alpha, pt.tmat),
+                                   poles=pt.poles)
 
 
 def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
@@ -522,8 +527,8 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
 
     variant "replace": base survival is the phase-type delay, correction
     scaled by eps / (u . omega).  variant "discard": base is the delay under
-    the thinned service law (1-eps) q/p + eps solved exactly with the base
-    solution's det E and adjugate, coefficients use z - z_discard, and the
+    the thinned service law (1-eps) q/p + eps solved exactly (a fluid solve
+    that expands no subset sums), coefficients use z - z_discard, and the
     prefactor uses u + eps z_discard.
     """
     if variant not in ("replace", "discard"):
@@ -546,7 +551,7 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
         pdata_disc = perturb(sol, ht, "discard")
         verify_delta_identity(sol, pdata_disc, ht, xi)
         coeffs = correction_coeffs(sol, pdata, xi, z_discard=pdata_disc.z)
-        base_sol = solve_u(model, sol.detg, sol.adj, discard_base_lst(pt, eps))
+        base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 

@@ -55,6 +55,11 @@ class ExpPolyMeasure:
                 continue
             # coef/(s-rho)^power  <->  coef * t^(power-1) e^(rho t) / (power-1)!
             terms.append((-rho, power - 1, coef / math.factorial(power - 1)))
+        return ExpPolyMeasure.from_terms(atom, terms)
+
+    @staticmethod
+    def from_terms(atom: complex, terms) -> "ExpPolyMeasure":
+        """Measure from (rate, power, coef) terms; terms sharing (rate, power) combine."""
         return ExpPolyMeasure(atom=atom, terms=_merge(terms))
 
     @staticmethod

@@ -2,9 +2,10 @@
 
 Polynomials are stored as ascending coefficient arrays.  Root finding goes
 through the companion matrix with Newton polishing, followed by deterministic
-multiplicity clustering; partial fractions are computed by local Taylor
-(series) expansion at each pole, which solves the derivative-matching
-conditions for repeated poles in triangular form.
+multiplicity clustering, which also groups the eigenvalues of a matrix;
+partial fractions are computed by local Taylor (series) expansion at each
+pole, which solves the derivative-matching conditions for repeated poles in
+triangular form.
 """
 
 from __future__ import annotations
@@ -263,18 +264,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
     if p.degree < 1:
         raise PolyalgError("root finding needs degree >= 1")
     coeffs = p.coeffs / p.lead
-    raw = list(np.polynomial.polynomial.polyroots(coeffs))
-    raw.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-    clusters: list[list[complex]] = []
-    for r in raw:
-        for cl in clusters:
-            ctr = sum(cl) / len(cl)
-            if abs(r - ctr) <= cluster_tol * max(1.0, abs(ctr)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
+    clusters = _cluster(np.polynomial.polynomial.polyroots(coeffs), cluster_tol)
 
     merged = True
     while merged and len(clusters) > 1:
@@ -306,16 +296,47 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
         mults.append(m)
 
     is_real = bool(np.all(np.abs(p.coeffs.imag) <= 1e-14 * np.max(np.abs(p.coeffs))))
-    if is_real:
-        roots = _pair_conjugates(roots, mults, cluster_tol)
-
-    order = np.lexsort((np.imag(roots), np.real(roots)))
-    roots = [roots[i] for i in order]
-    mults = [mults[i] for i in order]
-    rs = RootSet(tuple(roots), tuple(mults))
+    rs = _root_set(roots, mults, is_real, cluster_tol)
     if rs.total != p.degree:
         raise PolyalgError("multiplicities do not sum to the degree")
     return rs
+
+
+def eig_roots(mat: np.ndarray) -> RootSet:
+    """Eigenvalues of a square matrix, clustered like the roots of poly_roots.
+
+    Eigenvalues within CLUSTER_TOL (relative to their magnitude) form one
+    entry whose multiplicity is the cluster size and whose value is the
+    cluster mean; conjugate symmetry is enforced exactly for a real matrix.
+    """
+    mat = np.asarray(mat)
+    clusters = _cluster(np.linalg.eigvals(mat), CLUSTER_TOL)
+    roots = [sum(cl) / len(cl) for cl in clusters]
+    mults = [len(cl) for cl in clusters]
+    return _root_set(roots, mults, not np.iscomplexobj(mat), CLUSTER_TOL)
+
+
+def _cluster(raw, cluster_tol: float) -> list:
+    """Group raw roots lying within cluster_tol of a group's running mean."""
+    raw = sorted((complex(z) for z in raw), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    clusters: list[list[complex]] = []
+    for r in raw:
+        for cl in clusters:
+            ctr = sum(cl) / len(cl)
+            if abs(r - ctr) <= cluster_tol * max(1.0, abs(ctr)):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    return clusters
+
+
+def _root_set(roots, mults, is_real: bool, cluster_tol: float) -> RootSet:
+    """RootSet sorted by (real, imag), conjugate pairs made exact for real input."""
+    if is_real:
+        roots = _pair_conjugates(roots, mults, cluster_tol)
+    order = np.lexsort((np.imag(roots), np.real(roots)))
+    return RootSet(tuple(roots[i] for i in order), tuple(mults[i] for i in order))
 
 
 def _pair_conjugates(roots, mults, tol):

@@ -37,6 +37,74 @@ def test_rational_lst_erlang_mean():
     assert pt(0.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", range(1, 7))
+def test_erlang_service_and_excess_laws(shape):
+    # the k-fold pole is passed to the inversion, not recovered by root finding
+    rate = 18.0
+    pt = RationalLST.erlang(rate, shape)
+    service, excess = pt.service_measure(), pt.excess_measure()
+    assert abs(service.total_mass() - 1.0) <= 1e-12
+    assert abs(service.mean() - shape / rate) <= 1e-12
+    assert abs(excess.total_mass() - 1.0) <= 1e-12
+    assert abs(excess.mean() - (shape + 1) / (2 * rate)) <= 1e-12
+
+
+def test_exponential_laws_exact():
+    # a simple pole is left to poly_roots, which finds it exactly
+    for nu in (3.0, 0.7, 2.3):
+        pt = RationalLST.exponential(nu)
+        assert pt.poles is None
+        for law in (pt.service_measure(), pt.excess_measure()):
+            assert law.atom == 0.0 and law.terms == ((nu, 0, nu),)
+
+
+def test_companion_realisation_of_a_rational_transform():
+    # from_coeffs without a realisation: the companion form, checked against q/p
+    want = RationalLST.hyperexponential([0.3, 0.7], [1.5, 6.0])
+    pt = RationalLST.from_coeffs(want.q.coeffs.real, want.p.coeffs.real)
+    t = -pt.tmat.sum(axis=1)
+    for s in (0.4, 2.0 + 1.0j, 9.0):
+        got = pt.alpha @ np.linalg.solve(s * np.eye(2) - pt.tmat, t)
+        assert got == pytest.approx(complex(want(s)), rel=1e-12)
+    sol_c, sol_ph = solve_base(mmpp2_model(), pt), solve_base(mmpp2_model(), want)
+    t = np.linspace(0.0, 20.0, 41)
+    np.testing.assert_allclose(sol_c.survival(t), sol_ph.survival(t), atol=1e-12)
+    # a high-order Erlang law entered as coefficients: worse conditioned, still solved
+    want = RationalLST.erlang(18.0, 6)
+    pt = RationalLST.from_coeffs(want.q.coeffs.real, want.p.coeffs.real)
+    sol_c, sol_ph = solve_base(poisson_model(), pt), solve_base(poisson_model(), want)
+    np.testing.assert_allclose(sol_c.survival(t), sol_ph.survival(t), atol=1e-8)
+
+
+def test_riccati_residual_check_names_its_value(monkeypatch):
+    from heavyq import base_solver
+    monkeypatch.setattr(base_solver, "NEWTON_STEPS", 1)
+    with pytest.raises(SolverError, match=r"Riccati residual \d\.\d+e[-+]\d+ above 1e-10"):
+        solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+
+
+def test_normalisation_check_names_its_ratio(monkeypatch):
+    # the message keeps the "W(0) = value" form that run records parse
+    from heavyq.model import MarpModel
+    rate = MarpModel.real_arrival_rate
+    monkeypatch.setattr(MarpModel, "real_arrival_rate", lambda self: 1.01 * rate(self))
+    with pytest.raises(SolverError, match=r"not normalised: W\(0\) = 0\.990099\d* "):
+        solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+
+
+def test_law_mass_check_names_the_mass(monkeypatch):
+    # a block diagonalisation that loses accuracy must not pass silently
+    from heavyq import base_solver
+    real = base_solver._law_terms
+
+    def lossy(*args):
+        return [(rate, j, coef * (1.0 + 1e-6)) for rate, j, coef in real(*args)]
+
+    monkeypatch.setattr(base_solver, "_law_terms", lossy)
+    with pytest.raises(SolverError, match=r"not normalised: W\(0\) = 1\.000000\d* \(mass"):
+        solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+
+
 def test_rational_lst_hyperexponential():
     pt = RationalLST.hyperexponential([0.4, 0.6], [1.0, 5.0])
     assert pt.mean == pytest.approx(0.4 / 1.0 + 0.6 / 5.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heavyq.base_solver import RationalLST, solve_base, solve_u
+from heavyq import symbolic_kernel
+from heavyq.base_solver import RationalLST, solve_base
 from heavyq.correction import (
     ApproxOutput,
     CorrectionError,
@@ -264,18 +265,32 @@ def test_approximate_discard_base_atom(mmpp2_setup):
     assert base_sol.w_law.atom.real > plain.w_law.atom.real
 
 
-def test_discard_base_reuses_the_base_kernel(mmpp2_setup):
-    # the discard base solved from the base solution's det E and adjugate is
-    # the same solution as a fresh solve_base, bit for bit
-    model, pt, ht, sol, *_ = mmpp2_setup
-    disc = discard_base_lst(pt, 0.01)
-    reused = solve_u(model, sol.detg, sol.adj, disc)
-    fresh = solve_base(model, disc)
-    assert reused.w_law.atom == fresh.w_law.atom
-    assert reused.w_law.terms == fresh.w_law.terms
-    np.testing.assert_array_equal(reused.u, fresh.u)
-    grid = default_grid(fresh)
-    np.testing.assert_array_equal(reused.survival(grid), fresh.survival(grid))
+def test_discard_base_reuses_the_base_kernel(monkeypatch):
+    # the solves themselves never expand the subset-sum kernel; replace and
+    # discard on one solution expand det E once, because the discard base
+    # reads only its law
+    calls = {"det_E": 0, "adjoint_matrix": 0}
+    for name in calls:
+        real = getattr(symbolic_kernel, name)
+
+        def counting(model, real=real, name=name):
+            calls[name] += 1
+            return real(model)
+
+        monkeypatch.setattr(symbolic_kernel, name, counting)
+    model = mmpp2_model()
+    pt = RationalLST.exponential(3.0)
+    ht = abate_whitt(2.0)
+    sol = solve_base(model, pt)
+    fresh = solve_base(model, discard_base_lst(pt, 0.01))
+    assert calls == {"det_E": 0, "adjoint_matrix": 0}
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 12)])
+    out = {variant: approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
+           for variant in ("replace", "discard")}
+    assert calls == {"det_E": 1, "adjoint_matrix": 1}
+    # the discard base inside approximate is a fresh solve of the thinned law
+    np.testing.assert_array_equal(out["discard"].base, fresh.survival(ts))
+    np.testing.assert_array_equal(out["replace"].base, sol.survival(ts))
 
 
 def test_approximate_variants_run(mmpp2_setup):
