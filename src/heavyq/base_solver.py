@@ -38,9 +38,10 @@ law's atom against u . omega; and the total mass of the time-domain law
 (again "W(0) = ...").
 
 The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
-of the solve.  The perturbation, the correction and the oracle read them
-from a solution's detg, adj, r, cleared, a_vectors, a_derivs and
-column_choice, which expand the kernel on first use, once per solution.
+of the solve, nor of anything downstream but the oracle.  A solution's
+families (computed on first use) are the Laurent data of the correction
+families, ratios of E(s)^-1 quantities: pole parts by the trapezoid rule on
+a circle around each pole, all nodes in one batched solve.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ from scipy.linalg import qr, schur, solve_sylvester
 from .measures import ExpPolyMeasure, MeasureError
 from .model import MarpModel, stability_report
 from .polyalg import CLUSTER_TOL, Poly, RationalFn, RootSet, eig_roots, linsolve, poly_roots
-from . import symbolic_kernel
-from .symbolic_kernel import GPoly, eval_E
+from .symbolic_kernel import eval_E
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
 NEWTON_STEP_TOL = 1e-14  # last step size; Psi holds probabilities
@@ -66,6 +66,8 @@ ZERO_ROOT_TOL = 1e-9     # Re >= -tol * max(1, largest |root|) is nonnegative
 MASS_TOL = 1e-8          # arrival- against time-weighted mass; the law's mass
 UA_TOL = 1e-9            # u . a residual, relative to |u| |a|
 ATOM_TOL = 1e-7          # law atom against u . omega
+CONTOUR_NODES = 64       # trapezoid nodes per pole of the correction families
+CONTOUR_RADIUS = 0.3     # circle radius over the distance to the nearest other pole
 
 
 class SolverError(RuntimeError):
@@ -252,7 +254,6 @@ class BaseSolution:
     num_roots: RootSet         # zeros of the delay transform (-shat_j)
     w_hat: Realisation         # delay transform
     w_law: ExpPolyMeasure      # delay law in the time domain
-    column_request: int | None = None   # adjugate column forced for a_vectors
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -267,102 +268,74 @@ class BaseSolution:
             raise SolverError("delay survival came out complex")
         return vals.real
 
-    # -- the subset-sum kernel, expanded on first use ------------------------
     @cached_property
-    def detg(self) -> GPoly:
-        return symbolic_kernel.det_E(self.model)
-
-    @cached_property
-    def adj(self) -> tuple:
-        """N x N nested tuple of GPoly adjugate entries, adj[l][i] = Adj_{l,i}."""
-        return tuple(tuple(row) for row in symbolic_kernel.adjoint_matrix(self.model))
-
-    @cached_property
-    def _clearing(self) -> dict:
-        n = self.model.n_states
-        adj_gdeg = max(self.adj[i][j].g_degree for i in range(n) for j in range(n))
-        return clear_denominator(self.detg, self.pt, min_power=adj_gdeg)
-
-    @property
-    def r(self) -> int:
-        """Power of the service denominator cleared."""
-        return self._clearing["r"]
-
-    @property
-    def cleared(self) -> Poly:
-        """p**r det E, monic of degree N + r*M."""
-        return self._clearing["poly"]
-
-    @cached_property
-    def _columns(self) -> tuple:
-        """Adjugate column, its value and its s-derivative at each positive root.
-
-        The column of largest norm is taken per root unless column_request
-        forces one index for every root.
-        """
-        pt, adj = self.pt, self.adj
-        columns, a_vectors, a_derivs = [], [], []
-        for rho in self.rho_pos:
-            g = pt(rho)
-            amat = _numeric_adjoint(adj, rho, g)
-            norms = np.linalg.norm(amat, axis=0)
-            m = int(np.argmax(norms)) if self.column_request is None else self.column_request
-            if norms[m] <= 1e-12 * max(1.0, float(norms.max())):
-                raise SolverError(f"adjugate column {m} at root {rho} is numerically zero")
-            columns.append(m)
-            a_vectors.append(np.array(amat[:, m]))
-            a_derivs.append(_adjoint_column_deriv(adj, m, rho, g, pt.deriv_at(rho)))
-        return tuple(columns), tuple(a_vectors), tuple(a_derivs)
-
-    @property
-    def column_choice(self) -> tuple:
-        """Adjugate column index m used per positive root."""
-        return self._columns[0]
-
-    @property
-    def a_vectors(self) -> tuple:
-        """Adjugate null-space columns a_i at each positive root."""
-        return self._columns[1]
-
-    @property
-    def a_derivs(self) -> tuple:
-        """d/ds of the same adjugate column at rho_i."""
-        return self._columns[2]
+    def families(self) -> "Families":
+        """Laurent data of the correction families, computed on first use."""
+        return _laurent_families(self)
 
 
-def clear_denominator(detg: GPoly, pt: RationalLST, min_power: int = 1) -> dict:
-    """Multiply det E at g = q/p by p**r so every denominator clears.
+@dataclass(frozen=True)
+class Families:
+    """Laurent data of the three correction families, stacked in one F(s).
 
-    r is the smallest power that clears the determinant (and, through
-    min_power, the adjugate entries feeding the numerator); the result is
-    monic of degree N + r*M.
+    With x = E(s)^-1 omega, D = u . x and B = dE/dg, the N + 2 components
+    of F = (u.w) (x / D, s (tr E^-1 B - u E^-1 B x / D), tr E^-1 B / D)
+    give the z-family F_alpha = (z, 0, 0) . F, which is linear in z, the
+    adjugate-tilt family F_beta (component N) and the determinant-tilt
+    family F_gamma (component N + 1).  poles lists rho_pos (simple) and then
+    num_roots; row k-1 of a pole's coefficient array multiplies (s - pole)^-k.
     """
-    r = max(detg.g_degree, min_power, 1)
-    poly = detg.cleared(pt.q, pt.p, r)
-    lead = poly.lead
-    if abs(lead - 1.0) > 1e-8:
-        raise SolverError(f"cleared determinant is not monic (lead {lead})")
-    # normalise away the harmless rounding in the leading coefficient
-    poly = poly.scale(1.0 / lead)
-    return {"poly": poly, "r": r}
+
+    poles: tuple        # (pole, multiplicity)
+    coefs: tuple        # per pole, (multiplicity, N + 2) array
+    const: np.ndarray   # (N + 2,)
+
+    def family(self, weights: np.ndarray) -> tuple:
+        """Per-pole coefficient arrays and constant of weights . F."""
+        return tuple(c @ weights for c in self.coefs), complex(self.const @ weights)
 
 
-def _numeric_adjoint(adj, s: complex, g: complex) -> np.ndarray:
-    n = len(adj)
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = adj[i][j](s, g)
-    return out
+def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
+    """F at the points s, one row per point, by one batched solve."""
+    model, pt = sol.model, sol.pt
+    # g from the realisation: q/p in coefficients cancels to 0 near a multiple pole
+    resolvent = np.linalg.solve(s[:, None, None] * np.eye(pt.order) - pt.tmat,
+                                -pt.tmat.sum(axis=1)[:, None])
+    g = pt.atom + resolvent[..., 0] @ pt.alpha
+    rhs = np.column_stack([model.omega, model.q_real * model.trans * model.rates[None, :]])
+    cols = np.linalg.solve(eval_E(model, s, g), rhs)
+    x, m = cols[..., 0], cols[..., 1:]
+    d = x @ sol.u
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    ubx = np.einsum("i,...ij,...j->...", sol.u, m, x)
+    return sol.uw * np.column_stack([x / d[:, None], s * (tr - ubx / d), tr / d])
 
 
-def _adjoint_column_deriv(adj, m: int, s: complex, g: complex, gprime: complex) -> np.ndarray:
-    n = len(adj)
-    out = np.empty(n, dtype=complex)
-    for j in range(n):
-        _, dval = adj[j][m].eval_with_gderiv(s, g, gprime)
-        out[j] = dval
-    return out
+def _laurent_families(sol: BaseSolution) -> Families:
+    """Pole parts by the trapezoid rule on circles, constants at one point.
+
+    The coefficient of (s - c)^-k is the mean of F(s) (s - c)^k over
+    CONTOUR_NODES points on the circle |s - c| = CONTOUR_RADIUS times the
+    distance to the nearest other pole (Trefethen & Weideman 2014).  The
+    constant is F at s0 = 2i max(1, |poles|) less every pole part there, so
+    the checks on it compare independent numbers, not the limit s -> inf;
+    on the imaginary axis det E vanishes only at 0, so E(s0) is regular.
+    """
+    poles = tuple((rho, 1) for rho in sol.rho_pos) + tuple(sol.num_roots)
+    centres = np.array([c for c, _ in poles], dtype=complex)
+    gaps = [np.abs(centres[centres != c] - c) for c in centres]
+    radii = [gap.min() if gap.size else abs(c) for gap, c in zip(gaps, centres)]
+    circle = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    nodes = centres[:, None] + CONTOUR_RADIUS * np.array(radii).reshape(-1, 1) * circle
+    s0 = 2j * max([1.0] + [abs(c) for c in centres])
+    values = _family_values(sol, np.append(nodes, s0))
+    coefs = []
+    for idx, (centre, mult) in enumerate(poles):
+        weights = (nodes[idx] - centre)[:, None] ** np.arange(1, mult + 1) / CONTOUR_NODES
+        coefs.append(weights.T @ values[idx * CONTOUR_NODES:(idx + 1) * CONTOUR_NODES])
+    const = values[-1] - sum((s0 - c) ** -np.arange(1.0, mult + 1) @ coef
+                             for (c, mult), coef in zip(poles, coefs))
+    return Families(poles=poles, coefs=tuple(coefs), const=const)
 
 
 def _arrival_basis(d2: np.ndarray) -> tuple:
@@ -543,13 +516,8 @@ def _cancel_shared(poles: RootSet, zeros: RootSet) -> tuple:
     return kept(poles, pole_m), kept(zeros, zero_m)
 
 
-def solve_base(model: MarpModel, pt: RationalLST,
-               column_choice: int | None = None) -> BaseSolution:
-    """Roots, boundary vector, delay transform and law of the base model.
-
-    column_choice forces one adjugate column index for every root in the
-    kernel-side a_vectors (by default the column of largest norm per root).
-    """
+def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
+    """Roots, boundary vector, delay transform and law of the base model."""
     rep = stability_report(model, pt.mean)
     if rep["margin"] <= 0:
         raise SolverError(f"unstable model: load {rep['load']:.6f}")
@@ -598,7 +566,6 @@ def solve_base(model: MarpModel, pt: RationalLST,
     return BaseSolution(
         model=model, pt=pt, rho_pos=rho_pos, u=u,
         den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
-        column_request=column_choice,
     )
 
 

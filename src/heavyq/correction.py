@@ -7,6 +7,10 @@ built from tail probabilities of the base delay convolved with excess
 service laws and Erlang blocks, plus "between" probabilities against
 exponential windows at the positive roots.  Complex roots are handled by
 evaluating one member of each conjugate pair and doubling the real part.
+The families are ratios of E(s)^-1 quantities; their pole parts at the
+positive roots and the transform's zeros, and their constants, come from
+contour integrals on the base solution (BaseSolution.families), not from
+cleared polynomials.
 
 Convolutions with the heavy excess have no closed form.  They are computed
 with fixed composite Gauss-Legendre rules whose nodes for every grid point
@@ -30,8 +34,6 @@ from .base_solver import BaseSolution, RationalLST, solve_base
 from .measures import ExpPolyMeasure
 from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
-from .polyalg import Poly, RationalFn, RootSet, partial_fractions
-from .symbolic_kernel import clearing_families
 
 PSI_GRID = 1200
 GAUSS16 = np.polynomial.legendre.leggauss(16)
@@ -66,65 +68,35 @@ class CorrectionCoeffs:
     gamma_jl: dict = field(repr=False)
 
 
-def _family_coeffs(num: Poly, den: Poly, den_roots: RootSet, rho_pos, shats):
-    """Partial fractions of num/den reorganised into the printed layout."""
-    pf = partial_fractions(RationalFn(num, den), den_roots)
-    const = complex(pf.pop(None, 0.0))
-    simple = []
-    for rho in rho_pos:
-        coef = 0j
-        for (root, power), val in list(pf.items()):
-            if power == 1 and abs(root - rho) <= 1e-7 * max(1.0, abs(rho)):
-                coef = val
-                break
-        simple.append(coef)
-    byjl = {}
-    for j, (shat, rj) in enumerate(shats):
-        for l in range(1, rj + 1):
-            power = rj - l + 1
-            coef = 0j
-            for (root, pw), val in pf.items():
-                if pw == power and abs(root + shat) <= 1e-7 * max(1.0, abs(shat)):
-                    coef = val
-                    break
-            byjl[(j, l)] = coef / shat ** power
-    return const, tuple(simple), byjl
-
-
-def correction_coeffs(sol: BaseSolution, pdata: PerturbationData, xi: dict,
+def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
                       z_discard: np.ndarray | None = None) -> CorrectionCoeffs:
     """Coefficients of the three partial-fraction families.
 
-    For the replace variant the z-driven family uses the replace shift; for
-    the discard variant it uses z - z_discard and the remaining families are
-    unchanged.  Built-in checks: the determinant-family constant must equal
-    the sum of rate * real self-transition mass, and the z-family constant
-    must equal the weighted shift itself.
+    The pole parts and constants come from sol.families.  For the replace
+    variant the z-driven family uses the replace shift; for the discard
+    variant it uses z - z_discard and the remaining families are unchanged.
+    Built-in checks: the determinant-family constant must equal the sum of
+    rate * real self-transition mass, and the z-family constant must equal
+    the weighted shift itself.
     """
-    model, pt = sol.model, sol.pt
-    n = model.n_states
+    model, n = sol.model, sol.model.n_states
     variant = "replace" if z_discard is None else "discard"
     zvec = pdata.z if z_discard is None else pdata.z - z_discard
-
-    den_entries = [(rho, 1) for rho in sol.rho_pos] + list(sol.num_roots)
-    den_roots = RootSet(tuple(r for r, _ in den_entries), tuple(m for _, m in den_entries))
-    den = Poly.from_roots(den_roots.expanded())
+    n_pos = len(sol.rho_pos)
     shats = [(-root, mult) for root, mult in sol.num_roots]
 
-    p_alpha = Poly.zero()
-    p_beta_core = Poly.zero()
-    for i in range(n):
-        if model.omega[i] == 0.0:
-            continue
-        for l in range(n):
-            p_alpha = p_alpha + xi["xi_prime_by_state"][(i, l)].scale(model.omega[i] * zvec[l])
-            p_beta_core = p_beta_core + xi["xi_by_state"][(i, l)].scale(model.omega[i] * sol.u[l])
-    p_beta = p_beta_core * Poly.monomial(1)
-    p_gamma = xi["xi"]
+    def layout(per_pole):
+        simple = tuple(complex(c[0]) for c in per_pole[:n_pos])
+        byjl = {(j, l): complex(per_pole[n_pos + j][rj - l]) / shat ** (rj - l + 1)
+                for j, (shat, rj) in enumerate(shats) for l in range(1, rj + 1)}
+        return simple, byjl
 
-    zw_const, alpha_k, alpha_jl = _family_coeffs(p_alpha, den, den_roots, sol.rho_pos, shats)
-    beta_const, beta_k, beta_jl = _family_coeffs(p_beta, den, den_roots, sol.rho_pos, shats)
-    gamma_const, gamma_k, gamma_jl = _family_coeffs(p_gamma, den, den_roots, sol.rho_pos, shats)
+    unit = np.eye(n + 2)
+    (alpha, zw_const), (beta, beta_const), (gamma, gamma_const) = (
+        sol.families.family(w) for w in (np.r_[zvec, 0.0, 0.0], unit[n], unit[n + 1]))
+    alpha_k, alpha_jl = layout(alpha)
+    beta_k, beta_jl = layout(beta)
+    gamma_k, gamma_jl = layout(gamma)
 
     zw_direct = float(zvec @ model.omega)
     if abs(zw_const - zw_direct) > 1e-6 * max(1.0, abs(zw_direct)):
@@ -540,17 +512,16 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     ts = default_grid(sol) if t_grid is None else np.asarray(t_grid, dtype=float)
 
     pdata = perturb(sol, ht, "replace")
-    xi = clearing_families(sol.detg, sol.adj, pt, sol.r)
-    verify_delta_identity(sol, pdata, ht, xi)
+    verify_delta_identity(sol, pdata, ht)
 
     if variant == "replace":
-        coeffs = correction_coeffs(sol, pdata, xi)
+        coeffs = correction_coeffs(sol, pdata)
         base_sol = sol
         prefactor = 1.0 / coeffs.uw
     else:
         pdata_disc = perturb(sol, ht, "discard")
-        verify_delta_identity(sol, pdata_disc, ht, xi)
-        coeffs = correction_coeffs(sol, pdata, xi, z_discard=pdata_disc.z)
+        verify_delta_identity(sol, pdata_disc, ht)
+        coeffs = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
         base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)

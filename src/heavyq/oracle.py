@@ -5,7 +5,9 @@ without any perturbation shortcut: the nonnegative roots of the perturbed
 determinant are located by Newton iteration on the analytic function itself,
 the boundary vector comes from the same linear system as the base model, and
 the resulting transform is inverted numerically.  None of this shares code
-paths with the correction-term assembly, which is the point.
+paths with the correction-term assembly, which is the point.  exact_solve
+expands the subset-sum determinant and adjugate (symbolic_kernel) itself,
+so it needs N <= N_CAP and its cost grows like 3^N.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symbolic_kernel
 from .base_solver import BaseSolution, RationalLST, solve_base
 from .model import MarpModel, stability_margin
 
@@ -80,7 +83,8 @@ class ExactSolution:
     rho_eps: tuple      # refined nonnegative roots (the zero root excluded)
     u_eps: np.ndarray
     _mix_lst: object
-    _base: BaseSolution
+    _detg: symbolic_kernel.GPoly
+    _adj: tuple         # _adj[l][i] = Adj_{l,i}
 
     def __post_init__(self):
         self.u_eps.setflags(write=False)
@@ -90,8 +94,8 @@ class ExactSolution:
         model = self.model
         g = self._mix_lst(s)
         n = model.n_states
-        adj = self._base.adj
-        det = self._base.detg(s, g)
+        adj = self._adj
+        det = self._detg(s, g)
         num = 0j
         for i in range(n):
             if model.omega[i] == 0.0:
@@ -110,15 +114,15 @@ class ExactSolution:
         """W(0) by l'Hopital on s * num / det; should be 1."""
         model = self.model
         n = model.n_states
-        mean_mix = (1 - self.eps) * self._base.pt.mean + self.eps * self._mix_lst.heavy_mean
+        mean_mix = (1 - self.eps) * self._mix_lst.pt.mean + self.eps * self._mix_lst.heavy_mean
         gprime0 = -mean_mix
         val, dval = 0j, 0j
-        for k, c in enumerate(self._base.detg.coeffs_in_g):
+        for k, c in enumerate(self._detg.coeffs_in_g):
             val += c(0.0)
             dval += c.deriv()(0.0) + k * gprime0 * c(0.0)
         num = 0j
         for i in range(n):
-            col = sum(self.u_eps[l] * self._base.adj[l][i](0.0, 1.0) for l in range(n))
+            col = sum(self.u_eps[l] * self._adj[l][i](0.0, 1.0) for l in range(n))
             num += model.omega[i] * col
         return num / dval
 
@@ -154,11 +158,13 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
     if margin <= 0:
         raise OracleError("mixture model is unstable")
     mix = _MixtureLST(pt, ht, eps)
+    detg = symbolic_kernel.det_E(model)
+    adj = tuple(tuple(row) for row in symbolic_kernel.adjoint_matrix(model))
 
     def f_and_df(s):
         g = mix(s)
         gp = mix.deriv(s)
-        return base.detg.eval_with_gderiv(s, g, gp)
+        return detg.eval_with_gderiv(s, g, gp)
 
     rho_eps = []
     for idx, rho in enumerate(base.rho_pos):
@@ -175,7 +181,7 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
                 converged = True
                 break
         val, _ = f_and_df(x)
-        local = max(abs(c(x)) for c in base.detg.coeffs_in_g if not c.is_zero)
+        local = max(abs(c(x)) for c in detg.coeffs_in_g if not c.is_zero)
         if not converged or abs(val) > 1e-8 * max(1.0, local):
             raise OracleError(f"Newton did not converge for root {rho}")
         if x.real <= 0:
@@ -192,7 +198,7 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
     amat[:, 0] = 1.0 / model.rates
     for idx, x in enumerate(rho_eps):
         g = mix(x)
-        cols = np.array([[base.adj[jj][mm](x, g) for mm in range(n)] for jj in range(n)])
+        cols = np.array([[adj[jj][mm](x, g) for mm in range(n)] for jj in range(n)])
         m = int(np.argmax(np.linalg.norm(cols, axis=0)))
         amat[:, idx + 1] = cols[:, m]
     c = np.zeros(n, dtype=complex)
@@ -203,7 +209,7 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         raise OracleError("mixture boundary vector came out complex")
     u_eps = u_eps.real
     sol = ExactSolution(model=model, eps=eps, rho_eps=tuple(rho_eps),
-                        u_eps=u_eps, _mix_lst=mix, _base=base)
+                        u_eps=u_eps, _mix_lst=mix, _detg=detg, _adj=adj)
     norm = sol.normalisation()
     if abs(norm - 1.0) > 1e-9:
         raise OracleError(f"mixture transform not normalised: W(0) = {norm}")

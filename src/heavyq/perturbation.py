@@ -6,7 +6,10 @@ each positive determinant root by -eps * delta_k and tilts the null-space
 columns.  Everything needed for the corrected transform lives here: the
 perturbing matrix, the root shifts (computed twice, through independent
 routes, and cross-checked), the eigenvector correction vectors, and the
-first-order boundary-vector shift z.
+first-order boundary-vector shift z.  All of it comes from the numeric
+matrices E, E' and K at each positive root: singular vectors for the
+residue route, determinants with a column replaced for the ratio route and
+for the adjugate columns and their derivatives (cofactor_column).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .polyalg import linsolve
 from .symbolic_kernel import eval_E, eval_E_deriv
 
 DELTA_AGREEMENT_TOL = 1e-7
+DELTA_FLOOR = 1e3        # rounding floor of the shift checks, in eps |K| / |y E' x|
 
 
 class PerturbationError(RuntimeError):
@@ -32,6 +36,7 @@ class PerturbationData:
     variant: str            # "replace" or "discard"
     delta: tuple            # root shifts, one per positive base root
     delta_alt: tuple        # same quantity through the determinant-ratio route
+    delta_floor: tuple      # rounding level below which two shifts agree
     k_vecs: tuple           # eigenvector correction vectors k_i
     a_mat: np.ndarray       # columns (Lambda^-1 1, a_2, ..., a_N)
     b_mat: np.ndarray       # columns (0, delta_i a_i' - k_i, ...)
@@ -66,103 +71,110 @@ def k_matrix(sol: BaseSolution, ht, variant: str = "replace"):
     return k_of_s
 
 
+def _root_matrices(sol: BaseSolution, ht, idx: int, variant: str) -> tuple:
+    """Positive root idx with E, E' and K there."""
+    model, pt = sol.model, sol.pt
+    rho = sol.rho_pos[idx]
+    return (rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)),
+            k_matrix(sol, ht, variant)(rho))
+
+
+def _check_agreement(what: str, rho, a: complex, b: complex, floor: float):
+    """Relative agreement within DELTA_AGREEMENT_TOL, or both below the floor."""
+    if abs(a - b) > max(DELTA_AGREEMENT_TOL * max(abs(a), abs(b)), floor):
+        raise PerturbationError(f"{what} at root {rho}: {a} vs {b}")
+
+
+def _det_along(mat: np.ndarray, direction: np.ndarray) -> complex:
+    """Derivative of det(mat) along direction: the determinants of mat with
+    one column replaced by the matching column of direction, summed."""
+    n = mat.shape[0]
+    swapped = np.repeat(mat[None].astype(complex), n, axis=0)
+    swapped[np.arange(n), :, np.arange(n)] = direction.T
+    return complex(np.linalg.det(swapped).sum())
+
+
+def _shift(rho, e_num, e_der, k_num) -> tuple:
+    """Both routes to the root shift, its rounding floor and the left null vector.
+
+    Route one is the residue form y K x / y E' x with x and y the right and
+    left singular vectors of the smallest singular value of E(rho).  Route
+    two is the column-replacement determinant ratio.  The floor
+    1e3 eps |K|_2 / |y E' x| is the rounding level of route one, below
+    which two shifts agree however far apart they are relatively (a shift
+    that vanishes exactly comes out as rounding noise on either route).
+    """
+    lsv, _, rsv = np.linalg.svd(e_num)
+    x, y = rsv[-1].conj(), lsv[:, -1].conj()
+    slope = y @ e_der @ x
+    delta_residue = (y @ k_num @ x) / slope
+    floor = DELTA_FLOOR * np.finfo(float).eps * float(np.linalg.norm(k_num, 2)) / abs(slope)
+
+    den = _det_along(e_num, e_der)
+    if abs(den) < 1e-12 * max(1.0, float(np.abs(e_num).max()) ** e_num.shape[0]):
+        raise PerturbationError(f"root {rho} is not numerically simple")
+    delta_ratio = _det_along(e_num, k_num) / den
+    _check_agreement("delta definitions disagree", rho, delta_residue, delta_ratio, floor)
+    return delta_residue, delta_ratio, floor, y
+
+
 def compute_delta(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> tuple:
     """Root shift delta for positive root idx, by two independent routes.
 
-    Route one is the residue form: factor(rho) * xi(rho) * rho / f'(rho)
-    with f the cleared determinant and xi its k-weighted clearing.  Route
-    two is the column-replacement determinant ratio evaluated on numeric
-    matrices.  Both are returned; the caller enforces agreement.
+    Returns the residue route, the column-replacement route and the rounding
+    floor of their comparison (see _shift); disagreement raises.
     """
-    model, pt = sol.model, sol.pt
-    rho = sol.rho_pos[idx]
-    factor = _excess_factor(sol, ht, variant)
-
-    xi = sol.detg.cleared_kweighted(pt.q, pt.p, sol.r)
-    fprime = sol.cleared.deriv()
-    delta_residue = complex(factor(rho)) * xi(rho) * rho / fprime(rho)
-
-    kfun = k_matrix(sol, ht, variant)
-    e_num = eval_E(model, rho, pt(rho))
-    e_der = eval_E_deriv(model, pt.deriv_at(rho))
-    k_num = kfun(rho)
-    num = 0j
-    den = 0j
-    n = model.n_states
-    for j in range(n):
-        mod = e_num.copy()
-        mod[:, j] = k_num[:, j]
-        num += np.linalg.det(mod)
-        mod = e_num.copy()
-        mod[:, j] = e_der[:, j]
-        den += np.linalg.det(mod)
-    if abs(den) < 1e-12 * max(1.0, float(np.abs(e_num).max()) ** n):
-        raise PerturbationError(f"root {rho} is not numerically simple")
-    delta_ratio = num / den
-
-    scale = max(abs(delta_residue), abs(delta_ratio), 1e-300)
-    if abs(delta_residue - delta_ratio) > DELTA_AGREEMENT_TOL * scale:
-        raise PerturbationError(
-            f"delta definitions disagree at root {rho}: "
-            f"{delta_residue} vs {delta_ratio}")
-    return delta_residue, delta_ratio
+    return _shift(*_root_matrices(sol, ht, idx, variant))[:3]
 
 
-def k_vectors(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> np.ndarray:
-    """Eigenvector correction vector k_i for positive root idx.
+def cofactor_column(mat: np.ndarray, m: int, *directions: np.ndarray) -> tuple:
+    """Column m of adj(mat), then its derivative along each direction.
 
-    Component j is (-1)**(m+j) times the sum over columns of the minor of
-    E(rho) (row m and column j removed) with that column replaced by the
-    matching minor column of K(rho); m is the adjugate column recorded by
-    the base solve for this root.
+    Entry j is (-1)**(m+j) times the minor of mat without row m and column
+    j, and its derivative is that minor's along the same minor of a direction.
     """
-    model, pt = sol.model, sol.pt
-    rho = sol.rho_pos[idx]
-    m = sol.column_choice[idx]
-    kfun = k_matrix(sol, ht, variant)
-    e_num = eval_E(model, rho, pt(rho))
-    k_num = kfun(rho)
-    n = model.n_states
-    out = np.zeros(n, dtype=complex)
+    n = mat.shape[0]
+    rows = [r for r in range(n) if r != m]
+    out = np.empty((1 + len(directions), n), dtype=complex)
     for j in range(n):
-        rows = [r for r in range(n) if r != m]
-        cols = [c for c in range(n) if c != j]
-        e_min = e_num[np.ix_(rows, cols)]
-        k_min = k_num[np.ix_(rows, cols)]
-        total = 0j
-        for col in range(n - 1):
-            mod = e_min.copy()
-            mod[:, col] = k_min[:, col]
-            total += np.linalg.det(mod) if n > 1 else 1.0
-        out[j] = (-1) ** (m + j) * total
-    return out
+        minor = np.ix_(rows, [c for c in range(n) if c != j])
+        sign = (-1) ** (m + j)
+        out[0, j] = sign * np.linalg.det(mat[minor])
+        for k, direction in enumerate(directions, start=1):
+            out[k, j] = sign * _det_along(mat[minor], direction[minor])
+    return tuple(out)
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
     """Root shifts, correction vectors and the first-order boundary shift z.
 
-    The boundary system is assembled so that c A^-1 reproduces the base
-    vector u (checked); z = (u B + d) A^-1.  The residue identity that
+    At each positive root, the adjugate column a_i of largest norm (the
+    largest entry of the left null vector), its s-derivative a_i' and the
+    correction vector k_i come from cofactor_column along E'(rho) and
+    K(rho).  The boundary system is assembled so that c A^-1 reproduces the
+    base vector u (checked); z = (u B + d) A^-1.  The residue identity that
     re-derives each delta from z is enforced afterwards by
     verify_delta_identity.
     """
     model, pt = sol.model, sol.pt
     n = model.n_states
-    deltas = []
-    deltas_alt = []
-    kvecs = []
-    for idx in range(len(sol.rho_pos)):
-        d1, d2 = compute_delta(sol, ht, idx, variant)
-        deltas.append(d1)
-        deltas_alt.append(d2)
-        kvecs.append(k_vectors(sol, ht, idx, variant))
-
+    deltas, deltas_alt, floors, kvecs = [], [], [], []
     a_mat = np.empty((n, n), dtype=complex)
     a_mat[:, 0] = 1.0 / model.rates
     b_mat = np.zeros((n, n), dtype=complex)
     for idx in range(len(sol.rho_pos)):
-        a_mat[:, idx + 1] = sol.a_vectors[idx]
-        b_mat[:, idx + 1] = deltas[idx] * sol.a_derivs[idx] - kvecs[idx]
+        rho, e_num, e_der, k_num = _root_matrices(sol, ht, idx, variant)
+        delta, delta_alt, floor, y = _shift(rho, e_num, e_der, k_num)
+        m = int(np.argmax(np.abs(y)))
+        a_vec, a_der, kvec = cofactor_column(e_num, m, e_der, k_num)
+        if np.linalg.norm(a_vec) <= 1e-12:
+            raise PerturbationError(f"adjugate column {m} at root {rho} is numerically zero")
+        deltas.append(delta)
+        deltas_alt.append(delta_alt)
+        floors.append(floor)
+        kvecs.append(kvec)
+        a_mat[:, idx + 1] = a_vec
+        b_mat[:, idx + 1] = delta * a_der - kvec
 
     c = np.zeros(n, dtype=complex)
     c[0] = stability_margin(model, pt.mean)
@@ -185,42 +197,24 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
 
     return PerturbationData(
         variant=variant, delta=tuple(deltas), delta_alt=tuple(deltas_alt),
-        k_vecs=tuple(np.array(k) for k in kvecs),
+        delta_floor=tuple(floors), k_vecs=tuple(kvecs),
         a_mat=a_mat, b_mat=b_mat, c_vec=c, d_vec=d, z=z,
     )
 
 
-def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht,
-                          xi_families: dict, tol: float = DELTA_AGREEMENT_TOL):
+def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):
     """Numerator-side residue identity for every delta.
 
-    delta_k must equal [factor(rho_k) rho_k sum_i w_i sum_l u_l xi_(i,l)(rho_k)
-    + sum_i w_i sum_l z_l xi'_(i,l)(rho_k)] divided by u.w times the product
-    of root distances of the cleared numerator.  This closes the loop through
-    z and the xi families, independently of the determinant-side routes.
+    delta_k must equal (factor(rho_k) beta_k + alpha_k(z)) / u.w, with
+    alpha_k and beta_k the residues at rho_k of the z- and adjugate-tilt
+    families (sol.families) and z the variant's own boundary shift.  This
+    closes the loop through z and the families, independently of the
+    determinant-side routes.
     """
-    model, pt = sol.model, sol.pt
-    n = model.n_states
+    fam, n = sol.families, sol.model.n_states
     factor = _excess_factor(sol, ht, pdata.variant)
-    uw = sol.uw
     for idx, rho in enumerate(sol.rho_pos):
-        top = 0j
-        for i in range(n):
-            if model.omega[i] == 0.0:
-                continue
-            for l in range(n):
-                top += model.omega[i] * sol.u[l] * complex(factor(rho)) * rho \
-                    * xi_families["xi_by_state"][(i, l)](rho)
-                top += model.omega[i] * pdata.z[l] * xi_families["xi_prime_by_state"][(i, l)](rho)
-        prod = 1.0 + 0j
-        for other in sol.rho_pos:
-            if other != rho:
-                prod *= rho - other
-        for root, mult in sol.num_roots:
-            prod *= (rho - root) ** mult
-        want = top / (uw * prod)
-        got = pdata.delta[idx]
-        scale = max(abs(got), abs(want), 1e-300)
-        if abs(got - want) > tol * scale:
-            raise PerturbationError(
-                f"numerator-side delta identity failed at root {rho}: {got} vs {want}")
+        res = fam.coefs[idx][0]      # residues at rho: F_alpha's vector, F_beta, F_gamma
+        want = (complex(factor(rho)) * res[n] + pdata.z @ res[:n]) / sol.uw
+        _check_agreement("numerator-side delta identity failed", rho, pdata.delta[idx], want,
+                         pdata.delta_floor[idx])

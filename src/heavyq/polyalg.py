@@ -58,12 +58,6 @@ class Poly:
         return Poly(np.ones(1))
 
     @staticmethod
-    def monomial(k: int, c: complex = 1.0) -> "Poly":
-        a = np.zeros(k + 1, dtype=complex)
-        a[k] = c
-        return Poly(a)
-
-    @staticmethod
     def from_roots(roots) -> "Poly":
         """Monic polynomial with the given roots (with repetition)."""
         c = np.ones(1, dtype=complex)

@@ -18,6 +18,10 @@ the cofactor by hand (and the recursion used in its proof, where each state
 strictly between i and j that keeps its (s - rate) factor flips the sign)
 gives the factor (-1)**|T_ij \\ S| per (Gamma, S) term; the brute-force
 cofactor oracle in the test suite pins this reading.
+
+Two users remain: the inversion oracle (exact_solve) and the subset-sum
+references in the tests; the solver, the perturbation and the correction
+work on numeric E(s) (eval_E), so N_CAP limits only those two.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarpModel
-from .polyalg import Poly
+from .polyalg import Poly, poly_roots
 
 N_CAP = 12  # subset sums grow as 3**N
 
@@ -53,18 +57,6 @@ class GPoly:
             if not self.coeffs_in_g[k].is_zero:
                 return k
         return -1
-
-    def __add__(self, other: "GPoly") -> "GPoly":
-        n = max(len(self.coeffs_in_g), len(other.coeffs_in_g))
-        out = []
-        for k in range(n):
-            a = self.coeffs_in_g[k] if k < len(self.coeffs_in_g) else Poly.zero()
-            b = other.coeffs_in_g[k] if k < len(other.coeffs_in_g) else Poly.zero()
-            out.append(a + b)
-        return GPoly(tuple(out))
-
-    def scale(self, c: complex) -> "GPoly":
-        return GPoly(tuple(p.scale(c) for p in self.coeffs_in_g))
 
     def __call__(self, s, g):
         """Evaluate at a point (s, g); both may be complex arrays."""
@@ -252,33 +244,25 @@ def adjoint_matrix(model: MarpModel) -> list:
 
 
 def xi_polys(model: MarpModel, pt, r: int) -> dict:
-    """Clearing polynomials used by the correction coefficients.
+    """Clearing polynomials of the correction families, for reference.
 
     Returns the determinant-side polynomial ``xi`` (the k-weighted clearing
     of det E), plus per-(i, l) families ``xi_by_state`` (k-weighted clearing
     of the adjugate) and ``xi_prime_by_state`` (plain clearing), all with the
     denominator of the service transform raised to the stated power r.
     Indexing of the (i, l) maps is (component i, state l), zero-based, i.e.
-    the adjugate entry used is Adj_{l,i}.
-    """
-    return clearing_families(det_E(model), adjoint_matrix(model), pt, r)
-
-
-def clearing_families(detg: GPoly, adj, pt, r: int) -> dict:
-    """The xi_polys families from an already expanded det E and adjugate.
-
-    adj is indexed adj[l][i] = Adj_{l,i}, as returned by adjoint_matrix; a
-    base solution carries both, so the correction reuses them instead of
-    expanding the subset sums again.
+    the adjugate entry used is Adj_{l,i}.  The correction itself takes its
+    families from E(s)^-1 (BaseSolution.families); these polynomials are the
+    paper's route to the same rationals.
     """
     q, p = pt.q, pt.p
     if abs(p.lead - 1.0) > 1e-12:
         raise KernelError("denominator of the service transform must be monic")
     # reject a shared root: q and p may not vanish together
-    from .polyalg import poly_roots
     for root, _ in poly_roots(p, 1e-9):
         if abs(q(root)) < 1e-9 * max(1.0, float(np.max(np.abs(q.coeffs)))):
             raise KernelError("service transform has a common numerator/denominator root")
+    detg, adj = det_E(model), adjoint_matrix(model)
     n = len(adj)
     xi = detg.cleared_kweighted(q, p, r)
     xi_by_state = {}
@@ -290,9 +274,13 @@ def clearing_families(detg: GPoly, adj, pt, r: int) -> dict:
     return {"xi": xi, "xi_by_state": xi_by_state, "xi_prime_by_state": xi_prime_by_state}
 
 
-def eval_E(model: MarpModel, s: complex, g: complex) -> np.ndarray:
-    """Numeric E(s) with the service transform replaced by the value g."""
+def eval_E(model: MarpModel, s, g) -> np.ndarray:
+    """Numeric E(s) with the service transform replaced by the value g.
+
+    s and g may be arrays of one shape; the matrices then stack on leading axes.
+    """
     lam = model.rates
+    s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
     h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
     return h + np.eye(model.n_states) * s - np.diag(lam)
 

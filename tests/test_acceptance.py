@@ -222,11 +222,9 @@ def test_criterion_07_first_order_scaling(two_state):
     bundle = two_state
     ts = np.linspace(0.5, 20.0, 20)
     from heavyq.correction import correction_coeffs, theta
-    from heavyq.symbolic_kernel import xi_polys
 
     pdata = perturb(bundle.sol, bundle.ht, "replace")
-    xi = xi_polys(bundle.model, bundle.pt, bundle.sol.r)
-    coeffs = correction_coeffs(bundle.sol, pdata, xi)
+    coeffs = correction_coeffs(bundle.sol, pdata)
     th1, th2 = theta(ts, coeffs, bundle.sol.w_law, bundle.pt, bundle.ht)
     th = (th1 + th2) / coeffs.uw
     base = bundle.sol.survival(ts)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from heavyq.base_solver import RationalLST, SolverError, clear_denominator, solve_base
+from heavyq.base_solver import RationalLST, SolverError, solve_base
+from heavyq.heavytail import abate_whitt
 from heavyq.model import build_marp, build_mmpp
+from heavyq.perturbation import perturb
 from heavyq.polyalg import Poly
 from heavyq.symbolic_kernel import det_E
+from test_riccati import clear_denominator, cleared_determinant
 
 
 def erlang2_model(lam=1.0):
@@ -195,10 +198,11 @@ def test_solve_normalisation_and_structure():
         for pt in (RationalLST.exponential(3.0), RationalLST.erlang(6.0, 2),
                    RationalLST.hyperexponential([0.3, 0.7], [2.0, 8.0])):
             sol = solve_base(model, pt)
+            r = cleared_determinant(model, pt)[1]
             assert sol.w_hat(0.0) == pytest.approx(1.0, abs=1e-10)
             assert len(sol.rho_pos) == model.n_states - 1
-            assert sol.num_roots.total == sol.r * pt.order
-            assert sol.den_roots.total == sol.r * pt.order
+            assert sol.num_roots.total == r * pt.order
+            assert sol.den_roots.total == r * pt.order
             # delay survival: real, within [0,1], nonincreasing
             t = np.linspace(0.0, 30.0, 120)
             surv = sol.survival(t)
@@ -210,17 +214,9 @@ def test_solve_normalisation_and_structure():
             assert sol.w_law.atom.real == pytest.approx(sol.uw, rel=1e-9)
 
 
-def test_u_invariant_under_column_choice():
-    m = mmpp2_model()
-    pt = RationalLST.exponential(3.0)
-    u0 = solve_base(m, pt, column_choice=0).u
-    u1 = solve_base(m, pt, column_choice=1).u
-    np.testing.assert_allclose(u0, u1, rtol=1e-9)
-
-
 def test_u_a_orthogonality():
     sol = solve_base(mmpp2_model(), RationalLST.exponential(3.0))
-    for a in sol.a_vectors:
+    for a in perturb(sol, abate_whitt(2.0)).a_mat.T[1:]:
         assert abs(np.dot(sol.u, a)) <= 1e-9 * np.linalg.norm(sol.u) * np.linalg.norm(a)
 
 

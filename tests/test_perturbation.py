@@ -4,14 +4,15 @@ import pytest
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.model import build_marp, build_mmpp
+from heavyq.correction import approximate
 from heavyq.perturbation import (
+    cofactor_column,
     compute_delta,
     k_matrix,
-    k_vectors,
     perturb,
     verify_delta_identity,
 )
-from heavyq.symbolic_kernel import eval_E, xi_polys
+from heavyq.symbolic_kernel import eval_E
 
 
 def erlang2_model(lam=1.0):
@@ -22,11 +23,23 @@ def mmpp2_model():
     return build_mmpp([10.0, 0.5], [8.0 / 9.0, 3.0 / 100.0])
 
 
+def rank_one_model():
+    """d2 of rank one: the positive root does not move at all (delta = 0)."""
+    return build_marp([[-2.0, 1.0], [0.5, -1.5]], [[0.4, 0.6], [0.4, 0.6]])
+
+
 @pytest.fixture(scope="module")
 def toy():
     # running configuration: lam=1, exp(3) phase-type part, kappa=2 heavy tail
-    sol = solve_base(erlang2_model(), RationalLST.exponential(3.0), column_choice=1)
+    sol = solve_base(erlang2_model(), RationalLST.exponential(3.0))
     return sol, abate_whitt(2.0)
+
+
+def toy_cofactor_column(sol, ht, m):
+    """Adjugate column m of E(rho) and its derivative along K(rho) at the toy root."""
+    rho = sol.rho_pos[0]
+    return cofactor_column(eval_E(sol.model, rho, sol.pt(rho)), m,
+                           k_matrix(sol, ht, "replace")(rho))
 
 
 def test_k_matrix_structure_toy(toy):
@@ -63,7 +76,7 @@ def test_delta_toy_closed_form(toy):
     sol, ht = toy
     lam, nu = 1.0, 3.0
     rho2 = sol.rho_pos[0]
-    d1, d2 = compute_delta(sol, ht, 0, "replace")
+    d1, d2, _ = compute_delta(sol, ht, 0, "replace")
     factor = sol.pt.mean * sol.pt.excess(rho2) - ht.mean * complex(ht.excess_lst(rho2))
     gprime = -nu / (nu + rho2) ** 2
     want = -rho2 * lam ** 2 * factor / (2 * (rho2 - lam) - lam ** 2 * gprime)
@@ -74,7 +87,7 @@ def test_delta_toy_closed_form(toy):
 def test_delta_zero_for_identical_tail(toy):
     sol, _ = toy
     ht = phase_type_tail(sol.pt)
-    d1, d2 = compute_delta(sol, ht, 0, "replace")
+    d1, d2, _ = compute_delta(sol, ht, 0, "replace")
     assert abs(d1) < 1e-14 and abs(d2) < 1e-14
 
 
@@ -106,17 +119,15 @@ def test_delta_against_root_tracking():
 def test_k_vector_zero_toy(toy):
     # with the second adjugate column the toy correction vector vanishes
     sol, ht = toy
-    assert sol.column_choice == (1,)
-    k2 = k_vectors(sol, ht, 0, "replace")
+    _, k2 = toy_cofactor_column(sol, ht, 1)
     np.testing.assert_allclose(np.abs(k2), 0.0, atol=1e-14)
 
 
 def test_k_vector_first_column_formula(toy):
     # m = 1 (first column): k_2 = (K22(rho2), -K21(rho2))
-    sol_m0 = solve_base(erlang2_model(), RationalLST.exponential(3.0), column_choice=0)
-    ht = abate_whitt(2.0)
-    k2 = k_vectors(sol_m0, ht, 0, "replace")
-    km = k_matrix(sol_m0, ht, "replace")(sol_m0.rho_pos[0])
+    sol, ht = toy
+    _, k2 = toy_cofactor_column(sol, ht, 0)
+    km = k_matrix(sol, ht, "replace")(sol.rho_pos[0])
     np.testing.assert_allclose(k2, [km[1, 1], -km[1, 0]], atol=1e-13)
 
 
@@ -125,14 +136,14 @@ def test_perturbed_eigenvector_residual():
     # to O(eps^2)
     sol = solve_base(mmpp2_model(), RationalLST.exponential(3.0))
     ht = abate_whitt(2.0)
-    delta = compute_delta(sol, ht, 0, "replace")[0]
-    kvec = k_vectors(sol, ht, 0, "replace")
+    pdata = perturb(sol, ht, "replace")
+    delta = pdata.delta[0]
     rho = sol.rho_pos[0]
-    a = sol.a_vectors[0]
-    aprime = sol.a_derivs[0]
+    a = pdata.a_mat[:, 1]
+    tilt = pdata.b_mat[:, 1]        # delta a' - k
     resids = []
     for eps in (1e-3, 1e-4):
-        w = a - eps * delta * aprime + eps * kvec
+        w = a - eps * tilt
         s = rho - eps * delta
         mat = eval_E(sol.model, s, sol.pt(s)) + eps * k_matrix(sol, ht, "replace")(s)
         resids.append(np.linalg.norm(mat @ w))
@@ -197,16 +208,21 @@ def test_delta_identity_closes_through_z():
     pt = RationalLST.exponential(3.0)
     ht = abate_whitt(2.0)
     sol = solve_base(model, pt)
-    xi = xi_polys(model, pt, sol.r)
     for variant in ("replace", "discard"):
         pdata = perturb(sol, ht, variant)
-        verify_delta_identity(sol, pdata, ht, xi)
+        verify_delta_identity(sol, pdata, ht)
 
 
 def test_dual_delta_randomised():
     # acceptance-style sweep at module scale: random stable models, random
     # rational service, random kappa
     rng = np.random.default_rng(99)
+    sol = solve_base(rank_one_model(), RationalLST.exponential(3.0))
+    ht = abate_whitt(2.0)
+    for variant in ("replace", "discard"):
+        delta, delta_alt, floor = compute_delta(sol, ht, 0, variant)
+        assert max(abs(delta), abs(delta_alt)) <= floor <= 1e-12
+        verify_delta_identity(sol, perturb(sol, ht, variant), ht)
     done = 0
     while done < 10:
         n = int(rng.integers(2, 5))
@@ -224,3 +240,15 @@ def test_dual_delta_randomised():
         for idx in range(len(sol.rho_pos)):
             compute_delta(sol, ht, idx, "replace")  # raises on disagreement
         done += 1
+
+
+def test_zero_root_shift_runs_both_variants():
+    # both shift routes and the residue identity give rounding noise here,
+    # which the rounding floor accepts
+    model = rank_one_model()
+    pt, ht = RationalLST.exponential(3.0), abate_whitt(2.0)
+    ts = np.linspace(0.0, 8.0, 9)
+    for variant in ("replace", "discard"):
+        out = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant)
+        assert np.all(np.isfinite(out.corrected_raw))
+        assert out.corrected_raw[-1] > out.base[-1]

@@ -4,7 +4,8 @@ The oracle here is the paper's own derivation, kept runnable: roots of the
 cleared determinant p**r det E, adjugate columns at the positive roots,
 cancellation of the nonnegative roots from the transform, and partial
 fractions.  It shares no code with the fluid solve beyond the model, the
-service transform and the boundary-vector equations.
+service transform and the boundary-vector equations.  The other test
+modules import clear_denominator and cleared_determinant from here.
 """
 
 import os
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from heavyq import symbolic_kernel
-from heavyq.base_solver import (FluidModel, RationalLST, clear_denominator,
-                                solve_base)
+from heavyq.base_solver import FluidModel, RationalLST, SolverError, solve_base
 from heavyq.cli import parse_config
-from heavyq.correction import default_grid, discard_base_lst
+from heavyq.correction import approximate, default_grid, discard_base_lst
+from heavyq.heavytail import abate_whitt
 from heavyq.measures import ExpPolyMeasure
 from heavyq.model import build_marp, build_mmpp, stability_margin
+from heavyq.perturbation import perturb
 from heavyq.polyalg import Poly, RationalFn, linsolve, poly_roots
 
 PAPER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "paper")
@@ -58,12 +60,35 @@ def _deflate(coeffs, roots):
     return c
 
 
+def clear_denominator(detg, pt, min_power=1):
+    """Multiply det E at g = q/p by p**r so every denominator clears.
+
+    r is the smallest power that clears the determinant (and, through
+    min_power, the adjugate entries feeding the numerator); the result is
+    monic of degree N + r*M.
+    """
+    r = max(detg.g_degree, min_power, 1)
+    poly = detg.cleared(pt.q, pt.p, r)
+    lead = poly.lead
+    if abs(lead - 1.0) > 1e-8:
+        raise SolverError(f"cleared determinant is not monic (lead {lead})")
+    # normalise away the harmless rounding in the leading coefficient
+    poly = poly.scale(1.0 / lead)
+    return {"poly": poly, "r": r}
+
+
+def cleared_determinant(model, pt, adj=None):
+    """(p**r det E, r) with r clearing the adjugate entries as well."""
+    adj = symbolic_kernel.adjoint_matrix(model) if adj is None else adj
+    r = max(a.g_degree for row in adj for a in row)
+    cleared = clear_denominator(symbolic_kernel.det_E(model), pt, min_power=r)
+    return cleared["poly"], cleared["r"]
+
+
 def subset_sum_solve(model, pt):
     """(nonnegative roots, stable roots, u, law) through the expanded det E and adjugate."""
     adj, n = symbolic_kernel.adjoint_matrix(model), model.n_states
-    r = max(a.g_degree for row in adj for a in row)
-    cleared = clear_denominator(symbolic_kernel.det_E(model), pt, min_power=r)
-    poly, r = cleared["poly"], cleared["r"]
+    poly, r = cleared_determinant(model, pt, adj)
     roots = poly_roots(poly)
     nonneg = sorted((rho for rho, m in roots for _ in range(m) if rho.real >= -1e-9), key=abs)
     stable = [(rho, m) for rho, m in roots if rho.real < -1e-9]
@@ -117,12 +142,13 @@ def test_fluid_solve_matches_subset_sum_oracle(model_name, service, discard):
     assert abs(minus_u[0]) <= 1e-12 * scale
     assert np.max(np.abs(minus_u[1:] - np.array(sol.rho_pos)), initial=0.0) <= 1e-12 * scale
     assert eig_k.size == sol.den_roots.total == sum(m for _, m in stable)
-    assert sol.num_roots.total == sol.den_roots.total == sol.r * pt.order
+    cleared, r = cleared_determinant(model, pt)
+    assert sol.num_roots.total == sol.den_roots.total == r * pt.order
     np.testing.assert_allclose(np.sort_complex(eig_k),
                                np.sort_complex(np.array(sol.den_roots.expanded())),
                                rtol=1e-7, atol=1e-9)
     assert len(nonneg) == model.n_states
-    cleared = sol.cleared.coeffs
+    cleared = cleared.coeffs
     spanned = Poly.from_roots(list(minus_u) + list(eig_k)).coeffs
     assert np.max(np.abs(spanned - cleared)) <= 1e-10 * np.max(np.abs(cleared))
 
@@ -135,7 +161,7 @@ def test_rank_deficient_arrivals_keep_the_minimal_transform():
     sol = solve_base(model, pt)
     nonneg, stable, u, law = subset_sum_solve(model, pt)
     assert sol.w_hat.k.shape == (1, 1)
-    assert sol.den_roots.total == sol.num_roots.total == sol.r * pt.order == 1
+    assert sol.den_roots.total == sol.num_roots.total == pt.order == 1
     np.testing.assert_allclose(sol.den_roots.expanded(),
                                [rho for rho, m in stable for _ in range(m)])
     grid = default_grid(sol)
@@ -150,7 +176,7 @@ def test_lumpable_environment_drops_the_modes_the_delay_cannot_see(pt):
     # realisation; the delay has 2 M poles, not r M = 3 M
     model = build_mmpp([2.0, 2.0, 3.0], [[.5, .2, .3], [.2, .5, .3], [.25, .25, .5]])
     sol = solve_base(model, pt)
-    assert sol.w_hat.k.shape[0] == sol.r * pt.order == 3 * pt.order
+    assert sol.w_hat.k.shape[0] == cleared_determinant(model, pt)[1] * pt.order == 3 * pt.order
     assert sol.den_roots.total == sol.num_roots.total == 2 * pt.order
     nonneg, stable, u, law = subset_sum_solve(model, pt)
     tol = max(1e-9, 2.0 * abs(complex(law.total_mass()) - 1.0))
@@ -219,9 +245,16 @@ def test_solve_needs_no_subset_sums(monkeypatch):
     monkeypatch.setattr(symbolic_kernel, "adjoint_matrix", refuse)
     (n, model), = nsweep_models([14], per_size=1, seed=1414)
     assert n > symbolic_kernel.N_CAP
-    sol = solve_base(model, RationalLST.exponential(3.0))
-    surv = sol.survival(default_grid(sol))
+    pt, ht = RationalLST.exponential(3.0), abate_whitt(2.0)
+    sol = solve_base(model, pt)
+    grid = default_grid(sol)
+    surv = sol.survival(grid)
     assert abs(complex(sol.w_law.total_mass()) - 1.0) <= 1e-12
     assert surv.min() >= 0.0 and surv.max() <= 1.0 and np.all(np.diff(surv) <= 0.0)
-    with pytest.raises(AssertionError, match="subset-sum"):
-        sol.detg
+    # the perturbation and both corrected curves need no subset sums either
+    assert len(perturb(sol, ht, "replace").delta) == n - 1
+    ts = grid[::40]
+    for variant in ("replace", "discard"):
+        out = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
+        assert np.all(np.isfinite(out.corrected_raw))
+        assert np.max(np.abs(out.corrected_raw - out.base)) <= 0.05
