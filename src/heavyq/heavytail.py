@@ -24,11 +24,16 @@ class HeavyTailError(ValueError):
 
 @dataclass(frozen=True)
 class HeavyTail:
-    """Callable bundle: mean, transform, excess transform, excess survival."""
+    """Callable bundle: mean, transform, excess transform, excess survival.
+
+    The transforms receive complex scalars and complex numpy arrays (the
+    inversion oracle calls them once on its whole matrix of abscissae) and
+    return values of the same shape; lst_deriv receives scalars only.
+    """
 
     mean: float
-    lst: object              # complex -> complex
-    excess_lst: object       # complex -> complex
+    lst: object              # complex array -> complex array
+    excess_lst: object       # complex array -> complex array
     excess_survival: object  # array of t >= 0 -> array in [0, 1]
     lst_deriv: object        # analytic d/ds of lst
     service_survival: object  # survival of the service law itself (simulation)
@@ -111,9 +116,10 @@ def _verify_excess_closed_form(tail: HeavyTail, tol: float = 1e-7):
     """
     from .oracle import invert
 
-    for t in (0.01, 0.1, 1.0, 10.0, 100.0):
-        want = invert(tail.excess_lst, t, tol=1e-8)
-        got = float(tail.excess_survival(np.array([t]))[0])
+    points = (0.01, 0.1, 1.0, 10.0, 100.0)
+    wants = invert(tail.excess_lst, np.array(points), tol=1e-8)
+    gots = np.atleast_1d(tail.excess_survival(np.array(points)))
+    for t, want, got in zip(points, wants, gots):
         if abs(got - want) > tol:
             raise HeavyTailError(
                 f"closed-form excess survival off by {abs(got - want):.2e} at t={t}; "
@@ -130,8 +136,7 @@ def _inversion_backed_survival(excess_lst, mean):
     from .oracle import invert
 
     ts = np.geomspace(1e-4, 1e4, 400)
-    vals = np.array([invert(excess_lst, float(t), tol=1e-9) for t in ts])
-    vals = np.clip(vals, 0.0, 1.0)
+    vals = np.clip(invert(excess_lst, ts, tol=1e-9), 0.0, 1.0)
     interp = PchipInterpolator(np.log(ts), vals, extrapolate=False)
 
     def survival(t):
@@ -157,6 +162,9 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
     survival, when omitted, is built by cached numerical inversion.  The
     excess transform must agree with the base transform at sampled points
     (tolerance 1e-6), and the excess survival with its own transform.
+    excess_lst and lst receive complex numpy arrays as well as scalars and
+    return values of the same shape; each inversion calls them once for all
+    its points.
     """
     if mean <= 0:
         raise HeavyTailError("mean must be positive")
@@ -171,16 +179,20 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
 
         def service_survival_fn(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.array([invert(lst, float(x), tol=1e-8) if x > 0 else 1.0 for x in t])
+            out = np.ones(t.shape)
+            pos = t > 0
+            out[pos] = invert(lst, t[pos], tol=1e-8)
+            return out
         service_survival = service_survival_fn
 
     _check_consistency(mean, lst, excess_lst, 1e-6)
     from .oracle import invert
     # tol 1e-7 keeps the contour damping moderate; user transforms often
     # carry ~1e-14 evaluation noise that a larger damping would amplify
-    for t in (0.1, 1.0, 10.0):
-        want = invert(excess_lst, float(t), tol=1e-7)
-        got = float(np.atleast_1d(excess_survival(np.array([t])))[0])
+    points = (0.1, 1.0, 10.0)
+    wants = invert(excess_lst, np.array(points), tol=1e-7)
+    gots = np.atleast_1d(excess_survival(np.array(points)))
+    for t, want, got in zip(points, wants, gots):
         if abs(got - want) > 1e-6:
             raise HeavyTailError(
                 f"excess survival inconsistent with the excess transform at t={t}")

@@ -8,6 +8,13 @@ the resulting transform is inverted numerically.  None of this shares code
 paths with the correction-term assembly, which is the point.  exact_solve
 expands the subset-sum determinant and adjugate (symbolic_kernel) itself,
 so it needs N <= N_CAP and its cost grows like 3^N.
+
+invert evaluates the transform once per call, on the matrix of Euler
+abscissae of all its t; both Euler estimates come from one cumulative sum
+over those values.  The simulator walks the environment's state path in a
+short loop and does the rest (real-arrival flags, services, the Lindley
+recursion for the delays) as array arithmetic on the same uniform streams
+the per-transition loop drew, so a seed gives the same customers.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ EULER_TERMS = 40       # raw Bromwich terms before averaging; sqrt-type
 EULER_AVG = 11         # binomial-averaged extra terms
 EULER_MAX_DAMP = 37.0  # exp(A/2) amplifies roundoff; beyond this A hurts
 NEWTON_ITERS = 50
+SIM_CHUNK = 10 ** 5    # environment transitions per draw of the uniform streams
 
 
 class OracleError(RuntimeError):
@@ -36,42 +44,49 @@ class InversionOscillation(OracleError):
     """Euler acceleration failed to settle; transform likely invalid."""
 
 
-def invert(transform, t: float, tol: float = 1e-7) -> float:
-    """Survival value at t by Euler-summation inversion.
+def invert(transform, t, tol: float = 1e-7):
+    """Survival at t by Euler-summation inversion; t is a scalar or a 1-D array.
 
     transform is the LST of the distribution; the routine inverts
-    (1 - transform(s)) / s.  The damping parameter doubles the requested
-    precision (discretisation error exp(-A), capped against roundoff
-    amplification), with 40 + 11 fixed terms.
+    (1 - transform(s)) / s.  transform is called once, on the complex matrix
+    of abscissae A/(2t) + i k pi/t with one row per t and k = 0 ..
+    EULER_TERMS + 4 + EULER_AVG, so it must accept numpy arrays.  The
+    damping parameter A doubles the requested precision (discretisation
+    error exp(-A), capped against roundoff amplification).  One cumulative
+    sum over each row gives both binomially averaged estimates, after 40 and
+    after 44 terms; they must agree within max(50 tol, 1e-12) at every t.
+    A scalar t gives a float, an array of t an array.
     """
-    if t <= 0:
+    ts = np.asarray(t, dtype=float)
+    rows = np.atleast_1d(ts)
+    if rows.ndim != 1:
+        raise OracleError("inversion takes a scalar t or a 1-D array of t")
+    if np.any(rows <= 0):
         raise OracleError("inversion requires t > 0")
     a_param = min(2.0 * abs(math.log(tol)), EULER_MAX_DAMP)
-
-    def target(s):
-        return (1.0 - transform(s)) / s
+    k = np.arange(EULER_TERMS + 4 + EULER_AVG + 1)
+    s = np.empty((rows.size, k.size), dtype=complex)
+    s.real = (a_param / (2.0 * rows))[:, None]
+    s.imag = k * math.pi / rows[:, None]
+    vals = ((1.0 - transform(s)) / s).real
+    vals[:, 0] *= 0.5
+    vals[:, 1::2] *= -1.0
+    partial = np.cumsum(vals, axis=1)
+    weights = np.array([math.comb(EULER_AVG, j) for j in range(EULER_AVG + 1)], dtype=float)
+    scale = math.exp(a_param / 2.0) / rows
 
     def euler(n_terms):
-        x = a_param / (2.0 * t)
-        vals = [0.5 * target(complex(x, 0.0)).real]
-        for k in range(1, n_terms + EULER_AVG + 1):
-            s = complex(x, k * math.pi / t)
-            vals.append((-1) ** k * target(s).real)
-        partial = np.cumsum(vals)
-        tail = partial[n_terms: n_terms + EULER_AVG + 1]
-        weights = np.array([math.comb(EULER_AVG, j) for j in range(EULER_AVG + 1)])
-        return math.exp(a_param / 2.0) / t * float(tail @ weights) / 2.0 ** EULER_AVG
+        tail = partial[:, n_terms: n_terms + EULER_AVG + 1]
+        return scale * (tail @ weights) / 2.0 ** EULER_AVG
 
     est = euler(EULER_TERMS)
     check = euler(EULER_TERMS + 4)
-    if abs(est - check) > max(50.0 * tol, 1e-12):
+    unsettled = np.flatnonzero(np.abs(est - check) > max(50.0 * tol, 1e-12))
+    if unsettled.size:
+        i = unsettled[0]
         raise InversionOscillation(
-            f"Euler tail not settled at t={t}: {est:.3e} vs {check:.3e}")
-    return est
-
-
-def invert_grid(transform, ts, tol: float = 1e-7) -> np.ndarray:
-    return np.array([invert(transform, float(t), tol) for t in np.asarray(ts, dtype=float)])
+            f"Euler tail not settled at t={float(rows[i])}: {est[i]:.3e} vs {check[i]:.3e}")
+    return float(est[0]) if ts.ndim == 0 else est
 
 
 @dataclass(frozen=True)
@@ -90,7 +105,7 @@ class ExactSolution:
         self.u_eps.setflags(write=False)
 
     def transform(self, s):
-        """Delay transform of the mixture model at complex s, Re s >= 0."""
+        """Delay transform of the mixture model at complex s (an array too), Re s >= 0."""
         model = self.model
         g = self._mix_lst(s)
         n = model.n_states
@@ -108,7 +123,7 @@ class ExactSolution:
         return invert(self.transform, t, tol)
 
     def survival_grid(self, ts, tol: float = 1e-7) -> np.ndarray:
-        return invert_grid(self.transform, ts, tol)
+        return invert(self.transform, np.atleast_1d(ts), tol)
 
     def normalisation(self) -> complex:
         """W(0) by l'Hopital on s * num / det; should be 1."""
@@ -251,25 +266,13 @@ def _inverse_cdf_table(survival_fn, mean: float, n_points: int = 4000):
     return sample
 
 
-def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
-             n_customers: int, seed: int, grid=None) -> SimulationResult:
-    """Waiting times of real customers by the embedded workload recursion.
+def service_samplers(pt: RationalLST, ht):
+    """Inverse-CDF samplers (arrays of uniforms -> services) of both components.
 
-    Phase-type services are drawn through the inverse CDF of the service law,
-    heavy-tailed ones through the inverse CDF of the heavy service
-    distribution; both tables are deterministic in the inputs, so a fixed
-    seed reproduces the output bit for bit.
+    The phase-type sampler is the exact exponential quantile for an
+    atom-free exponential law, a monotone table otherwise; the heavy one is
+    always a table.  Both are deterministic in the inputs.
     """
-    if n_customers < 10 ** 4:
-        raise OracleError("simulation needs at least 1e4 customers")
-    if stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean) <= 0:
-        raise OracleError("refusing to simulate an unstable model")
-
-    rng = np.random.default_rng(seed)
-    n = model.n_states
-    cum_p = np.cumsum(model.trans, axis=1)
-    cum_p[:, -1] = 1.0
-
     if pt.order == 1 and pt.atom == 0.0:
         nu = float(pt.p.coeffs[0].real)
         ph_sample = lambda u: -np.log1p(-u) / nu
@@ -277,36 +280,85 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
         law = pt.service_measure()
         ph_sample = _inverse_cdf_table(
             lambda t: np.clip(np.atleast_1d(law.survival(t)).real, 0.0, 1.0), pt.mean)
-    heavy_sample = _inverse_cdf_table(ht.service_survival, ht.mean)
+    return ph_sample, _inverse_cdf_table(ht.service_survival, ht.mean)
 
-    chunk = 10 ** 5
+
+def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
+                  n_customers: int, seed: int) -> np.ndarray:
+    """Delays of the first n_customers real customers, in arrival order.
+
+    The environment makes one transition per exponential sojourn; a
+    transition i -> j brings a real customer with probability q_real[i, j],
+    whose service is heavy with probability eps.  Each chunk of transitions
+    draws five uniform streams in a fixed order (next state, real flag,
+    mixture component, service quantile, sojourn).  The successors of every
+    state come from one searchsorted over the chunk and a short loop walks
+    the state path; everything else is array arithmetic.  The workload just
+    before transition k is the Lindley recursion
+    V_k = max(V_{k-1} + service_{k-1} - drain_k, 0), which is
+    S_k - min(0, min_{j<=k} S_j) for the partial sums S of its increments
+    (Lindley 1952); the workload and the state carry across chunks.
+    """
+    rng = np.random.default_rng(seed)
+    n = model.n_states
+    cum_p = np.cumsum(model.trans, axis=1)
+    cum_p[:, -1] = 1.0
+    ph_sample, heavy_sample = service_samplers(pt, ht)
+
+    chunk = SIM_CHUNK
     delays = np.empty(n_customers)
     got = 0
     state = int(rng.integers(0, n))
     workload = 0.0
-    q_real = model.q_real
-    rates = model.rates
     while got < n_customers:
         u_next = rng.random(chunk)
         u_real = rng.random(chunk)
         u_mix = rng.random(chunk)
         u_q = rng.random(chunk)
         expo = rng.exponential(1.0, chunk)
+        succ = [np.minimum(np.searchsorted(cum_p[i], u_next, side="right"), n - 1).tolist()
+                for i in range(n)]
+        path = [0] * (chunk + 1)
+        cur = state
         for k in range(chunk):
-            workload = max(workload - expo[k] / rates[state], 0.0)
-            nxt = int(np.searchsorted(cum_p[state], u_next[k], side="right"))
-            nxt = min(nxt, n - 1)
-            if u_real[k] < q_real[state, nxt]:
-                delays[got] = workload
-                got += 1
-                if u_mix[k] < eps:
-                    service = float(np.atleast_1d(heavy_sample(u_q[k]))[0])
-                else:
-                    service = float(np.atleast_1d(ph_sample(u_q[k]))[0])
-                workload += service
-                if got == n_customers:
-                    break
-            state = nxt
+            path[k] = cur
+            cur = succ[cur][k]
+        path[chunk] = cur
+        path = np.array(path)
+        real = np.flatnonzero(u_real < model.q_real[path[:-1], path[1:]])
+        real = real[:n_customers - got]
+        # transitions after the last customer needed are not simulated
+        stop = chunk if got + real.size < n_customers else int(real[-1]) + 1
+        heavy = u_mix[real] < eps
+        services = np.empty(real.size)
+        services[heavy] = heavy_sample(u_q[real[heavy]])
+        services[~heavy] = ph_sample(u_q[real[~heavy]])
+        added = np.zeros(stop)
+        added[real] = services
+        # workload change over transition k: the service added at k - 1
+        # (the carried workload for k = 0) less the drain during sojourn k
+        level = np.cumsum(np.concatenate(([workload], added[:-1]))
+                          - expo[:stop] / model.rates[path[:stop]])
+        before = level - np.minimum(np.minimum.accumulate(level), 0.0)
+        delays[got:got + real.size] = before[real]
+        got += real.size
+        workload = before[-1] + added[-1]
+        state = cur
+    return delays
+
+
+def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
+             n_customers: int, seed: int, grid=None) -> SimulationResult:
+    """Survival of the real customers' waiting times, with batch-means half-widths.
+
+    The delays come from waiting_times; a fixed seed reproduces the output
+    bit for bit.  Without a grid, 30 points span [0, the 0.999 quantile].
+    """
+    if n_customers < 10 ** 4:
+        raise OracleError("simulation needs at least 1e4 customers")
+    if stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean) <= 0:
+        raise OracleError("refusing to simulate an unstable model")
+    delays = waiting_times(model, pt, ht, eps, n_customers, seed)
 
     if grid is None:
         grid = np.linspace(0.0, np.quantile(delays, 0.999), 30)

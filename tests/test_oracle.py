@@ -9,7 +9,6 @@ from heavyq.oracle import (
     OracleError,
     exact_solve,
     invert,
-    invert_grid,
     simulate,
 )
 from heavyq.perturbation import perturb
@@ -179,7 +178,8 @@ def test_simulate_refuses_unstable():
 
 
 def test_invert_grid_shape():
-    vals = invert_grid(lambda s: 3.0 / (3.0 + s), [0.5, 1.0, 2.0])
+    vals = invert(lambda s: 3.0 / (3.0 + s), [0.5, 1.0, 2.0])
+    assert vals.shape == (3,)
     np.testing.assert_allclose(vals, np.exp(-3.0 * np.array([0.5, 1.0, 2.0])), atol=1e-9)
 
 
