@@ -12,13 +12,24 @@ positive roots and the transform's zeros, and their constants, come from
 contour integrals on the base solution (BaseSolution.families), not from
 cleared polynomials.
 
-Convolutions with the heavy excess have no closed form.  They are computed
-with fixed composite Gauss-Legendre rules whose nodes for every grid point
-are evaluated together as array operations: 16-point panels after a cusp
-substitution for the survival of Y + E, and a 4-point rule per knot
-interval of the tabulated tilted tail for the "between" probabilities.
-Panels are kept narrow against every exponential rate of Y while its term
-has not decayed below rounding.
+Convolutions with the heavy excess have no closed form.  The survival of
+Y + E and the "between" probabilities against the tilted tail psi are sums
+over one sorted table of nodes tau = t - x for the whole grid; one scan
+carries them from each grid point to the next (the blocks are the grid
+steps) by exact exponential propagation, so a grid costs time linear in its
+nodes.  Panel breakpoints are the grid points plus V_PANEL steps in
+v = sqrt(tau) (16-point panels in v, past the excess's square-root cusp) or
+the knots of psi (4-point panels, exact on its cubic pieces); no panel is
+wider than a fixed multiple of 1/|a| for the fastest rate a of Y.  The scan
+matches the former per-point composite rules within 1e-12 and adaptive
+quad within 1e-9 (tests/test_quadrature_reference.py).
+
+What depends only on the base solution and the heavy tail is built once per
+solution and kept on it, as its families are: the replace and discard
+perturbations with their delta-identity checks, and the tilted-tail table
+per positive root and grid end.  Approximating both variants, or the same
+variant again, on one solution repeats none of that work, and every check
+still runs when its value is first built.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ GAUSS4 = np.polynomial.legendre.leggauss(4)
 CONV_RATE_WIDTH = 8.0      # |a| * panel width in x, 16-point panels of Y + E
 BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
 V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
-DECAY = 50.0               # a term c x^m e^(-a x) is negligible past Re(a) x = DECAY + 5 m
 GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
+BLOCK_NOISE = 1e-12        # theta skips Erlang blocks whose coefficients are below this
+                           # times the largest family coefficient
 
 
 class CorrectionError(RuntimeError):
@@ -121,61 +133,90 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
 # ---------------------------------------------------------------------------
 # convolution machinery
 
-def _rate_edges(y: ExpPolyMeasure, x_max: float, width: float) -> np.ndarray:
-    """Increasing panel edges from 0 to at least x_max, or up to where every
-    term of y has decayed: no panel is wider than width / |a| for a term with
-    rate a that has not yet decayed past Re(a) x = DECAY + 5 m."""
-    terms = []
-    for a, m, _ in y.terms:
-        decay = complex(a).real
-        terms.append((abs(a), (DECAY + 5 * m) / decay if decay > 0 else math.inf))
-    terms.sort(reverse=True)
-    edges = [np.zeros(1)]
-    left = 0.0
-    for mag, horizon in terms:
-        stop = min(horizon, x_max)
-        if stop > left:
-            step = width / mag
-            edges.append(left + step * np.arange(1, math.ceil((stop - left) / step) + 1))
-            left = float(edges[-1][-1])
-    return np.concatenate(edges)
+def _scan(y: ExpPolyMeasure, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """For each t in ts, the sum over the terms c x^m e^(-a x) of y of
+    c sum_{tau_i < t} (t - tau_i)^m e^(-a (t - tau_i)) g_i.
 
-
-def _composite(ts: np.ndarray, edges_of, rule) -> tuple:
-    """Nodes, weights and owning grid index of a composite Gauss-Legendre rule.
-
-    For every t > 0 in ts, edges_of(t) gives increasing panel edges; the
-    result has one row of rule nodes per panel, over all grid points.
+    tau is increasing and no node equals a grid point.  Each node is expanded
+    about the first grid point p above it, where (p - tau)^k e^(-a (p - tau))
+    neither grows nor cancels, and the sums J_k(p) over the nodes below p are
+    carried from one grid point to the next exactly:
+    J_k(p + L) = e^(-a L) sum_j C(k, j) L^(k-j) J_j(p) + the nodes in between.
     """
-    lo, hi, owner = [], [], []
-    for idx in np.flatnonzero(ts > 0):
-        edges = edges_of(ts[idx])
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-        owner.append(np.full(edges.size - 1, idx))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    grid, where = np.unique(ts, return_inverse=True)
+    cut = np.searchsorted(tau, grid)
+    tau, g = tau[:cut[-1]], g[:cut[-1]]
+    rates, powers, coefs = (np.array(v) for v in zip(*y.terms))
+    rates = rates.astype(complex)[:, None]
+    k = np.arange(powers.max() + 1)
+    gap = grid[np.searchsorted(grid, tau, side="right")] - tau
+    vals = np.zeros((powers.size, k.size, tau.size + 1), dtype=complex)
+    vals[:, :, :-1] = (np.exp(-rates * gap) * g)[:, None, :] * gap ** k[:, None]
+    starts = np.r_[0, cut[:-1]]
+    seg = np.add.reduceat(vals, starts, axis=2)
+    seg[:, :, starts == cut] = 0.0
+    steps = np.diff(grid, prepend=grid[0])
+    decay = np.exp(-rates * steps)
+    binom = np.array([[math.comb(i, j) for j in k] for i in k])
+    shift = binom * steps[:, None, None] ** np.maximum(k[:, None] - k, 0)
+    state = np.zeros((powers.size, k.size), dtype=complex)
+    at_power = np.empty((grid.size, powers.size), dtype=complex)
+    for n in range(grid.size):
+        state = decay[:, n, None] * (state @ shift[n].T) + seg[:, :, n]
+        at_power[n] = state[np.arange(powers.size), powers]
+    return (at_power @ coefs)[where]
+
+
+def _panels(edges: np.ndarray, width: float) -> tuple:
+    """Ends of the panels that split each interval of the increasing edges
+    into equal pieces no wider than width."""
+    spans = np.diff(edges)
+    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
+    owner = np.repeat(np.arange(pieces.size), pieces)
+    lo = edges[owner] + (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) \
+        * (spans / pieces)[owner]
+    return lo, np.r_[lo[1:], edges[-1]]
+
+
+def _gauss(lo: np.ndarray, hi: np.ndarray, rule) -> tuple:
+    """Nodes and weights, in increasing order, of a Gauss-Legendre rule on every panel."""
     nodes, weights = rule
     half = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (hi + lo)[:, None] + half * nodes, half * weights, np.concatenate(owner)
+    return (0.5 * (hi + lo)[:, None] + half * nodes).ravel(), (half * weights).ravel()
 
 
-def _sum_panels(size: int, owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per grid point sum of the weighted node values of its panels."""
-    out = np.zeros(size, dtype=complex)
-    np.add.at(out, owner, values.sum(axis=1))
-    return out
+def _max_rate(y: ExpPolyMeasure) -> float:
+    return max((abs(complex(a)) for a, _, _ in y.terms), default=1.0)
 
 
-def heavy_conv_survival(y: ExpPolyMeasure, ht, ts) -> np.ndarray:
+def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
+    """Nodes tau = t - x and weights times P(E > tau) for heavy_conv_survival:
+    16-point Gauss-Legendre panels in v = sqrt(tau) between v = k V_PANEL and
+    sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH / rate in tau."""
+    t_max = float(ts.max())
+    edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
+                       ts[ts > 0])
+    v, w = _gauss(*np.sqrt(_panels(edges, CONV_RATE_WIDTH / rate)), GAUSS16)
+    tau = v * v
+    return tau, 2.0 * v * w * ht.excess_survival(tau)
+
+
+def _between_nodes(psi: "_PsiTable", ts: np.ndarray, rate: float) -> tuple:
+    """Nodes tau = t - x and weights times psi(tau) for heavy_between: 4-point
+    Gauss-Legendre panels between the knots of psi and the grid points, no
+    wider than BETWEEN_RATE_WIDTH / rate."""
+    t_max = float(ts.max())
+    edges = np.union1d(psi.knots[psi.knots < t_max], ts[ts > 0])
+    tau, w = _gauss(*_panels(edges, BETWEEN_RATE_WIDTH / rate), GAUSS4)
+    return tau, w * psi(tau)
+
+
+def heavy_conv_survival(y: ExpPolyMeasure, ht, ts, nodes: tuple | None = None) -> np.ndarray:
     """P(Y + E > t) for an exp-poly law Y and the heavy excess E, per t.
 
-    The convolution integral of f_Y(x) P(E > t - x) over [0, t] is computed
-    after the substitution x = t - v*v, which removes the square-root cusp of
-    the excess survival at the upper endpoint.  The smooth integrand in v is
-    integrated by 16-point Gauss-Legendre panels no wider than V_PANEL in v
-    and, in x, no wider than CONV_RATE_WIDTH / |a| for each live rate a of
-    Y, so the panels are graded toward x = 0, where the density sits.
-    Complex-valued Y (Erlang blocks with complex rate) is allowed.
+    The integral of f_Y(t - tau) P(E > tau) over [0, t] is one scan over the
+    nodes of _conv_nodes, built here unless passed in (theta passes one table,
+    for a rate at least every |a| of its laws).  Y may be complex-valued.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.array(y.survival(ts), dtype=complex)
@@ -183,16 +224,7 @@ def heavy_conv_survival(y: ExpPolyMeasure, ht, ts) -> np.ndarray:
         out += y.atom * ht.excess_survival(ts)
     if not y.terms or not np.any(ts > 0):
         return out
-    x_edges = _rate_edges(y, float(ts.max()), CONV_RATE_WIDTH)
-
-    def v_edges(t):
-        xs = np.union1d(x_edges[x_edges < t], t - np.arange(0.0, math.sqrt(t), V_PANEL) ** 2)
-        return np.sqrt(t - xs)[::-1]
-
-    v, w, owner = _composite(ts, v_edges, GAUSS16)
-    vv = v * v
-    vals = 2.0 * v * w * ht.excess_survival(vv) * y.density(ts[owner][:, None] - vv)
-    return out + _sum_panels(ts.size, owner, vals)
+    return out + _scan(y, *(nodes or _conv_nodes(ht, ts, _max_rate(y))), ts)
 
 
 class _PsiTable:
@@ -207,35 +239,17 @@ class _PsiTable:
         y_max = 34.0 / re
         # geometric panels, with a squared substitution on the first one to
         # absorb the sqrt behaviour of the excess survival near zero
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        panels = []
-        left = 0.0
-        width = min(y_max / 256.0, 0.25)
-        while left < y_max:
-            right = min(left + width, y_max)
-            panels.append((left, right))
-            left = right
+        edges, width = [0.0], min(y_max / 256.0, 0.25)
+        while edges[-1] < y_max:
+            edges.append(min(edges[-1] + width, y_max))
             width *= 2.0
+        rule = np.polynomial.legendre.leggauss(24)
+        u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), rule)
+        ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), rule)
+        ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
         taus = np.concatenate([[0.0], np.geomspace(max(tau_max, 1.0) * 1e-6,
                                                    max(tau_max, 1.0), PSI_GRID)])
-        vals = np.zeros(taus.size, dtype=complex)
-        first = True
-        for a, b in panels:
-            if first:
-                # y = u^2 on the first panel
-                ua, ub = 0.0, math.sqrt(b - a)
-                u = (nodes + 1.0) * 0.5 * (ub - ua) + ua
-                w = weights * 0.5 * (ub - ua)
-                ys = a + u * u
-                jac = 2.0 * u
-                first = False
-            else:
-                ys = (nodes + 1.0) * 0.5 * (b - a) + a
-                w = weights * 0.5 * (b - a)
-                jac = np.ones_like(ys)
-            grid = taus[:, None] + ys[None, :]
-            sv = ht.excess_survival(grid)
-            vals += (sv * np.exp(-rho * ys)[None, :] * (w * jac)[None, :]).sum(axis=1)
+        vals = ht.excess_survival(taus[:, None] + ys) @ (np.exp(-rho * ys) * w)
         self.knots = taus
         self._re = PchipInterpolator(taus, vals.real)
         self._im = PchipInterpolator(taus, vals.imag)
@@ -252,30 +266,22 @@ class _PsiTable:
 
 
 def heavy_between(y: ExpPolyMeasure, ht, rho: complex, ts,
-                  surv_vals: np.ndarray, psi: _PsiTable) -> np.ndarray:
+                  surv_vals: np.ndarray, psi: _PsiTable,
+                  nodes: tuple | None = None) -> np.ndarray:
     """P(t < Y + E < t + Exp(rho)) using a precomputed survival of Y + E.
 
-    The convolution of f_Y with the tilted tail psi is integrated by a
-    4-point Gauss-Legendre rule on each knot interval of psi below t, which
-    is exact for the cubic pieces of psi; intervals are split further so that
-    no panel is wider than BETWEEN_RATE_WIDTH / |a| for a live rate a of Y.
+    The convolution of f_Y with the tilted tail psi is one scan over the
+    nodes of _between_nodes, built here unless passed in (for a rate at least
+    every |a| of Y).
     """
     ts = np.asarray(ts, dtype=float)
     i_tail = y.expo_tail_transform(rho, ts)
     if y.atom != 0:
         i_tail = i_tail + y.atom * psi(ts)
     i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
-    conv = np.zeros(ts.size, dtype=complex)
     if y.terms and np.any(ts > 0):
-        knots = psi.knots
-        x_edges = _rate_edges(y, float(ts.max()), BETWEEN_RATE_WIDTH)
-
-        def edges(t):
-            return np.union1d(x_edges[x_edges < t], t - knots[knots < t])
-
-        x, w, owner = _composite(ts, edges, GAUSS4)
-        conv = _sum_panels(ts.size, owner, w * y.density(x) * psi(ts[owner][:, None] - x))
-    return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
+        i_tail = i_tail + _scan(y, *(nodes or _between_nodes(psi, ts, _max_rate(y))), ts)
+    return np.asarray(surv_vals, dtype=complex) - rho * i_tail
 
 
 def conv_survival(x: ExpPolyMeasure, extra: str | None = None,
@@ -284,8 +290,7 @@ def conv_survival(x: ExpPolyMeasure, extra: str | None = None,
     """Survival callable of x plus optional excess and Erlang additions.
 
     extra is None, "excess_pt" (stationary-excess of the rational service
-    law, closed form) or "excess_ht" (heavy excess, 16-point Gauss-Legendre
-    panels, see heavy_conv_survival);
+    law, closed form) or "excess_ht" (heavy excess, see heavy_conv_survival);
     erlang = (rate, shape) convolves an Erlang block first.
     """
     mass = complex(x.total_mass())
@@ -313,7 +318,7 @@ def between_prob(x, rho: complex, ts, ht=None):
     """P(t < X < t + Exp(rho)) for exp-poly X, or X = Y + heavy excess.
 
     Pass an ExpPolyMeasure for the closed form; pass (y, ht) with
-    ht the heavy tail for the panel-rule route (heavy_conv_survival and
+    ht the heavy tail for the scan route (heavy_conv_survival and
     heavy_between on a tilted-tail table built for these t).
     """
     if isinstance(x, ExpPolyMeasure):
@@ -340,28 +345,55 @@ def _paired(values):
     return out
 
 
+def _kept(sol: BaseSolution, ht, key: tuple, build):
+    """build() on the first request for (ht, key) on sol, the kept value after.
+
+    The values live on the solution, as sol.families does, so every variant
+    approximated on one solution shares them.  Each entry holds ht itself,
+    so no other tail can take over its id while the entry lives.
+    """
+    store = sol.__dict__.setdefault("_kept", {})
+    entry = store.get((id(ht), *key))
+    if entry is None:
+        entry = store[(id(ht), *key)] = (ht, build())
+    return entry[1]
+
+
 def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
-          pt: RationalLST, ht) -> tuple:
+          pt: RationalLST, ht, sol: BaseSolution | None = None) -> tuple:
     """Theta_1 and Theta_2 on the grid, per the variant's printed recipe.
 
     base_law is the delay law the convolutions run over: the replace base
     delay for the replace variant, the discard base delay for the discard
-    one.  Both returned arrays are real; residual imaginary parts beyond
-    1e-10 raise.
+    one.  sol, when given, is the base solution the coefficients came from;
+    the tilted-tail tables are then kept on it for later calls.  Both
+    returned arrays are real; residual imaginary parts beyond 1e-10 raise.
     """
     ts = np.asarray(ts, dtype=float)
     mp, mh = pt.mean, ht.mean
     d_law = base_law
     dd_law = d_law.convolve(d_law)
-    ep = pt.excess_measure()
-
-    s_d = np.array(d_law.survival(ts), dtype=complex)
-    s_dd_ep = dd_law.convolve(ep).survival(ts)
-    s_d_ep = d_law.convolve(ep).survival(ts)
-    s_d_eh = heavy_conv_survival(d_law, ht, ts)
-    s_dd_eh = heavy_conv_survival(dd_law, ht, ts)
-
     discard = coeffs.variant == "discard"
+    if not discard:
+        ep = pt.excess_measure()
+        d_ep, dd_ep = d_law.convolve(ep), dd_law.convolve(ep)
+
+    # Erlang blocks at the numerator roots, less those at rounding-noise level
+    fam = (coeffs.alpha_jl, coeffs.beta_jl, coeffs.gamma_jl)
+    every = [*coeffs.alpha_k, *coeffs.beta_k, *coeffs.gamma_k,
+             *(c for f in fam for c in f.values())]
+    floor = BLOCK_NOISE * max(map(abs, every), default=0.0)
+    blocks = [(j, weight, l) for j, weight in _paired([s for s, _ in coeffs.num_roots])
+              for l in range(1, coeffs.num_roots[j][1] + 1)
+              if max(abs(f[(j, l)]) for f in fam) > floor]
+
+    # one node table per kernel for the heavy convolutions of every law below
+    live = np.any(ts > 0)
+    rate = max([_max_rate(d_law)] + [abs(coeffs.num_roots[j][0]) for j, _, _ in blocks])
+    nodes = _conv_nodes(ht, ts, rate) if live else None
+    s_d = np.array(d_law.survival(ts), dtype=complex)
+    s_d_eh = heavy_conv_survival(d_law, ht, ts, nodes)
+    s_dd_eh = heavy_conv_survival(dd_law, ht, ts, nodes)
 
     # constants of the three families
     a0 = complex(coeffs.zw)
@@ -376,57 +408,50 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
             raise CorrectionError("family constant has a residual imaginary part")
 
     if discard:
-        theta1 = a0.real * s_d \
-            - b0.real * mh * s_d_eh \
-            + g0.real * mh * s_dd_eh
+        theta1 = a0.real * s_d - b0.real * mh * s_d_eh + g0.real * mh * s_dd_eh
     else:
         theta1 = a0.real * s_d \
-            + b0.real * (mp * s_d_ep - mh * s_d_eh) \
-            - g0.real * (mp * s_dd_ep - mh * s_dd_eh)
+            + b0.real * (mp * d_ep.survival(ts) - mh * s_d_eh) \
+            - g0.real * (mp * dd_ep.survival(ts) - mh * s_dd_eh)
 
-    # Erlang block families at the numerator roots
-    shat_list = [s for s, _ in coeffs.num_roots]
-    for j, weight in _paired(shat_list):
+    for j, weight, l in blocks:
         shat, rj = coeffs.num_roots[j]
-        for l in range(1, rj + 1):
-            shape = rj - l + 1
-            erl = ExpPolyMeasure.erlang(shat, shape)
-            d_erl = d_law.convolve(erl)
-            dd_erl = dd_law.convolve(erl)
-            a2 = coeffs.alpha_jl[(j, l)]
-            b2 = coeffs.beta_jl[(j, l)]
-            g2 = coeffs.gamma_jl[(j, l)]
-            s_d_erl = d_erl.survival(ts)
-            if discard:
-                term = g2 * mh * heavy_conv_survival(dd_erl, ht, ts) \
-                    - b2 * mh * heavy_conv_survival(d_erl, ht, ts) \
-                    + a2 * s_d_erl
-                theta1 = theta1 + weight * np.real(term)
-            else:
-                term = g2 * (mp * dd_erl.convolve(ep).survival(ts)
-                             - mh * heavy_conv_survival(dd_erl, ht, ts)) \
-                    - b2 * (mp * d_erl.convolve(ep).survival(ts)
-                            - mh * heavy_conv_survival(d_erl, ht, ts)) \
-                    - a2 * s_d_erl
-                theta1 = theta1 - weight * np.real(term)
+        erl = ExpPolyMeasure.erlang(shat, rj - l + 1)
+        d_erl, dd_erl = d_law.convolve(erl), dd_law.convolve(erl)
+        a2, b2, g2 = (f[(j, l)] for f in fam)
+        s_d_erl = d_erl.survival(ts)
+        if discard:
+            term = g2 * mh * heavy_conv_survival(dd_erl, ht, ts, nodes) \
+                - b2 * mh * heavy_conv_survival(d_erl, ht, ts, nodes) \
+                + a2 * s_d_erl
+            theta1 = theta1 + weight * np.real(term)
+        else:
+            term = g2 * (mp * dd_erl.convolve(ep).survival(ts)
+                         - mh * heavy_conv_survival(dd_erl, ht, ts, nodes)) \
+                - b2 * (mp * d_erl.convolve(ep).survival(ts)
+                        - mh * heavy_conv_survival(d_erl, ht, ts, nodes)) \
+                - a2 * s_d_erl
+            theta1 = theta1 - weight * np.real(term)
 
     # between probabilities at the positive roots
     theta2 = np.zeros(ts.size)
-    d_ep = d_law.convolve(ep)
-    dd_ep = dd_law.convolve(ep)
+    tau_max = float(ts.max()) if ts.size else 1.0
     for k, weight in _paired(coeffs.rho_pos):
         rho = complex(coeffs.rho_pos[k])
-        psi = _PsiTable(ht, rho, float(ts.max()) if ts.size else 1.0)
+        if sol is None:
+            psi = _PsiTable(ht, rho, tau_max)
+        else:
+            psi = _kept(sol, ht, ("psi", rho, tau_max), lambda: _PsiTable(ht, rho, tau_max))
         b_d = d_law.between_exp(rho, ts)
-        b_d_eh = heavy_between(d_law, ht, rho, ts, s_d_eh, psi)
-        b_dd_eh = heavy_between(dd_law, ht, rho, ts, s_dd_eh, psi)
+        psi_nodes = _between_nodes(psi, ts, _max_rate(d_law)) if live else None
+        b_d_eh = heavy_between(d_law, ht, rho, ts, s_d_eh, psi, psi_nodes)
+        b_dd_eh = heavy_between(dd_law, ht, rho, ts, s_dd_eh, psi, psi_nodes)
         ak, bk, gk = coeffs.alpha_k[k], coeffs.beta_k[k], coeffs.gamma_k[k]
         if discard:
             term = gk * mh * b_dd_eh - bk * mh * b_d_eh + ak * b_d
             theta2 = theta2 + weight * np.real(term / rho)
         else:
-            b_d_ep = d_ep.between_exp(rho, ts)
-            b_dd_ep = dd_ep.between_exp(rho, ts)
+            b_d_ep, b_dd_ep = d_ep.between_exp(rho, ts), dd_ep.between_exp(rho, ts)
             term = gk * (mp * b_dd_ep - mh * b_dd_eh) \
                 - bk * (mp * b_d_ep - mh * b_d_eh) \
                 - ak * b_d
@@ -440,6 +465,16 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
 
 # ---------------------------------------------------------------------------
 # the public approximations
+
+def _checked_perturb(sol: BaseSolution, ht, variant: str) -> PerturbationData:
+    """perturb(sol, ht, variant) after verify_delta_identity, once per
+    solution, tail and variant."""
+    def build():
+        pdata = perturb(sol, ht, variant)
+        verify_delta_identity(sol, pdata, ht)
+        return pdata
+    return _kept(sol, ht, ("perturb", variant), build)
+
 
 @dataclass(frozen=True)
 class ApproxOutput:
@@ -511,23 +546,21 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
         sol = solve_base(model, pt)
     ts = default_grid(sol) if t_grid is None else np.asarray(t_grid, dtype=float)
 
-    pdata = perturb(sol, ht, "replace")
-    verify_delta_identity(sol, pdata, ht)
+    pdata = _checked_perturb(sol, ht, "replace")
 
     if variant == "replace":
         coeffs = correction_coeffs(sol, pdata)
         base_sol = sol
         prefactor = 1.0 / coeffs.uw
     else:
-        pdata_disc = perturb(sol, ht, "discard")
-        verify_delta_identity(sol, pdata_disc, ht)
+        pdata_disc = _checked_perturb(sol, ht, "discard")
         coeffs = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
         base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 
     base = base_sol.survival(ts)
-    th1, th2 = theta(ts, coeffs, base_sol.w_law, pt, ht)
+    th1, th2 = theta(ts, coeffs, base_sol.w_law, pt, ht, sol)
     corrected_raw = base + eps * prefactor * (th1 + th2)
     simplified_raw = base + eps * prefactor * th1
     return ApproxOutput(

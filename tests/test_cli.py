@@ -189,6 +189,6 @@ def test_cli_approx_mmpp5_within_budget(tmp_path):
     assert main(["approx", "--config", os.path.join(PAPER, "mmpp5.cfg"),
                  "--out", str(out)]) == 0
     elapsed = time.time() - start
-    assert elapsed < 30.0
+    assert elapsed < 10.0
     for variant in ("replace", "discard"):
         assert (out / f"approx_{variant}.csv").exists()

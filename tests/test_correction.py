@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavyq import symbolic_kernel
+from heavyq import correction, symbolic_kernel
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.correction import (
     ApproxOutput,
@@ -438,3 +438,109 @@ def test_erlang_12_3_replace_curve_against_exact_solve():
     assert errs[0] <= 1e-4
     # what is left is the second-order term: halving eps quarters it
     assert 0.2 <= errs[1] / errs[0] <= 0.3
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the arguments of each call."""
+    seen, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, staticmethod(wrapper) if isinstance(owner, type) else wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["erlang(12,3)", "exp3"])
+def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case):
+    # Erlang(12,3): the transform's triple zero at -12 comes out as three
+    # simple zeros; exp(3), the two-state paper run: a zero at the service
+    # pole -3.  Their family coefficients are rounding noise next to those
+    # of the other zeros, so theta builds and heavy-convolves no Erlang block
+    # for them, and the curves do not move.  The blocks that stay are one of
+    # the complex pair at -13.4 +- 2.3i and the zero at -9.09 for Erlang(12,3),
+    # and the zero at -2.94 for exp(3); a complex pair is one block.
+    pt, pole, roots, blocks, noisy = {
+        "erlang(12,3)": (RationalLST.erlang(12.0, 3), 12.0, 3, 2, 2),
+        "exp3": (RationalLST.exponential(3.0), 3.0, 1, 1, 1),
+    }[case]
+    model, ht = mmpp2_model(), abate_whitt(2.0)
+    sol = solve_base(model, pt)
+    assert sum(abs(root + pole) < 1e-3 for root, _ in sol.num_roots) == roots
+    ts = np.linspace(0.25, 8.0, 15)
+    calls = _counting(monkeypatch, correction, "heavy_conv_survival")
+    erlangs = _counting(monkeypatch, ExpPolyMeasure, "erlang")
+    floor = correction.BLOCK_NOISE
+    for variant in ("replace", "discard"):
+        out = {}
+        for noise in (floor, 0.0):
+            monkeypatch.setattr(correction, "BLOCK_NOISE", noise)
+            del calls[:], erlangs[:]
+            out[noise] = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
+            # d and d*d, alone and with each block
+            assert len(calls) == 2 + 2 * (blocks + (0 if noise else noisy))
+            near = [rate for rate, *_ in erlangs if abs(abs(rate) - pole) < 1e-3]
+            assert len(near) == (0 if noise else noisy)
+        skipped, every = out.values()
+        for name in ("theta1", "theta2", "corrected_raw", "simplified_raw"):
+            np.testing.assert_allclose(getattr(skipped, name), getattr(every, name),
+                                       rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# work kept on the base solution across variants and calls
+
+def _assert_same_output(got, want):
+    for name in ("base", "theta1", "theta2", "corrected_raw", "simplified_raw"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_discard_after_replace_on_one_solution_equals_a_fresh_discard():
+    model, pt, ht = mmpp2_model(), RationalLST.exponential(3.0), abate_whitt(2.0)
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
+    sol = solve_base(model, pt)
+    approximate(model, pt, ht, 0.01, t_grid=ts, variant="replace", sol=sol)
+    got = approximate(model, pt, ht, 0.01, t_grid=ts, variant="discard", sol=sol)
+    fresh = approximate(model, pt, abate_whitt(2.0), 0.01, t_grid=ts, variant="discard",
+                        sol=solve_base(model, pt))
+    _assert_same_output(got, fresh)
+
+
+def test_distinct_heavy_tails_on_one_solution_each_equal_their_fresh_results():
+    model, pt = mmpp2_model(), RationalLST.exponential(3.0)
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
+    tails = {kappa: abate_whitt(kappa) for kappa in (2.0, 3.0)}
+    sol = solve_base(model, pt)
+    shared = {(kappa, variant): approximate(model, pt, ht, 0.01, t_grid=ts,
+                                            variant=variant, sol=sol)
+              for kappa, ht in tails.items() for variant in ("replace", "discard")}
+    for (kappa, variant), got in shared.items():
+        fresh = approximate(model, pt, abate_whitt(kappa), 0.01, t_grid=ts, variant=variant,
+                            sol=solve_base(model, pt))
+        _assert_same_output(got, fresh)
+    # the tails do give different corrections
+    assert np.max(np.abs(shared[2.0, "replace"].theta2 - shared[3.0, "replace"].theta2)) > 1e-3
+
+
+def test_perturbation_and_tilted_tails_are_built_once_per_solution_and_tail(monkeypatch):
+    model, pt = mmpp2_model(), RationalLST.exponential(3.0)
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
+    perturbs = _counting(monkeypatch, correction, "perturb")
+    checks = _counting(monkeypatch, correction, "verify_delta_identity")
+    tables = _counting(monkeypatch, correction, "_PsiTable")
+    sols, tails = [solve_base(model, pt) for _ in range(2)], [abate_whitt(2.0), abate_whitt(3.0)]
+    for sol in sols:
+        for ht in tails:
+            for _ in range(2):
+                for variant in ("replace", "discard"):
+                    approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
+    keys = [(id(sol), id(ht), variant) for sol, ht, variant in perturbs]
+    assert sorted(keys) == sorted({(id(s), id(h), v) for s in sols for h in tails
+                                   for v in ("replace", "discard")})
+    assert [args[1].variant for args in checks] == [args[2] for args in perturbs]
+    # one table per solution, tail and positive root (mmpp2 has one); a new
+    # grid end is a new table
+    assert len(tables) == len(sols) * len(tails)
+    approximate(model, pt, tails[0], 0.01, t_grid=ts[:-1], sol=sols[0])
+    assert len(tables) == len(sols) * len(tails) + 1

@@ -1,10 +1,12 @@
-"""The panel rules of the heavy convolutions against adaptive quadrature.
+"""The scan of the heavy convolutions against two earlier routes.
 
-The reference functions below are the scalar ``scipy.integrate.quad``
-implementations the correction layer used before its fixed Gauss-Legendre
-panel rules: one adaptive integral per grid point, with the same cusp
-substitution and the same tilted-tail table.  They are kept here as the
-oracle only.
+The ``quad_*`` functions are the scalar ``scipy.integrate.quad``
+implementations the correction layer used first: one adaptive integral per
+grid point, with the same cusp substitution and the same tilted-tail table.
+The ``composite_*`` functions are the fixed composite Gauss-Legendre rules
+that followed: per grid point, panels in x graded against every rate of Y
+while its term is live, all grid points evaluated together.  Both are kept
+here as oracles only.
 """
 
 import math
@@ -16,13 +18,17 @@ from scipy.integrate import quad
 
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
-from heavyq.correction import _PsiTable, default_grid, heavy_between, heavy_conv_survival
+from heavyq.correction import (BETWEEN_RATE_WIDTH, CONV_RATE_WIDTH, GAUSS4, GAUSS16,
+                               V_PANEL, _PsiTable, default_grid, heavy_between,
+                               heavy_conv_survival)
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
 
 PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
 QUAD_ABS_TOL = 1e-10
 AGREE = 1e-9
+SCAN_AGREE = 1e-12
+DECAY = 50.0   # a term c x^m e^(-a x) is negligible past Re(a) x = DECAY + 5 m
 
 
 def quad_conv_survival(y, ht, ts):
@@ -73,6 +79,92 @@ def quad_between(y, ht, rho, ts, surv_vals, psi):
     return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
 
 
+def _rate_edges(y, x_max, width):
+    """Increasing panel edges from 0 to at least x_max, or up to where every
+    term of y has decayed: no panel is wider than width / |a| for a term with
+    rate a that has not yet decayed past Re(a) x = DECAY + 5 m."""
+    terms = []
+    for a, m, _ in y.terms:
+        decay = complex(a).real
+        terms.append((abs(a), (DECAY + 5 * m) / decay if decay > 0 else math.inf))
+    terms.sort(reverse=True)
+    edges = [np.zeros(1)]
+    left = 0.0
+    for mag, horizon in terms:
+        stop = min(horizon, x_max)
+        if stop > left:
+            step = width / mag
+            edges.append(left + step * np.arange(1, math.ceil((stop - left) / step) + 1))
+            left = float(edges[-1][-1])
+    return np.concatenate(edges)
+
+
+def _composite(ts, edges_of, rule):
+    """Nodes, weights and owning grid index of a composite Gauss-Legendre rule.
+
+    For every t > 0 in ts, edges_of(t) gives increasing panel edges; the
+    result has one row of rule nodes per panel, over all grid points.
+    """
+    lo, hi, owner = [], [], []
+    for idx in np.flatnonzero(ts > 0):
+        edges = edges_of(ts[idx])
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+        owner.append(np.full(edges.size - 1, idx))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    nodes, weights = rule
+    half = 0.5 * (hi - lo)[:, None]
+    return 0.5 * (hi + lo)[:, None] + half * nodes, half * weights, np.concatenate(owner)
+
+
+def _sum_panels(size, owner, values):
+    """Per grid point sum of the weighted node values of its panels."""
+    out = np.zeros(size, dtype=complex)
+    np.add.at(out, owner, values.sum(axis=1))
+    return out
+
+
+def composite_conv_survival(y, ht, ts):
+    """P(Y + E > t) by 16-point panels in v = sqrt(t - x), per t."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.array(y.survival(ts), dtype=complex)
+    if y.atom != 0:
+        out += y.atom * ht.excess_survival(ts)
+    if not y.terms or not np.any(ts > 0):
+        return out
+    x_edges = _rate_edges(y, float(ts.max()), CONV_RATE_WIDTH)
+
+    def v_edges(t):
+        xs = np.union1d(x_edges[x_edges < t], t - np.arange(0.0, math.sqrt(t), V_PANEL) ** 2)
+        return np.sqrt(t - xs)[::-1]
+
+    v, w, owner = _composite(ts, v_edges, GAUSS16)
+    vv = v * v
+    vals = 2.0 * v * w * ht.excess_survival(vv) * y.density(ts[owner][:, None] - vv)
+    return out + _sum_panels(ts.size, owner, vals)
+
+
+def composite_between(y, ht, rho, ts, surv_vals, psi):
+    """P(t < Y + E < t + Exp(rho)) by 4-point panels on each knot interval of
+    psi below t, per t."""
+    ts = np.asarray(ts, dtype=float)
+    i_tail = y.expo_tail_transform(rho, ts)
+    if y.atom != 0:
+        i_tail = i_tail + y.atom * psi(ts)
+    i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
+    conv = np.zeros(ts.size, dtype=complex)
+    if y.terms and np.any(ts > 0):
+        knots = psi.knots
+        x_edges = _rate_edges(y, float(ts.max()), BETWEEN_RATE_WIDTH)
+
+        def edges(t):
+            return np.union1d(x_edges[x_edges < t], t - knots[knots < t])
+
+        x, w, owner = _composite(ts, edges, GAUSS4)
+        conv = _sum_panels(ts.size, owner, w * y.density(x) * psi(ts[owner][:, None] - x))
+    return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
+
+
 def _paper_law(name):
     cfg = parse_config(os.path.join(PAPER, name))
     sol = solve_base(cfg.model, cfg.pt)
@@ -87,6 +179,16 @@ def mmpp2():
     return sol, ht, ts
 
 
+def _assert_scan_agrees(y, ht, rho, ts):
+    surv = heavy_conv_survival(y, ht, ts)
+    want = composite_conv_survival(y, ht, ts)
+    np.testing.assert_allclose(surv, want, rtol=0, atol=SCAN_AGREE)
+    psi = _PsiTable(ht, complex(rho), float(ts.max()))
+    got = heavy_between(y, ht, complex(rho), ts, surv, psi)
+    np.testing.assert_allclose(got, composite_between(y, ht, complex(rho), ts, want, psi),
+                               rtol=0, atol=SCAN_AGREE)
+
+
 def _assert_agree(y, ht, rho, ts):
     surv = heavy_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, quad_conv_survival(y, ht, ts), rtol=0, atol=AGREE)
@@ -94,6 +196,7 @@ def _assert_agree(y, ht, rho, ts):
     got = heavy_between(y, ht, complex(rho), ts, surv, psi)
     want = quad_between(y, ht, complex(rho), ts, surv, psi)
     np.testing.assert_allclose(got, want, rtol=0, atol=AGREE)
+    _assert_scan_agrees(y, ht, rho, ts)
 
 
 def test_mmpp2_base_law_and_self_convolution(mmpp2):
@@ -124,3 +227,38 @@ def test_mmpp5_few_points():
     d_law = sol.w_law
     _assert_agree(d_law, ht, sol.rho_pos[2], ts)
     _assert_agree(d_law.convolve(d_law), ht, sol.rho_pos[0], ts)
+
+
+# ---------------------------------------------------------------------------
+# the scan against the composite rules
+
+@pytest.mark.parametrize("name", ["mmpp2.cfg", "mmpp5.cfg"])
+@pytest.mark.parametrize("grid", ["bench", "cli"])
+def test_scan_matches_composite_on_paper_laws(name, grid):
+    sol, ht = _paper_law(name)
+    ts = default_grid(sol, points=200)
+    if grid == "bench":
+        ts = np.unique(np.r_[ts[::8], ts[-1]])
+    d_law = sol.w_law
+    # mmpp5's first positive root is complex
+    for y, rho in ((d_law, sol.rho_pos[0]), (d_law.convolve(d_law), sol.rho_pos[-1])):
+        _assert_scan_agrees(y, ht, rho, ts)
+
+
+def test_scan_matches_composite_on_a_complex_erlang_block_of_shape_2(mmpp2):
+    sol, ht, ts = mmpp2
+    y = sol.w_law.convolve(ExpPolyMeasure.erlang(2.5 + 1.5j, 2))
+    _assert_scan_agrees(y, ht, 4.0 + 1.0j, ts)
+
+
+@pytest.mark.parametrize("term", [(40.0, 0, 40.0), (40.0, 2, 40.0 ** 3 / 2),
+                                  (1.5, 2, 1.5 ** 3 / 2), (0.05, 0, 0.05)],
+                         ids=["fast", "fast-power2", "power2", "slow"])
+def test_scan_carries_state_across_the_grid(term):
+    # the grid starts at t = 0; a rate-40 term decays by e^-29 over a step of
+    # the dense part, and e^(-40 L) underflows to 0 over the last two steps;
+    # the slow term never decays much
+    ht = abate_whitt(2.0)
+    ts = np.unique(np.r_[0.0, np.geomspace(1e-3, 5.0, 40), np.linspace(5.0, 225.0, 300),
+                         250.0, 400.0])
+    _assert_scan_agrees(ExpPolyMeasure(atom=0.0, terms=(term,)), ht, 1.3, ts)
