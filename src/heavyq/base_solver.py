@@ -273,6 +273,12 @@ class BaseSolution:
         """Laurent data of the correction families, computed on first use."""
         return _laurent_families(self)
 
+    @cached_property
+    def kept(self) -> dict:
+        """Store for what the correction derives from this solution and one
+        heavy tail (perturbations, tilted-tail tables); see correction._kept."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Families:

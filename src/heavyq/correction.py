@@ -25,11 +25,12 @@ matches the former per-point composite rules within 1e-12 and adaptive
 quad within 1e-9 (tests/test_quadrature_reference.py).
 
 What depends only on the base solution and the heavy tail is built once per
-solution and kept on it, as its families are: the replace and discard
+solution and kept on it (BaseSolution.kept): the replace and discard
 perturbations with their delta-identity checks, and the tilted-tail table
-per positive root and grid end.  Approximating both variants, or the same
-variant again, on one solution repeats none of that work, and every check
-still runs when its value is first built.
+per positive root for the latest grid end.  Approximating both variants, or
+the same variant again, on one solution with one tail repeats none of that
+work, and every check still runs when its value is first built.  The store
+holds one tail at a time, so another tail rebuilds it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ CONV_RATE_WIDTH = 8.0      # |a| * panel width in x, 16-point panels of Y + E
 BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
 V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
 GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
-BLOCK_NOISE = 1e-12        # theta skips Erlang blocks whose coefficients are below this
-                           # times the largest family coefficient
+BLOCK_NOISE = 1e-12        # theta skips Erlang blocks whose size is below this times
+                           # the largest size of a correction term (sizes in theta)
 
 
 class CorrectionError(RuntimeError):
@@ -169,7 +170,9 @@ def _scan(y: ExpPolyMeasure, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> 
 
 def _panels(edges: np.ndarray, width: float) -> tuple:
     """Ends of the panels that split each interval of the increasing edges
-    into equal pieces no wider than width."""
+    into equal pieces no wider than width (none for fewer than two edges)."""
+    if edges.size < 2:
+        return edges[:0], edges[:0]
     spans = np.diff(edges)
     pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
     owner = np.repeat(np.arange(pieces.size), pieces)
@@ -193,7 +196,7 @@ def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
     """Nodes tau = t - x and weights times P(E > tau) for heavy_conv_survival:
     16-point Gauss-Legendre panels in v = sqrt(tau) between v = k V_PANEL and
     sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH / rate in tau."""
-    t_max = float(ts.max())
+    t_max = float(ts.max(initial=0.0))
     edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
                        ts[ts > 0])
     v, w = _gauss(*np.sqrt(_panels(edges, CONV_RATE_WIDTH / rate)), GAUSS16)
@@ -205,18 +208,18 @@ def _between_nodes(psi: "_PsiTable", ts: np.ndarray, rate: float) -> tuple:
     """Nodes tau = t - x and weights times psi(tau) for heavy_between: 4-point
     Gauss-Legendre panels between the knots of psi and the grid points, no
     wider than BETWEEN_RATE_WIDTH / rate."""
-    t_max = float(ts.max())
+    t_max = float(ts.max(initial=0.0))
     edges = np.union1d(psi.knots[psi.knots < t_max], ts[ts > 0])
     tau, w = _gauss(*_panels(edges, BETWEEN_RATE_WIDTH / rate), GAUSS4)
     return tau, w * psi(tau)
 
 
-def heavy_conv_survival(y: ExpPolyMeasure, ht, ts, nodes: tuple | None = None) -> np.ndarray:
+def heavy_conv_survival(y: ExpPolyMeasure, ht, ts, nodes: tuple) -> np.ndarray:
     """P(Y + E > t) for an exp-poly law Y and the heavy excess E, per t.
 
-    The integral of f_Y(t - tau) P(E > tau) over [0, t] is one scan over the
-    nodes of _conv_nodes, built here unless passed in (theta passes one table,
-    for a rate at least every |a| of its laws).  Y may be complex-valued.
+    The integral of f_Y(t - tau) P(E > tau) over [0, t] is one scan over
+    nodes = _conv_nodes(ht, ts, rate) for a rate at least every |a| of Y
+    (theta builds one table for all its laws).  Y may be complex-valued.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.array(y.survival(ts), dtype=complex)
@@ -224,7 +227,7 @@ def heavy_conv_survival(y: ExpPolyMeasure, ht, ts, nodes: tuple | None = None) -
         out += y.atom * ht.excess_survival(ts)
     if not y.terms or not np.any(ts > 0):
         return out
-    return out + _scan(y, *(nodes or _conv_nodes(ht, ts, _max_rate(y))), ts)
+    return out + _scan(y, *nodes, ts)
 
 
 class _PsiTable:
@@ -266,13 +269,11 @@ class _PsiTable:
 
 
 def heavy_between(y: ExpPolyMeasure, ht, rho: complex, ts,
-                  surv_vals: np.ndarray, psi: _PsiTable,
-                  nodes: tuple | None = None) -> np.ndarray:
+                  surv_vals: np.ndarray, psi: _PsiTable, nodes: tuple) -> np.ndarray:
     """P(t < Y + E < t + Exp(rho)) using a precomputed survival of Y + E.
 
-    The convolution of f_Y with the tilted tail psi is one scan over the
-    nodes of _between_nodes, built here unless passed in (for a rate at least
-    every |a| of Y).
+    The convolution of f_Y with the tilted tail psi is one scan over
+    nodes = _between_nodes(psi, ts, rate) for a rate at least every |a| of Y.
     """
     ts = np.asarray(ts, dtype=float)
     i_tail = y.expo_tail_transform(rho, ts)
@@ -280,7 +281,7 @@ def heavy_between(y: ExpPolyMeasure, ht, rho: complex, ts,
         i_tail = i_tail + y.atom * psi(ts)
     i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
     if y.terms and np.any(ts > 0):
-        i_tail = i_tail + _scan(y, *(nodes or _between_nodes(psi, ts, _max_rate(y))), ts)
+        i_tail = i_tail + _scan(y, *nodes, ts)
     return np.asarray(surv_vals, dtype=complex) - rho * i_tail
 
 
@@ -310,7 +311,10 @@ def conv_survival(x: ExpPolyMeasure, extra: str | None = None,
     if extra == "excess_ht":
         if ht is None:
             raise CorrectionError("excess_ht addition needs the heavy tail")
-        return lambda ts: heavy_conv_survival(y, ht, ts)
+        def survival(ts):
+            ts = np.asarray(ts, dtype=float)
+            return heavy_conv_survival(y, ht, ts, _conv_nodes(ht, ts, _max_rate(y)))
+        return survival
     raise CorrectionError(f"unknown addition {extra!r}")
 
 
@@ -325,9 +329,10 @@ def between_prob(x, rho: complex, ts, ht=None):
         return x.between_exp(rho, ts)
     y, heavy = x
     ts = np.asarray(ts, dtype=float)
-    surv = heavy_conv_survival(y, heavy, ts)
+    rate = _max_rate(y)
+    surv = heavy_conv_survival(y, heavy, ts, _conv_nodes(heavy, ts, rate))
     psi = _PsiTable(heavy, complex(rho), float(ts.max()) if ts.size else 1.0)
-    return heavy_between(y, heavy, complex(rho), ts, surv, psi)
+    return heavy_between(y, heavy, complex(rho), ts, surv, psi, _between_nodes(psi, ts, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +350,34 @@ def _paired(values):
     return out
 
 
-def _kept(sol: BaseSolution, ht, key: tuple, build):
-    """build() on the first request for (ht, key) on sol, the kept value after.
+def _kept(sol: BaseSolution, ht, key: tuple, stamp, build):
+    """The value build() made for key with the heavy tail ht on sol, kept
+    until the tail or the stamp changes.
 
-    The values live on the solution, as sol.families does, so every variant
-    approximated on one solution shares them.  Each entry holds ht itself,
-    so no other tail can take over its id while the entry lives.
+    The store is sol.kept, so every variant approximated on one solution
+    shares it.  It holds one tail's values, one per key: a request with
+    another tail object empties it, and a new stamp (a grid end) replaces the
+    key's value, so sweeping tails or grids on one solution keeps nothing
+    older alive.
     """
-    store = sol.__dict__.setdefault("_kept", {})
-    entry = store.get((id(ht), *key))
-    if entry is None:
-        entry = store[(id(ht), *key)] = (ht, build())
+    store = sol.kept
+    if store.get("tail") is not ht:
+        store.clear()
+        store["tail"] = ht
+    entry = store.get(key)
+    if entry is None or entry[0] != stamp:
+        entry = store[key] = (stamp, build())
     return entry[1]
 
 
 def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
-          pt: RationalLST, ht, sol: BaseSolution | None = None) -> tuple:
+          pt: RationalLST, ht, sol: BaseSolution) -> tuple:
     """Theta_1 and Theta_2 on the grid, per the variant's printed recipe.
 
     base_law is the delay law the convolutions run over: the replace base
     delay for the replace variant, the discard base delay for the discard
-    one.  sol, when given, is the base solution the coefficients came from;
-    the tilted-tail tables are then kept on it for later calls.  Both
+    one.  sol is the base solution the coefficients came from; the
+    tilted-tail tables are kept on it (_kept) for later calls.  Both
     returned arrays are real; residual imaginary parts beyond 1e-10 raise.
     """
     ts = np.asarray(ts, dtype=float)
@@ -378,19 +389,27 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
         ep = pt.excess_measure()
         d_ep, dd_ep = d_law.convolve(ep), dd_law.convolve(ep)
 
-    # Erlang blocks at the numerator roots, less those at rounding-noise level
+    # Erlang blocks at the numerator roots, less those at rounding-noise
+    # level.  A term's size is the largest factor it puts on a probability:
+    # the beta and gamma families enter times mh (and mp for replace), and
+    # the root terms of theta2 divided by their root.
+    scale = mh if discard else max(mh, mp)
     fam = (coeffs.alpha_jl, coeffs.beta_jl, coeffs.gamma_jl)
-    every = [*coeffs.alpha_k, *coeffs.beta_k, *coeffs.gamma_k,
-             *(c for f in fam for c in f.values())]
-    floor = BLOCK_NOISE * max(map(abs, every), default=0.0)
+
+    def size(a, b, g):
+        return max(abs(a), scale * abs(b), scale * abs(g))
+
+    sizes = [size(*(f[jl] for f in fam)) for jl in coeffs.alpha_jl]
+    sizes += [size(*abg) / abs(rho) for *abg, rho in zip(
+        coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k, coeffs.rho_pos)]
+    floor = BLOCK_NOISE * max(sizes, default=0.0)
     blocks = [(j, weight, l) for j, weight in _paired([s for s, _ in coeffs.num_roots])
               for l in range(1, coeffs.num_roots[j][1] + 1)
-              if max(abs(f[(j, l)]) for f in fam) > floor]
+              if size(*(f[(j, l)] for f in fam)) > floor]
 
     # one node table per kernel for the heavy convolutions of every law below
-    live = np.any(ts > 0)
     rate = max([_max_rate(d_law)] + [abs(coeffs.num_roots[j][0]) for j, _, _ in blocks])
-    nodes = _conv_nodes(ht, ts, rate) if live else None
+    nodes = _conv_nodes(ht, ts, rate)
     s_d = np.array(d_law.survival(ts), dtype=complex)
     s_d_eh = heavy_conv_survival(d_law, ht, ts, nodes)
     s_dd_eh = heavy_conv_survival(dd_law, ht, ts, nodes)
@@ -438,12 +457,9 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
     tau_max = float(ts.max()) if ts.size else 1.0
     for k, weight in _paired(coeffs.rho_pos):
         rho = complex(coeffs.rho_pos[k])
-        if sol is None:
-            psi = _PsiTable(ht, rho, tau_max)
-        else:
-            psi = _kept(sol, ht, ("psi", rho, tau_max), lambda: _PsiTable(ht, rho, tau_max))
+        psi = _kept(sol, ht, ("psi", rho), tau_max, lambda: _PsiTable(ht, rho, tau_max))
         b_d = d_law.between_exp(rho, ts)
-        psi_nodes = _between_nodes(psi, ts, _max_rate(d_law)) if live else None
+        psi_nodes = _between_nodes(psi, ts, _max_rate(d_law))
         b_d_eh = heavy_between(d_law, ht, rho, ts, s_d_eh, psi, psi_nodes)
         b_dd_eh = heavy_between(dd_law, ht, rho, ts, s_dd_eh, psi, psi_nodes)
         ak, bk, gk = coeffs.alpha_k[k], coeffs.beta_k[k], coeffs.gamma_k[k]
@@ -473,7 +489,7 @@ def _checked_perturb(sol: BaseSolution, ht, variant: str) -> PerturbationData:
         pdata = perturb(sol, ht, variant)
         verify_delta_identity(sol, pdata, ht)
         return pdata
-    return _kept(sol, ht, ("perturb", variant), build)
+    return _kept(sol, ht, ("perturb", variant), None, build)
 
 
 @dataclass(frozen=True)
@@ -536,7 +552,9 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     scaled by eps / (u . omega).  variant "discard": base is the delay under
     the thinned service law (1-eps) q/p + eps solved exactly (a fluid solve
     that expands no subset sums), coefficients use z - z_discard, and the
-    prefactor uses u + eps z_discard.
+    prefactor uses u + eps z_discard.  The perturbations and tilted-tail
+    tables for ht are kept on sol (BaseSolution.kept) for later calls with
+    the same sol and ht; a call with another tail replaces them.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")

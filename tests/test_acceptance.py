@@ -225,7 +225,7 @@ def test_criterion_07_first_order_scaling(two_state):
 
     pdata = perturb(bundle.sol, bundle.ht, "replace")
     coeffs = correction_coeffs(bundle.sol, pdata)
-    th1, th2 = theta(ts, coeffs, bundle.sol.w_law, bundle.pt, bundle.ht)
+    th1, th2 = theta(ts, coeffs, bundle.sol.w_law, bundle.pt, bundle.ht, bundle.sol)
     th = (th1 + th2) / coeffs.uw
     base = bundle.sol.survival(ts)
     sups = []

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from heavyq.correction import (
     heavy_conv_survival,
     theta,
 )
-from heavyq.heavytail import abate_whitt, phase_type_tail
+from heavyq.heavytail import abate_whitt, custom_heavytail, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
 from heavyq.model import build_marp, build_mmpp
 from heavyq.oracle import exact_solve
@@ -217,7 +220,7 @@ def test_heavy_conv_survival_quadrature_oracle():
     ht = abate_whitt(2.0)
     law = ExpPolyMeasure(atom=0.4, terms=((2.0, 0, 1.2),))
     ts = np.array([0.3, 1.0, 4.0])
-    got = heavy_conv_survival(law, ht, ts)
+    got = heavy_conv_survival(law, ht, ts, correction._conv_nodes(ht, ts, 2.0))
     for idx, t in enumerate(ts):
         direct = quad(lambda x: 1.2 * np.exp(-2.0 * x)
                       * float(ht.excess_survival(np.array([t - x]))[0]), 0, t,
@@ -260,7 +263,7 @@ def test_theta_zero_for_identical_tail(toy_setup):
     pdata = perturb(sol, ht_pt, "replace")
     coeffs = correction_coeffs(sol, pdata)
     ts = np.linspace(0.0, 8.0, 15)
-    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht_pt)
+    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht_pt, sol)
     # identical laws travel through closed-form and quadrature routes, which
     # leaves integration noise at the 1e-9 scale
     np.testing.assert_allclose(th1, 0.0, atol=1e-8)
@@ -274,7 +277,7 @@ def test_theta_limit_oracle_mmpp2(mmpp2_setup):
     eps = 0.002
     exact = exact_solve(model, pt, ht, eps, base=sol, deltas=pdata.delta)
     ts = np.linspace(0.25, 20.0, 12)
-    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht)
+    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht, sol)
     th = (th1 + th2) / coeffs.uw
     base = sol.survival(ts)
     for idx, t in enumerate(ts):
@@ -452,23 +455,44 @@ def _counting(monkeypatch, owner, name):
     return seen
 
 
+def _in_time_unit(unit, model_rates, pt_factory):
+    """The mmpp2 model with service pt_factory(scale) and abate_whitt(2.0),
+    with time measured in units of 1/unit: every rate divided by unit and
+    the heavy tail's mean multiplied by it."""
+    model = build_mmpp([r / unit for r in model_rates], [8.0 / 9.0, 3.0 / 100.0])
+    base = abate_whitt(2.0)
+    if unit == 1.0:
+        return model, pt_factory(1.0), base
+    ht = custom_heavytail(base.mean * unit, lambda s: base.excess_lst(np.asarray(s) * unit),
+                          excess_survival=lambda t: base.excess_survival(np.asarray(t) / unit))
+    return model, pt_factory(1.0 / unit), ht
+
+
+@pytest.mark.parametrize("unit", [1.0, 1000.0], ids=["unit1", "unit1000"])
 @pytest.mark.parametrize("case", ["erlang(12,3)", "exp3"])
-def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case):
+def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
     # Erlang(12,3): the transform's triple zero at -12 comes out as three
     # simple zeros; exp(3), the two-state paper run: a zero at the service
     # pole -3.  Their family coefficients are rounding noise next to those
     # of the other zeros, so theta builds and heavy-convolves no Erlang block
     # for them, and the curves do not move.  The blocks that stay are one of
     # the complex pair at -13.4 +- 2.3i and the zero at -9.09 for Erlang(12,3),
-    # and the zero at -2.94 for exp(3); a complex pair is one block.
-    pt, pole, roots, blocks, noisy = {
-        "erlang(12,3)": (RationalLST.erlang(12.0, 3), 12.0, 3, 2, 2),
-        "exp3": (RationalLST.exponential(3.0), 3.0, 1, 1, 1),
+    # and the zero at -2.94 for exp(3); a complex pair is one block.  In a
+    # time unit 1000 times longer (heavy-tail mean 500) the same blocks stay;
+    # there the root finder returns -12 as one triple zero, three blocks.
+    factory, pole, roots, blocks = {
+        "erlang(12,3)": (lambda f: RationalLST.erlang(12.0 * f, 3), 12.0, 3, 2),
+        "exp3": (lambda f: RationalLST.exponential(3.0 * f), 3.0, 1, 1),
     }[case]
-    model, ht = mmpp2_model(), abate_whitt(2.0)
+    model, pt, ht = _in_time_unit(unit, [10.0, 0.5], factory)
+    pole = pole / unit
+    near_pole = 1e-3 / unit
     sol = solve_base(model, pt)
-    assert sum(abs(root + pole) < 1e-3 for root, _ in sol.num_roots) == roots
-    ts = np.linspace(0.25, 8.0, 15)
+    at_pole = [(root, mult) for root, mult in sol.num_roots if abs(root + pole) < near_pole]
+    assert sum(mult for _, mult in at_pole) == roots
+    noisy = sum(mult for root, mult in at_pole if complex(root).imag >= 0)
+    assert noisy == {(1.0, "erlang(12,3)"): 2, (1000.0, "erlang(12,3)"): 3}.get((unit, case), 1)
+    ts = np.linspace(0.25, 8.0, 15) * unit
     calls = _counting(monkeypatch, correction, "heavy_conv_survival")
     erlangs = _counting(monkeypatch, ExpPolyMeasure, "erlang")
     floor = correction.BLOCK_NOISE
@@ -480,7 +504,7 @@ def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case):
             out[noise] = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
             # d and d*d, alone and with each block
             assert len(calls) == 2 + 2 * (blocks + (0 if noise else noisy))
-            near = [rate for rate, *_ in erlangs if abs(abs(rate) - pole) < 1e-3]
+            near = [rate for rate, *_ in erlangs if abs(abs(rate) - pole) < near_pole]
             assert len(near) == (0 if noise else noisy)
         skipped, every = out.values()
         for name in ("theta1", "theta2", "corrected_raw", "simplified_raw"):
@@ -539,8 +563,27 @@ def test_perturbation_and_tilted_tails_are_built_once_per_solution_and_tail(monk
     assert sorted(keys) == sorted({(id(s), id(h), v) for s in sols for h in tails
                                    for v in ("replace", "discard")})
     assert [args[1].variant for args in checks] == [args[2] for args in perturbs]
-    # one table per solution, tail and positive root (mmpp2 has one); a new
-    # grid end is a new table
+    # one table per solution, tail and positive root (mmpp2 has one)
     assert len(tables) == len(sols) * len(tails)
-    approximate(model, pt, tails[0], 0.01, t_grid=ts[:-1], sol=sols[0])
-    assert len(tables) == len(sols) * len(tails) + 1
+    # a new grid end replaces the root's table, and the latest one is reused;
+    # the perturbations stay
+    sol, ht, kept = sols[0], tails[-1], len(sols[0].kept)
+    for grid in (ts[:-1], ts[:-1], ts, ts):
+        approximate(model, pt, ht, 0.01, t_grid=grid, sol=sol)
+    assert len(tables) == len(sols) * len(tails) + 2
+    assert len(perturbs) == len(keys)
+    assert len(sol.kept) == kept
+
+
+def test_a_solution_keeps_only_its_latest_heavy_tail_alive():
+    model, pt = mmpp2_model(), RationalLST.exponential(3.0)
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
+    sol = solve_base(model, pt)
+    refs = []
+    for kappa in (2.0, 3.0, 4.0):
+        ht = abate_whitt(kappa)
+        refs.append(weakref.ref(ht))
+        approximate(model, pt, ht, 0.01, t_grid=ts, variant="discard", sol=sol)
+        del ht
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]

@@ -19,7 +19,8 @@ from scipy.integrate import quad
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (BETWEEN_RATE_WIDTH, CONV_RATE_WIDTH, GAUSS4, GAUSS16,
-                               V_PANEL, _PsiTable, default_grid, heavy_between,
+                               V_PANEL, _between_nodes, _conv_nodes, _max_rate,
+                               _PsiTable, default_grid, heavy_between,
                                heavy_conv_survival)
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
@@ -179,21 +180,29 @@ def mmpp2():
     return sol, ht, ts
 
 
+def scan_conv_survival(y, ht, ts):
+    return heavy_conv_survival(y, ht, ts, _conv_nodes(ht, ts, _max_rate(y)))
+
+
+def scan_between(y, ht, rho, ts, surv, psi):
+    return heavy_between(y, ht, rho, ts, surv, psi, _between_nodes(psi, ts, _max_rate(y)))
+
+
 def _assert_scan_agrees(y, ht, rho, ts):
-    surv = heavy_conv_survival(y, ht, ts)
+    surv = scan_conv_survival(y, ht, ts)
     want = composite_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, want, rtol=0, atol=SCAN_AGREE)
     psi = _PsiTable(ht, complex(rho), float(ts.max()))
-    got = heavy_between(y, ht, complex(rho), ts, surv, psi)
+    got = scan_between(y, ht, complex(rho), ts, surv, psi)
     np.testing.assert_allclose(got, composite_between(y, ht, complex(rho), ts, want, psi),
                                rtol=0, atol=SCAN_AGREE)
 
 
 def _assert_agree(y, ht, rho, ts):
-    surv = heavy_conv_survival(y, ht, ts)
+    surv = scan_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, quad_conv_survival(y, ht, ts), rtol=0, atol=AGREE)
     psi = _PsiTable(ht, complex(rho), float(ts.max()))
-    got = heavy_between(y, ht, complex(rho), ts, surv, psi)
+    got = scan_between(y, ht, complex(rho), ts, surv, psi)
     want = quad_between(y, ht, complex(rho), ts, surv, psi)
     np.testing.assert_allclose(got, want, rtol=0, atol=AGREE)
     _assert_scan_agrees(y, ht, rho, ts)
