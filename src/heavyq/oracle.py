@@ -11,10 +11,11 @@ so it needs N <= N_CAP and its cost grows like 3^N.
 
 invert evaluates the transform once per call, on the matrix of Euler
 abscissae of all its t; both Euler estimates come from one cumulative sum
-over those values.  The simulator walks the environment's state path in a
-short loop and does the rest (real-arrival flags, services, the Lindley
-recursion for the delays) as array arithmetic on the same uniform streams
-the per-transition loop drew, so a seed gives the same customers.
+over those values.  The simulator walks the environment's state path by
+blocks from one successor table and does the rest (real-arrival flags,
+services, the Lindley recursion for the delays) as array arithmetic on the
+same uniform streams the per-transition loop drew, so a seed gives the same
+customers.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ def invert(transform, t, tol: float = 1e-7):
     rows = np.atleast_1d(ts)
     if rows.ndim != 1:
         raise OracleError("inversion takes a scalar t or a 1-D array of t")
+    bad = rows[~np.isfinite(rows)]
+    if bad.size:
+        raise OracleError(f"inversion requires a finite t, got t={bad[0]}")
     if np.any(rows <= 0):
-        raise OracleError("inversion requires t > 0")
+        raise OracleError(f"inversion requires t > 0, got t={rows[rows <= 0][0]}")
     a_param = min(2.0 * abs(math.log(tol)), EULER_MAX_DAMP)
     k = np.arange(EULER_TERMS + 4 + EULER_AVG + 1)
     s = np.empty((rows.size, k.size), dtype=complex)
@@ -283,6 +287,66 @@ def service_samplers(pt: RationalLST, ht):
     return ph_sample, _inverse_cdf_table(ht.service_survival, ht.mean)
 
 
+def _successor_table(cum_p: np.ndarray):
+    """Sorted thresholds g and the successor table of the environment.
+
+    cum_p[i] is row i of the cumulative transition matrix, with last entry 1.
+    A uniform u in [0, 1) falls in bucket b = searchsorted(g, u, side="right"),
+    the number of thresholds <= u.  table[b, i] is the successor of state i
+    for any u in bucket b, min(searchsorted(cum_p[i], u, side="right"), n - 1);
+    it depends on u only through b because every entry of cum_p[i] but the
+    last is in g.  The extra last row maps each state to itself, the
+    identity step that pads a walk.
+    """
+    n = cum_p.shape[0]
+    thresholds = np.unique(cum_p[:, :-1])
+    table = np.empty((thresholds.size + 2, n), dtype=np.intp)
+    # bucket 0 lies below every threshold; bucket b > 0 starts at g[b - 1]
+    table[0] = 0
+    for i in range(n):
+        table[1:-1, i] = np.minimum(np.searchsorted(cum_p[i], thresholds, side="right"), n - 1)
+    table[-1] = np.arange(n)
+    return thresholds, table
+
+
+def _walk_path(thresholds: np.ndarray, table: np.ndarray, u_next: np.ndarray,
+               state: int) -> np.ndarray:
+    """States 0 .. L of the path from state driven by the L uniforms u_next.
+
+    thresholds and table come from _successor_table.  The walk is a
+    two-pass prefix scan by blocks (Blelloch 1990) over compositions of the
+    maps table[b].  The steps are cut into blocks of width isqrt(L), the
+    last one padded with identity steps.  Pass 1 maps every state through
+    every block at once; a loop over the blocks fixes each block's start
+    state; pass 2 walks all blocks together from their starts.  Each step
+    is one gather from the flat table at n * bucket + state.
+    """
+    n_buckets, n = table.shape
+    n_steps = u_next.size
+    width = math.isqrt(n_steps)
+    n_blocks = -(-n_steps // width)
+    offsets = np.full(n_blocks * width, n_buckets - 1, dtype=np.intp)
+    offsets[:n_steps] = np.searchsorted(thresholds, u_next, side="right")
+    # offsets[k, j]: the row of step k of block j, times n
+    offsets = np.ascontiguousarray(offsets.reshape(n_blocks, width).T) * n
+    flat = table.ravel()
+    ends = np.repeat(np.arange(n)[:, None], n_blocks, axis=1)
+    for row in offsets:
+        ends = flat[row + ends]
+    ends = ends.T.tolist()   # ends[j][i]: block j entered in state i ends here
+    starts = [0] * n_blocks
+    cur = state
+    for j in range(n_blocks):
+        starts[j] = cur
+        cur = ends[j][cur]
+    path = np.empty((width, n_blocks), dtype=np.intp)
+    at = np.array(starts, dtype=np.intp)
+    for k, row in enumerate(offsets):
+        path[k] = at
+        at = flat[row + at]
+    return np.append(path.T.ravel()[:n_steps], cur)
+
+
 def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
                   n_customers: int, seed: int) -> np.ndarray:
     """Delays of the first n_customers real customers, in arrival order.
@@ -291,10 +355,10 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     transition i -> j brings a real customer with probability q_real[i, j],
     whose service is heavy with probability eps.  Each chunk of transitions
     draws five uniform streams in a fixed order (next state, real flag,
-    mixture component, service quantile, sojourn).  The successors of every
-    state come from one searchsorted over the chunk and a short loop walks
-    the state path; everything else is array arithmetic.  The workload just
-    before transition k is the Lindley recursion
+    mixture component, service quantile, sojourn).  The state path comes
+    from one successor table, built once, and a walk by blocks over the
+    chunk (_walk_path); everything else is array arithmetic.  The workload
+    just before transition k is the Lindley recursion
     V_k = max(V_{k-1} + service_{k-1} - drain_k, 0), which is
     S_k - min(0, min_{j<=k} S_j) for the partial sums S of its increments
     (Lindley 1952); the workload and the state carry across chunks.
@@ -303,6 +367,7 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     n = model.n_states
     cum_p = np.cumsum(model.trans, axis=1)
     cum_p[:, -1] = 1.0
+    thresholds, table = _successor_table(cum_p)
     ph_sample, heavy_sample = service_samplers(pt, ht)
 
     chunk = SIM_CHUNK
@@ -316,15 +381,7 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
         u_mix = rng.random(chunk)
         u_q = rng.random(chunk)
         expo = rng.exponential(1.0, chunk)
-        succ = [np.minimum(np.searchsorted(cum_p[i], u_next, side="right"), n - 1).tolist()
-                for i in range(n)]
-        path = [0] * (chunk + 1)
-        cur = state
-        for k in range(chunk):
-            path[k] = cur
-            cur = succ[cur][k]
-        path[chunk] = cur
-        path = np.array(path)
+        path = _walk_path(thresholds, table, u_next, state)
         real = np.flatnonzero(u_real < model.q_real[path[:-1], path[1:]])
         real = real[:n_customers - got]
         # transitions after the last customer needed are not simulated
@@ -343,7 +400,7 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
         delays[got:got + real.size] = before[real]
         got += real.size
         workload = before[-1] + added[-1]
-        state = cur
+        state = int(path[-1])
     return delays
 
 
@@ -356,13 +413,17 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
     """
     if n_customers < 10 ** 4:
         raise OracleError("simulation needs at least 1e4 customers")
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        bad = grid[~np.isfinite(grid)]
+        if bad.size:
+            raise OracleError(f"simulation grid must be finite, got t={bad[0]}")
     if stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean) <= 0:
         raise OracleError("refusing to simulate an unstable model")
     delays = waiting_times(model, pt, ht, eps, n_customers, seed)
 
     if grid is None:
         grid = np.linspace(0.0, np.quantile(delays, 0.999), 30)
-    grid = np.asarray(grid, dtype=float)
     # batch means absorb the serial correlation of consecutive delays, which
     # is substantial at high load; iid half-widths would be far too narrow
     n_batches = 50

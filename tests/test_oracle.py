@@ -52,6 +52,14 @@ def test_invert_rejects_nonpositive_time():
         invert(lambda s: 1.0 / (1.0 + s), 0.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_invert_rejects_nonfinite_time(t):
+    with pytest.raises(OracleError, match=f"finite t, got t={t}"):
+        invert(lambda s: 3.0 / (3.0 + s), t)
+    with pytest.raises(OracleError, match=f"got t={t}"):
+        invert(lambda s: 3.0 / (3.0 + s), np.array([1.0, t, 2.0]))
+
+
 def test_invert_flags_bad_transform():
     # a transform that grows along the contour cannot settle
     with pytest.raises(InversionOscillation):
@@ -169,6 +177,13 @@ def test_simulate_deterministic():
     b = simulate(model, pt, ht, 0.01, 10 ** 4, seed=3, grid=g)
     assert np.array_equal(a.survival, b.survival)
     assert np.array_equal(a.half_width, b.half_width)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_simulate_rejects_nonfinite_grid(t):
+    with pytest.raises(OracleError, match=f"grid must be finite, got t={t}"):
+        simulate(poisson_model(1.0), RationalLST.exponential(3.0), abate_whitt(2.0),
+                 0.01, 10 ** 4, seed=3, grid=[0.5, t, 1.0])
 
 
 def test_simulate_refuses_unstable():

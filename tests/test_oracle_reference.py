@@ -7,6 +7,7 @@ simulator's per-transition loop over the same five uniform streams.  They
 are kept here as the oracle only.
 """
 
+import bisect
 import math
 import os
 
@@ -89,6 +90,22 @@ def loop_waiting_times(model, pt, ht, eps, n_customers, seed, chunk=10 ** 5):
     return delays
 
 
+def loop_path(cum_p, u_next, state):
+    """States before each transition and after the last, one search per step."""
+    n = cum_p.shape[0]
+    rows = cum_p.tolist()
+    path = [state]
+    for u in u_next.tolist():
+        state = min(bisect.bisect_right(rows[state], u), n - 1)
+        path.append(state)
+    return np.array(path)
+
+
+def blocked_path(cum_p, u_next, state):
+    thresholds, table = oracle._successor_table(cum_p)
+    return oracle._walk_path(thresholds, table, u_next, state)
+
+
 def batch_means(delays, grid, n_batches=50):
     batched = delays[:(delays.size // n_batches) * n_batches].reshape(n_batches, -1)
     per_batch = np.stack([(batched > t).mean(axis=1) for t in grid], axis=1)
@@ -129,6 +146,65 @@ def test_workload_and_state_carry_across_chunks(model_name, monkeypatch):
     want = loop_waiting_times(model, pt, ht, 0.01, 20_000, 5, chunk=997)
     got = waiting_times(model, pt, ht, 0.01, 20_000, 5)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def cumulative(trans):
+    cum_p = np.cumsum(trans, axis=1)
+    cum_p[:, -1] = 1.0
+    return cum_p
+
+
+def random_cumulative(n, seed):
+    rng = np.random.default_rng(seed)
+    trans = rng.random((n, n))
+    return cumulative(trans / trans.sum(axis=1, keepdims=True))
+
+
+# rows with zero-probability transitions: repeated cumulative values, a zero
+# first threshold, and thresholds shared between rows
+SPARSE = cumulative(np.array([[0.0, 0.5, 0.0, 0.5, 0.0],
+                              [0.3, 0.0, 0.0, 0.7, 0.0],
+                              [0.0, 0.0, 0.0, 0.0, 1.0],
+                              [0.25, 0.25, 0.25, 0.25, 0.0],
+                              [0.5, 0.0, 0.5, 0.0, 0.0]]))
+WALK_CASES = {"n1": cumulative(np.ones((1, 1))), "n2": random_cumulative(2, 1),
+              "n5": random_cumulative(5, 2), "n8": random_cumulative(8, 3),
+              "sparse": SPARSE}
+
+
+def walk_uniforms(cum_p, length, seed):
+    """Uniforms in [0, 1), about a third of them exactly on a threshold."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(length)
+    ties = np.append(cum_p[:, :-1].ravel(), 0.0)
+    ties = ties[ties < 1.0]
+    on = rng.random(length) < 1 / 3
+    u[on] = rng.choice(ties, on.sum())
+    return u
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+@pytest.mark.parametrize("length", [1, 2, 997, 10 ** 5])
+def test_blocked_walk_equals_the_loop(case, length):
+    cum_p = WALK_CASES[case]
+    u = walk_uniforms(cum_p, length, seed=length)
+    for state in range(cum_p.shape[0]):
+        assert np.array_equal(blocked_path(cum_p, u, state), loop_path(cum_p, u, state))
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_blocked_walk_carries_the_state_across_calls(case):
+    # 997 = 31 * 32 + 5 steps leave the last block of width 31 part padding
+    cum_p = WALK_CASES[case]
+    u = walk_uniforms(cum_p, 3000, seed=11)
+    want = loop_path(cum_p, u, 0)
+    state, got = 0, [0]
+    for piece in np.split(u, [997, 999, 1000, 1996]):
+        path = blocked_path(cum_p, piece, state)
+        assert path[0] == state
+        got.extend(path[1:].tolist())
+        state = int(path[-1])
+    assert np.array_equal(got, want)
 
 
 def test_invert_batch_matches_loop_closed_forms():
