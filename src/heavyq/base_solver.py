@@ -53,9 +53,9 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import qr, schur, solve_sylvester
 
-from .measures import ExpPolyMeasure, MeasureError
+from .measures import ExpPolyMeasure
 from .model import MarpModel, stability_report
-from .polyalg import CLUSTER_TOL, Poly, RationalFn, RootSet, eig_roots, linsolve, poly_roots
+from .polyalg import CLUSTER_TOL, Poly, RootSet, eig_roots, linsolve, poly_roots
 from .symbolic_kernel import eval_E
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
@@ -74,123 +74,113 @@ class SolverError(RuntimeError):
     """Numerical failure in the base-model pipeline."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalLST:
-    """Service-time transform q(s)/p(s) with real coefficients.
+    """Service-time law as a realisation: atom + alpha (sI - T)^-1 t.
 
-    p is stored monic; q(0)/p(0) must equal 1 and the poles must lie in the
-    open left half-plane.  deg q == deg p is allowed and corresponds to a
-    service-time atom at zero of mass lead(q) (the discard base model needs
-    exactly that), otherwise deg q <= deg p - 1.
-
-    (alpha, tmat) realises the law without its atom: q/p = atom +
-    alpha (sI - tmat)^-1 t with t = -tmat 1, and alpha 1 = 1 - atom.  The
-    named constructors use the phase-type form; from_coeffs builds a
-    companion realisation unless one is given.  poles, when known, are the
-    roots of p with their multiplicities; None leaves them to poly_roots.
+    T (tmat) is a stable matrix with exit vector t = -T 1, and atom =
+    1 - alpha 1 is the mass at zero (the discard base model needs one).  poles
+    are the eigenvalues of T with their multiplicities: the named
+    constructors know them, from_coeffs finds them once from q/p.  The
+    transform, its derivative, the stationary-excess transform alpha (sI -
+    T)^-1 1 / mean (Asmussen 2003, III.5) and both laws in the time domain
+    all come from (alpha, T); no polynomial form is kept.
     """
 
-    q: Poly
-    p: Poly
+    alpha: np.ndarray = field(repr=False)
+    tmat: np.ndarray = field(repr=False)
     mean: float
-    alpha: np.ndarray = field(repr=False, compare=False)
-    tmat: np.ndarray = field(repr=False, compare=False)
-    poles: RootSet | None = field(default=None, repr=False, compare=False)
+    poles: RootSet = field(repr=False)
 
     def __post_init__(self):
         self.alpha.setflags(write=False)
         self.tmat.setflags(write=False)
+        for root, _ in self.poles:
+            if root.real >= 0:
+                raise ValueError(f"pole {root} of the service transform is not stable")
+        if not self.mean > 0:
+            raise ValueError("service transform has nonpositive mean")
 
     @staticmethod
-    def from_coeffs(q_coeffs, p_coeffs, realisation=None,
-                    poles: RootSet | None = None) -> "RationalLST":
+    def from_coeffs(q_coeffs, p_coeffs) -> "RationalLST":
+        """The law with transform q(s)/p(s), realised in companion form."""
         q = Poly(np.asarray(q_coeffs, dtype=complex))
         p = Poly(np.asarray(p_coeffs, dtype=complex))
         if q.is_zero or p.is_zero:
             raise ValueError("numerator and denominator must be nonzero")
         if np.max(np.abs(q.coeffs.imag)) > 0 or np.max(np.abs(p.coeffs.imag)) > 0:
             raise ValueError("service transform coefficients must be real")
-        lead = p.lead
-        q = q.scale(1.0 / lead)
-        p = p.scale(1.0 / lead)
+        q, p = q.scale(1.0 / p.lead), p.scale(1.0 / p.lead)
         if q.degree > p.degree:
             raise ValueError("deg q must not exceed deg p")
         ratio0 = q(0.0) / p(0.0)
         if abs(ratio0 - 1.0) > 1e-10:
             raise ValueError(f"q(0)/p(0) = {ratio0:.12g}, not a proper distribution")
-        for root, _ in (poly_roots(p, 1e-9) if poles is None else poles):
-            if root.real >= 0:
-                raise ValueError(f"pole {root} of the service transform is not stable")
         mean = -(q.deriv()(0.0) * p(0.0) - q(0.0) * p.deriv()(0.0)).real / p(0.0).real ** 2
-        if mean <= 0:
-            raise ValueError("service transform has nonpositive mean")
         atom = float(q.lead.real) if q.degree == p.degree else 0.0
-        if realisation is None:
-            alpha, tmat = _companion(q, p, atom)
-        else:
-            alpha, tmat = (np.array(x, dtype=float) for x in realisation)
-        _check_realisation(q, p, atom, alpha, tmat)
-        return RationalLST(q=q, p=p, mean=float(mean), alpha=alpha, tmat=tmat, poles=poles)
+        pt = RationalLST(*_companion(q, p, atom), mean=float(mean), poles=poly_roots(p, 1e-9))
+        for s in (1.0, 1j):
+            got, want = pt(s), q(s) / p(s)
+            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+                raise ValueError(f"realisation gives {got} at s = {s}, the transform {want}")
+        return pt
 
     @staticmethod
     def exponential(nu: float) -> "RationalLST":
         if nu <= 0:
             raise ValueError("rate must be positive")
-        return RationalLST.from_coeffs([nu], [nu, 1.0], realisation=([1.0], [[-nu]]))
+        return RationalLST(np.ones(1), np.array([[-float(nu)]]), 1.0 / nu,
+                           RootSet((complex(-nu, 0.0),), (1,)))
 
     @staticmethod
     def erlang(rate: float, shape: int) -> "RationalLST":
-        den = Poly.from_roots([-rate] * shape)
-        num = Poly(np.array([rate ** shape]))
+        if shape < 1:
+            raise ValueError("Erlang shape must be >= 1")
         tmat = rate * (np.eye(shape, k=1) - np.eye(shape))
-        return RationalLST.from_coeffs(
-            num.coeffs.real, den.coeffs.real, realisation=(np.eye(shape)[0], tmat),
-            poles=RootSet((complex(-rate, 0.0),), (shape,)))
+        return RationalLST(np.eye(shape)[0], tmat, shape / rate,
+                           RootSet((complex(-rate, 0.0),), (shape,)))
 
     @staticmethod
     def hyperexponential(probs, rates) -> "RationalLST":
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        den = Poly.from_roots([-r for r in rates])
-        num = Poly.zero()
-        for k, (pr, rt) in enumerate(zip(probs, rates)):
-            others = [-r for j, r in enumerate(rates) if j != k]
-            num = num + Poly.from_roots(others).scale(pr * rt)
+        if abs(probs.sum() - 1.0) > 1e-10:
+            raise ValueError(f"probabilities sum to {probs.sum():.12g}, not a proper distribution")
         distinct = sorted(set(rates.tolist()))
         poles = RootSet(tuple(complex(-r, 0.0) for r in distinct),
                         tuple(int(np.sum(rates == r)) for r in distinct))
-        return RationalLST.from_coeffs(num.coeffs.real, den.coeffs.real,
-                                       realisation=(probs, np.diag(-rates)), poles=poles)
+        return RationalLST(probs, np.diag(-rates), float(probs @ (1.0 / rates)), poles)
 
     @property
     def order(self) -> int:
-        return self.p.degree
+        return self.tmat.shape[0]
 
     @property
     def atom(self) -> float:
-        """Mass at zero: nonzero only when numerator and denominator degrees match."""
-        return float(self.q.lead.real) if self.q.degree == self.p.degree else 0.0
+        """Mass at zero, 1 - alpha 1."""
+        return 1.0 - float(self.alpha.sum())
+
+    @cached_property
+    def _service(self) -> "Realisation":
+        return Realisation(self.atom, self.alpha, self.tmat, -self.tmat.sum(axis=1))
 
     def __call__(self, s):
-        return self.q(s) / self.p(s)
+        return self._service(s)
 
     def deriv_at(self, s):
-        return RationalFn(self.q, self.p).deriv_at(s)
+        return self._service.deriv(s)
 
-    @property
-    def excess(self) -> RationalFn:
-        """Stationary-excess transform (1 - q/p) / (mean * s) as a rational."""
-        diff = self.p - self.q
-        # (p - q)(0) = 0, so dividing by s is a coefficient shift
-        num = Poly(diff.coeffs[1:])
-        return RationalFn(num, self.p.scale(self.mean))
+    @cached_property
+    def excess(self) -> "Realisation":
+        """Stationary-excess transform (1 - B(s)) / (mean s) = alpha (sI - T)^-1 1 / mean."""
+        return Realisation(0.0, self.alpha / self.mean, self.tmat, np.ones(self.order))
 
     def excess_measure(self) -> ExpPolyMeasure:
-        return to_time_domain(self.excess, self.poles)
+        return _unit_law(self.excess, self.poles, "excess law", "B_e(0)")
 
     def service_measure(self) -> ExpPolyMeasure:
         """The service law itself (with its atom, if any) in the time domain."""
-        return to_time_domain(RationalFn(self.q, self.p), self.poles)
+        return _unit_law(self._service, self.poles, "service law", "B(0)")
 
 
 def _companion(q: Poly, p: Poly, atom: float):
@@ -213,33 +203,46 @@ def _companion(q: Poly, p: Poly, atom: float):
     return num @ s, np.linalg.solve(s, a @ s)
 
 
-def _check_realisation(q: Poly, p: Poly, atom: float, alpha, tmat):
-    m = p.degree
-    if alpha.shape != (m,) or tmat.shape != (m, m):
-        raise ValueError(f"realisation must have order {m}")
-    exit_vec = -tmat.sum(axis=1)
-    for s in (1.0, 1j):
-        got = atom + alpha @ np.linalg.solve(s * np.eye(m) - tmat, exit_vec)
-        want = q(s) / p(s)
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise ValueError(f"realisation gives {got} at s = {s}, the transform {want}")
-
-
 @dataclass(frozen=True)
 class Realisation:
-    """The delay transform atom + h (sI - K)^-1 b, at scalar or array s."""
+    """The transform atom + h (sI - K)^-1 b, at scalar or array s, and its law.
+
+    Service laws are (atom, alpha, T, -T 1), excess laws (0, alpha / mean,
+    T, 1), and solve_base gives the delay's.  Array s goes through one
+    batched solve over the stacked sI - K.
+    """
 
     atom: float
     h: np.ndarray
     k: np.ndarray
     b: np.ndarray
 
+    def _solve(self, s, rhs):
+        z = np.asarray(s, dtype=complex)[..., None, None]
+        return np.linalg.solve(z * np.eye(self.k.shape[0]) - self.k, rhs)
+
     def __call__(self, s):
-        z = np.asarray(s, dtype=complex)
-        eye = np.eye(self.k.shape[0])
-        vals = [self.atom + self.h @ np.linalg.solve(x * eye - self.k, self.b) for x in z.ravel()]
-        out = np.array(vals, dtype=complex).reshape(z.shape)
+        out = self.atom + self._solve(s, self.b[:, None])[..., 0] @ self.h
         return out if out.ndim else complex(out)
+
+    def deriv(self, s):
+        """d/ds of the transform, -h (sI - K)^-2 b."""
+        out = -(self._solve(s, self._solve(s, self.b[:, None]))[..., 0] @ self.h)
+        return out if out.ndim else complex(out)
+
+    def law(self, poles: RootSet) -> ExpPolyMeasure:
+        """Atom plus density h e^(Kx) b; poles are the clusters of eig(K)."""
+        return ExpPolyMeasure.from_terms(self.atom, _law_terms(self.k, self.h, self.b, poles))
+
+
+def _unit_law(real: Realisation, poles: RootSet, what: str, at0: str) -> ExpPolyMeasure:
+    """real's law, checked to have mass one (MASS_TOL)."""
+    law = real.law(poles)
+    mass = complex(law.total_mass())
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise SolverError(f"{what} not normalised: {at0} = {mass.real:.17g} "
+                          f"(mass of the time-domain law, off by {abs(mass - 1.0):.3e})")
+    return law
 
 
 @dataclass(frozen=True)
@@ -303,11 +306,7 @@ class Families:
 
 def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
     """F at the points s, one row per point, by one batched solve."""
-    model, pt = sol.model, sol.pt
-    # g from the realisation: q/p in coefficients cancels to 0 near a multiple pole
-    resolvent = np.linalg.solve(s[:, None, None] * np.eye(pt.order) - pt.tmat,
-                                -pt.tmat.sum(axis=1)[:, None])
-    g = pt.atom + resolvent[..., 0] @ pt.alpha
+    model, g = sol.model, sol.pt(s)
     rhs = np.column_stack([model.omega, model.q_real * model.trans * model.rates[None, :]])
     cols = np.linalg.solve(eval_E(model, s, g), rhs)
     x, m = cols[..., 0], cols[..., 1:]
@@ -564,21 +563,9 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     for root, _ in list(poles) + list(num_roots):
         if root.real >= 0:
             raise SolverError(f"transform root {root} not in the open left half-plane")
-    w_law = ExpPolyMeasure.from_terms(atom, _law_terms(k, h, b, poles))
-    mass = complex(w_law.total_mass())
-    if not abs(mass - 1.0) <= MASS_TOL:
-        raise SolverError(f"delay law not normalised: W(0) = {mass.real:.17g} "
-                          f"(mass of the time-domain law, off by {abs(mass - 1.0):.3e})")
+    w_law = _unit_law(w_hat, poles, "delay law", "W(0)")
     return BaseSolution(
         model=model, pt=pt, rho_pos=rho_pos, u=u,
         den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,
     )
 
-
-def to_time_domain(f: RationalFn, den_roots: RootSet | None = None) -> ExpPolyMeasure:
-    """Invert a proper rational transform into an exp-poly law with an atom."""
-    try:
-        law = ExpPolyMeasure.from_rational(f, den_roots)
-    except MeasureError as exc:
-        raise SolverError(str(exc)) from exc
-    return law

@@ -533,14 +533,10 @@ def mixture_stable(model, pt: RationalLST, ht, eps: float) -> bool:
 
 
 def discard_base_lst(pt: RationalLST, eps: float) -> RationalLST:
-    """Service transform of the discard base: (1-eps) q/p + eps, atom eps.
-
-    Its realisation is the base law's with the entry vector scaled by 1-eps.
-    """
-    q = pt.q.scale(1.0 - eps) + pt.p.scale(eps)
-    return RationalLST.from_coeffs(q.coeffs.real, pt.p.coeffs.real,
-                                   realisation=((1.0 - eps) * pt.alpha, pt.tmat),
-                                   poles=pt.poles)
+    """Service law of the discard base, (1-eps) B(s) + eps: the base
+    realisation with its entry vector scaled by 1-eps (so an atom eps), the
+    same poles and the mean scaled by 1-eps."""
+    return RationalLST((1.0 - eps) * pt.alpha, pt.tmat, (1.0 - eps) * pt.mean, pt.poles)
 
 
 def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
@@ -550,7 +546,7 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
 
     variant "replace": base survival is the phase-type delay, correction
     scaled by eps / (u . omega).  variant "discard": base is the delay under
-    the thinned service law (1-eps) q/p + eps solved exactly (a fluid solve
+    the thinned service law (1-eps) B(s) + eps solved exactly (a fluid solve
     that expands no subset sums), coefficients use z - z_discard, and the
     prefactor uses u + eps z_discard.  The perturbations and tilted-tail
     tables for ht are kept on sol (BaseSolution.kept) for later calls with

@@ -203,18 +203,8 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
 
 def phase_type_tail(pt) -> HeavyTail:
     """A rational law dressed up as a heavy tail (degeneracy test fixture)."""
-    excess = pt.excess
-    law = pt.excess_measure()
-
-    def excess_survival(t):
-        return np.clip(np.atleast_1d(law.survival(t)).real, 0.0, 1.0)
-
-    service = pt.service_measure()
-
-    def service_survival(t):
-        return np.clip(np.atleast_1d(service.survival(t)).real, 0.0, 1.0)
-
-    return HeavyTail(mean=pt.mean, lst=lambda s: pt(s), excess_lst=lambda s: excess(s),
-                     excess_survival=excess_survival,
-                     lst_deriv=lambda s: pt.deriv_at(s),
-                     service_survival=service_survival)
+    excess, service = pt.excess_measure(), pt.service_measure()
+    return HeavyTail(
+        mean=pt.mean, lst=pt, excess_lst=pt.excess, lst_deriv=pt.deriv_at,
+        excess_survival=lambda t: np.clip(np.atleast_1d(excess.survival(t)).real, 0.0, 1.0),
+        service_survival=lambda t: np.clip(np.atleast_1d(service.survival(t)).real, 0.0, 1.0))

@@ -133,7 +133,7 @@ class ExactSolution:
         """W(0) by l'Hopital on s * num / det; should be 1."""
         model = self.model
         n = model.n_states
-        mean_mix = (1 - self.eps) * self._mix_lst.pt.mean + self.eps * self._mix_lst.heavy_mean
+        mean_mix = (1 - self.eps) * self._mix_lst.pt.mean + self.eps * self._mix_lst.ht.mean
         gprime0 = -mean_mix
         val, dval = 0j, 0j
         for k, c in enumerate(self._detg.coeffs_in_g):
@@ -146,14 +146,14 @@ class ExactSolution:
         return num / dval
 
 
+@dataclass(frozen=True)
 class _MixtureLST:
-    """(1-eps) q(s)/p(s) + eps * heavy(s), with an analytic derivative."""
+    """(1-eps) B(s) + eps * heavy(s), with an analytic derivative; B(s) and
+    its derivative come from the phase-type realisation (alpha, T)."""
 
-    def __init__(self, pt: RationalLST, ht, eps: float):
-        self.pt = pt
-        self.ht = ht
-        self.eps = eps
-        self.heavy_mean = ht.mean
+    pt: RationalLST
+    ht: object
+    eps: float
 
     def __call__(self, s):
         return (1 - self.eps) * self.pt(s) + self.eps * self.ht.lst(s)
@@ -278,7 +278,7 @@ def service_samplers(pt: RationalLST, ht):
     always a table.  Both are deterministic in the inputs.
     """
     if pt.order == 1 and pt.atom == 0.0:
-        nu = float(pt.p.coeffs[0].real)
+        nu = -float(pt.tmat[0, 0])
         ph_sample = lambda u: -np.log1p(-u) / nu
     else:
         law = pt.service_measure()

@@ -248,10 +248,15 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
     the root magnitude); wider groups collapse into one multiple root only
     when the shifted Taylor coefficients pass a backward-error consistency
     test, since an exact m-fold root scatters its eigenvalues like
-    eps**(1/m), far beyond any reasonable user tolerance.  Simple roots are
-    Newton-polished; multiple roots keep the cluster mean, which inherits
-    trace accuracy from the companion matrix.  Conjugate symmetry is
-    enforced exactly for real-coefficient input.
+    eps**(1/m), far beyond any reasonable user tolerance.  That merges
+    double and triple roots, but a k-fold root with k >= 4 can stay
+    scattered: the sextuple root of (s + 18)^6 comes back as six simple
+    roots in [-19.08, -18.00], most off the real axis and unpaired.  Simple
+    roots are Newton-polished; multiple roots keep the cluster mean, which
+    inherits trace accuracy from the companion matrix.  Conjugates that
+    pass the pairing tolerance are made exact for real-coefficient input.
+    In the package only RationalLST.from_coeffs calls this; the rest is
+    test reference.
     """
     if cluster_tol <= 0:
         raise PolyalgError("cluster_tol must be positive")

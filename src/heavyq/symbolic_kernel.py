@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarpModel
-from .polyalg import Poly, poly_roots
+from .polyalg import Poly
 
 N_CAP = 12  # subset sums grow as 3**N
 
@@ -243,6 +243,26 @@ def adjoint_matrix(model: MarpModel) -> list:
     return [[adjoint_entry(model, i, j) for j in range(n)] for i in range(n)]
 
 
+def service_polys(pt) -> tuple:
+    """(q, p) with q/p the service transform of the realisation (alpha, T).
+
+    p = det(sI - T) is monic and q = atom p + alpha adj(sI - T) t, both by
+    the Faddeev-LeVerrier recursion adj(sI - T) = sum_k M_k s^(m-k) with
+    M_1 = I and M_k = T M_(k-1) + p_(m-k+1) I.  The clearing polynomials
+    here and the test references read q/p from this expansion only.
+    """
+    tmat, m = pt.tmat, pt.order
+    exit_vec = -tmat.sum(axis=1)
+    p, q = np.zeros(m + 1), np.zeros(m + 1)
+    p[m] = 1.0
+    mk = np.zeros((m, m))
+    for k in range(1, m + 1):
+        mk = tmat @ mk + p[m - k + 1] * np.eye(m)
+        q[m - k] = pt.alpha @ mk @ exit_vec
+        p[m - k] = -np.trace(tmat @ mk) / k
+    return Poly(q + pt.atom * p), Poly(p)
+
+
 def xi_polys(model: MarpModel, pt, r: int) -> dict:
     """Clearing polynomials of the correction families, for reference.
 
@@ -255,11 +275,9 @@ def xi_polys(model: MarpModel, pt, r: int) -> dict:
     families from E(s)^-1 (BaseSolution.families); these polynomials are the
     paper's route to the same rationals.
     """
-    q, p = pt.q, pt.p
-    if abs(p.lead - 1.0) > 1e-12:
-        raise KernelError("denominator of the service transform must be monic")
+    q, p = service_polys(pt)
     # reject a shared root: q and p may not vanish together
-    for root, _ in poly_roots(p, 1e-9):
+    for root, _ in pt.poles:
         if abs(q(root)) < 1e-9 * max(1.0, float(np.max(np.abs(q.coeffs)))):
             raise KernelError("service transform has a common numerator/denominator root")
     detg, adj = det_E(model), adjoint_matrix(model)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from heavyq.base_solver import RationalLST, SolverError, solve_base
+from heavyq.base_solver import RationalLST, Realisation, SolverError, solve_base
+from heavyq.correction import discard_base_lst
 from heavyq.heavytail import abate_whitt
+from heavyq.measures import ExpPolyMeasure
 from heavyq.model import build_marp, build_mmpp
 from heavyq.perturbation import perturb
-from heavyq.polyalg import Poly
-from heavyq.symbolic_kernel import det_E
+from heavyq.polyalg import Poly, RationalFn, RootSet
+from heavyq.symbolic_kernel import det_E, service_polys
 from test_riccati import clear_denominator, cleared_determinant
 
 
@@ -53,10 +55,10 @@ def test_erlang_service_and_excess_laws(shape):
 
 
 def test_exponential_laws_exact():
-    # a simple pole is left to poly_roots, which finds it exactly
+    # the constructor knows its simple pole; no root finding is involved
     for nu in (3.0, 0.7, 2.3):
         pt = RationalLST.exponential(nu)
-        assert pt.poles is None
+        assert pt.poles == RootSet((complex(-nu, 0.0),), (1,))
         for law in (pt.service_measure(), pt.excess_measure()):
             assert law.atom == 0.0 and law.terms == ((nu, 0, nu),)
 
@@ -64,7 +66,7 @@ def test_exponential_laws_exact():
 def test_companion_realisation_of_a_rational_transform():
     # from_coeffs without a realisation: the companion form, checked against q/p
     want = RationalLST.hyperexponential([0.3, 0.7], [1.5, 6.0])
-    pt = RationalLST.from_coeffs(want.q.coeffs.real, want.p.coeffs.real)
+    pt = RationalLST.from_coeffs(*(c.coeffs.real for c in service_polys(want)))
     t = -pt.tmat.sum(axis=1)
     for s in (0.4, 2.0 + 1.0j, 9.0):
         got = pt.alpha @ np.linalg.solve(s * np.eye(2) - pt.tmat, t)
@@ -74,9 +76,70 @@ def test_companion_realisation_of_a_rational_transform():
     np.testing.assert_allclose(sol_c.survival(t), sol_ph.survival(t), atol=1e-12)
     # a high-order Erlang law entered as coefficients: worse conditioned, still solved
     want = RationalLST.erlang(18.0, 6)
-    pt = RationalLST.from_coeffs(want.q.coeffs.real, want.p.coeffs.real)
+    pt = RationalLST.from_coeffs(*(c.coeffs.real for c in service_polys(want)))
     sol_c, sol_ph = solve_base(poisson_model(), pt), solve_base(poisson_model(), want)
     np.testing.assert_allclose(sol_c.survival(t), sol_ph.survival(t), atol=1e-8)
+
+
+SERVICE_CASES = {
+    "exp3": lambda: RationalLST.exponential(3.0),
+    "erlang(6,2)": lambda: RationalLST.erlang(6.0, 2),
+    "erlang(12,3)": lambda: RationalLST.erlang(12.0, 3),
+    "hyperexp": lambda: RationalLST.hyperexponential([0.3, 0.7], [2.0, 8.0]),
+    "discard exp3": lambda: discard_base_lst(RationalLST.exponential(3.0), 0.01),
+    "discard erlang(6,2)": lambda: discard_base_lst(RationalLST.erlang(6.0, 2), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", SERVICE_CASES)
+def test_realisation_matches_the_polynomial_route(case):
+    # the realisation is the only stored form; the expanded q/p and the
+    # partial-fraction inversion stay as the reference it must agree with
+    pt = SERVICE_CASES[case]()
+    q, p = service_polys(pt)
+    excess = RationalFn(Poly((p - q).coeffs[1:]), p.scale(pt.mean))
+    s = np.array([0.3, 2.0 + 1.0j, -1.0 + 4.0j, 7.5 - 2.0j, 40.0j])
+    np.testing.assert_allclose(pt(s), q(s) / p(s), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pt.deriv_at(s), [RationalFn(q, p).deriv_at(x) for x in s],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pt.excess(s), excess(s), rtol=0, atol=1e-12)
+    t = np.linspace(0.0, 20.0, 81)
+    for got, want in ((pt.service_measure(), RationalFn(q, p)), (pt.excess_measure(), excess)):
+        want = ExpPolyMeasure.from_rational(want, pt.poles)
+        assert abs(got.atom - want.atom) <= 1e-13
+        np.testing.assert_allclose(got.survival(t), want.survival(t), rtol=0, atol=1e-13)
+    # the batched evaluation is the per-point one
+    grid = (np.linspace(0.1, 5.0, 25)[:, None]
+            + 1j * np.linspace(-30.0, 30.0, 56)[None, :])
+    for real in (pt.excess, Realisation(pt.atom, pt.alpha, pt.tmat, -pt.tmat.sum(axis=1))):
+        batched = real(grid)
+        assert batched.shape == grid.shape
+        np.testing.assert_allclose(batched, np.vectorize(real)(grid), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rate,shape,named", [
+    (3.0, 4, None), (2.0, 6, None),
+    (3.0, 2, RationalLST.erlang(3.0, 2)), (3.0, 3, RationalLST.erlang(3.0, 3)),
+    (None, None, RationalLST.hyperexponential([0.3, 0.7], [1.5, 6.0])),
+], ids=["erlang-shape4", "erlang-shape6", "erlang-shape2", "erlang-shape3", "hyperexp"])
+def test_coefficient_entered_laws(rate, shape, named):
+    # poly_roots scatters a 4-fold or higher pole, so a law entered as q/p
+    # coefficients cannot be inverted then; the laws must say so, not come
+    # out wrong.  The base solve needs no service poles and still works.
+    # Lower multiplicities match the named constructors.
+    want = named if named is not None else RationalLST.erlang(rate, shape)
+    pt = RationalLST.from_coeffs(*(c.coeffs.real for c in service_polys(want)))
+    t = np.linspace(0.0, 20.0, 81)
+    if named is None:
+        for law in (pt.service_measure, pt.excess_measure):
+            with pytest.raises(SolverError, match="could not separate the eigenvalue cluster"):
+                law()
+        got, ref = solve_base(poisson_model(0.25), pt), solve_base(poisson_model(0.25), want)
+        np.testing.assert_allclose(got.survival(t), ref.survival(t), rtol=0, atol=1e-10)
+        return
+    for got, ref in ((pt.service_measure(), want.service_measure()),
+                     (pt.excess_measure(), want.excess_measure())):
+        np.testing.assert_allclose(got.survival(t).real, ref.survival(t).real, rtol=0, atol=1e-12)
 
 
 def test_riccati_residual_check_names_its_value(monkeypatch):
@@ -120,8 +183,8 @@ def test_rational_lst_discard_mixture_atom():
     # (1-eps) q/p + eps has equal degrees and an atom of size eps
     base = RationalLST.exponential(3.0)
     eps = 0.01
-    q = base.q.scale(1 - eps) + base.p.scale(eps)
-    pt = RationalLST.from_coeffs(q.coeffs.real, base.p.coeffs.real)
+    q, p = service_polys(base)
+    pt = RationalLST.from_coeffs((q.scale(1 - eps) + p.scale(eps)).coeffs.real, p.coeffs.real)
     assert pt.atom == pytest.approx(eps)
     assert pt.mean == pytest.approx((1 - eps) / 3.0)
 
@@ -236,8 +299,8 @@ def test_discard_base_has_atom_in_delay():
     # service LST (1-eps) q/p + eps: delay atom grows with eps
     base = RationalLST.exponential(3.0)
     eps = 0.05
-    q = base.q.scale(1 - eps) + base.p.scale(eps)
-    pt = RationalLST.from_coeffs(q.coeffs.real, base.p.coeffs.real)
+    q, p = service_polys(base)
+    pt = RationalLST.from_coeffs((q.scale(1 - eps) + p.scale(eps)).coeffs.real, p.coeffs.real)
     m = erlang2_model()
     sol = solve_base(m, pt)
     sol0 = solve_base(m, base)

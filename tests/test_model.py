@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heavyq.model import ModelError, build_marp, build_mmpp, stability_report
+from heavyq.oracle import _successor_table, _walk_path
 
 
 def erlang2_model(lam=1.0):
@@ -160,24 +161,24 @@ def test_embedded_chain_frequencies_match_pi():
         d2 = rng_models.uniform(0, 2, (n, n))
         d1[np.diag_indices(n)] = -(d1.sum(axis=1) + d2.sum(axis=1))
         models.append(build_marp(d1, d2))
+    # model k walks its path on the uniform column u[:, k], by blocks from
+    # its successor table, one chunk of steps at a time
     rng = np.random.default_rng(2)
-    steps = 10 ** 6
+    steps, chunk = 10 ** 6, 2 * 10 ** 4
     max_n = max(m.n_states for m in models)
-    cum = np.zeros((n_models, max_n, max_n))
-    for k, m in enumerate(models):
-        c = np.cumsum(m.trans, axis=1)
-        cum[k, : m.n_states, : m.n_states] = c
-        cum[k, : m.n_states, m.n_states - 1:] = 1.0
-        cum[k, m.n_states:, :] = 1.0
-    states = np.zeros(n_models, dtype=np.int64)
+    walkers = []
+    for m in models:
+        cum_p = np.cumsum(m.trans, axis=1)
+        cum_p[:, -1] = 1.0
+        walkers.append(_successor_table(cum_p))
+    states = [0] * n_models
     counts = np.zeros((n_models, max_n))
-    rows = np.arange(n_models)
-    chunk = 10 ** 4
     for _ in range(steps // chunk):
         u = rng.random((chunk, n_models))
-        for t in range(chunk):
-            states = (u[t][:, None] > cum[rows, states]).sum(axis=1)
-            counts[rows, states] += 1.0
+        for k, ((thresholds, table), col) in enumerate(zip(walkers, u.T)):
+            path = _walk_path(thresholds, table, col, states[k])
+            counts[k, :table.shape[1]] += np.bincount(path[1:], minlength=table.shape[1])
+            states[k] = int(path[-1])
     freq = counts / steps
     three_sigma_p = 2.0 * (1.0 - 0.9986501019683699)  # P(|N(0,1)| > 3)
     for k, m in enumerate(models):

@@ -68,7 +68,7 @@ def clear_denominator(detg, pt, min_power=1):
     monic of degree N + r*M.
     """
     r = max(detg.g_degree, min_power, 1)
-    poly = detg.cleared(pt.q, pt.p, r)
+    poly = detg.cleared(*symbolic_kernel.service_polys(pt), r)
     lead = poly.lead
     if abs(lead - 1.0) > 1e-8:
         raise SolverError(f"cleared determinant is not monic (lead {lead})")
@@ -99,10 +99,11 @@ def subset_sum_solve(model, pt):
         cols = np.array([[adj[i][j](rho, pt(rho)) for j in range(n)] for i in range(n)])
         amat[:, idx + 1] = cols[:, np.argmax(np.linalg.norm(cols, axis=0))]
     u = linsolve(amat.T, np.r_[stability_margin(model, pt.mean), np.zeros(n - 1)]).real
+    q, p = symbolic_kernel.service_polys(pt)
     num = Poly.zero()
     for i in range(n):
         for l in range(n):
-            num = num + adj[l][i].cleared(pt.q, pt.p, r).scale(model.omega[i] * u[l])
+            num = num + adj[l][i].cleared(q, p, r).scale(model.omega[i] * u[l])
     w_num = _deflate(num.coeffs, rho_pos).real
     w_den = _deflate(poly.coeffs, [0.0] + rho_pos).real
     law = ExpPolyMeasure.from_rational(RationalFn(Poly(w_num), Poly(w_den)))
