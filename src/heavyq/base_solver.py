@@ -205,7 +205,7 @@ def _companion(q: Poly, p: Poly, atom: float):
 
 @dataclass(frozen=True)
 class Realisation:
-    """The transform atom + h (sI - K)^-1 b, at scalar or array s, and its law.
+    """The transform atom + h (sI - K)^-1 b, at scalar or array s.
 
     Service laws are (atom, alpha, T, -T 1), excess laws (0, alpha / mean,
     T, 1), and solve_base gives the delay's.  Array s goes through one
@@ -219,7 +219,12 @@ class Realisation:
 
     def _solve(self, s, rhs):
         z = np.asarray(s, dtype=complex)[..., None, None]
-        return np.linalg.solve(z * np.eye(self.k.shape[0]) - self.k, rhs)
+        mats = z * np.eye(self.k.shape[0]) - self.k
+        try:
+            return np.linalg.solve(mats, rhs)
+        except np.linalg.LinAlgError as exc:
+            at = z.ravel()[np.argmin(np.abs(np.linalg.det(mats)).ravel())]
+            raise SolverError(f"transform evaluated at a pole: sI - K singular at s = {at}") from exc
 
     def __call__(self, s):
         out = self.atom + self._solve(s, self.b[:, None])[..., 0] @ self.h
@@ -230,14 +235,10 @@ class Realisation:
         out = -(self._solve(s, self._solve(s, self.b[:, None]))[..., 0] @ self.h)
         return out if out.ndim else complex(out)
 
-    def law(self, poles: RootSet) -> ExpPolyMeasure:
-        """Atom plus density h e^(Kx) b; poles are the clusters of eig(K)."""
-        return ExpPolyMeasure.from_terms(self.atom, _law_terms(self.k, self.h, self.b, poles))
-
 
 def _unit_law(real: Realisation, poles: RootSet, what: str, at0: str) -> ExpPolyMeasure:
-    """real's law, checked to have mass one (MASS_TOL)."""
-    law = real.law(poles)
+    """real's law, atom plus density h e^(Kx) b over the clusters poles of eig(K), of mass one."""
+    law = ExpPolyMeasure.from_terms(real.atom, _law_terms(real.k, real.h, real.b, poles))
     mass = complex(law.total_mass())
     if not abs(mass - 1.0) <= MASS_TOL:
         raise SolverError(f"{what} not normalised: {at0} = {mass.real:.17g} "

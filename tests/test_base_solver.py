@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,9 @@ def test_exponential_laws_exact():
         assert pt.poles == RootSet((complex(-nu, 0.0),), (1,))
         for law in (pt.service_measure(), pt.excess_measure()):
             assert law.atom == 0.0 and law.terms == ((nu, 0, nu),)
+        # at the pole itself the transform names the point instead of a LinAlgError
+        with pytest.raises(SolverError, match=re.escape(f"at a pole: sI - K singular at s = {complex(-nu, 0.0)}")):
+            pt(np.array([1.0, -nu]))
 
 
 def test_companion_realisation_of_a_rational_transform():

@@ -141,6 +141,17 @@ def test_cli_unstable_eps_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_approx_fails_cleanly_on_a_coefficient_entered_fourfold_pole(tmp_path, capsys):
+    # Erlang shape 4 rate 3 as q/p: the companion spectrum scatters, and a
+    # contour node of the families lands on one of its eigenvalues
+    text = ("d1 = [[-0.5]]\nd2 = [[0.5]]\nservice.q = [81]\n"
+            "service.p = [81, 108, 54, 12, 1]\nheavytail.abate_whitt = 2\n"
+            "eps = 1/100\nvariants = replace\ngrid.points = 20\n")
+    code = main(["approx", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "numerical failure: transform evaluated at a pole" in capsys.readouterr().err
+
+
 def test_cli_simulate_runs(tmp_path):
     text = GOOD + "simulate.customers = 20000\n"
     out = tmp_path / "o"
