@@ -54,9 +54,8 @@ import numpy as np
 from scipy.linalg import qr, schur, solve_sylvester
 
 from .measures import ExpPolyMeasure
-from .model import MarpModel, stability_report
+from .model import MarpModel, eval_E, stability_report
 from .polyalg import CLUSTER_TOL, Poly, RootSet, eig_roots, linsolve, poly_roots
-from .symbolic_kernel import eval_E
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
 NEWTON_STEP_TOL = 1e-14  # last step size; Psi holds probabilities
@@ -223,7 +222,7 @@ class Realisation:
         try:
             return np.linalg.solve(mats, rhs)
         except np.linalg.LinAlgError as exc:
-            at = z.ravel()[np.argmin(np.abs(np.linalg.det(mats)).ravel())]
+            at = z.ravel()[np.argmin(np.linalg.norm(mats, -2, axis=(-2, -1)).ravel())]
             raise SolverError(f"transform evaluated at a pole: sI - K singular at s = {at}") from exc
 
     def __call__(self, s):
@@ -308,7 +307,7 @@ class Families:
 def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
     """F at the points s, one row per point, by one batched solve."""
     model, g = sol.model, sol.pt(s)
-    rhs = np.column_stack([model.omega, model.q_real * model.trans * model.rates[None, :]])
+    rhs = np.column_stack([model.omega, model.e_dg])
     cols = np.linalg.solve(eval_E(model, s, g), rhs)
     x, m = cols[..., 0], cols[..., 1:]
     d = x @ sol.u

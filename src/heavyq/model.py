@@ -10,6 +10,7 @@ weights) is derived once at construction time and frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,13 @@ class MarpModel:
     @property
     def lam_inv_one(self) -> np.ndarray:
         return 1.0 / self.rates
+
+    @cached_property
+    def e_dg(self) -> np.ndarray:
+        """(Q2 o P) Lambda = dE/dg, the real-arrival part of E(s)."""
+        out = self.q_real * self.trans * self.rates[None, :]
+        out.setflags(write=False)
+        return out
 
     def real_arrival_rate(self) -> float:
         """Long-run rate of real customers per unit time."""
@@ -171,6 +179,23 @@ def build_mmpp(rates, trans_spec) -> MarpModel:
     np.fill_diagonal(d1, 0.0)
     np.fill_diagonal(d1, -(d1.sum(axis=1) + d2.sum(axis=1)))
     return build_marp(d1, d2)
+
+
+def eval_E(model: MarpModel, s, g) -> np.ndarray:
+    """Numeric E(s) = (Q1 o P + g Q2 o P) Lambda + s I - Lambda with the
+    service transform replaced by the value g.
+
+    s and g may be arrays of one shape; the matrices then stack on leading axes.
+    """
+    lam = model.rates
+    s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
+    h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
+    return h + np.eye(model.n_states) * s - np.diag(lam)
+
+
+def eval_E_deriv(model: MarpModel, gprime: complex) -> np.ndarray:
+    """d/ds E(s) given the derivative of the service transform at s."""
+    return model.e_dg * gprime + np.eye(model.n_states)
 
 
 def stability_margin(model: MarpModel, mean_service: float) -> float:

@@ -2,14 +2,23 @@
 
 The service transform moves by eps * s * (mp * pte(s) - mh * hte(s)) per
 real transition (the discard variant drops the heavy term), which shifts
-each positive determinant root by -eps * delta_k and tilts the null-space
-columns.  Everything needed for the corrected transform lives here: the
-perturbing matrix, the root shifts (computed twice, through independent
-routes, and cross-checked), the eigenvector correction vectors, and the
-first-order boundary-vector shift z.  All of it comes from the numeric
-matrices E, E' and K at each positive root: singular vectors for the
-residue route, determinants with a column replaced for the ratio route and
-for the adjugate columns and their derivatives (cofactor_column).
+each positive determinant root by -eps * delta_k and tilts its null vector.
+Everything needed for the corrected transform lives here: the perturbing
+matrix, the root shifts, the null-vector tilts, and the first-order
+boundary-vector shift z.
+
+All of it comes from the numeric matrices E, E' and K at each positive root
+rho, by one SVD and one bordered solve (Keller 1977; Govaerts, Numerical
+Methods for Bifurcations of Dynamical Equilibria, 2000).  With x and y the
+right and left singular vectors of the smallest singular value of E(rho),
+the root shift is the residue y K x / y E' x.  M = [[E, y^H], [x^H, 0]] is
+regular at a simple root, and [x; -sigma_min] solves M [a; g] = [0; 1]: the
+null vector a = x is normalised by x^H a = 1.  Along a direction D,
+-M^-1 [D a; 0] is the derivative (a_D, g_D) of that solution, which gives
+the tilts a' (D = E') and k (D = K).  The paper's adjugate columns and
+column-replacement determinants are only the derivation of these
+quantities; the tests keep them as an independent reference, and
+verify_delta_identity re-derives every shift through z and the families.
 """
 
 from __future__ import annotations
@@ -19,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_solver import BaseSolution
-from .model import stability_margin
+from .model import eval_E, eval_E_deriv, stability_margin
 from .polyalg import linsolve
-from .symbolic_kernel import eval_E, eval_E_deriv
 
-DELTA_AGREEMENT_TOL = 1e-7
+DELTA_AGREEMENT_TOL = 1e-7  # relative, of the delta identity
 DELTA_FLOOR = 1e3        # rounding floor of the shift checks, in eps |K| / |y E' x|
+SIMPLE_ROOT_TOL = 1e-10  # sigma_(N-1)/sigma_1 and |y E' x|/|E'|_2 of a simple root
 
 
 class PerturbationError(RuntimeError):
@@ -35,17 +44,13 @@ class PerturbationError(RuntimeError):
 class PerturbationData:
     variant: str            # "replace" or "discard"
     delta: tuple            # root shifts, one per positive base root
-    delta_alt: tuple        # same quantity through the determinant-ratio route
     delta_floor: tuple      # rounding level below which two shifts agree
-    k_vecs: tuple           # eigenvector correction vectors k_i
     a_mat: np.ndarray       # columns (Lambda^-1 1, a_2, ..., a_N)
     b_mat: np.ndarray       # columns (0, delta_i a_i' - k_i, ...)
-    c_vec: np.ndarray
-    d_vec: np.ndarray
     z: np.ndarray           # first-order boundary shift
 
     def __post_init__(self):
-        for name in ("a_mat", "b_mat", "c_vec", "d_vec", "z"):
+        for name in ("a_mat", "b_mat", "z"):
             getattr(self, name).setflags(write=False)
 
 
@@ -61,8 +66,7 @@ def _excess_factor(sol: BaseSolution, ht, variant: str):
 
 def k_matrix(sol: BaseSolution, ht, variant: str = "replace"):
     """Matrix function K(s) perturbing E(s); K(0) = 0 by the explicit s factor."""
-    model = sol.model
-    base = (model.q_real * model.trans) * model.rates[None, :]
+    base = sol.model.e_dg
     factor = _excess_factor(sol, ht, variant)
 
     def k_of_s(s):
@@ -79,100 +83,63 @@ def _root_matrices(sol: BaseSolution, ht, idx: int, variant: str) -> tuple:
             k_matrix(sol, ht, variant)(rho))
 
 
-def _check_agreement(what: str, rho, a: complex, b: complex, floor: float):
-    """Relative agreement within DELTA_AGREEMENT_TOL, or both below the floor."""
-    if abs(a - b) > max(DELTA_AGREEMENT_TOL * max(abs(a), abs(b)), floor):
-        raise PerturbationError(f"{what} at root {rho}: {a} vs {b}")
+def bordered_solve(rho, e_num, e_der, k_num) -> tuple:
+    """Root shift and null-vector tilts at the simple root rho of det E.
 
-
-def _det_along(mat: np.ndarray, direction: np.ndarray) -> complex:
-    """Derivative of det(mat) along direction: the determinants of mat with
-    one column replaced by the matching column of direction, summed."""
-    n = mat.shape[0]
-    swapped = np.repeat(mat[None].astype(complex), n, axis=0)
-    swapped[np.arange(n), :, np.arange(n)] = direction.T
-    return complex(np.linalg.det(swapped).sum())
-
-
-def _shift(rho, e_num, e_der, k_num) -> tuple:
-    """Both routes to the root shift, its rounding floor and the left null vector.
-
-    Route one is the residue form y K x / y E' x with x and y the right and
-    left singular vectors of the smallest singular value of E(rho).  Route
-    two is the column-replacement determinant ratio.  The floor
-    1e3 eps |K|_2 / |y E' x| is the rounding level of route one, below
-    which two shifts agree however far apart they are relatively (a shift
-    that vanishes exactly comes out as rounding noise on either route).
+    Returns the shift y K x / y E' x, its rounding floor, the null vector
+    a = x, and its derivatives a' along E' and k along K.  The floor
+    1e3 eps |K|_2 / |y E' x| is the rounding level of the shift, below which
+    two shifts agree however far apart they are relatively (a shift that
+    vanishes exactly comes out as rounding noise).  A second null direction
+    (sigma_(N-1)/sigma_1) or a multiple root of det E (|y E' x|/|E'|_2)
+    below SIMPLE_ROOT_TOL raises; both ratios are free of the time unit and
+    of N.
     """
-    lsv, _, rsv = np.linalg.svd(e_num)
+    lsv, sv, rsv = np.linalg.svd(e_num)
     x, y = rsv[-1].conj(), lsv[:, -1].conj()
     slope = y @ e_der @ x
-    delta_residue = (y @ k_num @ x) / slope
+    gap = sv[-2] / sv[0]
+    steep = abs(slope) / np.linalg.norm(e_der, 2)
+    if min(gap, steep) < SIMPLE_ROOT_TOL:
+        raise PerturbationError(f"root {rho} is not numerically simple: "
+                                f"sigma_(N-1)/sigma_1 = {gap:.3e}, |y E' x|/|E'| = {steep:.3e}")
+    delta = (y @ k_num @ x) / slope
     floor = DELTA_FLOOR * np.finfo(float).eps * float(np.linalg.norm(k_num, 2)) / abs(slope)
 
-    den = _det_along(e_num, e_der)
-    if abs(den) < 1e-12 * max(1.0, float(np.abs(e_num).max()) ** e_num.shape[0]):
-        raise PerturbationError(f"root {rho} is not numerically simple")
-    delta_ratio = _det_along(e_num, k_num) / den
-    _check_agreement("delta definitions disagree", rho, delta_residue, delta_ratio, floor)
-    return delta_residue, delta_ratio, floor, y
+    bordered = np.block([[e_num, lsv[:, -1:]], [rsv[-1:], np.zeros((1, 1))]])
+    tilts = np.linalg.solve(bordered, -np.vstack([np.column_stack([e_der @ x, k_num @ x]),
+                                                  np.zeros((1, 2))]))
+    a_der, k_vec = tilts[:-1].T
+    return delta, floor, x, a_der, k_vec
 
 
 def compute_delta(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> tuple:
-    """Root shift delta for positive root idx, by two independent routes.
-
-    Returns the residue route, the column-replacement route and the rounding
-    floor of their comparison (see _shift); disagreement raises.
-    """
-    return _shift(*_root_matrices(sol, ht, idx, variant))[:3]
-
-
-def cofactor_column(mat: np.ndarray, m: int, *directions: np.ndarray) -> tuple:
-    """Column m of adj(mat), then its derivative along each direction.
-
-    Entry j is (-1)**(m+j) times the minor of mat without row m and column
-    j, and its derivative is that minor's along the same minor of a direction.
-    """
-    n = mat.shape[0]
-    rows = [r for r in range(n) if r != m]
-    out = np.empty((1 + len(directions), n), dtype=complex)
-    for j in range(n):
-        minor = np.ix_(rows, [c for c in range(n) if c != j])
-        sign = (-1) ** (m + j)
-        out[0, j] = sign * np.linalg.det(mat[minor])
-        for k, direction in enumerate(directions, start=1):
-            out[k, j] = sign * _det_along(mat[minor], direction[minor])
-    return tuple(out)
+    """Root shift delta for positive root idx and its rounding floor."""
+    return bordered_solve(*_root_matrices(sol, ht, idx, variant))[:2]
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
-    """Root shifts, correction vectors and the first-order boundary shift z.
+    """Root shifts, null-vector tilts and the first-order boundary shift z.
 
-    At each positive root, the adjugate column a_i of largest norm (the
-    largest entry of the left null vector), its s-derivative a_i' and the
-    correction vector k_i come from cofactor_column along E'(rho) and
-    K(rho).  The boundary system is assembled so that c A^-1 reproduces the
-    base vector u (checked); z = (u B + d) A^-1.  The residue identity that
-    re-derives each delta from z is enforced afterwards by
-    verify_delta_identity.
+    At each positive root, the null vector a_i, its s-derivative a_i' and
+    the correction vector k_i come from bordered_solve.  The boundary system
+    is assembled so that c A^-1 reproduces the base vector u (checked);
+    z = (u B + d) A^-1.  The residue identity that re-derives each delta
+    from z is enforced afterwards by verify_delta_identity.
     """
     model, pt = sol.model, sol.pt
     n = model.n_states
-    deltas, deltas_alt, floors, kvecs = [], [], [], []
+    deltas, floors = [], []
     a_mat = np.empty((n, n), dtype=complex)
     a_mat[:, 0] = 1.0 / model.rates
     b_mat = np.zeros((n, n), dtype=complex)
     for idx in range(len(sol.rho_pos)):
-        rho, e_num, e_der, k_num = _root_matrices(sol, ht, idx, variant)
-        delta, delta_alt, floor, y = _shift(rho, e_num, e_der, k_num)
-        m = int(np.argmax(np.abs(y)))
-        a_vec, a_der, kvec = cofactor_column(e_num, m, e_der, k_num)
-        if np.linalg.norm(a_vec) <= 1e-12:
-            raise PerturbationError(f"adjugate column {m} at root {rho} is numerically zero")
+        delta, floor, a_vec, a_der, kvec = bordered_solve(*_root_matrices(sol, ht, idx, variant))
         deltas.append(delta)
-        deltas_alt.append(delta_alt)
         floors.append(floor)
-        kvecs.append(kvec)
+        # columns i >= 1 have c_i = d_i = 0 and u . a_i = 0, so z is unchanged
+        # by any smooth rescaling of a_i: the unit null vector stands in for
+        # the paper's adjugate column
         a_mat[:, idx + 1] = a_vec
         b_mat[:, idx + 1] = delta * a_der - kvec
 
@@ -195,11 +162,8 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
         raise PerturbationError("first-order boundary shift came out complex")
     z = z.real
 
-    return PerturbationData(
-        variant=variant, delta=tuple(deltas), delta_alt=tuple(deltas_alt),
-        delta_floor=tuple(floors), k_vecs=tuple(kvecs),
-        a_mat=a_mat, b_mat=b_mat, c_vec=c, d_vec=d, z=z,
-    )
+    return PerturbationData(variant=variant, delta=tuple(deltas), delta_floor=tuple(floors),
+                            a_mat=a_mat, b_mat=b_mat, z=z)
 
 
 def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):
@@ -209,12 +173,15 @@ def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):
     alpha_k and beta_k the residues at rho_k of the z- and adjugate-tilt
     families (sol.families) and z the variant's own boundary shift.  This
     closes the loop through z and the families, independently of the
-    determinant-side routes.
+    bordered solve.
     """
     fam, n = sol.families, sol.model.n_states
     factor = _excess_factor(sol, ht, pdata.variant)
     for idx, rho in enumerate(sol.rho_pos):
         res = fam.coefs[idx][0]      # residues at rho: F_alpha's vector, F_beta, F_gamma
         want = (complex(factor(rho)) * res[n] + pdata.z @ res[:n]) / sol.uw
-        _check_agreement("numerator-side delta identity failed", rho, pdata.delta[idx], want,
-                         pdata.delta_floor[idx])
+        got = pdata.delta[idx]
+        if abs(got - want) > max(DELTA_AGREEMENT_TOL * max(abs(got), abs(want)),
+                                 pdata.delta_floor[idx]):
+            raise PerturbationError(f"numerator-side delta identity failed at root {rho}: "
+                                    f"{got} vs {want}")

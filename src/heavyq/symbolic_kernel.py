@@ -21,7 +21,7 @@ cofactor oracle in the test suite pins this reading.
 
 Two users remain: the inversion oracle (exact_solve) and the subset-sum
 references in the tests; the solver, the perturbation and the correction
-work on numeric E(s) (eval_E), so N_CAP limits only those two.
+work on numeric E(s) (model.eval_E), so N_CAP limits only those two.
 """
 
 from __future__ import annotations
@@ -291,19 +291,3 @@ def xi_polys(model: MarpModel, pt, r: int) -> dict:
             xi_prime_by_state[(i, l)] = adj[l][i].cleared(q, p, r)
     return {"xi": xi, "xi_by_state": xi_by_state, "xi_prime_by_state": xi_prime_by_state}
 
-
-def eval_E(model: MarpModel, s, g) -> np.ndarray:
-    """Numeric E(s) with the service transform replaced by the value g.
-
-    s and g may be arrays of one shape; the matrices then stack on leading axes.
-    """
-    lam = model.rates
-    s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
-    h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
-    return h + np.eye(model.n_states) * s - np.diag(lam)
-
-
-def eval_E_deriv(model: MarpModel, gprime: complex) -> np.ndarray:
-    """d/ds E(s) given the derivative of the service transform at s."""
-    lam = model.rates
-    return model.q_real * model.trans * lam[None, :] * gprime + np.eye(model.n_states)

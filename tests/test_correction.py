@@ -20,11 +20,11 @@ from heavyq.correction import (
 )
 from heavyq.heavytail import abate_whitt, custom_heavytail, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
-from heavyq.model import build_marp, build_mmpp
+from heavyq.model import build_marp, build_mmpp, eval_E
 from heavyq.oracle import exact_solve
 from heavyq.perturbation import perturb
 from heavyq.polyalg import Poly, RationalFn, RootSet, partial_fractions
-from heavyq.symbolic_kernel import eval_E, xi_polys
+from heavyq.symbolic_kernel import xi_polys
 from test_riccati import cleared_determinant, paper_model
 
 

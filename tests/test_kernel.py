@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from heavyq.base_solver import RationalLST
-from heavyq.model import build_marp, build_mmpp
+from heavyq.model import build_marp, build_mmpp, eval_E
 from heavyq.polyalg import Poly
 from heavyq.symbolic_kernel import (
     KernelError,
     adjoint_entry,
     adjoint_matrix,
     det_E,
-    eval_E,
     service_polys,
     xi_polys,
 )

@@ -3,16 +3,17 @@ import pytest
 
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.heavytail import abate_whitt, phase_type_tail
-from heavyq.model import build_marp, build_mmpp
+from heavyq.model import build_marp, build_mmpp, eval_E, eval_E_deriv, stability_report
 from heavyq.correction import approximate
 from heavyq.perturbation import (
-    cofactor_column,
+    PerturbationError,
+    bordered_solve,
     compute_delta,
     k_matrix,
     perturb,
     verify_delta_identity,
 )
-from heavyq.symbolic_kernel import eval_E
+from test_riccati import paper_model
 
 
 def erlang2_model(lam=1.0):
@@ -26,6 +27,64 @@ def mmpp2_model():
 def rank_one_model():
     """d2 of rank one: the positive root does not move at all (delta = 0)."""
     return build_marp([[-2.0, 1.0], [0.5, -1.5]], [[0.4, 0.6], [0.4, 0.6]])
+
+
+def random_mmpp(n, seed, load=None, scale=1.0):
+    """Rates in U(1,3), rescaled to load when given, uniform rows of P, and
+    exp(3) service; every rate, the service rate included, times scale."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(1.0, 3.0, n)
+    p = rng.uniform(size=(n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    if load is not None:
+        rates *= load / stability_report(build_mmpp(rates, p), 1.0 / 3.0)["load"]
+    return build_mmpp(scale * rates, p), RationalLST.exponential(3.0 * scale)
+
+
+def _det_along(mat, direction):
+    """Derivative of det(mat) along direction: the determinants of mat with
+    one column replaced by the matching column of direction, summed."""
+    n = mat.shape[0]
+    swapped = np.repeat(mat[None].astype(complex), n, axis=0)
+    swapped[np.arange(n), :, np.arange(n)] = direction.T
+    return complex(np.linalg.det(swapped).sum())
+
+
+def cofactor_column(mat, m, *directions):
+    """Column m of adj(mat), then its derivative along each direction: the
+    paper's route to the null vectors and their tilts, a reference for N <= 8.
+
+    Entry j is (-1)**(m+j) times the minor of mat without row m and column
+    j, and its derivative is that minor's along the same minor of a direction.
+    """
+    n = mat.shape[0]
+    rows = [r for r in range(n) if r != m]
+    out = np.empty((1 + len(directions), n), dtype=complex)
+    for j in range(n):
+        minor = np.ix_(rows, [c for c in range(n) if c != j])
+        sign = (-1) ** (m + j)
+        out[0, j] = sign * np.linalg.det(mat[minor])
+        for k, direction in enumerate(directions, start=1):
+            out[k, j] = sign * _det_along(mat[minor], direction[minor])
+    return tuple(out)
+
+
+def reference_shift(sol, ht, idx, variant):
+    """Column-replacement ratio tr(adj E K) / tr(adj E E') at positive root
+    idx: the paper's route to the shift, free of the singular vectors."""
+    model, pt, rho = sol.model, sol.pt, sol.rho_pos[idx]
+    e_num = eval_E(model, rho, pt(rho))
+    return (_det_along(e_num, k_matrix(sol, ht, variant)(rho))
+            / _det_along(e_num, eval_E_deriv(model, pt.deriv_at(rho))))
+
+
+def assert_shift_matches_reference(sol, ht, idx, variant):
+    """compute_delta's shift equals the column-replacement ratio within 1e-7
+    relative, or both lie below its rounding floor."""
+    delta, floor = compute_delta(sol, ht, idx, variant)
+    ratio = reference_shift(sol, ht, idx, variant)
+    assert abs(delta - ratio) <= max(1e-7 * max(abs(delta), abs(ratio)), floor), \
+        f"root {sol.rho_pos[idx]}: {delta} vs {ratio}"
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +135,7 @@ def test_delta_toy_closed_form(toy):
     sol, ht = toy
     lam, nu = 1.0, 3.0
     rho2 = sol.rho_pos[0]
-    d1, d2, _ = compute_delta(sol, ht, 0, "replace")
+    d1, d2 = compute_delta(sol, ht, 0, "replace")[0], reference_shift(sol, ht, 0, "replace")
     factor = sol.pt.mean * sol.pt.excess(rho2) - ht.mean * complex(ht.excess_lst(rho2))
     gprime = -nu / (nu + rho2) ** 2
     want = -rho2 * lam ** 2 * factor / (2 * (rho2 - lam) - lam ** 2 * gprime)
@@ -87,7 +146,7 @@ def test_delta_toy_closed_form(toy):
 def test_delta_zero_for_identical_tail(toy):
     sol, _ = toy
     ht = phase_type_tail(sol.pt)
-    d1, d2, _ = compute_delta(sol, ht, 0, "replace")
+    d1, d2 = compute_delta(sol, ht, 0, "replace")[0], reference_shift(sol, ht, 0, "replace")
     assert abs(d1) < 1e-14 and abs(d2) < 1e-14
 
 
@@ -220,8 +279,8 @@ def test_dual_delta_randomised():
     sol = solve_base(rank_one_model(), RationalLST.exponential(3.0))
     ht = abate_whitt(2.0)
     for variant in ("replace", "discard"):
-        delta, delta_alt, floor = compute_delta(sol, ht, 0, variant)
-        assert max(abs(delta), abs(delta_alt)) <= floor <= 1e-12
+        delta, floor = compute_delta(sol, ht, 0, variant)
+        assert max(abs(delta), abs(reference_shift(sol, ht, 0, variant))) <= floor <= 1e-12
         verify_delta_identity(sol, perturb(sol, ht, variant), ht)
     done = 0
     while done < 10:
@@ -238,12 +297,12 @@ def test_dual_delta_randomised():
             continue
         sol = solve_base(model, pt)
         for idx in range(len(sol.rho_pos)):
-            compute_delta(sol, ht, idx, "replace")  # raises on disagreement
+            assert_shift_matches_reference(sol, ht, idx, "replace")
         done += 1
 
 
 def test_zero_root_shift_runs_both_variants():
-    # both shift routes and the residue identity give rounding noise here,
+    # the shift and the residue identity give rounding noise here,
     # which the rounding floor accepts
     model = rank_one_model()
     pt, ht = RationalLST.exponential(3.0), abate_whitt(2.0)
@@ -252,3 +311,64 @@ def test_zero_root_shift_runs_both_variants():
         out = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant)
         assert np.all(np.isfinite(out.corrected_raw))
         assert out.corrected_raw[-1] > out.base[-1]
+
+
+@pytest.mark.parametrize("n, load, seed", [(16, 0.8, 7), (16, 0.95, 11), (32, 0.8, 7),
+                                           (32, 0.95, 11), (64, 0.95, 11)])
+def test_perturbation_on_random_mmpps(n, load, seed):
+    # the simplicity test is free of N and every check keeps its tolerance
+    model, pt = random_mmpp(n, seed, load)
+    sol, ht = solve_base(model, pt), abate_whitt(2.0)
+    for variant in ("replace", "discard"):
+        verify_delta_identity(sol, perturb(sol, ht, variant), ht)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_perturbation_is_free_of_the_time_unit(n):
+    # every rate times c moves the roots and the shifts by c and leaves z
+    # alone; the discard K has no heavy-tail time scale of its own
+    ht = abate_whitt(2.0)
+    ref = perturb(solve_base(*random_mmpp(n, 7)), ht, "discard")
+    for c in (0.01, 0.1, 10.0):
+        pdata = perturb(solve_base(*random_mmpp(n, 7, scale=c)), ht, "discard")
+        np.testing.assert_allclose(np.asarray(pdata.delta) / c, ref.delta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pdata.z, ref.z, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "random8"])
+def test_bordered_solve_matches_the_adjugate_reference(name):
+    # a_i is the adjugate column of largest norm up to a factor phi, the
+    # shift is the column-replacement ratio, and u . b_i scales by the same
+    # phi, so z is the one the adjugate columns give
+    if name == "random8":
+        model, pt = random_mmpp(8, 7, load=0.8)
+    else:
+        model, pt = paper_model(name), RationalLST.exponential(3.0)
+    sol, ht = solve_base(model, pt), abate_whitt(2.0)
+    pdata = perturb(sol, ht, "replace")
+    for idx, rho in enumerate(sol.rho_pos):
+        e_num = eval_E(model, rho, pt(rho))
+        e_der = eval_E_deriv(model, pt.deriv_at(rho))
+        k_num = k_matrix(sol, ht, "replace")(rho)
+        m = max(range(model.n_states), key=lambda j: np.linalg.norm(cofactor_column(e_num, j)[0]))
+        adj, adj_der, adj_k = cofactor_column(e_num, m, e_der, k_num)
+        a, b = pdata.a_mat[:, idx + 1], pdata.b_mat[:, idx + 1]
+        phi = (adj.conj() @ a) / (adj.conj() @ adj)
+        assert np.linalg.norm(a - phi * adj) <= 1e-9 * np.linalg.norm(a)
+        delta = pdata.delta[idx]
+        ratio = _det_along(e_num, k_num) / _det_along(e_num, e_der)
+        assert abs(ratio - delta) <= max(1e-7 * abs(delta), pdata.delta_floor[idx])
+        want = phi * (sol.u @ (delta * adj_der - adj_k))
+        assert abs(sol.u @ b - want) <= 1e-8 * max(abs(want), np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("e_num, which", [
+    (np.diag([0.0, 0.0, 1.0]), r"sigma_\(N-1\)/sigma_1 = 0\.000e\+00"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), r"\|y E' x\|/\|E'\| = 0\.000e\+00"),
+], ids=["second null direction", "double root"])
+def test_bordered_solve_rejects_a_root_that_is_not_simple(e_num, which):
+    eye = np.eye(e_num.shape[0])
+    pattern = r"root 0\.0 is not numerically simple: sigma_\(N-1\)/sigma_1 = .+, \|y E' x\|/\|E'\| = "
+    for want in (pattern, which):
+        with pytest.raises(PerturbationError, match=want):
+            bordered_solve(0.0, e_num.astype(complex), eye, eye)
