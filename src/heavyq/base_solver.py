@@ -38,10 +38,11 @@ law's atom against u . omega; and the total mass of the time-domain law
 (again "W(0) = ...").
 
 The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
-of the solve, nor of anything downstream but the oracle.  A solution's
-families (computed on first use) are the Laurent data of the correction
-families, ratios of E(s)^-1 quantities: pole parts by the trapezoid rule on
-a circle around each pole, all nodes in one batched solve.
+of the solve, nor of anything downstream.  The oracle reuses the boundary
+system (_boundary_vector) with the mixture transform in place of B.  A
+solution's families (computed on first use) are the Laurent data of the
+correction families, ratios of E(s)^-1 quantities: pole parts by the
+trapezoid rule on a circle around each pole, all nodes in one batched solve.
 """
 
 from __future__ import annotations

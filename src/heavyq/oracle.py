@@ -1,13 +1,12 @@
 """Independent reference answers: exact mixture transform, inversion, simulation.
 
 The mixture model (phase-type weight 1-eps, heavy tail weight eps) is solved
-without any perturbation shortcut: the nonnegative roots of the perturbed
-determinant are located by Newton iteration on the analytic function itself,
-the boundary vector comes from the same linear system as the base model, and
-the resulting transform is inverted numerically.  None of this shares code
-paths with the correction-term assembly, which is the point.  exact_solve
-expands the subset-sum determinant and adjugate (symbolic_kernel) itself,
-so it needs N <= N_CAP and its cost grows like 3^N.
+without any perturbation shortcut: the nonnegative roots of det E(s) are
+located by Newton iteration on the numeric matrix E(s) itself, the boundary
+vector comes from the same linear system as the base model, and the
+transform s u E(s)^-1 omega is inverted numerically.  None of this shares
+code paths with the correction-term assembly, which is the point; nothing
+here expands subset sums, so there is no cap on the number of states.
 
 invert evaluates the transform once per call, on the matrix of Euler
 abscissae of all its t; both Euler estimates come from one cumulative sum
@@ -25,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symbolic_kernel
-from .base_solver import BaseSolution, RationalLST, solve_base
-from .model import MarpModel, stability_margin
+from .base_solver import BaseSolution, RationalLST, _boundary_vector, solve_base
+from .model import MarpModel, eval_E, eval_E_deriv, stability_margin
 
 EULER_TERMS = 40       # raw Bromwich terms before averaging; sqrt-type
                        # branch points need this many for 1e-7 accuracy
@@ -102,26 +100,16 @@ class ExactSolution:
     rho_eps: tuple      # refined nonnegative roots (the zero root excluded)
     u_eps: np.ndarray
     _mix_lst: object
-    _detg: symbolic_kernel.GPoly
-    _adj: tuple         # _adj[l][i] = Adj_{l,i}
 
     def __post_init__(self):
         self.u_eps.setflags(write=False)
 
     def transform(self, s):
-        """Delay transform of the mixture model at complex s (an array too), Re s >= 0."""
-        model = self.model
-        g = self._mix_lst(s)
-        n = model.n_states
-        adj = self._adj
-        det = self._detg(s, g)
-        num = 0j
-        for i in range(n):
-            if model.omega[i] == 0.0:
-                continue
-            col = sum(self.u_eps[l] * adj[l][i](s, g) for l in range(n))
-            num += model.omega[i] * col
-        return s * num / det
+        """Delay transform s u E(s)^-1 omega at complex s (an array too), Re s >= 0."""
+        z = np.asarray(s, dtype=complex)
+        x = np.linalg.solve(eval_E(self.model, z, self._mix_lst(z)), self.model.omega[:, None])
+        out = z * (x[..., 0] @ self.u_eps)
+        return out if out.ndim else complex(out)
 
     def survival(self, t: float, tol: float = 1e-7) -> float:
         return invert(self.transform, t, tol)
@@ -130,20 +118,12 @@ class ExactSolution:
         return invert(self.transform, np.atleast_1d(ts), tol)
 
     def normalisation(self) -> complex:
-        """W(0) by l'Hopital on s * num / det; should be 1."""
-        model = self.model
-        n = model.n_states
+        """W(0) = (u x)(y^H omega) / (y^H E'(0) x) by the SVD of E(0); should be 1."""
         mean_mix = (1 - self.eps) * self._mix_lst.pt.mean + self.eps * self._mix_lst.ht.mean
-        gprime0 = -mean_mix
-        val, dval = 0j, 0j
-        for k, c in enumerate(self._detg.coeffs_in_g):
-            val += c(0.0)
-            dval += c.deriv()(0.0) + k * gprime0 * c(0.0)
-        num = 0j
-        for i in range(n):
-            col = sum(self.u_eps[l] * self._adj[l][i](0.0, 1.0) for l in range(n))
-            num += model.omega[i] * col
-        return num / dval
+        left, _, right = np.linalg.svd(eval_E(self.model, 0.0, 1.0))
+        x, y_h = right[-1].conj(), left[:, -1].conj()
+        return (self.u_eps @ x) * (y_h @ self.model.omega) / (
+            y_h @ eval_E_deriv(self.model, -mean_mix) @ x)
 
 
 @dataclass(frozen=True)
@@ -177,58 +157,38 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
     if margin <= 0:
         raise OracleError("mixture model is unstable")
     mix = _MixtureLST(pt, ht, eps)
-    detg = symbolic_kernel.det_E(model)
-    adj = tuple(tuple(row) for row in symbolic_kernel.adjoint_matrix(model))
-
-    def f_and_df(s):
-        g = mix(s)
-        gp = mix.deriv(s)
-        return detg.eval_with_gderiv(s, g, gp)
 
     rho_eps = []
     for idx, rho in enumerate(base.rho_pos):
-        seed = rho - eps * deltas[idx] if deltas is not None else rho
-        x = complex(seed)
+        x = complex(rho - eps * deltas[idx] if deltas is not None else rho)
+        # Newton on det E, step 1 / tr(E^-1 E') by LU, and one more step after
+        # the stop test; an exactly singular E(x) makes x a root
         converged = False
-        for _ in range(NEWTON_ITERS):
-            val, dval = f_and_df(x)
-            if dval == 0:
-                break
-            step = val / dval
-            x -= step
-            if abs(step) <= 1e-13 * max(1.0, abs(x)):
+        for _ in range(NEWTON_ITERS + 1):
+            try:
+                step = 1.0 / np.trace(np.linalg.solve(eval_E(model, x, mix(x)),
+                                                      eval_E_deriv(model, mix.deriv(x))))
+            except np.linalg.LinAlgError:
                 converged = True
                 break
-        val, _ = f_and_df(x)
-        local = max(abs(c(x)) for c in detg.coeffs_in_g if not c.is_zero)
-        if not converged or abs(val) > 1e-8 * max(1.0, local):
+            x -= step
+            if converged:
+                break
+            converged = abs(step) <= 1e-13 * max(1.0, abs(x))
+        sv = np.linalg.svd(eval_E(model, x, mix(x)), compute_uv=False)
+        if not converged or sv[-1] > 1e-8 * sv[0]:
             raise OracleError(f"Newton did not converge for root {rho}")
         if x.real <= 0:
             raise OracleError(f"refined root {x} lost its positive real part")
         rho_eps.append(x)
     # distinctness guard: refined roots must stay separated
-    for i in range(len(rho_eps)):
-        for j in range(i + 1, len(rho_eps)):
-            if abs(rho_eps[i] - rho_eps[j]) < 1e-8 * max(1.0, abs(rho_eps[i])):
-                raise OracleError("refined roots collided")
+    for i, a in enumerate(rho_eps):
+        if any(abs(a - b) < 1e-8 * max(1.0, abs(a)) for b in rho_eps[i + 1:]):
+            raise OracleError("refined roots collided")
 
-    n = model.n_states
-    amat = np.empty((n, n), dtype=complex)
-    amat[:, 0] = 1.0 / model.rates
-    for idx, x in enumerate(rho_eps):
-        g = mix(x)
-        cols = np.array([[adj[jj][mm](x, g) for mm in range(n)] for jj in range(n)])
-        m = int(np.argmax(np.linalg.norm(cols, axis=0)))
-        amat[:, idx + 1] = cols[:, m]
-    c = np.zeros(n, dtype=complex)
-    c[0] = margin
-    from .polyalg import linsolve
-    u_eps = linsolve(amat.T, c)
-    if np.max(np.abs(u_eps.imag)) > 1e-7 * max(1.0, float(np.max(np.abs(u_eps)))):
-        raise OracleError("mixture boundary vector came out complex")
-    u_eps = u_eps.real
+    u_eps = _boundary_vector(model, mix, rho_eps, margin)
     sol = ExactSolution(model=model, eps=eps, rho_eps=tuple(rho_eps),
-                        u_eps=u_eps, _mix_lst=mix, _detg=detg, _adj=adj)
+                        u_eps=u_eps, _mix_lst=mix)
     norm = sol.normalisation()
     if abs(norm - 1.0) > 1e-9:
         raise OracleError(f"mixture transform not normalised: W(0) = {norm}")

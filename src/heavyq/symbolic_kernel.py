@@ -19,9 +19,10 @@ strictly between i and j that keeps its (s - rate) factor flips the sign)
 gives the factor (-1)**|T_ij \\ S| per (Gamma, S) term; the brute-force
 cofactor oracle in the test suite pins this reading.
 
-Two users remain: the inversion oracle (exact_solve) and the subset-sum
-references in the tests; the solver, the perturbation and the correction
-work on numeric E(s) (model.eval_E), so N_CAP limits only those two.
+No module of the package uses it: the solver, the perturbation, the
+correction and the inversion oracle all work on numeric E(s) (model.eval_E).
+It is kept for the subset-sum references in the tests and for the names the
+benchmark tracer hooks, so N_CAP limits only those references.
 """
 
 from __future__ import annotations

@@ -177,6 +177,20 @@ def test_cli_compare_self_consistency(tmp_path):
     assert gap < 0.01 and err < 0.01
 
 
+def test_cli_compare_runs_on_thirteen_states(tmp_path):
+    # one state past the subset-sum cap (N_CAP = 12): no src path expands it
+    from test_perturbation import random_mmpp
+
+    model, _ = random_mmpp(13, 7, 0.8)
+    rows = ", ".join("[" + ", ".join(repr(float(v)) for v in row) + "]" for row in model.trans)
+    text = (f"mmpp.rates = [{', '.join(repr(float(r)) for r in model.rates)}]\n"
+            f"mmpp.p = [{rows}]\nservice.exp = 3\nheavytail.abate_whitt = 2\n"
+            "eps = 1/100\ngrid.points = 20\n")
+    out = tmp_path / "o"
+    assert main(["compare", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert (out / "compare.csv").read_text().startswith("variant,")
+
+
 def test_paper_configs_parse_and_match_fixtures():
     from heavyq.model import stability_report
 

@@ -1,7 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+from heavyq import symbolic_kernel
 from heavyq.base_solver import RationalLST, solve_base
+from heavyq.cli import parse_config
+from heavyq.correction import default_grid
 from heavyq.heavytail import abate_whitt
 from heavyq.model import build_marp, build_mmpp
 from heavyq.oracle import (
@@ -12,6 +17,9 @@ from heavyq.oracle import (
     simulate,
 )
 from heavyq.perturbation import perturb
+from test_perturbation import random_mmpp
+
+PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
 
 
 def poisson_model(lam=1.0):
@@ -144,6 +152,59 @@ def test_exact_solve_rejects_unstable():
     ht = abate_whitt(0.55)
     with pytest.raises(OracleError):
         exact_solve(model, pt, ht, 0.15)
+
+
+@pytest.mark.parametrize("load", [0.8, 0.95])
+@pytest.mark.parametrize("n", [12, 16, 32])
+def test_exact_solve_on_random_mmpps(n, load):
+    # beyond the subset-sum cap; N = 12 at load 0.8 meets an E(x) that is
+    # exactly singular at a Newton iterate
+    model, pt = random_mmpp(n, 7, load)
+    exact = exact_solve(model, pt, abate_whitt(2.0), 0.01)
+    assert abs(exact.normalisation() - 1.0) <= 1e-9
+    vals = exact.survival_grid(np.geomspace(0.05, 200.0, 30))
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+def _bench_grid(cfg, sol):
+    """Every eighth point of the run file's grid and its last, t > 0."""
+    full = default_grid(sol, points=cfg.points, t_max=cfg.tmax)
+    ts = full[np.unique(np.r_[0:full.size:8, full.size - 1])]
+    return ts[ts > 0]
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5"])
+def test_exact_solve_roots_do_not_depend_on_the_seed(name):
+    # Newton takes one more step after its stop test, so seeding at the base
+    # roots and at rho - eps delta lands on the same roots
+    cfg = parse_config(os.path.join(PAPER, f"{name}.cfg"))
+    sol = solve_base(cfg.model, cfg.pt)
+    deltas = perturb(sol, cfg.ht, "replace").delta
+    at_base = exact_solve(cfg.model, cfg.pt, cfg.ht, cfg.eps, base=sol)
+    shifted = exact_solve(cfg.model, cfg.pt, cfg.ht, cfg.eps, base=sol, deltas=deltas)
+    a, b = np.array(at_base.rho_eps), np.array(shifted.rho_eps)
+    assert np.all(np.abs(a - b) <= 1e-13 * np.abs(a))
+    ts = _bench_grid(cfg, sol)
+    np.testing.assert_allclose(at_base.survival_grid(ts), shifted.survival_grid(ts),
+                               rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2"])
+def test_exact_transform_matches_the_subset_sum_adjugate(name):
+    # the paper's route: s u adj(E) omega / det E from the expanded kernel
+    cfg = parse_config(os.path.join(PAPER, f"{name}.cfg"))
+    model = cfg.model
+    exact = exact_solve(model, cfg.pt, cfg.ht, cfg.eps)
+    rng = np.random.default_rng(20)
+    s = rng.uniform(0.0, 4.0, 20) + 1j * rng.normal(0.0, 3.0, 20)
+    s[:4] = 1j * np.array([0.5, 1.0, 3.0, 10.0])
+    g = (1 - cfg.eps) * cfg.pt(s) + cfg.eps * cfg.ht.lst(s)
+    adj = symbolic_kernel.adjoint_matrix(model)
+    num = sum(exact.u_eps[l] * adj[l][i](s, g) * model.omega[i]
+              for l in range(model.n_states) for i in range(model.n_states))
+    want = s * num / symbolic_kernel.det_E(model)(s, g)
+    np.testing.assert_allclose(exact.transform(s), want, rtol=1e-10)
 
 
 def test_simulate_mm1():
