@@ -7,7 +7,7 @@ independent numerical-inversion oracle and a discrete-event simulator.
 """
 
 from .base_solver import BaseSolution, RationalLST, solve_base
-from .correction import ApproxOutput, approximate, between_prob, conv_survival
+from .correction import ApproxOutput, approximate
 from .heavytail import HeavyTail, abate_whitt, custom_heavytail
 from .model import MarpModel, build_marp, build_mmpp, stability_report
 from .oracle import exact_solve, invert, simulate
@@ -21,10 +21,8 @@ __all__ = [
     "RationalLST",
     "abate_whitt",
     "approximate",
-    "between_prob",
     "build_marp",
     "build_mmpp",
-    "conv_survival",
     "custom_heavytail",
     "exact_solve",
     "invert",

@@ -280,7 +280,7 @@ class BaseSolution:
     @cached_property
     def kept(self) -> dict:
         """Store for what the correction derives from this solution and one
-        heavy tail (perturbations, tilted-tail tables); see correction._kept."""
+        heavy tail (perturbations, the tilted-tail table); see correction._kept."""
         return {}
 
 

@@ -2,35 +2,34 @@
 
 The first-order term of the delay expansion decomposes into three partial
 fraction families (driven by the boundary shift z, the adjugate tilt, and
-the determinant tilt), whose coefficients feed a time-domain expression
-built from tail probabilities of the base delay convolved with excess
-service laws and Erlang blocks, plus "between" probabilities against
-exponential windows at the positive roots.  Complex roots are handled by
-evaluating one member of each conjugate pair and doubling the real part.
-The families are ratios of E(s)^-1 quantities; their pole parts at the
-positive roots and the transform's zeros, and their constants, come from
-contour integrals on the base solution (BaseSolution.families), not from
-cleared polynomials.
+the determinant tilt).  Both variants turn them into the time domain by one
+recipe (theta), which differs between them only in the mean of the
+rational law the perturbation removes: tail probabilities of the base delay
+convolved with excess service laws and Erlang blocks, plus "between"
+probabilities against exponential windows at the positive roots.  Complex
+roots are handled by evaluating one member of each conjugate pair and
+doubling the real part.  The families' pole parts and constants come from
+contour integrals on the base solution (BaseSolution.families).
 
-Convolutions with the heavy excess have no closed form.  The survival of
-Y + E and the "between" probabilities against the tilted tail psi are sums
+Convolutions with the heavy excess have no closed form.  The survivals of
+Y + E and the "between" probabilities against the tilted tails psi are sums
 over one sorted table of nodes tau = t - x for the whole grid; one scan
-carries them from each grid point to the next (the blocks are the grid
-steps) by exact exponential propagation, so a grid costs time linear in its
-nodes.  Panel breakpoints are the grid points plus V_PANEL steps in
-v = sqrt(tau) (16-point panels in v, past the excess's square-root cusp) or
-the knots of psi (4-point panels, exact on its cubic pieces); no panel is
-wider than a fixed multiple of 1/|a| for the fastest rate a of Y.  The scan
-matches the former per-point composite rules within 1e-12 and adaptive
-quad within 1e-9 (tests/test_quadrature_reference.py).
+carries them for several laws, and every positive root, from each grid
+point to the next by exact exponential propagation, so a grid costs time
+linear in its nodes.  Panel breakpoints are the grid points plus V_PANEL
+steps in v = sqrt(tau) (16-point panels in v, past the excess's square-root
+cusp) or the knots of psi (4-point panels, exact on its cubic pieces); no
+panel is wider than a fixed multiple of 1/|a| for the fastest rate a of
+the laws.  The scan matches the former per-point composite rules within
+1e-12 and adaptive quad within 1e-9 (tests/test_quadrature_reference.py).
 
 What depends only on the base solution and the heavy tail is built once per
 solution and kept on it (BaseSolution.kept): the replace and discard
-perturbations with their delta-identity checks, and the tilted-tail table
-per positive root for the latest grid end.  Approximating both variants, or
-the same variant again, on one solution with one tail repeats none of that
-work, and every check still runs when its value is first built.  The store
-holds one tail at a time, so another tail rebuilds it.
+perturbations with their delta-identity checks, and one tilted-tail table
+of all positive roots for the latest grid end.  Approximating both
+variants, or the same variant again, on one solution with one tail repeats
+none of that work, and every check still runs when its value is first
+built.  The store holds one tail at a time, so another tail rebuilds it.
 """
 
 from __future__ import annotations
@@ -134,38 +133,49 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
 # ---------------------------------------------------------------------------
 # convolution machinery
 
-def _scan(y: ExpPolyMeasure, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """For each t in ts, the sum over the terms c x^m e^(-a x) of y of
-    c sum_{tau_i < t} (t - tau_i)^m e^(-a (t - tau_i)) g_i.
+def _scan(laws, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """For each t in ts, law y of laws and column c of the weights g, the sum
+    over the terms b x^m e^(-a x) of y of b sum_{tau_i < t} (t - tau_i)^m
+    e^(-a (t - tau_i)) g_ic, as a [t, law, column] array.
 
-    tau is increasing and no node equals a grid point.  Each node is expanded
-    about the first grid point p above it, where (p - tau)^k e^(-a (p - tau))
-    neither grows nor cancels, and the sums J_k(p) over the nodes below p are
+    tau is increasing and no node equals a grid point.  A term enters only
+    through its rate a and power m, so the laws share the sums J_k(p) over
+    the nodes below p, one per distinct rate and power.  Each node is
+    expanded about the first grid point p above it, where
+    (p - tau)^k e^(-a (p - tau)) neither grows nor cancels, and the sums are
     carried from one grid point to the next exactly:
     J_k(p + L) = e^(-a L) sum_j C(k, j) L^(k-j) J_j(p) + the nodes in between.
     """
     grid, where = np.unique(ts, return_inverse=True)
     cut = np.searchsorted(tau, grid)
     tau, g = tau[:cut[-1]], g[:cut[-1]]
-    rates, powers, coefs = (np.array(v) for v in zip(*y.terms))
-    rates = rates.astype(complex)[:, None]
-    k = np.arange(powers.max() + 1)
+    index: dict = {}
+    terms = [(col, index.setdefault(a, len(index)), m, c)
+             for col, y in enumerate(laws) for a, m, c in y.terms]
+    k = np.arange(max(m for _, _, m, _ in terms) + 1)
+    mix = np.zeros((len(index), k.size, len(laws)), dtype=complex)
+    for col, r, m, c in terms:
+        mix[r, m, col] += c
+    rates = np.array(list(index), dtype=complex)[:, None]
     gap = grid[np.searchsorted(grid, tau, side="right")] - tau
-    vals = np.zeros((powers.size, k.size, tau.size + 1), dtype=complex)
-    vals[:, :, :-1] = (np.exp(-rates * gap) * g)[:, None, :] * gap ** k[:, None]
+    kernel = np.exp(-rates * gap)[:, None, :] * gap ** k[:, None]
     starts = np.r_[0, cut[:-1]]
-    seg = np.add.reduceat(vals, starts, axis=2)
-    seg[:, :, starts == cut] = 0.0
+    # the segment sums of one column of g at a time, so that no array holds
+    # rates, powers, nodes and columns together
+    seg = np.zeros((rates.size, k.size, grid.size, g.shape[1]), dtype=complex)
+    live = starts < cut
+    for c in range(g.shape[1]):
+        seg[:, :, live, c] = np.add.reduceat(kernel * g[:, c], starts[live], axis=2)
     steps = np.diff(grid, prepend=grid[0])
     decay = np.exp(-rates * steps)
     binom = np.array([[math.comb(i, j) for j in k] for i in k])
     shift = binom * steps[:, None, None] ** np.maximum(k[:, None] - k, 0)
-    state = np.zeros((powers.size, k.size), dtype=complex)
-    at_power = np.empty((grid.size, powers.size), dtype=complex)
+    state = np.zeros((rates.size, k.size, g.shape[1]), dtype=complex)
+    sums = np.empty((grid.size,) + state.shape, dtype=complex)
     for n in range(grid.size):
-        state = decay[:, n, None] * (state @ shift[n].T) + seg[:, :, n]
-        at_power[n] = state[np.arange(powers.size), powers]
-    return (at_power @ coefs)[where]
+        state = decay[:, n, None, None] * (shift[n] @ state) + seg[:, :, n]
+        sums[n] = state
+    return np.einsum("nrkc,rkl->nlc", sums, mix)[where]
 
 
 def _panels(edges: np.ndarray, width: float) -> tuple:
@@ -188,63 +198,65 @@ def _gauss(lo: np.ndarray, hi: np.ndarray, rule) -> tuple:
     return (0.5 * (hi + lo)[:, None] + half * nodes).ravel(), (half * weights).ravel()
 
 
-def _max_rate(y: ExpPolyMeasure) -> float:
-    return max((abs(complex(a)) for a, _, _ in y.terms), default=1.0)
+def _max_rate(laws) -> float:
+    return max((abs(complex(a)) for y in laws for a, _, _ in y.terms), default=1.0)
 
 
 def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
-    """Nodes tau = t - x and weights times P(E > tau) for heavy_conv_survival:
-    16-point Gauss-Legendre panels in v = sqrt(tau) between v = k V_PANEL and
-    sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH / rate in tau."""
+    """Nodes tau = t - x and a column of weights times P(E > tau) for
+    heavy_conv_survival: 16-point Gauss-Legendre panels in v = sqrt(tau)
+    between v = k V_PANEL and sqrt(t) for t in ts, no wider than
+    CONV_RATE_WIDTH / rate in tau."""
     t_max = float(ts.max(initial=0.0))
     edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
                        ts[ts > 0])
     v, w = _gauss(*np.sqrt(_panels(edges, CONV_RATE_WIDTH / rate)), GAUSS16)
     tau = v * v
-    return tau, 2.0 * v * w * ht.excess_survival(tau)
+    return tau, (2.0 * v * w * ht.excess_survival(tau))[:, None]
 
 
 def _between_nodes(psi: "_PsiTable", ts: np.ndarray, rate: float) -> tuple:
-    """Nodes tau = t - x and weights times psi(tau) for heavy_between: 4-point
-    Gauss-Legendre panels between the knots of psi and the grid points, no
-    wider than BETWEEN_RATE_WIDTH / rate."""
+    """Nodes tau = t - x and weights times psi(tau), one column per rate of
+    psi, for heavy_between: 4-point Gauss-Legendre panels between the knots
+    of psi and the grid points, no wider than BETWEEN_RATE_WIDTH / rate."""
     t_max = float(ts.max(initial=0.0))
     edges = np.union1d(psi.knots[psi.knots < t_max], ts[ts > 0])
     tau, w = _gauss(*_panels(edges, BETWEEN_RATE_WIDTH / rate), GAUSS4)
-    return tau, w * psi(tau)
+    return tau, w[:, None] * psi(tau)
 
 
-def heavy_conv_survival(y: ExpPolyMeasure, ht, ts, nodes: tuple) -> np.ndarray:
-    """P(Y + E > t) for an exp-poly law Y and the heavy excess E, per t.
-
-    The integral of f_Y(t - tau) P(E > tau) over [0, t] is one scan over
-    nodes = _conv_nodes(ht, ts, rate) for a rate at least every |a| of Y
-    (theta builds one table for all its laws).  Y may be complex-valued.
+def heavy_conv_survival(laws, ht, ts, nodes: tuple) -> np.ndarray:
+    """P(Y + E > t) for each exp-poly law Y of laws and the heavy excess E,
+    as a [t, law] array.  The integrals of f_Y(t - tau) P(E > tau) over
+    [0, t] are one scan over nodes = _conv_nodes(ht, ts, rate) for a rate at
+    least every |a| of the laws, which may be complex-valued.
     """
     ts = np.asarray(ts, dtype=float)
-    out = np.array(y.survival(ts), dtype=complex)
-    if y.atom != 0:
-        out += y.atom * ht.excess_survival(ts)
-    if not y.terms or not np.any(ts > 0):
-        return out
-    return out + _scan(y, *nodes, ts)
+    at_t = ht.excess_survival(ts)
+    out = np.array([y.survival(ts) + y.atom * at_t for y in laws], dtype=complex).T
+    if any(y.terms for y in laws) and np.any(ts > 0):
+        out += _scan(laws, *nodes, ts)[:, :, 0]
+    return out
 
 
 class _PsiTable:
-    """Exponentially tilted tail of the heavy excess: integral e^(-rho y)
-    excess_survival(tau + y) dy, tabulated over tau and interpolated."""
+    """Exponentially tilted tails of the heavy excess, integral e^(-rho y)
+    excess_survival(tau + y) dy for each rate rho of rhos, tabulated over tau
+    and interpolated; a call gives a [tau, rho] array."""
 
-    def __init__(self, ht, rho: complex, tau_max: float):
-        self.rho = rho
-        re = rho.real
-        if re <= 0:
+    def __init__(self, ht, rhos, tau_max: float):
+        self.rhos = np.array(rhos, dtype=complex)
+        re = self.rhos.real
+        if np.any(re <= 0):
             raise CorrectionError("tilting rate must have positive real part")
+        # one y-rule for every rate: geometric panels from the smallest first
+        # width of the rates' own rules to the largest 34 / Re(rho), with a
+        # squared substitution on the first one to absorb the sqrt behaviour
+        # of the excess survival near zero
         y_max = 34.0 / re
-        # geometric panels, with a squared substitution on the first one to
-        # absorb the sqrt behaviour of the excess survival near zero
-        edges, width = [0.0], min(y_max / 256.0, 0.25)
-        while edges[-1] < y_max:
-            edges.append(min(edges[-1] + width, y_max))
+        edges, width = [0.0], min(y_max.min() / 256.0, 0.25)
+        while edges[-1] < y_max.max():
+            edges.append(min(edges[-1] + width, y_max.max()))
             width *= 2.0
         rule = np.polynomial.legendre.leggauss(24)
         u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), rule)
@@ -252,87 +264,40 @@ class _PsiTable:
         ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
         taus = np.concatenate([[0.0], np.geomspace(max(tau_max, 1.0) * 1e-6,
                                                    max(tau_max, 1.0), PSI_GRID)])
-        vals = ht.excess_survival(taus[:, None] + ys) @ (np.exp(-rho * ys) * w)
+        vals = ht.excess_survival(taus[:, None] + ys) \
+            @ (np.exp(-np.outer(ys, self.rhos)) * w[:, None])
         self.knots = taus
         self._re = PchipInterpolator(taus, vals.real)
         self._im = PchipInterpolator(taus, vals.imag)
-        self.at0 = complex(vals[0])
+        self.at0 = vals[0]
         # closed-form anchor: Psi(0) = (1 - excess_lst(rho)) / rho
-        anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
-        if abs(self.at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
-            raise CorrectionError(
-                f"tilted-tail table failed its transform anchor: {self.at0} vs {anchor}")
+        for rho, at0 in zip(self.rhos, self.at0):
+            anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
+            if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
+                raise CorrectionError(
+                    f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
 
     def __call__(self, taus):
         taus = np.clip(np.asarray(taus, dtype=float), 0.0, self.knots[-1])
         return self._re(taus) + 1j * self._im(taus)
 
 
-def heavy_between(y: ExpPolyMeasure, ht, rho: complex, ts,
-                  surv_vals: np.ndarray, psi: _PsiTable, nodes: tuple) -> np.ndarray:
-    """P(t < Y + E < t + Exp(rho)) using a precomputed survival of Y + E.
-
-    The convolution of f_Y with the tilted tail psi is one scan over
-    nodes = _between_nodes(psi, ts, rate) for a rate at least every |a| of Y.
+def heavy_between(laws, ht, ts, surv: np.ndarray, psi: _PsiTable, nodes: tuple) -> np.ndarray:
+    """P(t < Y + E < t + Exp(rho)) for each exp-poly law Y of laws and rate
+    rho of psi, as a [t, law, rho] array, from surv, the [t, law] survival of
+    Y + E.  The convolutions of f_Y with the tilted tails are one scan over
+    nodes = _between_nodes(psi, ts, rate) for a rate at least every |a| of
+    the laws.
     """
     ts = np.asarray(ts, dtype=float)
-    i_tail = y.expo_tail_transform(rho, ts)
-    if y.atom != 0:
-        i_tail = i_tail + y.atom * psi(ts)
-    i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
-    if y.terms and np.any(ts > 0):
-        i_tail = i_tail + _scan(y, *nodes, ts)
-    return np.asarray(surv_vals, dtype=complex) - rho * i_tail
-
-
-def conv_survival(x: ExpPolyMeasure, extra: str | None = None,
-                  erlang: tuple | None = None, pt: RationalLST | None = None,
-                  ht=None):
-    """Survival callable of x plus optional excess and Erlang additions.
-
-    extra is None, "excess_pt" (stationary-excess of the rational service
-    law, closed form) or "excess_ht" (heavy excess, see heavy_conv_survival);
-    erlang = (rate, shape) convolves an Erlang block first.
-    """
-    mass = complex(x.total_mass())
-    if abs(mass - 1.0) > 1e-7:
-        raise CorrectionError(f"conv_survival needs a proper law, mass = {mass}")
-    y = x
-    if erlang is not None:
-        rate, shape = erlang
-        y = y.convolve(ExpPolyMeasure.erlang(rate, shape))
-    if extra is None:
-        return lambda ts: y.survival(ts)
-    if extra == "excess_pt":
-        if pt is None:
-            raise CorrectionError("excess_pt addition needs the service transform")
-        z = y.convolve(pt.excess_measure())
-        return lambda ts: z.survival(ts)
-    if extra == "excess_ht":
-        if ht is None:
-            raise CorrectionError("excess_ht addition needs the heavy tail")
-        def survival(ts):
-            ts = np.asarray(ts, dtype=float)
-            return heavy_conv_survival(y, ht, ts, _conv_nodes(ht, ts, _max_rate(y)))
-        return survival
-    raise CorrectionError(f"unknown addition {extra!r}")
-
-
-def between_prob(x, rho: complex, ts, ht=None):
-    """P(t < X < t + Exp(rho)) for exp-poly X, or X = Y + heavy excess.
-
-    Pass an ExpPolyMeasure for the closed form; pass (y, ht) with
-    ht the heavy tail for the scan route (heavy_conv_survival and
-    heavy_between on a tilted-tail table built for these t).
-    """
-    if isinstance(x, ExpPolyMeasure):
-        return x.between_exp(rho, ts)
-    y, heavy = x
-    ts = np.asarray(ts, dtype=float)
-    rate = _max_rate(y)
-    surv = heavy_conv_survival(y, heavy, ts, _conv_nodes(heavy, ts, rate))
-    psi = _PsiTable(heavy, complex(rho), float(ts.max()) if ts.size else 1.0)
-    return heavy_between(y, heavy, complex(rho), ts, surv, psi, _between_nodes(psi, ts, rate))
+    at_t = psi(ts)
+    i_tail = np.array([[y.expo_tail_transform(rho, ts) + y.atom * at_t[:, r]
+                        + at0 * y.tilted_tail(rho, ts)
+                        for r, (rho, at0) in enumerate(zip(psi.rhos, psi.at0))]
+                       for y in laws], dtype=complex).transpose(2, 0, 1)
+    if any(y.terms for y in laws) and np.any(ts > 0):
+        i_tail = i_tail + _scan(laws, *nodes, ts)
+    return np.asarray(surv, dtype=complex)[:, :, None] - psi.rhos * i_tail
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +337,54 @@ def _kept(sol: BaseSolution, ht, key: tuple, stamp, build):
 
 def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
           pt: RationalLST, ht, sol: BaseSolution) -> tuple:
-    """Theta_1 and Theta_2 on the grid, per the variant's printed recipe.
+    """Theta_1 and Theta_2 on the grid, by one recipe for both variants.
 
-    base_law is the delay law the convolutions run over: the replace base
-    delay for the replace variant, the discard base delay for the discard
-    one.  sol is the base solution the coefficients came from; the
-    tilted-tail tables are kept on it (_kept) for later calls.  Both
-    returned arrays are real; residual imaginary parts beyond 1e-10 raise.
+    With d = base_law (the variant's base delay), Ep and E the rational and
+    heavy excess laws and mh the heavy mean, the term of a law B with
+    coefficients (a, b, g) in the three families is
+        a P(d*B > t) + b (mp P(d*B + Ep > t) - mh P(d*B + E > t))
+                     - g (mp P(d*d*B + Ep > t) - mh P(d*d*B + E > t)).
+    For replace, mp is the rational mean.  The discard perturbation swaps
+    the atom at zero of (1-eps) B(s) + eps, of mean 0, for the heavy law, so
+    mp = 0: term by term that is the discard recipe, and the block-noise
+    scale max(mh, mp) is its mh.  Theta_1 sums the terms over the point mass
+    B = delta_0, whose coefficients are the family constants (zw, beta,
+    gamma) - sum_k (alpha_k, beta_k, gamma_k) / rho_k, and the Erlang blocks
+    B = Erlang(r_j - l + 1, shat_j) of the numerator roots.  Theta_2 sums
+    them over the positive roots rho_k with B = delta_0, the coefficients
+    (alpha_k, beta_k, gamma_k) / rho_k and P(t < X < t + Exp(rho_k)) in place
+    of P(X > t).  A complex block or root counts one member of its conjugate
+    pair twice, by the real part.  The tilted-tail table is kept on sol
+    (_kept).  Residual imaginary parts beyond 1e-10 raise.
     """
     ts = np.asarray(ts, dtype=float)
-    mp, mh = pt.mean, ht.mean
-    d_law = base_law
-    dd_law = d_law.convolve(d_law)
-    discard = coeffs.variant == "discard"
-    if not discard:
-        ep = pt.excess_measure()
-        d_ep, dd_ep = d_law.convolve(ep), dd_law.convolve(ep)
+    mp = pt.mean if coeffs.variant == "replace" else 0.0
+    mh = ht.mean
+    d_law, dd_law = base_law, base_law.convolve(base_law)
+    # mp times the rational excess: no terms at all when mp = 0
+    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
+
+    def total(weights, coef, plain, rational, heavy):
+        """The recipe's terms, one column each, summed by their weights."""
+        a, b, g = coef
+        terms = a * plain + b * (rational[0] - mh * heavy[0]) \
+            - g * (rational[1] - mh * heavy[1])
+        if np.max(np.abs(terms.imag[:, weights == 1.0]), initial=0.0) > 1e-10:
+            raise CorrectionError("correction term has a residual imaginary part")
+        return terms.real @ weights
+
+    per_root = np.array([coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k], dtype=complex)
+    consts = np.array([coeffs.zw, coeffs.beta, coeffs.gamma]) \
+        - per_root @ (1.0 / np.array(coeffs.rho_pos, dtype=complex))
+    if np.any(np.abs(consts.imag) > 1e-9 * np.maximum(1.0, np.abs(consts))):
+        raise CorrectionError("family constant has a residual imaginary part")
+    blocks = [(1.0, tuple(consts.real), ExpPolyMeasure.point_mass(1.0))]
 
     # Erlang blocks at the numerator roots, less those at rounding-noise
     # level.  A term's size is the largest factor it puts on a probability:
-    # the beta and gamma families enter times mh (and mp for replace), and
-    # the root terms of theta2 divided by their root.
-    scale = mh if discard else max(mh, mp)
+    # the beta and gamma families enter times mh and mp, and the root terms
+    # of theta2 divided by their root.
+    scale = max(mh, mp)
     fam = (coeffs.alpha_jl, coeffs.beta_jl, coeffs.gamma_jl)
 
     def size(a, b, g):
@@ -403,80 +394,41 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
     sizes += [size(*abg) / abs(rho) for *abg, rho in zip(
         coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k, coeffs.rho_pos)]
     floor = BLOCK_NOISE * max(sizes, default=0.0)
-    blocks = [(j, weight, l) for j, weight in _paired([s for s, _ in coeffs.num_roots])
-              for l in range(1, coeffs.num_roots[j][1] + 1)
-              if size(*(f[(j, l)] for f in fam)) > floor]
-
-    # one node table per kernel for the heavy convolutions of every law below
-    rate = max([_max_rate(d_law)] + [abs(coeffs.num_roots[j][0]) for j, _, _ in blocks])
-    nodes = _conv_nodes(ht, ts, rate)
-    s_d = np.array(d_law.survival(ts), dtype=complex)
-    s_d_eh = heavy_conv_survival(d_law, ht, ts, nodes)
-    s_dd_eh = heavy_conv_survival(dd_law, ht, ts, nodes)
-
-    # constants of the three families
-    a0 = complex(coeffs.zw)
-    b0 = complex(coeffs.beta)
-    g0 = complex(coeffs.gamma)
-    for k, rho in enumerate(coeffs.rho_pos):
-        a0 -= coeffs.alpha_k[k] / rho
-        b0 -= coeffs.beta_k[k] / rho
-        g0 -= coeffs.gamma_k[k] / rho
-    for val in (a0, b0, g0):
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-            raise CorrectionError("family constant has a residual imaginary part")
-
-    if discard:
-        theta1 = a0.real * s_d - b0.real * mh * s_d_eh + g0.real * mh * s_dd_eh
-    else:
-        theta1 = a0.real * s_d \
-            + b0.real * (mp * d_ep.survival(ts) - mh * s_d_eh) \
-            - g0.real * (mp * dd_ep.survival(ts) - mh * s_dd_eh)
-
-    for j, weight, l in blocks:
+    for j, weight in _paired([s for s, _ in coeffs.num_roots]):
         shat, rj = coeffs.num_roots[j]
-        erl = ExpPolyMeasure.erlang(shat, rj - l + 1)
-        d_erl, dd_erl = d_law.convolve(erl), dd_law.convolve(erl)
-        a2, b2, g2 = (f[(j, l)] for f in fam)
-        s_d_erl = d_erl.survival(ts)
-        if discard:
-            term = g2 * mh * heavy_conv_survival(dd_erl, ht, ts, nodes) \
-                - b2 * mh * heavy_conv_survival(d_erl, ht, ts, nodes) \
-                + a2 * s_d_erl
-            theta1 = theta1 + weight * np.real(term)
-        else:
-            term = g2 * (mp * dd_erl.convolve(ep).survival(ts)
-                         - mh * heavy_conv_survival(dd_erl, ht, ts, nodes)) \
-                - b2 * (mp * d_erl.convolve(ep).survival(ts)
-                        - mh * heavy_conv_survival(d_erl, ht, ts, nodes)) \
-                - a2 * s_d_erl
-            theta1 = theta1 - weight * np.real(term)
+        for l in range(1, rj + 1):
+            coef = tuple(f[(j, l)] for f in fam)
+            if size(*coef) > floor:
+                blocks.append((weight, coef, ExpPolyMeasure.erlang(shat, rj - l + 1)))
 
-    # between probabilities at the positive roots
-    theta2 = np.zeros(ts.size)
+    weights, coefs, shapes = zip(*blocks)
+    d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
+    rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
+    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, _conv_nodes(ht, ts, _max_rate(d_b + dd_b)))
+    heavy = heavy.reshape(ts.size, 2, len(blocks)).transpose(1, 0, 2)
+
+    def survivals(ys):
+        return np.array([y.survival(ts) for y in ys], dtype=complex).T
+
+    theta1 = total(np.array(weights), np.array(coefs).T, survivals(d_b),
+                   [survivals(ys) for ys in rational], heavy)
+
+    paired = _paired(coeffs.rho_pos)
+    if not paired:
+        return theta1, np.zeros(ts.size)
+    roots, weights = (np.array(v) for v in zip(*paired))
+    rhos = np.array(coeffs.rho_pos, dtype=complex)[roots]
     tau_max = float(ts.max()) if ts.size else 1.0
-    for k, weight in _paired(coeffs.rho_pos):
-        rho = complex(coeffs.rho_pos[k])
-        psi = _kept(sol, ht, ("psi", rho), tau_max, lambda: _PsiTable(ht, rho, tau_max))
-        b_d = d_law.between_exp(rho, ts)
-        psi_nodes = _between_nodes(psi, ts, _max_rate(d_law))
-        b_d_eh = heavy_between(d_law, ht, rho, ts, s_d_eh, psi, psi_nodes)
-        b_dd_eh = heavy_between(dd_law, ht, rho, ts, s_dd_eh, psi, psi_nodes)
-        ak, bk, gk = coeffs.alpha_k[k], coeffs.beta_k[k], coeffs.gamma_k[k]
-        if discard:
-            term = gk * mh * b_dd_eh - bk * mh * b_d_eh + ak * b_d
-            theta2 = theta2 + weight * np.real(term / rho)
-        else:
-            b_d_ep, b_dd_ep = d_ep.between_exp(rho, ts), dd_ep.between_exp(rho, ts)
-            term = gk * (mp * b_dd_ep - mh * b_dd_eh) \
-                - bk * (mp * b_d_ep - mh * b_d_eh) \
-                - ak * b_d
-            theta2 = theta2 - weight * np.real(term / rho)
+    psi = _kept(sol, ht, ("psi",), tau_max, lambda: _PsiTable(ht, rhos, tau_max))
+    heavy = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, psi,
+                          _between_nodes(psi, ts, _max_rate([d_law])))
 
-    for arr in (theta1, theta2):
-        if np.max(np.abs(np.imag(arr))) > 1e-10:
-            raise CorrectionError("correction term has a residual imaginary part")
-    return np.real(theta1), np.real(theta2)
+    def betweens(y):
+        return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
+
+    theta2 = total(weights, per_root[:, roots] / rhos, betweens(d_law),
+                   [betweens(ys[0]) for ys in rational], heavy.transpose(1, 0, 2))
+    return theta1, theta2
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +500,22 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     scaled by eps / (u . omega).  variant "discard": base is the delay under
     the thinned service law (1-eps) B(s) + eps solved exactly (a fluid solve
     that expands no subset sums), coefficients use z - z_discard, and the
-    prefactor uses u + eps z_discard.  The perturbations and tilted-tail
-    tables for ht are kept on sol (BaseSolution.kept) for later calls with
+    prefactor uses u + eps z_discard.  The perturbations and the tilted-tail
+    table for ht are kept on sol (BaseSolution.kept) for later calls with
     the same sol and ht; a call with another tail replaces them.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")
+    ts = np.asarray([] if t_grid is None else t_grid, dtype=float)
+    bad = ts[~(np.isfinite(ts) & (ts >= 0))]
+    if bad.size:
+        raise CorrectionError(f"approximation needs finite t >= 0, got t={bad[0]}")
     if not mixture_stable(model, pt, ht, eps):
         raise CorrectionError("perturbed (mixture) model is unstable")
     if sol is None:
         sol = solve_base(model, pt)
-    ts = default_grid(sol) if t_grid is None else np.asarray(t_grid, dtype=float)
+    if t_grid is None:
+        ts = default_grid(sol)
 
     pdata = _checked_perturb(sol, ht, "replace")
 

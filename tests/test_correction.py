@@ -9,12 +9,14 @@ from heavyq.base_solver import RationalLST, solve_base
 from heavyq.correction import (
     ApproxOutput,
     CorrectionError,
+    _between_nodes,
+    _conv_nodes,
+    _PsiTable,
     approximate,
-    between_prob,
-    conv_survival,
     correction_coeffs,
     default_grid,
     discard_base_lst,
+    heavy_between,
     heavy_conv_survival,
     theta,
 )
@@ -184,27 +186,26 @@ def test_transform_level_identity(mmpp2_setup):
 
 def test_conv_survival_erlang_sum():
     x = ExpPolyMeasure(atom=0.0, terms=((1.0, 0, 1.0),))  # Exp(1)
-    fn = conv_survival(x, erlang=(1.0, 1))
+    y = x.convolve(ExpPolyMeasure.erlang(1.0, 1))
     t = np.linspace(0, 5, 20)
-    np.testing.assert_allclose(np.real(fn(t)), np.exp(-t) * (1 + t), rtol=1e-12)
+    np.testing.assert_allclose(np.real(y.survival(t)), np.exp(-t) * (1 + t), rtol=1e-12)
 
 
 def test_conv_survival_atom_plus_heavy():
     ht = abate_whitt(2.0)
-    fn = conv_survival(ExpPolyMeasure.point_mass(1.0), extra="excess_ht", ht=ht)
     t = np.array([0.5, 2.0])
-    np.testing.assert_allclose(np.real(fn(t)), ht.excess_survival(t), atol=1e-12)
+    got = heavy_conv_survival([ExpPolyMeasure.point_mass(1.0)], ht, t, _conv_nodes(ht, t, 1.0))
+    np.testing.assert_allclose(np.real(got[:, 0]), ht.excess_survival(t), atol=1e-12)
 
 
 def test_conv_survival_heavy_matches_monte_carlo():
     # X = M/M/1 delay (lam=1, nu=3) plus the exponential excess: closed form
-    # against simulation, and the heavy route against quadrature of the
-    # closed-form excess survival
+    # against simulation
     rng = np.random.default_rng(11)
     lam, nu = 1.0, 3.0
     rho = lam / nu
     delay = ExpPolyMeasure(atom=1 - rho, terms=((nu - lam, 0, rho * (nu - lam)),))
-    fn_pt = conv_survival(delay, extra="excess_pt", pt=RationalLST.exponential(nu))
+    x = delay.convolve(RationalLST.exponential(nu).excess_measure())
     n = 10 ** 6
     atom_draw = rng.random(n) < (1 - rho)
     samples = np.where(atom_draw, 0.0, rng.exponential(1.0 / (nu - lam), n))
@@ -212,7 +213,7 @@ def test_conv_survival_heavy_matches_monte_carlo():
     for t in (0.5, 1.0, 2.0):
         emp = (samples > t).mean()
         se = np.sqrt(emp * (1 - emp) / n)
-        assert abs(float(np.real(fn_pt(np.array([t]))[0])) - emp) <= 3 * se
+        assert abs(float(np.real(x.survival(np.array([t]))[0])) - emp) <= 3 * se
 
 
 def test_heavy_conv_survival_quadrature_oracle():
@@ -220,7 +221,7 @@ def test_heavy_conv_survival_quadrature_oracle():
     ht = abate_whitt(2.0)
     law = ExpPolyMeasure(atom=0.4, terms=((2.0, 0, 1.2),))
     ts = np.array([0.3, 1.0, 4.0])
-    got = heavy_conv_survival(law, ht, ts, correction._conv_nodes(ht, ts, 2.0))
+    got = heavy_conv_survival([law], ht, ts, _conv_nodes(ht, ts, 2.0))[:, 0]
     for idx, t in enumerate(ts):
         direct = quad(lambda x: 1.2 * np.exp(-2.0 * x)
                       * float(ht.excess_survival(np.array([t - x]))[0]), 0, t,
@@ -233,7 +234,7 @@ def test_heavy_conv_survival_quadrature_oracle():
 
 def test_between_prob_atom_zero():
     assert np.allclose(
-        np.real(between_prob(ExpPolyMeasure.point_mass(1.0), 2.0, np.array([0.5]))), 0.0)
+        np.real(ExpPolyMeasure.point_mass(1.0).between_exp(2.0, np.array([0.5]))), 0.0)
 
 
 def test_between_prob_heavy_against_double_quadrature():
@@ -242,7 +243,9 @@ def test_between_prob_heavy_against_double_quadrature():
     y = ExpPolyMeasure(atom=0.3, terms=((1.5, 0, 0.7 * 1.5),))
     rho = 1.1
     ts = np.array([0.4, 1.2])
-    got = between_prob((y, ht), rho, ts)
+    surv = heavy_conv_survival([y], ht, ts, _conv_nodes(ht, ts, 1.5))
+    psi = _PsiTable(ht, [rho], float(ts.max()))
+    got = heavy_between([y], ht, ts, surv, psi, _between_nodes(psi, ts, 1.5))[:, 0, 0]
 
     def surv_x(v):
         inner = quad(lambda x: float(y.density(np.array([x]))[0].real)
@@ -349,6 +352,18 @@ def test_approximate_rejects_unstable_mixture():
     ht = abate_whitt(1.2)  # mean 0.83: mixture unstable for large eps
     with pytest.raises(CorrectionError):
         approximate(model, pt, ht, 0.2)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_approximate_rejects_a_negative_or_non_finite_t(monkeypatch, bad):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the grid")
+
+    monkeypatch.setattr(correction, "solve_base", no_solve)
+    ts = np.array([0.0, 1.0, bad, -2.0, 3.0])
+    with pytest.raises(CorrectionError, match=f"got t={bad}$"):
+        approximate(mmpp2_model(), RationalLST.exponential(3.0), abate_whitt(2.0), 0.01,
+                    t_grid=ts)
 
 
 def test_default_grid_reaches_floor(mmpp2_setup):
@@ -502,8 +517,9 @@ def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
             monkeypatch.setattr(correction, "BLOCK_NOISE", noise)
             del calls[:], erlangs[:]
             out[noise] = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
-            # d and d*d, alone and with each block
-            assert len(calls) == 2 + 2 * (blocks + (0 if noise else noisy))
+            # one scan of d and d*d, alone and with each block
+            assert len(calls) == 1
+            assert len(calls[0][0]) == 2 + 2 * (blocks + (0 if noise else noisy))
             near = [rate for rate, *_ in erlangs if abs(abs(rate) - pole) < near_pole]
             assert len(near) == (0 if noise else noisy)
         skipped, every = out.values()
@@ -548,7 +564,13 @@ def test_distinct_heavy_tails_on_one_solution_each_equal_their_fresh_results():
 
 
 def test_perturbation_and_tilted_tails_are_built_once_per_solution_and_tail(monkeypatch):
-    model, pt = mmpp2_model(), RationalLST.exponential(3.0)
+    # mmpp2 has one positive root; mmpp5 has four, two of them a conjugate
+    # pair, and one table serves them all
+    for model in (mmpp2_model(), paper_model("mmpp5")):
+        _assert_built_once(monkeypatch, model, RationalLST.exponential(3.0))
+
+
+def _assert_built_once(monkeypatch, model, pt):
     ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
     perturbs = _counting(monkeypatch, correction, "perturb")
     checks = _counting(monkeypatch, correction, "verify_delta_identity")
@@ -563,10 +585,10 @@ def test_perturbation_and_tilted_tails_are_built_once_per_solution_and_tail(monk
     assert sorted(keys) == sorted({(id(s), id(h), v) for s in sols for h in tails
                                    for v in ("replace", "discard")})
     assert [args[1].variant for args in checks] == [args[2] for args in perturbs]
-    # one table per solution, tail and positive root (mmpp2 has one)
+    # one table per solution and tail, for all its positive roots
     assert len(tables) == len(sols) * len(tails)
-    # a new grid end replaces the root's table, and the latest one is reused;
-    # the perturbations stay
+    # a new grid end replaces the table, and the latest one is reused; the
+    # perturbations stay
     sol, ht, kept = sols[0], tails[-1], len(sols[0].kept)
     for grid in (ts[:-1], ts[:-1], ts, ts):
         approximate(model, pt, ht, 0.01, t_grid=grid, sol=sol)

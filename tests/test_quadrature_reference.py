@@ -20,10 +20,11 @@ from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (BETWEEN_RATE_WIDTH, CONV_RATE_WIDTH, GAUSS4, GAUSS16,
                                V_PANEL, _between_nodes, _conv_nodes, _max_rate,
-                               _PsiTable, default_grid, heavy_between,
+                               _paired, _PsiTable, default_grid, heavy_between,
                                heavy_conv_survival)
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
+from test_perturbation import random_mmpp
 
 PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
 QUAD_ABS_TOL = 1e-10
@@ -65,15 +66,15 @@ def quad_between(y, ht, rho, ts, surv_vals, psi):
     ts = np.asarray(ts, dtype=float)
     i_tail = y.expo_tail_transform(rho, ts)
     if y.atom != 0:
-        i_tail = i_tail + y.atom * psi(ts)
-    i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
+        i_tail = i_tail + y.atom * psi(ts)[:, 0]
+    i_tail = i_tail + psi.at0[0] * y.tilted_tail(rho, ts)
     conv = np.zeros(ts.size, dtype=complex)
     for idx, t in enumerate(ts):
         if t <= 0 or not y.terms:
             continue
 
         def integrand(x):
-            return y.density(np.array([x]))[0] * complex(psi(np.array([t - x]))[0])
+            return y.density(np.array([x]))[0] * complex(psi(np.array([t - x]))[0, 0])
 
         conv[idx] = quad(integrand, 0.0, t, complex_func=True,
                          epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)[0]
@@ -151,8 +152,8 @@ def composite_between(y, ht, rho, ts, surv_vals, psi):
     ts = np.asarray(ts, dtype=float)
     i_tail = y.expo_tail_transform(rho, ts)
     if y.atom != 0:
-        i_tail = i_tail + y.atom * psi(ts)
-    i_tail = i_tail + psi.at0 * y.tilted_tail(rho, ts)
+        i_tail = i_tail + y.atom * psi(ts)[:, 0]
+    i_tail = i_tail + psi.at0[0] * y.tilted_tail(rho, ts)
     conv = np.zeros(ts.size, dtype=complex)
     if y.terms and np.any(ts > 0):
         knots = psi.knots
@@ -162,7 +163,7 @@ def composite_between(y, ht, rho, ts, surv_vals, psi):
             return np.union1d(x_edges[x_edges < t], t - knots[knots < t])
 
         x, w, owner = _composite(ts, edges, GAUSS4)
-        conv = _sum_panels(ts.size, owner, w * y.density(x) * psi(ts[owner][:, None] - x))
+        conv = _sum_panels(ts.size, owner, w * y.density(x) * psi(ts[owner][:, None] - x)[..., 0])
     return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
 
 
@@ -181,19 +182,20 @@ def mmpp2():
 
 
 def scan_conv_survival(y, ht, ts):
-    return heavy_conv_survival(y, ht, ts, _conv_nodes(ht, ts, _max_rate(y)))
+    return heavy_conv_survival([y], ht, ts, _conv_nodes(ht, ts, _max_rate([y])))[:, 0]
 
 
-def scan_between(y, ht, rho, ts, surv, psi):
-    return heavy_between(y, ht, rho, ts, surv, psi, _between_nodes(psi, ts, _max_rate(y)))
+def scan_between(y, ht, ts, surv, psi):
+    return heavy_between([y], ht, ts, surv[:, None], psi,
+                         _between_nodes(psi, ts, _max_rate([y])))[:, 0, 0]
 
 
 def _assert_scan_agrees(y, ht, rho, ts):
     surv = scan_conv_survival(y, ht, ts)
     want = composite_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, want, rtol=0, atol=SCAN_AGREE)
-    psi = _PsiTable(ht, complex(rho), float(ts.max()))
-    got = scan_between(y, ht, complex(rho), ts, surv, psi)
+    psi = _PsiTable(ht, [rho], float(ts.max()))
+    got = scan_between(y, ht, ts, surv, psi)
     np.testing.assert_allclose(got, composite_between(y, ht, complex(rho), ts, want, psi),
                                rtol=0, atol=SCAN_AGREE)
 
@@ -201,8 +203,8 @@ def _assert_scan_agrees(y, ht, rho, ts):
 def _assert_agree(y, ht, rho, ts):
     surv = scan_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, quad_conv_survival(y, ht, ts), rtol=0, atol=AGREE)
-    psi = _PsiTable(ht, complex(rho), float(ts.max()))
-    got = scan_between(y, ht, complex(rho), ts, surv, psi)
+    psi = _PsiTable(ht, [rho], float(ts.max()))
+    got = scan_between(y, ht, ts, surv, psi)
     want = quad_between(y, ht, complex(rho), ts, surv, psi)
     np.testing.assert_allclose(got, want, rtol=0, atol=AGREE)
     _assert_scan_agrees(y, ht, rho, ts)
@@ -271,3 +273,53 @@ def test_scan_carries_state_across_the_grid(term):
     ts = np.unique(np.r_[0.0, np.geomspace(1e-3, 5.0, 40), np.linspace(5.0, 225.0, 300),
                          250.0, 400.0])
     _assert_scan_agrees(ExpPolyMeasure(atom=0.0, terms=(term,)), ht, 1.3, ts)
+
+
+# ---------------------------------------------------------------------------
+# one tilted-tail table and one scan for all positive roots
+
+def _positive_root_laws():
+    """(base solution, heavy tail, grid) of mmpp5 and of a 16-state MMPP."""
+    sol, ht = _paper_law("mmpp5.cfg")
+    yield sol, ht, default_grid(sol, points=200)
+    model, pt = random_mmpp(16, 7, 0.8)
+    sol = solve_base(model, pt)
+    yield sol, abate_whitt(2.0), default_grid(sol, points=200)
+
+
+def _paired_roots(sol):
+    return np.array([sol.rho_pos[k] for k, _ in _paired(sol.rho_pos)])
+
+
+def test_shared_tilted_tail_rule_matches_quad_at_the_knots():
+    # the one y-rule spans the slowest root's decay and the fastest root's
+    # first panel; both ends are checked
+    for sol, ht, ts in _positive_root_laws():
+        rhos = _paired_roots(sol)
+        psi = _PsiTable(ht, rhos, float(ts.max()))
+        for k in (np.argmin(rhos.real), np.argmax(rhos.real)):
+            rho = rhos[k]
+            for tau in psi.knots[::100]:
+                want = quad(lambda y: np.exp(-rho * y)
+                            * float(ht.excess_survival(np.array([tau + y]))[0]),
+                            0.0, np.inf, complex_func=True, epsabs=1e-15, epsrel=1e-13,
+                            limit=200)[0]
+                assert abs(psi(np.array([tau]))[0, k] - want) <= 1e-13
+
+
+def test_each_root_of_one_between_scan_equals_its_own_scan():
+    # a between probability is the survival less a term of the same size, so
+    # its rounding is relative to that survival
+    for sol, ht, ts in _positive_root_laws():
+        rhos = _paired_roots(sol)
+        assert np.any(rhos.imag > 0)
+        laws = [sol.w_law, sol.w_law.convolve(sol.w_law)]
+        rate = _max_rate(laws)
+        surv = heavy_conv_survival(laws, ht, ts, _conv_nodes(ht, ts, rate))
+        psi = _PsiTable(ht, rhos, float(ts.max()))
+        every = heavy_between(laws, ht, ts, surv, psi, _between_nodes(psi, ts, rate))
+        assert every.shape == (ts.size, len(laws), rhos.size)
+        for k, rho in enumerate(rhos):
+            one = _PsiTable(ht, [rho], float(ts.max()))
+            alone = heavy_between(laws, ht, ts, surv, one, _between_nodes(one, ts, rate))
+            assert np.all(np.abs(every[:, :, k] - alone[:, :, 0]) <= 1e-14 * np.abs(surv))
