@@ -23,6 +23,14 @@ panel is wider than a fixed multiple of 1/|a| for the fastest rate a of
 the laws.  The scan matches the former per-point composite rules within
 1e-12 and adaptive quad within 1e-9 (tests/test_quadrature_reference.py).
 
+The tilted tails psi(tau) = integral e^(-rho y) P(E > tau + y) dy behind the
+between probabilities are one table with a column per positive root,
+filled by one backward sweep over its knots: psi at a knot is the integral
+out to the next knot plus e^(-rho D) times psi there, D the distance
+between them, so the excess is evaluated along each stretch once, not once
+for every knot below it.  The table matches one y-rule at every knot within
+1e-14 relative (tests/test_quadrature_reference.py).
+
 What depends only on the base solution and the heavy tail is built once per
 solution and kept on it (BaseSolution.kept): the replace and discard
 perturbations with their delta-identity checks, and one tilted-tail table
@@ -47,9 +55,10 @@ from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
 
 PSI_GRID = 1200
+GAUSS24 = np.polynomial.legendre.leggauss(24)
 GAUSS16 = np.polynomial.legendre.leggauss(16)
 GAUSS4 = np.polynomial.legendre.leggauss(4)
-CONV_RATE_WIDTH = 8.0      # |a| * panel width in x, 16-point panels of Y + E
+CONV_RATE_WIDTH = 8.0      # |a| * width of a 16-point panel: Y + E in x, psi's sweep in y
 BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
 V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
 GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
@@ -178,16 +187,22 @@ def _scan(laws, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.einsum("nrkc,rkl->nlc", sums, mix)[where]
 
 
+def _pieces(spans: np.ndarray, width: float) -> tuple:
+    """Owner, start offset and width of the equal pieces, no wider than
+    width, that split each span (one piece at least)."""
+    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
+    owner = np.repeat(np.arange(pieces.size), pieces)
+    size = (spans / pieces)[owner]
+    return owner, (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) * size, size
+
+
 def _panels(edges: np.ndarray, width: float) -> tuple:
     """Ends of the panels that split each interval of the increasing edges
     into equal pieces no wider than width (none for fewer than two edges)."""
     if edges.size < 2:
         return edges[:0], edges[:0]
-    spans = np.diff(edges)
-    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
-    owner = np.repeat(np.arange(pieces.size), pieces)
-    lo = edges[owner] + (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) \
-        * (spans / pieces)[owner]
+    owner, offset, _ = _pieces(np.diff(edges), width)
+    lo = edges[owner] + offset
     return lo, np.r_[lo[1:], edges[-1]]
 
 
@@ -240,9 +255,23 @@ def heavy_conv_survival(laws, ht, ts, nodes: tuple) -> np.ndarray:
 
 
 class _PsiTable:
-    """Exponentially tilted tails of the heavy excess, integral e^(-rho y)
-    excess_survival(tau + y) dy for each rate rho of rhos, tabulated over tau
-    and interpolated; a call gives a [tau, rho] array."""
+    """Exponentially tilted tails of the heavy excess, psi(tau) = integral
+    e^(-rho y) excess_survival(tau + y) dy for each rate rho of rhos,
+    tabulated on PSI_GRID + 1 knots out to tau_max and interpolated; a call
+    gives a [tau, rho] array.
+
+    One backward sweep over the knots fills the table: with D the distance
+    to the next knot, psi(tau) is the integral over [0, D] plus
+    e^(-rho D) psi(tau + D).  The local integrals are 16-point panels in the
+    offset y from their knot (in sqrt(y) from tau = 0, past the square-root
+    cusp of the excess), no wider than CONV_RATE_WIDTH / |rho| for the
+    fastest rate, and stop at the reach of the y-rule, 34 / Re(rho) for the
+    slowest rate.  The y-rule, geometric panels out to that reach, gives psi
+    at the last knot, and at any knot whose panels would cost more excess
+    evaluations than it does, so a table evaluates the excess at no more
+    than PSI_GRID + 1 times its nodes.  The affine steps of the sweep are
+    composed by log-depth doubling.
+    """
 
     def __init__(self, ht, rhos, tau_max: float):
         self.rhos = np.array(rhos, dtype=complex)
@@ -254,22 +283,52 @@ class _PsiTable:
         # squared substitution on the first one to absorb the sqrt behaviour
         # of the excess survival near zero
         y_max = 34.0 / re
+        reach = y_max.max()
         edges, width = [0.0], min(y_max.min() / 256.0, 0.25)
-        while edges[-1] < y_max.max():
-            edges.append(min(edges[-1] + width, y_max.max()))
+        while edges[-1] < reach:
+            edges.append(min(edges[-1] + width, reach))
             width *= 2.0
-        rule = np.polynomial.legendre.leggauss(24)
-        u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), rule)
-        ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), rule)
+        u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), GAUSS24)
+        ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), GAUSS24)
         ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
         taus = np.concatenate([[0.0], np.geomspace(max(tau_max, 1.0) * 1e-6,
                                                    max(tau_max, 1.0), PSI_GRID)])
-        vals = ht.excess_survival(taus[:, None] + ys) \
+
+        # psi(tau_i) = local_i + step_i psi(tau_(i+1)); a knot on the y-rule
+        # has step 0
+        spans = np.diff(taus)
+        cut = np.minimum(spans, reach)
+        panel = CONV_RATE_WIDTH / np.abs(self.rhos).max()
+        ruled = np.r_[GAUSS16[0].size * np.ceil(cut / panel) > ys.size, True]
+        swept = np.flatnonzero(~ruled)
+        step = np.zeros((taus.size, self.rhos.size), dtype=complex)
+        step[swept] = np.exp(-np.outer(spans[swept], self.rhos))
+        local = np.empty_like(step)
+        local[ruled] = ht.excess_survival(taus[ruled, None] + ys) \
             @ (np.exp(-np.outer(ys, self.rhos)) * w[:, None])
+        if swept.size:
+            owner, lo, size = _pieces(cut[swept], panel)
+            hi = lo + size
+            cusp = swept[owner] == 0
+            lo[cusp], hi[cusp] = np.sqrt(lo[cusp]), np.sqrt(hi[cusp])
+            y, wy = (x.reshape(lo.size, -1) for x in _gauss(lo, hi, GAUSS16))
+            wy[cusp] *= 2.0 * y[cusp]
+            y[cusp] **= 2
+            vals = (wy * ht.excess_survival(taus[swept[owner], None] + y)).reshape(-1, 1) \
+                * np.exp(-np.outer(y, self.rhos))
+            starts = np.searchsorted(owner, np.arange(swept.size)) * y.shape[1]
+            local[swept] = np.add.reduceat(vals, starts, axis=0)
+        # after the pass with shift s, (local_i, step_i) carries
+        # psi(tau_(i+2s)) to psi(tau_i); past the last knot step is 0
+        shift = 1
+        while shift < taus.size:
+            local[:-shift] += step[:-shift] * local[shift:]
+            step[:-shift] *= step[shift:]
+            shift *= 2
+
         self.knots = taus
-        self._re = PchipInterpolator(taus, vals.real)
-        self._im = PchipInterpolator(taus, vals.imag)
-        self.at0 = vals[0]
+        self._interp = PchipInterpolator(taus, np.hstack([local.real, local.imag]))
+        self.at0 = local[0]
         # closed-form anchor: Psi(0) = (1 - excess_lst(rho)) / rho
         for rho, at0 in zip(self.rhos, self.at0):
             anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
@@ -278,8 +337,8 @@ class _PsiTable:
                     f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
 
     def __call__(self, taus):
-        taus = np.clip(np.asarray(taus, dtype=float), 0.0, self.knots[-1])
-        return self._re(taus) + 1j * self._im(taus)
+        both = self._interp(np.clip(np.asarray(taus, dtype=float), 0.0, self.knots[-1]))
+        return both[..., :self.rhos.size] + 1j * both[..., self.rhos.size:]
 
 
 def heavy_between(laws, ht, ts, surv: np.ndarray, psi: _PsiTable, nodes: tuple) -> np.ndarray:
@@ -465,17 +524,23 @@ class ApproxOutput:
 
 def default_grid(sol: BaseSolution, points: int = 200,
                  t_max: float | None = None) -> np.ndarray:
-    """Geometric grid out to where the base survival drops below GRID_FLOOR."""
+    """Geometric grid out to where the base survival drops below GRID_FLOOR.
+
+    The end is bracketed between 1e-3 and the first power of two, from 1 up
+    to 2^20, where the survival is at most GRID_FLOOR.  Each round then
+    evaluates the survival at 63 points inside the bracket, in one call,
+    and keeps the step up to the first of them at or below the floor, until
+    the bracket is two adjacent floats; the end is the upper one.
+    """
     if t_max is None:
         lo, hi = 1e-3, 1.0
         while float(sol.survival(np.array([hi]))[0]) > GRID_FLOOR and hi < 1e6:
             hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(sol.survival(np.array([mid]))[0]) > GRID_FLOOR:
-                lo = mid
-            else:
-                hi = mid
+        while np.nextafter(lo, hi) < hi:
+            xs = np.linspace(lo, hi, 65)
+            below = np.r_[sol.survival(xs[1:-1]) <= GRID_FLOOR, True]
+            k = int(np.argmax(below)) + 1
+            lo, hi = xs[k - 1], xs[k]
         t_max = hi
     return np.concatenate([[0.0], np.geomspace(t_max / 400.0, t_max, points - 1)])
 

@@ -1,4 +1,5 @@
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from heavyq import correction, symbolic_kernel
 from heavyq.base_solver import RationalLST, solve_base
+from heavyq.cli import parse_config
 from heavyq.correction import (
+    GRID_FLOOR,
     ApproxOutput,
     CorrectionError,
     _between_nodes,
@@ -27,7 +30,10 @@ from heavyq.oracle import exact_solve
 from heavyq.perturbation import perturb
 from heavyq.polyalg import Poly, RationalFn, RootSet, partial_fractions
 from heavyq.symbolic_kernel import xi_polys
+from test_perturbation import random_mmpp
 from test_riccati import cleared_determinant, paper_model
+
+PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
 
 
 def erlang2_model(lam=1.0):
@@ -371,6 +377,41 @@ def test_default_grid_reaches_floor(mmpp2_setup):
     grid = default_grid(sol, points=50)
     assert grid[0] == 0.0
     assert float(sol.survival(np.array([grid[-1]]))[0]) <= 2e-6
+
+
+def bisected_grid_end(sol):
+    """The end of default_grid by its first route: the same doubling, then
+    60 halvings of [1e-3, hi], one survival call each."""
+    lo, hi = 1e-3, 1.0
+    while float(sol.survival(np.array([hi]))[0]) > GRID_FLOOR and hi < 1e6:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(sol.survival(np.array([mid]))[0]) > GRID_FLOOR:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "mm1"])
+def test_default_grid_end_equals_the_bisection_on_the_run_files(name):
+    cfg = parse_config(os.path.join(PAPER, f"{name}.cfg"))
+    sol = solve_base(cfg.model, cfg.pt)
+    assert default_grid(sol)[-1] == bisected_grid_end(sol)
+
+
+@pytest.mark.parametrize("n, seed, load, scale", [
+    (8, 0, 0.8, 1.0), (8, 2, 0.999, 1.0), (16, 3, 0.95, 1.0), (16, 7, 0.8, 1.0),
+    (8, 0, 0.99999, 0.1), (16, 3, 0.99999, 0.1)],
+    ids=["n8", "n8-load0.999", "n16-load0.95", "n16", "n8-cap", "n16-cap"])
+def test_default_grid_end_is_within_a_few_ulps_of_the_bisection(n, seed, load, scale):
+    # measured: equal in every case; the slowed-down loads end at the cap,
+    # where the survival is still about 0.05
+    sol = solve_base(*random_mmpp(n, seed, load, scale))
+    end, want = default_grid(sol)[-1], bisected_grid_end(sol)
+    assert abs(end - want) <= 4 * np.spacing(want)
+    assert (end == 2.0 ** 20) == (scale < 1.0)
 
 
 def test_tail_dominated_by_heavy_component(mmpp2_setup):
