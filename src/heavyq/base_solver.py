@@ -268,7 +268,7 @@ class BaseSolution:
 
     def survival(self, t):
         vals = self.w_law.survival(t)
-        if np.max(np.abs(np.atleast_1d(vals).imag)) > 1e-10:
+        if np.max(np.abs(np.atleast_1d(vals).imag), initial=0.0) > 1e-10:
             raise SolverError("delay survival came out complex")
         return vals.real
 
@@ -286,23 +286,26 @@ class BaseSolution:
 
 @dataclass(frozen=True)
 class Families:
-    """Laurent data of the three correction families, stacked in one F(s).
+    """Laurent data of correction families: per pole, the coefficients of
+    its negative powers, and a constant, one column per family.
 
-    With x = E(s)^-1 omega, D = u . x and B = dE/dg, the N + 2 components
-    of F = (u.w) (x / D, s (tr E^-1 B - u E^-1 B x / D), tr E^-1 B / D)
-    give the z-family F_alpha = (z, 0, 0) . F, which is linear in z, the
+    With x = E(s)^-1 omega, D = u . x and B = dE/dg, BaseSolution.families
+    stacks the N + 2 components of
+        F = (u.w) (x / D, s (tr E^-1 B - u E^-1 B x / D), tr E^-1 B / D),
+    and family projects them.  correction_coeffs keeps three components:
+    the z-family F_alpha = (z, 0, 0) . F, which is linear in z, the
     adjugate-tilt family F_beta (component N) and the determinant-tilt
     family F_gamma (component N + 1).  poles lists rho_pos (simple) and then
     num_roots; row k-1 of a pole's coefficient array multiplies (s - pole)^-k.
     """
 
     poles: tuple        # (pole, multiplicity)
-    coefs: tuple        # per pole, (multiplicity, N + 2) array
-    const: np.ndarray   # (N + 2,)
+    coefs: tuple        # per pole, (multiplicity, components) array
+    const: np.ndarray   # (components,)
 
-    def family(self, weights: np.ndarray) -> tuple:
-        """Per-pole coefficient arrays and constant of weights . F."""
-        return tuple(c @ weights for c in self.coefs), complex(self.const @ weights)
+    def family(self, weights: np.ndarray) -> "Families":
+        """The families weights . F, one per column of weights."""
+        return Families(self.poles, tuple(c @ weights for c in self.coefs), self.const @ weights)
 
 
 def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:

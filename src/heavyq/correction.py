@@ -1,15 +1,15 @@
-"""Correction coefficients and the corrected survival approximations.
+"""Correction families and the corrected survival approximations.
 
 The first-order term of the delay expansion decomposes into three partial
 fraction families (driven by the boundary shift z, the adjugate tilt, and
-the determinant tilt).  Both variants turn them into the time domain by one
-recipe (theta), which differs between them only in the mean of the
-rational law the perturbation removes: tail probabilities of the base delay
-convolved with excess service laws and Erlang blocks, plus "between"
-probabilities against exponential windows at the positive roots.  Complex
-roots are handled by evaluating one member of each conjugate pair and
-doubling the real part.  The families' pole parts and constants come from
-contour integrals on the base solution (BaseSolution.families).
+the determinant tilt), which correction_coeffs projects from the contour
+integrals on the base solution (BaseSolution.families).  Both variants turn
+them into the time domain by one recipe (theta), which differs between them
+only in the mean of the rational law the perturbation removes: tail
+probabilities of the base delay convolved with excess service laws and one
+exp-poly law per family (its constant as an atom at zero, its pole parts at
+the transform's zeros inverted term by term), plus "between" probabilities
+against exponential windows at the positive roots.
 
 Convolutions with the heavy excess have no closed form.  The survivals of
 Y + E and the "between" probabilities against the tilted tails psi are sums
@@ -43,13 +43,13 @@ built.  The store holds one tail at a time, so another tail rebuilds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 from scipy.interpolate import PchipInterpolator
 
-from .base_solver import BaseSolution, RationalLST, solve_base
+from .base_solver import BaseSolution, Families, RationalLST, solve_base
 from .measures import ExpPolyMeasure
 from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
@@ -62,7 +62,7 @@ CONV_RATE_WIDTH = 8.0      # |a| * width of a 16-point panel: Y + E in x, psi's 
 BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
 V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
 GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
-BLOCK_NOISE = 1e-12        # theta skips Erlang blocks whose size is below this times
+BLOCK_NOISE = 1e-12        # theta skips the pole parts whose size is below this times
                            # the largest size of a correction term (sizes in theta)
 
 
@@ -70,56 +70,27 @@ class CorrectionError(RuntimeError):
     """Failure while assembling or evaluating the correction term."""
 
 
-@dataclass(frozen=True)
-class CorrectionCoeffs:
-    """Partial-fraction families of the first-order transform correction."""
-
-    variant: str
-    uw: float                # u . omega of the replace base
-    zw: float                # z . omega (replace) or (z - z_discard) . omega
-    beta: float              # constant of the adjugate-tilt family
-    gamma: float             # constant of the determinant-tilt family
-    rho_pos: tuple           # positive base roots, aligned with the _k arrays
-    alpha_k: tuple
-    beta_k: tuple
-    gamma_k: tuple
-    num_roots: tuple         # (shat_j, multiplicity r_j) with Re shat_j > 0
-    alpha_jl: dict = field(repr=False)  # (j, l) -> coefficient, l = 1..r_j
-    beta_jl: dict = field(repr=False)
-    gamma_jl: dict = field(repr=False)
-
-
 def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
-                      z_discard: np.ndarray | None = None) -> CorrectionCoeffs:
-    """Coefficients of the three partial-fraction families.
+                      z_discard: np.ndarray | None = None) -> Families:
+    """The three partial-fraction families, F_alpha, F_beta and F_gamma.
 
-    The pole parts and constants come from sol.families.  For the replace
-    variant the z-driven family uses the replace shift; for the discard
-    variant it uses z - z_discard and the remaining families are unchanged.
-    Built-in checks: the determinant-family constant must equal the sum of
-    rate * real self-transition mass, and the z-family constant must equal
-    the weighted shift itself.
+    sol.families projected on the weights (z, 0, 0), the adjugate tilt and
+    the determinant tilt.  For the replace variant z is the replace shift;
+    for the discard variant it is z - z_discard and the other families are
+    unchanged.  The constants are the closed forms, each checked against
+    the contour value: the z-family constant must equal the weighted shift
+    z . omega itself, and the determinant-family constant the sum of rate *
+    real self-transition mass.  The adjugate-tilt constant has no closed
+    form and keeps its real part.
     """
     model, n = sol.model, sol.model.n_states
-    variant = "replace" if z_discard is None else "discard"
-    zvec = pdata.z if z_discard is None else pdata.z - z_discard
-    n_pos = len(sol.rho_pos)
-    shats = [(-root, mult) for root, mult in sol.num_roots]
+    weights = np.zeros((n + 2, 3))
+    weights[:n, 0] = pdata.z if z_discard is None else pdata.z - z_discard
+    weights[n, 1] = weights[n + 1, 2] = 1.0
+    fams = sol.families.family(weights)
+    zw_const, beta_const, gamma_const = fams.const
 
-    def layout(per_pole):
-        simple = tuple(complex(c[0]) for c in per_pole[:n_pos])
-        byjl = {(j, l): complex(per_pole[n_pos + j][rj - l]) / shat ** (rj - l + 1)
-                for j, (shat, rj) in enumerate(shats) for l in range(1, rj + 1)}
-        return simple, byjl
-
-    unit = np.eye(n + 2)
-    (alpha, zw_const), (beta, beta_const), (gamma, gamma_const) = (
-        sol.families.family(w) for w in (np.r_[zvec, 0.0, 0.0], unit[n], unit[n + 1]))
-    alpha_k, alpha_jl = layout(alpha)
-    beta_k, beta_jl = layout(beta)
-    gamma_k, gamma_jl = layout(gamma)
-
-    zw_direct = float(zvec @ model.omega)
+    zw_direct = float(weights[:n, 0] @ model.omega)
     if abs(zw_const - zw_direct) > 1e-6 * max(1.0, abs(zw_direct)):
         raise CorrectionError(
             f"z-family constant {zw_const} does not match z . omega = {zw_direct}")
@@ -128,15 +99,7 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
     if abs(gamma_const - gamma_direct) > 1e-6 * max(1.0, gamma_direct):
         raise CorrectionError(
             f"determinant-family constant {gamma_const} != {gamma_direct}")
-
-    return CorrectionCoeffs(
-        variant=variant, uw=sol.uw, zw=zw_direct,
-        beta=float(beta_const.real), gamma=gamma_direct,
-        rho_pos=tuple(sol.rho_pos),
-        alpha_k=alpha_k, beta_k=beta_k, gamma_k=gamma_k,
-        num_roots=tuple(shats),
-        alpha_jl=alpha_jl, beta_jl=beta_jl, gamma_jl=gamma_jl,
-    )
+    return Families(fams.poles, fams.coefs, np.array([zw_direct, beta_const.real, gamma_direct]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +357,8 @@ def _kept(sol: BaseSolution, ht, key: tuple, stamp, build):
     return entry[1]
 
 
-def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
-          pt: RationalLST, ht, sol: BaseSolution) -> tuple:
+def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
+          sol: BaseSolution, variant: str) -> tuple:
     """Theta_1 and Theta_2 on the grid, by one recipe for both variants.
 
     With d = base_law (the variant's base delay), Ep and E the rational and
@@ -405,89 +368,82 @@ def theta(ts, coeffs: CorrectionCoeffs, base_law: ExpPolyMeasure,
                      - g (mp P(d*d*B + Ep > t) - mh P(d*d*B + E > t)).
     For replace, mp is the rational mean.  The discard perturbation swaps
     the atom at zero of (1-eps) B(s) + eps, of mean 0, for the heavy law, so
-    mp = 0: term by term that is the discard recipe, and the block-noise
-    scale max(mh, mp) is its mh.  Theta_1 sums the terms over the point mass
-    B = delta_0, whose coefficients are the family constants (zw, beta,
-    gamma) - sum_k (alpha_k, beta_k, gamma_k) / rho_k, and the Erlang blocks
-    B = Erlang(r_j - l + 1, shat_j) of the numerator roots.  Theta_2 sums
-    them over the positive roots rho_k with B = delta_0, the coefficients
-    (alpha_k, beta_k, gamma_k) / rho_k and P(t < X < t + Exp(rho_k)) in place
-    of P(X > t).  A complex block or root counts one member of its conjugate
-    pair twice, by the real part.  The tilted-tail table is kept on sol
-    (_kept).  Residual imaginary parts beyond 1e-10 raise.
+    mp = 0: term by term that is the discard recipe, and the noise scale
+    max(mh, mp) is its mh.
+
+    The recipe is linear in B, so Theta_1 takes one law per family of fams
+    (correction_coeffs): an atom at zero, the family's constant less
+    sum_k residue_k / rho_k over the positive roots, plus its pole parts at
+    the numerator roots, c (s + shat)^-k inverted to c x^(k-1) e^(-shat x) /
+    (k-1)!.  Both members of a conjugate pair enter, so each law is real.
+    Theta_1 is then five survivals: d*F_alpha, d*F_beta (+ Ep and + E) and
+    d*d*F_gamma (+ Ep and + E).  Theta_2 sums the terms over the positive roots
+    rho_k with B = delta_0, the coefficients residue_k / rho_k and
+    P(t < X < t + Exp(rho_k)) in place of P(X > t); a complex root counts
+    one member of its conjugate pair twice, by the real part.  The
+    tilted-tail table is kept on sol (_kept).  Residual imaginary parts
+    beyond 1e-10 raise.
     """
     ts = np.asarray(ts, dtype=float)
-    mp = pt.mean if coeffs.variant == "replace" else 0.0
+    mp = pt.mean if variant == "replace" else 0.0
     mh = ht.mean
+    n_pos = len(sol.rho_pos)
+    rho_pos = np.array(sol.rho_pos, dtype=complex)
+    residues = np.array([c[0] for c in fams.coefs[:n_pos]], dtype=complex).reshape(n_pos, 3).T
+    consts = fams.const - residues @ (1.0 / rho_pos)
+    if np.any(np.abs(consts.imag) > 1e-9 * np.maximum(1.0, np.abs(consts))):
+        raise CorrectionError("family constant has a residual imaginary part")
+
+    # pole parts at the numerator roots, less those at rounding-noise level.
+    # A part's size is the largest factor it puts on a probability: its
+    # mass |c| / |shat|^k, times mh or mp in the beta and gamma families;
+    # the root terms of theta2 are divided by their root.
+    scale = np.array([1.0, max(mh, mp), max(mh, mp)])
+    parts = [(-pole, k, c) for (pole, _), coef in zip(fams.poles[n_pos:], fams.coefs[n_pos:])
+             for k, c in enumerate(coef)]
+    sizes = [np.max(scale * np.abs(c)) / abs(shat) ** (k + 1) for shat, k, c in parts]
+    sizes += list(np.max(scale[:, None] * np.abs(residues), axis=0) / np.abs(rho_pos))
+    floor = BLOCK_NOISE * max(sizes, default=0.0)
+    kept = [part for part, size in zip(parts, sizes) if size > floor]
+    f_alpha, f_beta, f_gamma = (
+        ExpPolyMeasure.from_terms(consts[f].real, [(shat, k, c[f] / math.factorial(k))
+                                                   for shat, k, c in kept])
+        for f in range(3))
+
     d_law, dd_law = base_law, base_law.convolve(base_law)
     # mp times the rational excess: no terms at all when mp = 0
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
+    laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
+    heavy = heavy_conv_survival(laws, ht, ts, _conv_nodes(ht, ts, _max_rate(laws)))
 
-    def total(weights, coef, plain, rational, heavy):
-        """The recipe's terms, one column each, summed by their weights."""
+    def recipe(coef, plain, rational, heavy):
         a, b, g = coef
-        terms = a * plain + b * (rational[0] - mh * heavy[0]) \
-            - g * (rational[1] - mh * heavy[1])
-        if np.max(np.abs(terms.imag[:, weights == 1.0]), initial=0.0) > 1e-10:
-            raise CorrectionError("correction term has a residual imaginary part")
-        return terms.real @ weights
+        return a * plain + b * (rational[0] - mh * heavy[0]) - g * (rational[1] - mh * heavy[1])
 
-    per_root = np.array([coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k], dtype=complex)
-    consts = np.array([coeffs.zw, coeffs.beta, coeffs.gamma]) \
-        - per_root @ (1.0 / np.array(coeffs.rho_pos, dtype=complex))
-    if np.any(np.abs(consts.imag) > 1e-9 * np.maximum(1.0, np.abs(consts))):
-        raise CorrectionError("family constant has a residual imaginary part")
-    blocks = [(1.0, tuple(consts.real), ExpPolyMeasure.point_mass(1.0))]
+    theta1 = recipe((1.0, 1.0, 1.0), d_law.convolve(f_alpha).survival(ts),
+                    [y.convolve(excess).survival(ts) for y in laws[2:]], heavy[:, 2:].T)
+    if np.max(np.abs(theta1.imag), initial=0.0) > 1e-10:
+        raise CorrectionError("correction term has a residual imaginary part")
 
-    # Erlang blocks at the numerator roots, less those at rounding-noise
-    # level.  A term's size is the largest factor it puts on a probability:
-    # the beta and gamma families enter times mh and mp, and the root terms
-    # of theta2 divided by their root.
-    scale = max(mh, mp)
-    fam = (coeffs.alpha_jl, coeffs.beta_jl, coeffs.gamma_jl)
-
-    def size(a, b, g):
-        return max(abs(a), scale * abs(b), scale * abs(g))
-
-    sizes = [size(*(f[jl] for f in fam)) for jl in coeffs.alpha_jl]
-    sizes += [size(*abg) / abs(rho) for *abg, rho in zip(
-        coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k, coeffs.rho_pos)]
-    floor = BLOCK_NOISE * max(sizes, default=0.0)
-    for j, weight in _paired([s for s, _ in coeffs.num_roots]):
-        shat, rj = coeffs.num_roots[j]
-        for l in range(1, rj + 1):
-            coef = tuple(f[(j, l)] for f in fam)
-            if size(*coef) > floor:
-                blocks.append((weight, coef, ExpPolyMeasure.erlang(shat, rj - l + 1)))
-
-    weights, coefs, shapes = zip(*blocks)
-    d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
-    rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
-    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, _conv_nodes(ht, ts, _max_rate(d_b + dd_b)))
-    heavy = heavy.reshape(ts.size, 2, len(blocks)).transpose(1, 0, 2)
-
-    def survivals(ys):
-        return np.array([y.survival(ts) for y in ys], dtype=complex).T
-
-    theta1 = total(np.array(weights), np.array(coefs).T, survivals(d_b),
-                   [survivals(ys) for ys in rational], heavy)
-
-    paired = _paired(coeffs.rho_pos)
+    paired = _paired(sol.rho_pos)
     if not paired:
-        return theta1, np.zeros(ts.size)
+        return theta1.real, np.zeros(ts.size)
     roots, weights = (np.array(v) for v in zip(*paired))
-    rhos = np.array(coeffs.rho_pos, dtype=complex)[roots]
+    rhos = rho_pos[roots]
     tau_max = float(ts.max()) if ts.size else 1.0
     psi = _kept(sol, ht, ("psi",), tau_max, lambda: _PsiTable(ht, rhos, tau_max))
-    heavy = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, psi,
-                          _between_nodes(psi, ts, _max_rate([d_law])))
+    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], psi,
+                            _between_nodes(psi, ts, _max_rate([d_law])))
 
     def betweens(y):
         return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
 
-    theta2 = total(weights, per_root[:, roots] / rhos, betweens(d_law),
-                   [betweens(ys[0]) for ys in rational], heavy.transpose(1, 0, 2))
-    return theta1, theta2
+    terms = recipe(residues[:, roots] / rhos, betweens(d_law),
+                   [betweens(y.convolve(excess)) for y in (d_law, dd_law)],
+                   between.transpose(1, 0, 2))
+    if np.max(np.abs(terms.imag[:, weights == 1.0]), initial=0.0) > 1e-10:
+        raise CorrectionError("correction term has a residual imaginary part")
+    return theta1.real, terms.real @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +541,18 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     pdata = _checked_perturb(sol, ht, "replace")
 
     if variant == "replace":
-        coeffs = correction_coeffs(sol, pdata)
+        fams = correction_coeffs(sol, pdata)
         base_sol = sol
-        prefactor = 1.0 / coeffs.uw
+        prefactor = 1.0 / sol.uw
     else:
         pdata_disc = _checked_perturb(sol, ht, "discard")
-        coeffs = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
+        fams = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
         base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 
     base = base_sol.survival(ts)
-    th1, th2 = theta(ts, coeffs, base_sol.w_law, pt, ht, sol)
+    th1, th2 = theta(ts, fams, base_sol.w_law, pt, ht, sol, variant)
     corrected_raw = base + eps * prefactor * (th1 + th2)
     simplified_raw = base + eps * prefactor * th1
     return ApproxOutput(

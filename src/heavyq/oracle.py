@@ -33,6 +33,7 @@ EULER_AVG = 11         # binomial-averaged extra terms
 EULER_MAX_DAMP = 37.0  # exp(A/2) amplifies roundoff; beyond this A hurts
 NEWTON_ITERS = 50
 SIM_CHUNK = 10 ** 5    # environment transitions per draw of the uniform streams
+CDF_TABLE_POINTS = 4000  # geometric abscissae of an inverse-CDF sampling table
 
 
 class OracleError(RuntimeError):
@@ -207,7 +208,7 @@ class SimulationResult:
             getattr(self, name).setflags(write=False)
 
 
-def _inverse_cdf_table(survival_fn, mean: float, n_points: int = 4000):
+def _inverse_cdf_table(survival_fn, mean: float):
     """Monotone inverse-CDF interpolation table from a survival callable."""
     from scipy.interpolate import PchipInterpolator
 
@@ -215,7 +216,7 @@ def _inverse_cdf_table(survival_fn, mean: float, n_points: int = 4000):
     t_hi = mean
     while survival_fn(t_hi) > 1e-9 and t_hi < 1e12:
         t_hi *= 2.0
-    ts = np.concatenate([[0.0], np.geomspace(mean * 1e-6, t_hi, n_points)])
+    ts = np.concatenate([[0.0], np.geomspace(mean * 1e-6, t_hi, CDF_TABLE_POINTS)])
     sv = np.clip(np.asarray(survival_fn(ts), dtype=float), 0.0, 1.0)
     cdf = 1.0 - sv
     keep = np.concatenate([[True], np.diff(cdf) > 1e-15])

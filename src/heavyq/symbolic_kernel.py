@@ -66,18 +66,6 @@ class GPoly:
             acc = acc * g + self.coeffs_in_g[k](s)
         return acc
 
-    def eval_with_gderiv(self, s, g, gprime):
-        """Value and s-derivative at (s, g(s)) given g'(s), by the chain rule."""
-        val = 0j
-        dval = 0j
-        for k, c in enumerate(self.coeffs_in_g):
-            gk = g ** k
-            val = val + c(s) * gk
-            dval = dval + c.deriv()(s) * gk
-            if k >= 1:
-                dval = dval + c(s) * k * g ** (k - 1) * gprime
-        return val, dval
-
     def cleared(self, q: Poly, p: Poly, r: int) -> Poly:
         """p**r times the value at g = q/p, as an exact polynomial in s."""
         if self.g_degree > r:

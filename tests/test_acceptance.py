@@ -225,9 +225,9 @@ def test_criterion_07_first_order_scaling(two_state):
     from heavyq.correction import correction_coeffs, theta
 
     pdata = perturb(bundle.sol, bundle.ht, "replace")
-    coeffs = correction_coeffs(bundle.sol, pdata)
-    th1, th2 = theta(ts, coeffs, bundle.sol.w_law, bundle.pt, bundle.ht, bundle.sol)
-    th = (th1 + th2) / coeffs.uw
+    fams = correction_coeffs(bundle.sol, pdata)
+    th1, th2 = theta(ts, fams, bundle.sol.w_law, bundle.pt, bundle.ht, bundle.sol, "replace")
+    th = (th1 + th2) / bundle.sol.uw
     base = bundle.sol.survival(ts)
     sups = []
     for eps in (0.02, 0.01, 0.005):

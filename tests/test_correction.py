@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heavyq import correction, symbolic_kernel
-from heavyq.base_solver import RationalLST, solve_base
+from heavyq.base_solver import Families, RationalLST, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (
     GRID_FLOOR,
@@ -14,6 +14,8 @@ from heavyq.correction import (
     CorrectionError,
     _between_nodes,
     _conv_nodes,
+    _max_rate,
+    _paired,
     _PsiTable,
     approximate,
     correction_coeffs,
@@ -107,85 +109,70 @@ def mmpp2_setup():
     ht = abate_whitt(2.0)
     sol = solve_base(model, pt)
     pdata = perturb(sol, ht, "replace")
-    coeffs = correction_coeffs(sol, pdata)
-    return model, pt, ht, sol, pdata, coeffs
+    fams = correction_coeffs(sol, pdata)
+    return model, pt, ht, sol, pdata, fams
+
+
+def family_sums(fams, s):
+    """F_alpha, F_beta and F_gamma at s from their constants and pole parts."""
+    return [fraction_sum(fams.const[f], [c[:, f] for c in fams.coefs], fams.poles, s)
+            for f in range(3)]
 
 
 def test_toy_coefficients_structure(toy_setup):
     model, pt, ht, sol, pdata = toy_setup
     xi = paper_xi_polys(model, pt)
-    coeffs = correction_coeffs(sol, pdata)
+    fams = correction_coeffs(sol, pdata)
+    n_pos = len(sol.rho_pos)
     # toy block: gamma = 0 and the whole beta family vanishes
-    assert coeffs.gamma == 0.0
-    assert coeffs.beta == pytest.approx(0.0, abs=1e-12)
-    assert all(abs(b) < 1e-12 for b in coeffs.beta_k)
-    assert all(abs(b) < 1e-12 for b in coeffs.beta_jl.values())
+    assert fams.const[2] == 0.0
+    assert fams.const[1] == pytest.approx(0.0, abs=1e-12)
+    assert all(abs(c[0, 1]) < 1e-12 for c in fams.coefs[:n_pos])
+    assert all(np.all(np.abs(c[:, 1]) < 1e-12) for c in fams.coefs[n_pos:])
     # alpha_2 and gamma_2 residue forms from the toy block
     rho2 = sol.rho_pos[0]
+    assert fams.poles[0] == (rho2, 1)
     denom = 1.0 + 0j
-    for shat, rj in coeffs.num_roots:
-        denom *= (rho2 + shat) ** rj
+    for root, rj in sol.num_roots:
+        denom *= (rho2 - root) ** rj
     p_of = symbolic_kernel.service_polys(pt)[1]
     xi_poly = p_of.scale(-1.0)  # xi = -lam^2 p with lam = 1
     want_gamma2 = xi_poly(rho2) / denom
-    assert coeffs.gamma_k[0] == pytest.approx(complex(want_gamma2), rel=1e-9)
+    assert fams.coefs[0][0, 2] == pytest.approx(complex(want_gamma2), rel=1e-9)
     zsum = 0j
     for l in range(2):
         for i in range(2):
             zsum += model.omega[i] * pdata.z[l] * xi["xi_prime_by_state"][(i, l)](rho2)
-    assert coeffs.alpha_k[0] == pytest.approx(complex(zsum / denom), rel=1e-9)
+    assert fams.coefs[0][0, 0] == pytest.approx(complex(zsum / denom), rel=1e-9)
 
 
 def test_coefficients_reconstruct_families(mmpp2_setup):
     # re-summed partial fractions match the defining rationals at random points
-    model, pt, ht, sol, pdata, coeffs = mmpp2_setup
+    model, pt, ht, sol, pdata, fams = mmpp2_setup
     rng = np.random.default_rng(3)
     for _ in range(20):
         s = complex(rng.normal(0, 2), rng.normal(0, 2))
         if min(abs(s - r) for r in sol.rho_pos) < 0.2:
             continue
-        if min(abs(s + shat) for shat, _ in coeffs.num_roots) < 0.2:
+        if min(abs(s - root) for root, _ in sol.num_roots) < 0.2:
             continue
-        for want, const, simple, byjl in zip(
-            direct_families(sol, s, pdata.z),
-            (coeffs.zw, coeffs.beta, coeffs.gamma),
-            (coeffs.alpha_k, coeffs.beta_k, coeffs.gamma_k),
-            (coeffs.alpha_jl, coeffs.beta_jl, coeffs.gamma_jl),
-        ):
-            got = complex(const)
-            for k, rho in enumerate(coeffs.rho_pos):
-                got += simple[k] / (s - rho)
-            for j, (shat, rj) in enumerate(coeffs.num_roots):
-                for l in range(1, rj + 1):
-                    got += byjl[(j, l)] * shat ** (rj - l + 1) / (s + shat) ** (rj - l + 1)
+        for want, got in zip(direct_families(sol, s, pdata.z), family_sums(fams, s)):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
 def test_transform_level_identity(mmpp2_setup):
     # the assembled bracket times the base transform equals the exact
     # first-order transform difference (W_eps - W)/eps from the oracle
-    model, pt, ht, sol, pdata, coeffs = mmpp2_setup
+    model, pt, ht, sol, pdata, fams = mmpp2_setup
     eps = 1e-4
     exact = exact_solve(model, pt, ht, eps, base=sol, deltas=pdata.delta)
     mp, mh = pt.mean, ht.mean
     for s in np.linspace(0.1, 5.0, 10):
         fexc = mp * pt.excess(s) - mh * complex(ht.excess_lst(s))
-        families = []
-        for const, simple, byjl in (
-            (coeffs.zw, coeffs.alpha_k, coeffs.alpha_jl),
-            (coeffs.beta, coeffs.beta_k, coeffs.beta_jl),
-            (coeffs.gamma, coeffs.gamma_k, coeffs.gamma_jl),
-        ):
-            val = complex(const)
-            for k, rho in enumerate(coeffs.rho_pos):
-                val += simple[k] / (s - rho)
-            for j, (shat, rj) in enumerate(coeffs.num_roots):
-                for l in range(1, rj + 1):
-                    val += byjl[(j, l)] * shat ** (rj - l + 1) / (s + shat) ** (rj - l + 1)
-            families.append(val)
+        families = family_sums(fams, s)
         w = sol.w_hat(s)
         bracket = families[0] + fexc * families[1] - fexc * w * families[2]
-        want_theta = w * bracket / coeffs.uw
+        want_theta = w * bracket / sol.uw
         fd = (exact.transform(s) - w) / eps
         assert abs(fd - want_theta) <= 1e-3 * max(1.0, abs(fd))
 
@@ -270,9 +257,9 @@ def test_theta_zero_for_identical_tail(toy_setup):
     model, pt, _, sol, _ = toy_setup
     ht_pt = phase_type_tail(pt)
     pdata = perturb(sol, ht_pt, "replace")
-    coeffs = correction_coeffs(sol, pdata)
+    fams = correction_coeffs(sol, pdata)
     ts = np.linspace(0.0, 8.0, 15)
-    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht_pt, sol)
+    th1, th2 = theta(ts, fams, sol.w_law, pt, ht_pt, sol, "replace")
     # identical laws travel through closed-form and quadrature routes, which
     # leaves integration noise at the 1e-9 scale
     np.testing.assert_allclose(th1, 0.0, atol=1e-8)
@@ -282,12 +269,12 @@ def test_theta_zero_for_identical_tail(toy_setup):
 def test_theta_limit_oracle_mmpp2(mmpp2_setup):
     # Theta approximates (exact - base)/eps; compare against the inversion
     # oracle at small eps on a short grid
-    model, pt, ht, sol, pdata, coeffs = mmpp2_setup
+    model, pt, ht, sol, pdata, fams = mmpp2_setup
     eps = 0.002
     exact = exact_solve(model, pt, ht, eps, base=sol, deltas=pdata.delta)
     ts = np.linspace(0.25, 20.0, 12)
-    th1, th2 = theta(ts, coeffs, sol.w_law, pt, ht, sol)
-    th = (th1 + th2) / coeffs.uw
+    th1, th2 = theta(ts, fams, sol.w_law, pt, ht, sol, "replace")
+    th = (th1 + th2) / sol.uw
     base = sol.survival(ts)
     for idx, t in enumerate(ts):
         fd = (exact.survival(float(t), tol=1e-9) - base[idx]) / eps
@@ -443,7 +430,8 @@ def test_families_rebuild_and_match_the_polynomial_reference(model_name, service
             points.append(s)
     n = sol.model.n_states
     unit = np.eye(n + 2)
-    ours = [fam.family(w) for w in (np.r_[z, 0.0, 0.0], unit[n], unit[n + 1])]
+    proj = fam.family(np.column_stack([np.r_[z, 0.0, 0.0], unit[n], unit[n + 1]]))
+    ours = [([c[:, f] for c in proj.coefs], proj.const[f]) for f in range(3)]
     for idx, (ref, (per_pole, const)) in enumerate(zip(polynomial_families(sol, z), ours)):
         def ref_error(s):
             return abs(sum(v if key is None else v / (s - key[0]) ** key[1]
@@ -530,14 +518,14 @@ def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
     # Erlang(12,3): the transform's triple zero at -12 comes out as three
     # simple zeros; exp(3), the two-state paper run: a zero at the service
     # pole -3.  Their family coefficients are rounding noise next to those
-    # of the other zeros, so theta builds and heavy-convolves no Erlang block
-    # for them, and the curves do not move.  The blocks that stay are one of
-    # the complex pair at -13.4 +- 2.3i and the zero at -9.09 for Erlang(12,3),
-    # and the zero at -2.94 for exp(3); a complex pair is one block.  In a
-    # time unit 1000 times longer (heavy-tail mean 500) the same blocks stay;
-    # there the root finder returns -12 as one triple zero, three blocks.
-    factory, pole, roots, blocks = {
-        "erlang(12,3)": (lambda f: RationalLST.erlang(12.0 * f, 3), 12.0, 3, 2),
+    # of the other zeros, so theta puts no pole part of theirs in the laws it
+    # convolves and heavy-convolves, and the curves do not move.  The parts
+    # that stay are those of the complex pair at -13.4 +- 2.3i and the zero
+    # at -9.09 for Erlang(12,3), and of the zero at -2.94 for exp(3).  In a
+    # time unit 1000 times longer (heavy-tail mean 500) the same parts stay;
+    # there the root finder returns -12 as one triple zero, three parts.
+    factory, pole, roots, kept = {
+        "erlang(12,3)": (lambda f: RationalLST.erlang(12.0 * f, 3), 12.0, 3, 3),
         "exp3": (lambda f: RationalLST.exponential(3.0 * f), 3.0, 1, 1),
     }[case]
     model, pt, ht = _in_time_unit(unit, [10.0, 0.5], factory)
@@ -548,25 +536,197 @@ def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
     assert sum(mult for _, mult in at_pole) == roots
     noisy = sum(mult for root, mult in at_pole if complex(root).imag >= 0)
     assert noisy == {(1.0, "erlang(12,3)"): 2, (1000.0, "erlang(12,3)"): 3}.get((unit, case), 1)
+    parts = [(-root, power) for root, mult in sol.num_roots for power in range(mult)]
+
+    def scanned(laws):
+        """The numerator roots' pole parts (rate, power) in the family laws
+        d*F_beta and d*d*F_gamma of a scan."""
+        return {(rate, power) for rate, power in parts
+                if any(m == power and abs(a - rate) <= 1e-9 * abs(rate)
+                       for law in laws[2:] for a, m, _ in law.terms)}
+
     ts = np.linspace(0.25, 8.0, 15) * unit
     calls = _counting(monkeypatch, correction, "heavy_conv_survival")
-    erlangs = _counting(monkeypatch, ExpPolyMeasure, "erlang")
     floor = correction.BLOCK_NOISE
     for variant in ("replace", "discard"):
         out = {}
         for noise in (floor, 0.0):
             monkeypatch.setattr(correction, "BLOCK_NOISE", noise)
-            del calls[:], erlangs[:]
+            del calls[:]
             out[noise] = approximate(model, pt, ht, 0.01, t_grid=ts, variant=variant, sol=sol)
-            # one scan of d and d*d, alone and with each block
-            assert len(calls) == 1
-            assert len(calls[0][0]) == 2 + 2 * (blocks + (0 if noise else noisy))
-            near = [rate for rate, *_ in erlangs if abs(abs(rate) - pole) < near_pole]
-            assert len(near) == (0 if noise else noisy)
+            # one scan of d, d*d and the two family laws
+            assert len(calls) == 1 and len(calls[0][0]) == 4
+            found = scanned(calls[0][0])
+            near = [rate for rate, _ in found if abs(abs(rate) - pole) < near_pole]
+            assert len(near) == (0 if noise else roots)
+            assert len(found) == kept + len(near)
         skipped, every = out.values()
         for name in ("theta1", "theta2", "corrected_raw", "simplified_raw"):
             np.testing.assert_allclose(getattr(skipped, name), getattr(every, name),
                                        rtol=0, atol=1e-15)
+
+
+def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
+    """Theta_1 and Theta_2 by the earlier per-block recipe, the reference
+    for theta's one law per family.
+
+    Each pole part c (s + shat)^-k at a numerator root is an Erlang(k,
+    shat) block with coefficients c / shat^k in the three families, skipped
+    at rounding-noise size as in theta.  Every block is convolved with d and
+    d*d, its terms are heavy-convolved, and the blocks are summed with the
+    point mass at zero, whose coefficients are the family constants less
+    sum_k residue_k / rho_k; one member of a complex pair counts twice, by
+    the real part.
+    """
+    ts = np.asarray(ts, dtype=float)
+    mp = pt.mean if variant == "replace" else 0.0
+    mh = ht.mean
+    n_pos = len(sol.rho_pos)
+    rho_pos = np.array(sol.rho_pos, dtype=complex)
+    per_root = np.array([c[0] for c in fams.coefs[:n_pos]], dtype=complex).reshape(n_pos, 3).T
+    consts = fams.const - per_root @ (1.0 / rho_pos)
+    scale = max(mh, mp)
+
+    def size(a, b, g):
+        return max(abs(a), scale * abs(b), scale * abs(g))
+
+    shats = [-pole for pole, _ in fams.poles[n_pos:]]
+    byjk = {(j, k): c / shats[j] ** (k + 1)
+            for j, coef in enumerate(fams.coefs[n_pos:]) for k, c in enumerate(coef)}
+    sizes = [size(*coef) for coef in byjk.values()]
+    sizes += [size(*abg) / abs(rho) for abg, rho in zip(per_root.T, rho_pos)]
+    floor = correction.BLOCK_NOISE * max(sizes, default=0.0)
+    blocks = [(1.0, consts.real, ExpPolyMeasure.point_mass(1.0))]
+    for j, weight in _paired(shats):
+        for k in range(fams.poles[n_pos + j][1]):
+            if size(*byjk[j, k]) > floor:
+                blocks.append((weight, byjk[j, k], ExpPolyMeasure.erlang(shats[j], k + 1)))
+
+    weights, coefs, shapes = zip(*blocks)
+    d_law, dd_law = base_law, base_law.convolve(base_law)
+    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
+    d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
+    rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
+    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, _conv_nodes(ht, ts, _max_rate(d_b + dd_b)))
+    heavy = heavy.reshape(ts.size, 2, len(blocks)).transpose(1, 0, 2)
+
+    def total(weights, coef, plain, rational, heavy):
+        a, b, g = coef
+        terms = a * plain + b * (rational[0] - mh * heavy[0]) \
+            - g * (rational[1] - mh * heavy[1])
+        return terms.real @ weights
+
+    def survivals(ys):
+        return np.array([y.survival(ts) for y in ys], dtype=complex).T
+
+    theta1 = total(np.array(weights), np.array(coefs).T, survivals(d_b),
+                   [survivals(ys) for ys in rational], heavy)
+    paired = _paired(sol.rho_pos)
+    if not paired:
+        return theta1, np.zeros(ts.size)
+    roots, weights = (np.array(v) for v in zip(*paired))
+    rhos = rho_pos[roots]
+    psi = _PsiTable(ht, rhos, float(ts.max()))
+    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, psi,
+                            _between_nodes(psi, ts, _max_rate([d_law])))
+
+    def betweens(y):
+        return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
+
+    theta2 = total(weights, per_root[:, roots] / rhos, betweens(d_law),
+                   [betweens(ys[0]) for ys in rational], between.transpose(1, 0, 2))
+    return theta1, theta2
+
+
+def _theta_case(name):
+    """Model, service and heavy tail of a theta test case."""
+    if name == "erlang(12,4)-random8":
+        model, _ = random_mmpp(8, 0, 0.8)
+        return model, RationalLST.erlang(12.0, 4), abate_whitt(2.0)
+    service = {"mmpp2": RationalLST.exponential(3.0), "mmpp5": RationalLST.exponential(3.0),
+               "erlang(12,3)-mmpp2": RationalLST.erlang(12.0, 3)}[name]
+    return paper_model(name.split("-")[-1]), service, abate_whitt(2.0)
+
+
+def _assert_theta_matches_the_per_block_recipe(model, pt, ht, variant, edit=lambda f: f):
+    """theta against per_block_theta on the default grid, for the families
+    of correction_coeffs after edit."""
+    sol = solve_base(model, pt)
+    pdata = perturb(sol, ht, "replace")
+    if variant == "replace":
+        fams, base_law = correction_coeffs(sol, pdata), sol.w_law
+    else:
+        disc = perturb(sol, ht, "discard")
+        fams = correction_coeffs(sol, pdata, z_discard=disc.z)
+        base_law = solve_base(model, discard_base_lst(pt, 0.01)).w_law
+    fams = edit(fams)
+    ts = default_grid(sol)
+    got = theta(ts, fams, base_law, pt, ht, sol, variant)
+    want = per_block_theta(ts, fams, base_law, pt, ht, sol, variant)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["replace", "discard"])
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang(12,3)-mmpp2",
+                                  "erlang(12,4)-random8"])
+def test_theta_matches_the_per_block_recipe(name, variant):
+    # mmpp5 has a complex pair of positive roots; the Erlang services give
+    # complex pairs of numerator roots (random8: nine pairs, and a complex
+    # pair of positive roots too)
+    _assert_theta_matches_the_per_block_recipe(*_theta_case(name), variant)
+
+
+@pytest.mark.parametrize("variant", ["replace", "discard"])
+def test_theta_matches_the_per_block_recipe_at_triple_zeros(variant):
+    # the transform's zeros are simple on these runs, or where they are not
+    # (the service poles) their pole parts are noise; made-up triple poles
+    # at -5 and at the pair -4 +- 2i check the parts of powers 2 and 3
+    rows = np.array([[0.3, -0.2, 0.1], [0.05, 0.02, -0.04], [0.4, 0.1, 0.2]], dtype=complex)
+    upper = (1.0 + 0.5j) * rows
+
+    def edit(fams):
+        return Families(fams.poles + ((-5.0 + 0j, 3), (-4.0 - 2j, 3), (-4.0 + 2j, 3)),
+                        fams.coefs + (rows, upper.conj(), upper), fams.const)
+
+    _assert_theta_matches_the_per_block_recipe(*_theta_case("mmpp2"), variant, edit)
+
+
+def _complex_pair_families():
+    """Inputs of theta on mmpp2 with Erlang(12,3) service, whose numerator
+    roots include a complex pair at -13.4 +- 2.3i, and the index of its
+    upper member among the poles of the families."""
+    model, pt, ht = _theta_case("erlang(12,3)-mmpp2")
+    sol = solve_base(model, pt)
+    fams = correction_coeffs(sol, perturb(sol, ht, "replace"))
+    upper = [j for j, (pole, _) in enumerate(fams.poles)
+             if pole.imag > 1.0 and abs(pole + 13.4 - 2.3j) < 0.1]
+    assert len(upper) == 1
+    return fams, sol, pt, ht, upper[0]
+
+
+def test_theta_rejects_a_complex_family_constant():
+    fams, sol, pt, ht, _ = _complex_pair_families()
+    bent = Families(fams.poles, fams.coefs, fams.const + np.array([1e-6j, 0.0, 0.0]))
+    with pytest.raises(CorrectionError, match="family constant has a residual imaginary part"):
+        theta(np.linspace(0.0, 5.0, 6), bent, sol.w_law, pt, ht, sol, "replace")
+
+
+def test_theta_rejects_pole_parts_that_are_not_conjugate_at_a_complex_pair():
+    fams, sol, pt, ht, upper = _complex_pair_families()
+    coefs = list(fams.coefs)
+    coefs[upper] = 2.0 * coefs[upper]
+    bent = Families(fams.poles, tuple(coefs), fams.const)
+    with pytest.raises(CorrectionError, match="correction term has a residual imaginary part"):
+        theta(np.linspace(0.0, 5.0, 6), bent, sol.w_law, pt, ht, sol, "replace")
+
+
+@pytest.mark.parametrize("variant", ["replace", "discard"])
+def test_approximate_on_an_empty_grid_returns_empty_curves(variant):
+    out = approximate(mmpp2_model(), RationalLST.exponential(3.0), abate_whitt(2.0), 0.01,
+                      t_grid=[], variant=variant)
+    for name in ("grid", "base", "theta1", "theta2", "corrected", "simplified_curve"):
+        assert getattr(out, name).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
