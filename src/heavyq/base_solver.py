@@ -23,8 +23,7 @@ the pipeline needs follows from these matrices:
 
 - the N-1 positive roots of det E are -eig(U) without its zero root, and
   the poles and zeros of the delay transform are eig(K) and eig(K - b h /
-  atom), clustered into multiplicities like polynomial roots, less the
-  pairs they share;
+  atom), clustered into multiplicities like polynomial roots;
 - the null vectors of E at the positive roots come from an SVD, and the
   boundary vector u from the same linear system as in the paper;
 - the time-domain law comes from a block diagonalisation of K, one block
@@ -56,7 +55,7 @@ from scipy.linalg import qr, schur, solve_sylvester
 
 from .measures import ExpPolyMeasure
 from .model import MarpModel, eval_E, stability_report
-from .polyalg import CLUSTER_TOL, Poly, RootSet, eig_roots, linsolve, poly_roots
+from .polyalg import Poly, RootSet, eig_roots, linsolve, poly_roots
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
 NEWTON_STEP_TOL = 1e-14  # last step size; Psi holds probabilities
@@ -255,7 +254,7 @@ class BaseSolution:
     rho_pos: tuple             # the N-1 simple roots with positive real part
     u: np.ndarray              # boundary vector
     den_roots: RootSet         # poles of the delay transform, eig(K) (-s_j)
-    num_roots: RootSet         # zeros of the delay transform (-shat_j)
+    num_roots: RootSet         # zeros of the delay transform, eig(K - b h / atom) (-shat_j)
     w_hat: Realisation         # delay transform
     w_law: ExpPolyMeasure      # delay law in the time domain
 
@@ -356,7 +355,7 @@ def _arrival_basis(d2: np.ndarray) -> tuple:
     QR), and the exit from up phase l returns to state j with weight
     mix[l, j].  The factored blocks intertwine with the full ones through
     P = mix o I, so they share U and the transform, and K loses the copies
-    of T's modes that the dependent columns add and the delay cannot see.
+    of T's Jordan blocks that dependent columns add, which eigvals scatters.
     """
     n = d2.shape[0]
     entered = np.nonzero(d2.sum(axis=0) > 0)[0]
@@ -502,29 +501,6 @@ def _law_terms(k: np.ndarray, h: np.ndarray, b: np.ndarray, clusters: RootSet) -
     return terms
 
 
-def _cancel_shared(poles: RootSet, zeros: RootSet) -> tuple:
-    """Drop the pole-zero pairs of a non-minimal realisation.
-
-    A lumpable environment (states that the arrivals cannot tell apart)
-    leaves modes in K that the delay cannot see; they are eigenvalues of
-    both K and K - b h / atom.  Dependent columns of d2 would do the same
-    with exact copies of T's Jordan blocks, which eigvals scatters beyond
-    CLUSTER_TOL, so FluidModel.build factors those out beforehand.
-    """
-    pole_m, zero_m = list(poles.multiplicities), list(zeros.multiplicities)
-    for i, p in enumerate(poles.roots):
-        for j, z in enumerate(zeros.roots):
-            if abs(p - z) <= CLUSTER_TOL * max(1.0, abs(p)):
-                shared = min(pole_m[i], zero_m[j])
-                pole_m[i] -= shared
-                zero_m[j] -= shared
-
-    def kept(rs, mults):
-        return RootSet(tuple(r for r, m in zip(rs.roots, mults) if m), tuple(m for m in mults if m))
-
-    return kept(poles, pole_m), kept(zeros, zero_m)
-
-
 def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     """Roots, boundary vector, delay transform and law of the base model."""
     rep = stability_report(model, pt.mean)
@@ -562,12 +538,12 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
 
     h = enter / arrival_mass
     w_hat = Realisation(atom=atom, h=h, k=k, b=b)
-    poles = eig_roots(k)
-    den_roots, num_roots = _cancel_shared(poles, eig_roots(k - np.outer(b, h) / atom))
-    for root, _ in list(poles) + list(num_roots):
+    den_roots = eig_roots(k)
+    num_roots = eig_roots(k - np.outer(b, h) / atom)
+    for root, _ in list(den_roots) + list(num_roots):
         if root.real >= 0:
             raise SolverError(f"transform root {root} not in the open left half-plane")
-    w_law = _unit_law(w_hat, poles, "delay law", "W(0)")
+    w_law = _unit_law(w_hat, den_roots, "delay law", "W(0)")
     return BaseSolution(
         model=model, pt=pt, rho_pos=rho_pos, u=u,
         den_roots=den_roots, num_roots=num_roots, w_hat=w_hat, w_law=w_law,

@@ -146,7 +146,7 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
     c = np.zeros(n, dtype=complex)
     c[0] = stability_margin(model, pt.mean)
     d = np.zeros(n, dtype=complex)
-    real_mass = float(model.pi @ (model.q_real * model.trans) @ np.ones(n))
+    real_mass = model.real_fraction()
     if variant == "replace":
         d[0] = (pt.mean - ht.mean) * real_mass
     else:

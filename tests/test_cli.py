@@ -102,6 +102,32 @@ def test_cli_approx_eps_zero_collapses(tmp_path):
         assert vals[4] == pytest.approx(vals[1], abs=1e-12)  # corrected == base
 
 
+LUMPABLE = """
+mmpp.rates = [2, 2, 3]
+mmpp.p = [[1/2, 1/5, 3/10], [1/5, 1/2, 3/10], [1/4, 1/4, 1/2]]
+service.exp = 3
+heavytail.abate_whitt = 2
+eps = 1/100
+variants = both
+grid.points = 40
+"""
+
+
+def test_cli_lumpable_environment(tmp_path):
+    # states 0 and 1 are interchangeable: the mode the delay cannot see is a
+    # pole and a zero of the transform, and the correction families take it
+    cfgpath = write(tmp_path, LUMPABLE)
+    out = tmp_path / "o"
+    assert main(["approx", "--config", cfgpath, "--out", str(out)]) == 0
+    for variant in ("replace", "discard"):
+        assert len((out / f"approx_{variant}.csv").read_text().splitlines()) == 41
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    for prefix in ("transform numerator roots: ", "transform denominator roots: "):
+        [line] = [line for line in lines if line.startswith(prefix)]
+        assert "-2.37123151772 (x1)" in line
+
+
 MINIMAL = """mmpp.rates = [10, 1/2]
 mmpp.p = [[8/9, 1/9], [97/100, 3/100]]
 service.exp = 3

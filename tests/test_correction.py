@@ -459,13 +459,24 @@ def test_families_rebuild_and_match_the_polynomial_reference(model_name, service
 
 @pytest.mark.parametrize("pt", [RationalLST.exponential(3.0), RationalLST.erlang(6.0, 2)],
                          ids=["exp3", "erlang(6,2)"])
-def test_lumpable_environment_fails_the_determinant_family_check(pt):
-    # the families keep a pole at the mode the delay cannot see, which the
-    # base solve drops, so their constant misses the direct value; approximate
-    # does not support lumpable environments and says so through the check
+def test_lumpable_environment_curves_against_exact_solve(pt):
+    # the mode the delay cannot see is a pole of K and a zero of the transform
+    # at once; the families keep a pole there and so does the base solve, so
+    # both variants pass every check and leave only the second-order term
     model = build_mmpp([2.0, 2.0, 3.0], [[.5, .2, .3], [.2, .5, .3], [.25, .25, .5]])
-    with pytest.raises(CorrectionError, match="determinant-family constant"):
-        approximate(model, pt, abate_whitt(2.0), 0.01, t_grid=np.linspace(0.0, 5.0, 6))
+    ht = abate_whitt(2.0)
+    sol = solve_base(model, pt)
+    deltas = perturb(sol, ht, "replace").delta
+    ts = np.linspace(0.5, 20.0, 12)
+    for variant in ("replace", "discard"):
+        errs = []
+        for eps in (0.01, 0.005):
+            out = approximate(model, pt, ht, eps, t_grid=ts, variant=variant, sol=sol)
+            exact = exact_solve(model, pt, ht, eps, base=sol, deltas=deltas)
+            errs.append(np.max(np.abs(out.corrected_raw - exact.survival_grid(ts))))
+        assert errs[0] <= 1e-4, variant
+        # halving eps quarters the error
+        assert 0.2 <= errs[1] / errs[0] <= 0.3, (variant, errs)
 
 
 def test_erlang_12_3_replace_curve_against_exact_solve():

@@ -5,6 +5,7 @@ from heavyq.base_solver import RationalLST, solve_base
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.model import build_marp, build_mmpp, eval_E, eval_E_deriv, stability_report
 from heavyq.correction import approximate
+from heavyq.oracle import exact_solve
 from heavyq.perturbation import (
     PerturbationError,
     bordered_solve,
@@ -316,11 +317,21 @@ def test_zero_root_shift_runs_both_variants():
 @pytest.mark.parametrize("n, load, seed", [(16, 0.8, 7), (16, 0.95, 11), (32, 0.8, 7),
                                            (32, 0.95, 11), (64, 0.95, 11)])
 def test_perturbation_on_random_mmpps(n, load, seed):
-    # the simplicity test is free of N and every check keeps its tolerance
+    # the simplicity test is free of N and every check keeps its tolerance;
+    # then both corrected curves, over families with a pole at every zero of
+    # the transform, leave only the second-order term against exact_solve
     model, pt = random_mmpp(n, seed, load)
     sol, ht = solve_base(model, pt), abate_whitt(2.0)
     for variant in ("replace", "discard"):
         verify_delta_identity(sol, perturb(sol, ht, variant), ht)
+    ts, epses = np.linspace(0.5, 20.0, 12), (0.01, 0.005)
+    exact = [exact_solve(model, pt, ht, eps, base=sol).survival_grid(ts) for eps in epses]
+    for variant in ("replace", "discard"):
+        errs = [np.max(np.abs(approximate(model, pt, ht, eps, t_grid=ts, variant=variant,
+                                          sol=sol).corrected_raw - want))
+                for eps, want in zip(epses, exact)]
+        assert all(err <= 300 * eps ** 2 for err, eps in zip(errs, epses)), (variant, errs)
+        assert 0.2 <= errs[1] / errs[0] <= 0.3, (variant, errs)
 
 
 @pytest.mark.parametrize("n", [8, 12])

@@ -171,14 +171,21 @@ def test_rank_deficient_arrivals_keep_the_minimal_transform():
 
 @pytest.mark.parametrize("pt", [RationalLST.exponential(9.0), RationalLST.erlang(24.0, 3)],
                          ids=["exp9", "erlang(24,3)"])
-def test_lumpable_environment_drops_the_modes_the_delay_cannot_see(pt):
+def test_lumpable_environment_keeps_the_modes_the_delay_cannot_see(pt):
     # states 0 and 1 are interchangeable, so d2 has full rank but the
     # antisymmetric copy of the service modes is a pole-zero pair of the
-    # realisation; the delay has 2 M poles, not r M = 3 M
+    # realisation: M of the r M = 3 M poles are zeros as well, and the law
+    # puts no weight on them
     model = build_mmpp([2.0, 2.0, 3.0], [[.5, .2, .3], [.2, .5, .3], [.25, .25, .5]])
     sol = solve_base(model, pt)
     assert sol.w_hat.k.shape[0] == cleared_determinant(model, pt)[1] * pt.order == 3 * pt.order
-    assert sol.den_roots.total == sol.num_roots.total == 2 * pt.order
+    assert sol.den_roots.total == sol.num_roots.total == 3 * pt.order
+    zeros = np.array(sol.num_roots.roots)
+    shared = [p for p, _ in sol.den_roots if np.min(np.abs(zeros - p)) <= 1e-9 * abs(p)]
+    assert len(shared) == pt.order
+    for p in shared:
+        coefs = [abs(c) for rate, _, c in sol.w_law.terms if abs(rate + p) <= 1e-9 * abs(p)]
+        assert coefs and max(coefs) <= 1e-20
     nonneg, stable, u, law = subset_sum_solve(model, pt)
     tol = max(1e-9, 2.0 * abs(complex(law.total_mass()) - 1.0))
     grid = default_grid(sol)
