@@ -279,7 +279,8 @@ class BaseSolution:
     @cached_property
     def kept(self) -> dict:
         """Store for what the correction derives from this solution and one
-        heavy tail (perturbations, the tilted-tail table); see correction._kept."""
+        heavy tail (the replace and discard perturbations); see
+        correction._checked_perturb."""
         return {}
 
 

@@ -11,33 +11,21 @@ exp-poly law per family (its constant as an atom at zero, its pole parts at
 the transform's zeros inverted term by term), plus "between" probabilities
 against exponential windows at the positive roots.
 
-Convolutions with the heavy excess have no closed form.  The survivals of
-Y + E and the "between" probabilities against the tilted tails psi are sums
-over one sorted table of nodes tau = t - x for the whole grid; one scan
-carries them for several laws, and every positive root, from each grid
-point to the next by exact exponential propagation, so a grid costs time
-linear in its nodes.  Panel breakpoints are the grid points plus V_PANEL
-steps in v = sqrt(tau) (16-point panels in v, past the excess's square-root
-cusp) or the knots of psi (4-point panels, exact on its cubic pieces); no
-panel is wider than a fixed multiple of 1/|a| for the fastest rate a of
-the laws.  The scan matches the former per-point composite rules within
-1e-12 and adaptive quad within 1e-9 (tests/test_quadrature_reference.py).
+Convolutions with the heavy excess have no closed form.  Both kinds the
+recipe needs, the survivals of Y + E and the between term's convolutions
+of P(E > tau) with the tilted densities Y.tilted(rho), are sums over one
+table of nodes tau for the whole grid (_conv_nodes: 16-point panels in
+v = sqrt(tau), past the excess's square-root cusp, no wider than
+CONV_RATE_WIDTH / |a| for the fastest rate a).  One scan carries them, for
+every law and positive root, from each grid point to the next by exact
+exponential propagation, so a grid costs time linear in its nodes.  The
+tilted tails of the excess enter only at the grid points (heavy_between).
+tests/test_quadrature_reference.py checks both against adaptive quad and
+the former per-point composite rules.
 
-The tilted tails psi(tau) = integral e^(-rho y) P(E > tau + y) dy behind the
-between probabilities are one table with a column per positive root,
-filled by one backward sweep over its knots: psi at a knot is the integral
-out to the next knot plus e^(-rho D) times psi there, D the distance
-between them, so the excess is evaluated along each stretch once, not once
-for every knot below it.  The table matches one y-rule at every knot within
-1e-14 relative (tests/test_quadrature_reference.py).
-
-What depends only on the base solution and the heavy tail is built once per
-solution and kept on it (BaseSolution.kept): the replace and discard
-perturbations with their delta-identity checks, and one tilted-tail table
-of all positive roots for the latest grid end.  Approximating both
-variants, or the same variant again, on one solution with one tail repeats
-none of that work, and every check still runs when its value is first
-built.  The store holds one tail at a time, so another tail rebuilds it.
+The perturbations depend only on the solution and the heavy tail, so each
+is built and checked once and kept on the solution (BaseSolution.kept),
+one tail at a time.
 """
 
 from __future__ import annotations
@@ -47,20 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
-from scipy.interpolate import PchipInterpolator
 
 from .base_solver import BaseSolution, Families, RationalLST, solve_base
 from .measures import ExpPolyMeasure
 from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
 
-PSI_GRID = 1200
 GAUSS24 = np.polynomial.legendre.leggauss(24)
 GAUSS16 = np.polynomial.legendre.leggauss(16)
-GAUSS4 = np.polynomial.legendre.leggauss(4)
-CONV_RATE_WIDTH = 8.0      # |a| * width of a 16-point panel: Y + E in x, psi's sweep in y
-BETWEEN_RATE_WIDTH = 0.25  # |a| * panel width in x, 4-point panels of the between term
-V_PANEL = 1.0              # widest panel in v = sqrt(t - x), 16-point panels of Y + E
+CONV_RATE_WIDTH = 8.0      # |a| * widest 16-point panel in tau of the heavy scans
+V_PANEL = 1.0              # widest panel in v = sqrt(tau), 16-point panels of the heavy scans
 GRID_FLOOR = 1e-6          # default_grid ends where the base survival falls below this
 BLOCK_NOISE = 1e-12        # theta skips the pole parts whose size is below this times
                            # the largest size of a correction term (sizes in theta)
@@ -150,21 +134,15 @@ def _scan(laws, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.einsum("nrkc,rkl->nlc", sums, mix)[where]
 
 
-def _pieces(spans: np.ndarray, width: float) -> tuple:
-    """Owner, start offset and width of the equal pieces, no wider than
-    width, that split each span (one piece at least)."""
-    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
-    owner = np.repeat(np.arange(pieces.size), pieces)
-    size = (spans / pieces)[owner]
-    return owner, (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) * size, size
-
-
 def _panels(edges: np.ndarray, width: float) -> tuple:
     """Ends of the panels that split each interval of the increasing edges
     into equal pieces no wider than width (none for fewer than two edges)."""
     if edges.size < 2:
         return edges[:0], edges[:0]
-    owner, offset, _ = _pieces(np.diff(edges), width)
+    spans = np.diff(edges)
+    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
+    owner = np.repeat(np.arange(pieces.size), pieces)
+    offset = (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) * (spans / pieces)[owner]
     lo = edges[owner] + offset
     return lo, np.r_[lo[1:], edges[-1]]
 
@@ -181,26 +159,22 @@ def _max_rate(laws) -> float:
 
 
 def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
-    """Nodes tau = t - x and a column of weights times P(E > tau) for
-    heavy_conv_survival: 16-point Gauss-Legendre panels in v = sqrt(tau)
-    between v = k V_PANEL and sqrt(t) for t in ts, no wider than
-    CONV_RATE_WIDTH / rate in tau."""
+    """Nodes tau and a column of weights times P(E > tau) for the heavy
+    scans: 16-point Gauss-Legendre panels in v = sqrt(tau) between
+    v = k V_PANEL and sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH /
+    rate in tau.  On a panel [lo, hi], tau = lo + (v - vlo) (v + vlo) covers
+    [lo, hi] exactly; v^2 would cover the rounded sqrt(hi)^2 (1e5 + 1.5e-11
+    for 1e5), which shifts the integral by that sliver times its integrand."""
     t_max = float(ts.max(initial=0.0))
     edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
                        ts[ts > 0])
-    v, w = _gauss(*np.sqrt(_panels(edges, CONV_RATE_WIDTH / rate)), GAUSS16)
-    tau = v * v
-    return tau, (2.0 * v * w * ht.excess_survival(tau))[:, None]
-
-
-def _between_nodes(psi: "_PsiTable", ts: np.ndarray, rate: float) -> tuple:
-    """Nodes tau = t - x and weights times psi(tau), one column per rate of
-    psi, for heavy_between: 4-point Gauss-Legendre panels between the knots
-    of psi and the grid points, no wider than BETWEEN_RATE_WIDTH / rate."""
-    t_max = float(ts.max(initial=0.0))
-    edges = np.union1d(psi.knots[psi.knots < t_max], ts[ts > 0])
-    tau, w = _gauss(*_panels(edges, BETWEEN_RATE_WIDTH / rate), GAUSS4)
-    return tau, w[:, None] * psi(tau)
+    lo, hi = (x[:, None] for x in _panels(edges, CONV_RATE_WIDTH / rate))
+    frac, w = _gauss(np.zeros(1), np.ones(1), GAUSS16)
+    vlo, vhi = np.sqrt(lo), np.sqrt(hi)
+    v = vlo + (vhi - vlo) * frac
+    scale = (hi - lo) / (vhi + vlo)   # (v - vlo) (v + vlo) = frac (v + vlo) scale
+    tau = (lo + frac * (v + vlo) * scale).ravel()
+    return tau, ((2.0 * v * w * scale).ravel() * ht.excess_survival(tau))[:, None]
 
 
 def heavy_conv_survival(laws, ht, ts, nodes: tuple) -> np.ndarray:
@@ -217,109 +191,48 @@ def heavy_conv_survival(laws, ht, ts, nodes: tuple) -> np.ndarray:
     return out
 
 
-class _PsiTable:
-    """Exponentially tilted tails of the heavy excess, psi(tau) = integral
-    e^(-rho y) excess_survival(tau + y) dy for each rate rho of rhos,
-    tabulated on PSI_GRID + 1 knots out to tau_max and interpolated; a call
-    gives a [tau, rho] array.
-
-    One backward sweep over the knots fills the table: with D the distance
-    to the next knot, psi(tau) is the integral over [0, D] plus
-    e^(-rho D) psi(tau + D).  The local integrals are 16-point panels in the
-    offset y from their knot (in sqrt(y) from tau = 0, past the square-root
-    cusp of the excess), no wider than CONV_RATE_WIDTH / |rho| for the
-    fastest rate, and stop at the reach of the y-rule, 34 / Re(rho) for the
-    slowest rate.  The y-rule, geometric panels out to that reach, gives psi
-    at the last knot, and at any knot whose panels would cost more excess
-    evaluations than it does, so a table evaluates the excess at no more
-    than PSI_GRID + 1 times its nodes.  The affine steps of the sweep are
-    composed by log-depth doubling.
-    """
-
-    def __init__(self, ht, rhos, tau_max: float):
-        self.rhos = np.array(rhos, dtype=complex)
-        re = self.rhos.real
-        if np.any(re <= 0):
-            raise CorrectionError("tilting rate must have positive real part")
-        # one y-rule for every rate: geometric panels from the smallest first
-        # width of the rates' own rules to the largest 34 / Re(rho), with a
-        # squared substitution on the first one to absorb the sqrt behaviour
-        # of the excess survival near zero
-        y_max = 34.0 / re
-        reach = y_max.max()
-        edges, width = [0.0], min(y_max.min() / 256.0, 0.25)
-        while edges[-1] < reach:
-            edges.append(min(edges[-1] + width, reach))
-            width *= 2.0
-        u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), GAUSS24)
-        ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), GAUSS24)
-        ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
-        taus = np.concatenate([[0.0], np.geomspace(max(tau_max, 1.0) * 1e-6,
-                                                   max(tau_max, 1.0), PSI_GRID)])
-
-        # psi(tau_i) = local_i + step_i psi(tau_(i+1)); a knot on the y-rule
-        # has step 0
-        spans = np.diff(taus)
-        cut = np.minimum(spans, reach)
-        panel = CONV_RATE_WIDTH / np.abs(self.rhos).max()
-        ruled = np.r_[GAUSS16[0].size * np.ceil(cut / panel) > ys.size, True]
-        swept = np.flatnonzero(~ruled)
-        step = np.zeros((taus.size, self.rhos.size), dtype=complex)
-        step[swept] = np.exp(-np.outer(spans[swept], self.rhos))
-        local = np.empty_like(step)
-        local[ruled] = ht.excess_survival(taus[ruled, None] + ys) \
-            @ (np.exp(-np.outer(ys, self.rhos)) * w[:, None])
-        if swept.size:
-            owner, lo, size = _pieces(cut[swept], panel)
-            hi = lo + size
-            cusp = swept[owner] == 0
-            lo[cusp], hi[cusp] = np.sqrt(lo[cusp]), np.sqrt(hi[cusp])
-            y, wy = (x.reshape(lo.size, -1) for x in _gauss(lo, hi, GAUSS16))
-            wy[cusp] *= 2.0 * y[cusp]
-            y[cusp] **= 2
-            vals = (wy * ht.excess_survival(taus[swept[owner], None] + y)).reshape(-1, 1) \
-                * np.exp(-np.outer(y, self.rhos))
-            starts = np.searchsorted(owner, np.arange(swept.size)) * y.shape[1]
-            local[swept] = np.add.reduceat(vals, starts, axis=0)
-        # after the pass with shift s, (local_i, step_i) carries
-        # psi(tau_(i+2s)) to psi(tau_i); past the last knot step is 0
-        shift = 1
-        while shift < taus.size:
-            local[:-shift] += step[:-shift] * local[shift:]
-            step[:-shift] *= step[shift:]
-            shift *= 2
-
-        self.knots = taus
-        self._interp = PchipInterpolator(taus, np.hstack([local.real, local.imag]))
-        self.at0 = local[0]
-        # closed-form anchor: Psi(0) = (1 - excess_lst(rho)) / rho
-        for rho, at0 in zip(self.rhos, self.at0):
-            anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
-            if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
-                raise CorrectionError(
-                    f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
-
-    def __call__(self, taus):
-        both = self._interp(np.clip(np.asarray(taus, dtype=float), 0.0, self.knots[-1]))
-        return both[..., :self.rhos.size] + 1j * both[..., self.rhos.size:]
+def _psi(ht, rhos: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """psi(tau) = integral_0^inf e^(-rho y) P(E > tau + y) dy as a [tau, rho]
+    array, by one y-rule for every rate: geometric 24-point panels out to the
+    largest 34 / Re(rho), the first in sqrt(y) past the cusp of the excess."""
+    y_max = 34.0 / rhos.real
+    reach = y_max.max()
+    edges, width = [0.0], min(y_max.min() / 256.0, 0.25)
+    while edges[-1] < reach:
+        edges.append(min(edges[-1] + width, reach))
+        width *= 2.0
+    u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), GAUSS24)
+    ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), GAUSS24)
+    ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
+    return ht.excess_survival(taus[:, None] + ys) @ (np.exp(-np.outer(ys, rhos)) * w[:, None])
 
 
-def heavy_between(laws, ht, ts, surv: np.ndarray, psi: _PsiTable, nodes: tuple) -> np.ndarray:
+def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: tuple) -> np.ndarray:
     """P(t < Y + E < t + Exp(rho)) for each exp-poly law Y of laws and rate
-    rho of psi, as a [t, law, rho] array, from surv, the [t, law] survival of
-    Y + E.  The convolutions of f_Y with the tilted tails are one scan over
-    nodes = _between_nodes(psi, ts, rate) for a rate at least every |a| of
-    the laws.
+    rho of rhos, as a [t, law, rho] array: surv, the [t, law] survival of
+    Y + E, less rho times I(t) = integral_0^inf e^(-rho y) P(Y + E > t + y) dy.
+    Split at tau = t, I(t) = Y.expo_tail_transform(rho, t) + Y.laplace(rho)
+    psi(t) + integral_0^t P(E > tau) g(t - tau) dtau, with psi by _psi and
+    g = Y.tilted(rho); the last integrals are one scan over the nodes of
+    heavy_conv_survival.
     """
     ts = np.asarray(ts, dtype=float)
-    at_t = psi(ts)
-    i_tail = np.array([[y.expo_tail_transform(rho, ts) + y.atom * at_t[:, r]
-                        + at0 * y.tilted_tail(rho, ts)
-                        for r, (rho, at0) in enumerate(zip(psi.rhos, psi.at0))]
-                       for y in laws], dtype=complex).transpose(2, 0, 1)
+    rhos = np.asarray(rhos, dtype=complex)
+    if np.any(rhos.real <= 0):
+        raise CorrectionError("tilting rate must have positive real part")
+    psi = _psi(ht, rhos, np.r_[0.0, ts])
+    # closed-form anchor: psi(0) = (1 - excess_lst(rho)) / rho
+    for rho, at0 in zip(rhos, psi[0]):
+        anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
+        if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
+            raise CorrectionError(
+                f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
+    i_tail = np.array([[y.expo_tail_transform(rho, ts) + y.laplace(rho) * psi[1:, r]
+                        for r, rho in enumerate(rhos)] for y in laws]).transpose(2, 0, 1)
     if any(y.terms for y in laws) and np.any(ts > 0):
-        i_tail = i_tail + _scan(laws, *nodes, ts)
-    return np.asarray(surv, dtype=complex)[:, :, None] - psi.rhos * i_tail
+        tilted = [y.tilted(rho) for y in laws for rho in rhos]
+        i_tail = i_tail + _scan(tilted, *nodes, ts).reshape(i_tail.shape)
+    return np.asarray(surv, dtype=complex)[:, :, None] - rhos * i_tail
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +248,6 @@ def _paired(values):
         elif v.imag > 0:
             out.append((idx, 2.0))
     return out
-
-
-def _kept(sol: BaseSolution, ht, key: tuple, stamp, build):
-    """The value build() made for key with the heavy tail ht on sol, kept
-    until the tail or the stamp changes.
-
-    The store is sol.kept, so every variant approximated on one solution
-    shares it.  It holds one tail's values, one per key: a request with
-    another tail object empties it, and a new stamp (a grid end) replaces the
-    key's value, so sweeping tails or grids on one solution keeps nothing
-    older alive.
-    """
-    store = sol.kept
-    if store.get("tail") is not ht:
-        store.clear()
-        store["tail"] = ht
-    entry = store.get(key)
-    if entry is None or entry[0] != stamp:
-        entry = store[key] = (stamp, build())
-    return entry[1]
 
 
 def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
@@ -380,9 +273,9 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     d*d*F_gamma (+ Ep and + E).  Theta_2 sums the terms over the positive roots
     rho_k with B = delta_0, the coefficients residue_k / rho_k and
     P(t < X < t + Exp(rho_k)) in place of P(X > t); a complex root counts
-    one member of its conjugate pair twice, by the real part.  The
-    tilted-tail table is kept on sol (_kept).  Residual imaginary parts
-    beyond 1e-10 raise.
+    one member of its conjugate pair twice, by the real part.  One table of
+    nodes (_conv_nodes) serves the survival scan and the between scan.
+    Residual imaginary parts beyond 1e-10 raise.
     """
     ts = np.asarray(ts, dtype=float)
     mp = pt.mean if variant == "replace" else 0.0
@@ -414,7 +307,8 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     # mp times the rational excess: no terms at all when mp = 0
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
     laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
-    heavy = heavy_conv_survival(laws, ht, ts, _conv_nodes(ht, ts, _max_rate(laws)))
+    nodes = _conv_nodes(ht, ts, _max_rate(laws))
+    heavy = heavy_conv_survival(laws, ht, ts, nodes)
 
     def recipe(coef, plain, rational, heavy):
         a, b, g = coef
@@ -430,10 +324,7 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
         return theta1.real, np.zeros(ts.size)
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
-    tau_max = float(ts.max()) if ts.size else 1.0
-    psi = _kept(sol, ht, ("psi",), tau_max, lambda: _PsiTable(ht, rhos, tau_max))
-    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], psi,
-                            _between_nodes(psi, ts, _max_rate([d_law])))
+    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], rhos, nodes)
 
     def betweens(y):
         return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
@@ -450,13 +341,20 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
 # the public approximations
 
 def _checked_perturb(sol: BaseSolution, ht, variant: str) -> PerturbationData:
-    """perturb(sol, ht, variant) after verify_delta_identity, once per
-    solution, tail and variant."""
-    def build():
+    """perturb(sol, ht, variant) after verify_delta_identity, built once per
+    solution, tail and variant and kept in sol.kept, which every variant
+    approximated on sol shares.  The store holds one tail's perturbations: a
+    request with another tail object empties it, so sweeping tails on one
+    solution keeps nothing older alive."""
+    store = sol.kept
+    if store.get("tail") is not ht:
+        store.clear()
+        store["tail"] = ht
+    if variant not in store:
         pdata = perturb(sol, ht, variant)
         verify_delta_identity(sol, pdata, ht)
-        return pdata
-    return _kept(sol, ht, ("perturb", variant), None, build)
+        store[variant] = pdata
+    return store[variant]
 
 
 @dataclass(frozen=True)
@@ -498,7 +396,9 @@ def default_grid(sol: BaseSolution, points: int = 200,
             k = int(np.argmax(below)) + 1
             lo, hi = xs[k - 1], xs[k]
         t_max = hi
-    return np.concatenate([[0.0], np.geomspace(t_max / 400.0, t_max, points - 1)])
+    ends = np.geomspace(t_max / 400.0, t_max, points - 1)
+    ends[-1:] = t_max   # a one-point geomspace is its start
+    return np.concatenate([[0.0], ends])
 
 
 def mixture_stable(model, pt: RationalLST, ht, eps: float) -> bool:
@@ -521,9 +421,9 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     scaled by eps / (u . omega).  variant "discard": base is the delay under
     the thinned service law (1-eps) B(s) + eps solved exactly (a fluid solve
     that expands no subset sums), coefficients use z - z_discard, and the
-    prefactor uses u + eps z_discard.  The perturbations and the tilted-tail
-    table for ht are kept on sol (BaseSolution.kept) for later calls with
-    the same sol and ht; a call with another tail replaces them.
+    prefactor uses u + eps z_discard.  The perturbations for ht are kept on
+    sol (BaseSolution.kept) for later calls with the same sol and ht; a call
+    with another tail replaces them.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")

@@ -126,15 +126,22 @@ class ExpPolyMeasure:
         """P(t < X < t + Y) for Y ~ Exp(rho) independent; analytic in rho."""
         return self.survival(t) - rho * self.expo_tail_transform(rho, t)
 
+    def tilted(self, rho: complex) -> "ExpPolyMeasure":
+        """The function g(x) = integral_0^inf e^(-rho y) f_X(x + y) dy of the
+        density part, as exp-poly terms with the rates of X (not merged): a
+        term c x^m e^(-a x) gives c C(m, k) k! / (a + rho)^(k+1) x^(m-k) e^(-a x)
+        for k = 0..m."""
+        return ExpPolyMeasure(0.0, tuple(
+            (a, m - k, c * math.comb(m, k) * math.factorial(k) / (a + rho) ** (k + 1))
+            for a, m, c in self.terms for k in range(m + 1)))
+
     def tilted_tail(self, rho: complex, t):
-        """integral_t^inf f_X(x) e^(-rho (x - t)) dx for the density part."""
+        """integral_t^inf f_X(x) e^(-rho (x - t)) dx for the density part,
+        which is tilted(rho) at t."""
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
-        for a, m, c in self.terms:
-            acc = np.zeros(t.shape, dtype=complex)
-            for k in range(m + 1):
-                acc += math.comb(m, k) * t ** (m - k) * math.factorial(k) / (a + rho) ** (k + 1)
-            out += c * np.exp(-a * t) * acc
+        for a, m, c in self.tilted(rho).terms:
+            out += c * t ** m * np.exp(-a * t)
         return out
 
     # -- convolution ------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +78,13 @@ def test_cli_solve_mm1(tmp_path):
     ts = np.array([float(r[0]) for r in rows])
     sv = np.array([float(r[1]) for r in rows])
     np.testing.assert_allclose(sv, (1 / 3) * np.exp(-2 * ts), atol=1e-9)
+    # a two-point grid ends at the run file's grid end
+    two = tmp_path / "two"
+    cfg = write(tmp_path, GOOD.replace("grid.points = 40", "grid.points = 2")
+                .replace("grid.tmax = 25", "grid.tmax = 10"))
+    assert main(["solve", "--config", cfg, "--out", str(two)]) == 0
+    rows = (two / "base_survival.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 10.0]
 
 
 def test_cli_approx_csv_schema_and_determinism(tmp_path):
@@ -243,3 +252,14 @@ def test_cli_approx_mmpp5_within_budget(tmp_path):
     assert elapsed < 10.0
     for variant in ("replace", "discard"):
         assert (out / f"approx_{variant}.csv").exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # a fresh interpreter: the correction needs no interpolation table
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    code = "import sys, heavyq.cli; print('scipy.interpolate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

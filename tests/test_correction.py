@@ -12,11 +12,9 @@ from heavyq.correction import (
     GRID_FLOOR,
     ApproxOutput,
     CorrectionError,
-    _between_nodes,
     _conv_nodes,
     _max_rate,
     _paired,
-    _PsiTable,
     approximate,
     correction_coeffs,
     default_grid,
@@ -236,9 +234,9 @@ def test_between_prob_heavy_against_double_quadrature():
     y = ExpPolyMeasure(atom=0.3, terms=((1.5, 0, 0.7 * 1.5),))
     rho = 1.1
     ts = np.array([0.4, 1.2])
-    surv = heavy_conv_survival([y], ht, ts, _conv_nodes(ht, ts, 1.5))
-    psi = _PsiTable(ht, [rho], float(ts.max()))
-    got = heavy_between([y], ht, ts, surv, psi, _between_nodes(psi, ts, 1.5))[:, 0, 0]
+    nodes = _conv_nodes(ht, ts, 1.5)
+    surv = heavy_conv_survival([y], ht, ts, nodes)
+    got = heavy_between([y], ht, ts, surv, [rho], nodes)[:, 0, 0]
 
     def surv_x(v):
         inner = quad(lambda x: float(y.density(np.array([x]))[0].real)
@@ -618,7 +616,8 @@ def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
     d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
     rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
-    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, _conv_nodes(ht, ts, _max_rate(d_b + dd_b)))
+    nodes = _conv_nodes(ht, ts, _max_rate(d_b + dd_b))
+    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, nodes)
     heavy = heavy.reshape(ts.size, 2, len(blocks)).transpose(1, 0, 2)
 
     def total(weights, coef, plain, rational, heavy):
@@ -637,9 +636,7 @@ def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
         return theta1, np.zeros(ts.size)
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
-    psi = _PsiTable(ht, rhos, float(ts.max()))
-    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, psi,
-                            _between_nodes(psi, ts, _max_rate([d_law])))
+    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, rhos, nodes)
 
     def betweens(y):
         return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
@@ -775,9 +772,8 @@ def test_distinct_heavy_tails_on_one_solution_each_equal_their_fresh_results():
     assert np.max(np.abs(shared[2.0, "replace"].theta2 - shared[3.0, "replace"].theta2)) > 1e-3
 
 
-def test_perturbation_and_tilted_tails_are_built_once_per_solution_and_tail(monkeypatch):
-    # mmpp2 has one positive root; mmpp5 has four, two of them a conjugate
-    # pair, and one table serves them all
+def test_perturbations_are_built_once_per_solution_and_tail(monkeypatch):
+    # mmpp2 has one positive root; mmpp5 has four, two of them a conjugate pair
     for model in (mmpp2_model(), paper_model("mmpp5")):
         _assert_built_once(monkeypatch, model, RationalLST.exponential(3.0))
 
@@ -786,7 +782,6 @@ def _assert_built_once(monkeypatch, model, pt):
     ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
     perturbs = _counting(monkeypatch, correction, "perturb")
     checks = _counting(monkeypatch, correction, "verify_delta_identity")
-    tables = _counting(monkeypatch, correction, "_PsiTable")
     sols, tails = [solve_base(model, pt) for _ in range(2)], [abate_whitt(2.0), abate_whitt(3.0)]
     for sol in sols:
         for ht in tails:
@@ -797,14 +792,10 @@ def _assert_built_once(monkeypatch, model, pt):
     assert sorted(keys) == sorted({(id(s), id(h), v) for s in sols for h in tails
                                    for v in ("replace", "discard")})
     assert [args[1].variant for args in checks] == [args[2] for args in perturbs]
-    # one table per solution and tail, for all its positive roots
-    assert len(tables) == len(sols) * len(tails)
-    # a new grid end replaces the table, and the latest one is reused; the
-    # perturbations stay
+    # other grids on a solution reuse its perturbations and keep nothing more
     sol, ht, kept = sols[0], tails[-1], len(sols[0].kept)
     for grid in (ts[:-1], ts[:-1], ts, ts):
         approximate(model, pt, ht, 0.01, t_grid=grid, sol=sol)
-    assert len(tables) == len(sols) * len(tails) + 2
     assert len(perturbs) == len(keys)
     assert len(sol.kept) == kept
 

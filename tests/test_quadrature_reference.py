@@ -2,15 +2,16 @@
 
 The ``quad_*`` functions are the scalar ``scipy.integrate.quad``
 implementations the correction layer used first: one adaptive integral per
-grid point, with the same cusp substitution and the same tilted-tail table.
-The ``composite_*`` functions are the fixed composite Gauss-Legendre rules
-that followed: per grid point, panels in x graded against every rate of Y
-while its term is live, all grid points evaluated together.  Both are kept
-here as oracles only.  So is ``product_psi``, the tilted-tail table as it
-was filled before the backward sweep: one y-rule at every knot.
+grid point, with the same cusp substitution.  ``quad_between`` splits the
+between term as integral f_Y(x) psi(t - x) dx + psi(0) (tilted tail of Y at
+t), with psi by ``quad`` as well, so it checks heavy_between's split at the
+grid point against an independent one.  The ``composite_*`` functions are
+the fixed composite Gauss-Legendre rules that followed: per grid point,
+panels in x graded against every rate of Y while its term is live, all grid
+points evaluated together.  Both are kept here as oracles only.
 """
 
-import dataclasses
+import functools
 import math
 import os
 
@@ -20,10 +21,9 @@ from scipy.integrate import quad
 
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
-from heavyq.correction import (BETWEEN_RATE_WIDTH, CONV_RATE_WIDTH, GAUSS4, GAUSS16,
-                               GAUSS24, PSI_GRID, V_PANEL, _between_nodes, _conv_nodes,
-                               _gauss, _max_rate, _paired, _PsiTable, default_grid,
-                               heavy_between, heavy_conv_survival)
+from heavyq.correction import (CONV_RATE_WIDTH, GAUSS16, V_PANEL, _conv_nodes, _max_rate,
+                               _paired, _psi, default_grid, heavy_between,
+                               heavy_conv_survival)
 from heavyq.heavytail import abate_whitt, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
 from test_perturbation import random_mmpp
@@ -63,23 +63,64 @@ def quad_conv_survival(y, ht, ts):
     return out
 
 
-def quad_between(y, ht, rho, ts, surv_vals, psi):
-    """P(t < Y + E < t + Exp(rho)) by one adaptive integral per t."""
+def _is_complex(y, *values):
+    return any(complex(v).imag != 0 for v in values) or any(
+        complex(a).imag != 0 or complex(c).imag != 0 for a, _, c in y.terms)
+
+
+def _quad(f, a, b, complex_func, **tol):
+    """quad of f over [a, b], of its real part alone unless complex_func."""
+    if complex_func:
+        return quad(f, a, b, complex_func=True, limit=200, **tol)[0]
+    return quad(lambda x: f(x).real, a, b, limit=200, **tol)[0]
+
+
+def quad_psi(ht, rho, x, epsrel=1e-13):
+    """psi(x) = integral_0^inf e^(-rho y) P(E > x + y) dy by one adaptive
+    integral, out to Re(rho) y = 40, where e^(-rho y) is below 5e-18."""
+    return _quad(lambda y: np.exp(-rho * y) * float(ht.excess_survival(np.array([x + y]))[0]),
+                 0.0, 40.0 / complex(rho).real, complex(rho).imag != 0,
+                 epsabs=0.0, epsrel=epsrel)
+
+
+def _horizon(y):
+    """Where every term of y has decayed past Re(a) x = DECAY + 5 m."""
+    return max((DECAY + 5 * m) / complex(a).real for a, m, _ in y.terms)
+
+
+def quad_between(y, ht, rho, ts, surv_vals, epsabs=QUAD_ABS_TOL, epsrel=1e-10):
+    """P(t < Y + E < t + Exp(rho)) by one adaptive integral per t of
+    f_Y(x) psi(t - x) over x in [0, t], up to where Y has decayed, with psi
+    by quad_psi at every node, to a tenth of epsrel; in v = sqrt(t - x),
+    past the square-root cusp of psi's derivative, on the half next to
+    x = t."""
     ts = np.asarray(ts, dtype=float)
     i_tail = y.expo_tail_transform(rho, ts)
     if y.atom != 0:
-        i_tail = i_tail + y.atom * psi(ts)[:, 0]
-    i_tail = i_tail + psi.at0[0] * y.tilted_tail(rho, ts)
+        i_tail = i_tail + y.atom * np.array([quad_psi(ht, rho, t) for t in ts])
+    i_tail = i_tail + quad_psi(ht, rho, 0.0) * y.tilted_tail(rho, ts)
     conv = np.zeros(ts.size, dtype=complex)
+    cplx = _is_complex(y, rho)
+
+    @functools.lru_cache(maxsize=None)   # quad takes the real and imaginary parts apart
+    def psi(x):
+        return quad_psi(ht, rho, x, 0.1 * epsrel)
+
     for idx, t in enumerate(ts):
         if t <= 0 or not y.terms:
             continue
 
-        def integrand(x):
-            return y.density(np.array([x]))[0] * complex(psi(np.array([t - x]))[0, 0])
+        def near(v):
+            return 2.0 * v * y.density(np.array([t - v * v]))[0] * psi(v * v)
 
-        conv[idx] = quad(integrand, 0.0, t, complex_func=True,
-                         epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)[0]
+        def far(x):
+            return y.density(np.array([x]))[0] * psi(t - x)
+
+        conv[idx] = _quad(far, 0.0, min(0.5 * t, _horizon(y)), cplx,
+                          epsabs=epsabs, epsrel=epsrel)
+        if 0.5 * t < _horizon(y):
+            conv[idx] += _quad(near, 0.0, math.sqrt(0.5 * t), cplx,
+                               epsabs=epsabs, epsrel=epsrel)
     return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
 
 
@@ -128,14 +169,12 @@ def _sum_panels(size, owner, values):
     return out
 
 
-def composite_conv_survival(y, ht, ts):
-    """P(Y + E > t) by 16-point panels in v = sqrt(t - x), per t."""
+def composite_conv(y, ht, ts):
+    """Integral of f_Y(t - tau) P(E > tau) over [0, t] by 16-point panels in
+    v = sqrt(tau), per t."""
     ts = np.asarray(ts, dtype=float)
-    out = np.array(y.survival(ts), dtype=complex)
-    if y.atom != 0:
-        out += y.atom * ht.excess_survival(ts)
     if not y.terms or not np.any(ts > 0):
-        return out
+        return np.zeros(ts.size, dtype=complex)
     x_edges = _rate_edges(y, float(ts.max()), CONV_RATE_WIDTH)
 
     def v_edges(t):
@@ -145,28 +184,24 @@ def composite_conv_survival(y, ht, ts):
     v, w, owner = _composite(ts, v_edges, GAUSS16)
     vv = v * v
     vals = 2.0 * v * w * ht.excess_survival(vv) * y.density(ts[owner][:, None] - vv)
-    return out + _sum_panels(ts.size, owner, vals)
+    return _sum_panels(ts.size, owner, vals)
 
 
-def composite_between(y, ht, rho, ts, surv_vals, psi):
-    """P(t < Y + E < t + Exp(rho)) by 4-point panels on each knot interval of
-    psi below t, per t."""
+def composite_conv_survival(y, ht, ts):
+    """P(Y + E > t) by composite_conv."""
     ts = np.asarray(ts, dtype=float)
-    i_tail = y.expo_tail_transform(rho, ts)
-    if y.atom != 0:
-        i_tail = i_tail + y.atom * psi(ts)[:, 0]
-    i_tail = i_tail + psi.at0[0] * y.tilted_tail(rho, ts)
-    conv = np.zeros(ts.size, dtype=complex)
-    if y.terms and np.any(ts > 0):
-        knots = psi.knots
-        x_edges = _rate_edges(y, float(ts.max()), BETWEEN_RATE_WIDTH)
+    return y.survival(ts) + y.atom * ht.excess_survival(ts) + composite_conv(y, ht, ts)
 
-        def edges(t):
-            return np.union1d(x_edges[x_edges < t], t - knots[knots < t])
 
-        x, w, owner = _composite(ts, edges, GAUSS4)
-        conv = _sum_panels(ts.size, owner, w * y.density(x) * psi(ts[owner][:, None] - x)[..., 0])
-    return np.asarray(surv_vals, dtype=complex) - rho * (i_tail + conv)
+def composite_between(y, ht, rho, ts, surv_vals):
+    """P(t < Y + E < t + Exp(rho)) by heavy_between's split, with psi(t) by
+    quad_psi and the convolution of g = Y.tilted(rho) with P(E > tau) by
+    composite_conv."""
+    ts = np.asarray(ts, dtype=float)
+    i_tail = y.expo_tail_transform(rho, ts) \
+        + y.laplace(rho) * np.array([quad_psi(ht, rho, t) for t in ts]) \
+        + composite_conv(y.tilted(rho), ht, ts)
+    return np.asarray(surv_vals, dtype=complex) - rho * i_tail
 
 
 def _paper_law(name):
@@ -187,27 +222,25 @@ def scan_conv_survival(y, ht, ts):
     return heavy_conv_survival([y], ht, ts, _conv_nodes(ht, ts, _max_rate([y])))[:, 0]
 
 
-def scan_between(y, ht, ts, surv, psi):
-    return heavy_between([y], ht, ts, surv[:, None], psi,
-                         _between_nodes(psi, ts, _max_rate([y])))[:, 0, 0]
+def scan_between(y, ht, ts, surv, rho):
+    return heavy_between([y], ht, ts, surv[:, None], [rho],
+                         _conv_nodes(ht, ts, _max_rate([y])))[:, 0, 0]
 
 
 def _assert_scan_agrees(y, ht, rho, ts):
     surv = scan_conv_survival(y, ht, ts)
     want = composite_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, want, rtol=0, atol=SCAN_AGREE)
-    psi = _PsiTable(ht, [rho], float(ts.max()))
-    got = scan_between(y, ht, ts, surv, psi)
-    np.testing.assert_allclose(got, composite_between(y, ht, complex(rho), ts, want, psi),
+    got = scan_between(y, ht, ts, surv, rho)
+    np.testing.assert_allclose(got, composite_between(y, ht, complex(rho), ts, want),
                                rtol=0, atol=SCAN_AGREE)
 
 
 def _assert_agree(y, ht, rho, ts):
     surv = scan_conv_survival(y, ht, ts)
     np.testing.assert_allclose(surv, quad_conv_survival(y, ht, ts), rtol=0, atol=AGREE)
-    psi = _PsiTable(ht, [rho], float(ts.max()))
-    got = scan_between(y, ht, ts, surv, psi)
-    want = quad_between(y, ht, complex(rho), ts, surv, psi)
+    got = scan_between(y, ht, ts, surv, rho)
+    want = quad_between(y, ht, complex(rho), ts, surv)
     np.testing.assert_allclose(got, want, rtol=0, atol=AGREE)
     _assert_scan_agrees(y, ht, rho, ts)
 
@@ -278,7 +311,7 @@ def test_scan_carries_state_across_the_grid(term):
 
 
 # ---------------------------------------------------------------------------
-# one tilted-tail table and one scan for all positive roots
+# one tilted-tail rule and one scan for all positive roots
 
 def _positive_root_laws():
     """(base solution, heavy tail, grid) of mmpp5 and of a 16-state MMPP."""
@@ -293,20 +326,16 @@ def _paired_roots(sol):
     return np.array([sol.rho_pos[k] for k, _ in _paired(sol.rho_pos)])
 
 
-def test_shared_tilted_tail_rule_matches_quad_at_the_knots():
+def test_shared_tilted_tail_rule_matches_quad_at_the_grid_points():
     # the one y-rule spans the slowest root's decay and the fastest root's
     # first panel; both ends are checked
     for sol, ht, ts in _positive_root_laws():
         rhos = _paired_roots(sol)
-        psi = _PsiTable(ht, rhos, float(ts.max()))
+        points = ts[::20]
+        psi = _psi(ht, rhos, points)
         for k in (np.argmin(rhos.real), np.argmax(rhos.real)):
-            rho = rhos[k]
-            for tau in psi.knots[::100]:
-                want = quad(lambda y: np.exp(-rho * y)
-                            * float(ht.excess_survival(np.array([tau + y]))[0]),
-                            0.0, np.inf, complex_func=True, epsabs=1e-15, epsrel=1e-13,
-                            limit=200)[0]
-                assert abs(psi(np.array([tau]))[0, k] - want) <= 1e-13
+            for tau, got in zip(points, psi[:, k]):
+                assert abs(got - quad_psi(ht, rhos[k], tau)) <= 1e-13
 
 
 def test_each_root_of_one_between_scan_equals_its_own_scan():
@@ -316,71 +345,24 @@ def test_each_root_of_one_between_scan_equals_its_own_scan():
         rhos = _paired_roots(sol)
         assert np.any(rhos.imag > 0)
         laws = [sol.w_law, sol.w_law.convolve(sol.w_law)]
-        rate = _max_rate(laws)
-        surv = heavy_conv_survival(laws, ht, ts, _conv_nodes(ht, ts, rate))
-        psi = _PsiTable(ht, rhos, float(ts.max()))
-        every = heavy_between(laws, ht, ts, surv, psi, _between_nodes(psi, ts, rate))
+        nodes = _conv_nodes(ht, ts, _max_rate(laws))
+        surv = heavy_conv_survival(laws, ht, ts, nodes)
+        every = heavy_between(laws, ht, ts, surv, rhos, nodes)
         assert every.shape == (ts.size, len(laws), rhos.size)
         for k, rho in enumerate(rhos):
-            one = _PsiTable(ht, [rho], float(ts.max()))
-            alone = heavy_between(laws, ht, ts, surv, one, _between_nodes(one, ts, rate))
+            alone = heavy_between(laws, ht, ts, surv, [rho], nodes)
             assert np.all(np.abs(every[:, :, k] - alone[:, :, 0]) <= 1e-14 * np.abs(surv))
 
 
-# ---------------------------------------------------------------------------
-# the backward sweep of the tilted-tail table against one y-rule per knot
-
-def product_psi(ht, rhos, tau_max):
-    """Knots, values and y-rule size of the tilted-tail table filled as one
-    (knots x y-nodes) matrix of excess survivals times one (y-nodes x roots)
-    matrix of weights: geometric panels out to the slowest root's
-    34 / Re(rho), the first one in sqrt(y)."""
-    rhos = np.array(rhos, dtype=complex)
-    y_max = 34.0 / rhos.real
-    edges, width = [0.0], min(y_max.min() / 256.0, 0.25)
-    while edges[-1] < y_max.max():
-        edges.append(min(edges[-1] + width, y_max.max()))
-        width *= 2.0
-    u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), GAUSS24)
-    ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), GAUSS24)
-    ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
-    taus = np.concatenate([[0.0], np.geomspace(max(tau_max, 1.0) * 1e-6,
-                                               max(tau_max, 1.0), PSI_GRID)])
-    vals = ht.excess_survival(taus[:, None] + ys) \
-        @ (np.exp(-np.outer(ys, rhos)) * w[:, None])
-    return taus, vals, ys.size
-
-
-def _sweep_inputs():
-    """(name, heavy tail, paired positive roots, grid end) of the two paper
-    runs with positive roots and of a 16-state MMPP with twelve."""
-    for name in ("mmpp2.cfg", "mmpp5.cfg"):
-        sol, ht = _paper_law(name)
-        yield name, ht, _paired_roots(sol), float(default_grid(sol, points=200)[-1])
-    sol = solve_base(*random_mmpp(16, 7, 0.8))
-    yield "random16", abate_whitt(2.0), _paired_roots(sol), \
-        float(default_grid(sol, points=200)[-1])
-
-
-def test_sweep_matches_the_product_table_at_every_knot():
-    # measured: 3.1e-15 at most
-    for name, ht, rhos, tau_max in _sweep_inputs():
-        psi = _PsiTable(ht, rhos, tau_max)
-        knots, want, _ = product_psi(ht, rhos, tau_max)
-        assert np.array_equal(psi.knots, knots), name
-        got = psi(knots)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, name
-
-
-def test_sweep_matches_30_digit_values_at_six_knots():
-    # knot 0, whose interval is swept in sqrt(y), knot 1, three inside and
-    # the last, which the y-rule fills; the slowest and the fastest root of
-    # mmpp5 (the slowest is complex).  Measured: 1.6e-15 at most, at the last
-    # knot.
+def test_psi_matches_30_digit_values_at_six_points():
+    # t = 0 (the square-root cusp of the excess at the end of the y-rule),
+    # points close to it, and the deep tail; the slowest and the fastest root
+    # of mmpp5 (the slowest is complex).  Measured: 1.8e-15 at most.
     mpmath = pytest.importorskip("mpmath")
     sol, ht = _paper_law("mmpp5.cfg")
     rhos = _paired_roots(sol)
-    psi = _PsiTable(ht, rhos, float(default_grid(sol, points=200)[-1]))
+    taus = np.array([0.0, 1e-8, 1e-4, 1.0, 1e3, 1e5])
+    psi = _psi(ht, rhos, taus)
     kappa = mpmath.mpf(1) / mpmath.mpf(ht.mean)
     with mpmath.workdps(30):
         def excess(t):
@@ -388,30 +370,25 @@ def test_sweep_matches_30_digit_values_at_six_knots():
             return (mpmath.exp(kappa ** 2 * t) * mpmath.erfc(kappa * mpmath.sqrt(t))
                     - kappa * mpmath.exp(t) * mpmath.erfc(mpmath.sqrt(t))) / (1 - kappa)
 
-        for i in (0, 1, 200, 600, 1000, PSI_GRID):
-            tau = mpmath.mpf(float(psi.knots[i]))
+        for i, tau in enumerate(taus):
             for k in (np.argmin(rhos.real), np.argmax(rhos.real)):
                 rho = mpmath.mpc(rhos[k].real, rhos[k].imag)
-                want = complex(mpmath.quad(lambda y: mpmath.exp(-rho * y) * excess(tau + y),
+                want = complex(mpmath.quad(lambda y: mpmath.exp(-rho * y)
+                                           * excess(mpmath.mpf(float(tau)) + y),
                                            [0, 1e-8, 1e-4, 1 / abs(rho), 34 / rho.real,
                                             mpmath.inf]))
-                got = psi(psi.knots[i:i + 1])[0, k]
-                assert abs(got - want) <= 4e-15 * abs(want)
+                assert abs(psi[i, k] - want) <= 4e-15 * abs(want)
 
 
-def test_sweep_costs_no_more_excess_points_than_the_product():
-    # a long grid and roots spread over three decades: panels no wider than
-    # 8 / |rho| for rho = 40 would cost 7.2e6 points over the whole sweep,
-    # so knots whose panels cost more than the y-rule take the y-rule
-    ht = abate_whitt(2.0)
-    points = []
-
-    def counted(t):
-        points.append(np.size(t))
-        return ht.excess_survival(t)
-
-    rhos, tau_max = [0.05, 3.0 + 2.0j, 40.0], 1e5
-    psi = _PsiTable(dataclasses.replace(ht, excess_survival=counted), rhos, tau_max)
-    knots, want, y_nodes = product_psi(ht, rhos, tau_max)
-    assert sum(points) <= (PSI_GRID + 1) * y_nodes
-    assert np.max(np.abs(psi(knots) - want) / np.abs(want)) <= 1e-14
+def test_between_matches_quad_in_the_deep_tail():
+    # a 50-point log grid to t = 1e5 on mmpp2: the between probability of d
+    # there is about 1.8e-9, a difference of two terms of about 3e-3, so 1e-6
+    # of it is about 1e-12 of each.  Measured: 1.1e-8 at most, at t = 1e5.
+    sol, ht = _paper_law("mmpp2.cfg")
+    y, rho = sol.w_law, complex(sol.rho_pos[0])
+    ts = np.r_[0.0, np.geomspace(1e-2, 1e5, 49)]
+    surv = scan_conv_survival(y, ht, ts)
+    got = scan_between(y, ht, ts, surv, rho)
+    deep = ts >= 1e3
+    want = quad_between(y, ht, rho, ts[deep], surv[deep], epsabs=0.0, epsrel=1e-12)
+    assert np.max(np.abs(got[deep] - want) / np.abs(want)) <= 1e-6
