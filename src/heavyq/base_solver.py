@@ -14,9 +14,12 @@ basis instead and the exit returns through the mixing weights
 (_arrival_basis), so K below has order M times the rank of d2.
 
 The first-passage matrix Psi from up to down phases solves the Riccati
-equation Q+- + Q++ Psi + Psi Q-- + Psi Q-+ Psi = 0.  Newton's method from
-Psi = 0 converges to it with one Sylvester solve per step (Guo & Laub 2000).
-With K = Q++ + Psi Q-+, U = Q-- + Q-+ Psi and p0 U = 0, the delay of a real
+equation Q+- + Q++ Psi + Psi Q-- + Psi Q-+ Psi = 0.  One ordered real
+Schur form of the fluid generator, with its zero eigenvalue shifted away
+(FluidModel.shifted), spans [I; Psi] (Laub 1979); Newton's method on the
+shifted equation polishes that start, one Sylvester solve per step (Guo &
+Laub 2000), and its first step is already at rounding level.  With
+K = Q++ + Psi Q-+, U = Q-- + Q-+ Psi and p0 U = 0, the delay of a real
 arrival has P(W > x) proportional to p0 Q-+ (-K)^-1 e^(Kx) Psi d2 1, and
 its transform is the realisation atom + h (sI - K)^-1 b.  What the rest of
 the pipeline needs follows from these matrices:
@@ -24,13 +27,16 @@ the pipeline needs follows from these matrices:
 - the N-1 positive roots of det E are -eig(U) without its zero root, and
   the poles and zeros of the delay transform are eig(K) and eig(K - b h /
   atom), clustered into multiplicities like polynomial roots;
-- the null vectors of E at the positive roots come from an SVD, and the
-  boundary vector u from the same linear system as in the paper;
-- the time-domain law comes from a block diagonalisation of K, one block
-  per eigenvalue cluster.
+- the null vectors of E at the positive roots are Lambda^-1 times the
+  eigenvectors of U (the same eigendecomposition), and the boundary vector
+  u solves the same linear system as in the paper, by one LU;
+- the time-domain law comes from a block diagonalisation of K: one complex
+  Schur form, then per eigenvalue cluster a reordering and a triangular
+  Sylvester solve.
 
-Checks, each raising SolverError with its value: the Riccati residual; N
-eigenvalues of -U in the closed right half-plane with a simple one at zero;
+Checks, each raising SolverError with its value: N eigenvalues of the
+shifted fluid generator in the open left half-plane; the Riccati residual;
+N eigenvalues of -U in the closed right half-plane with a simple one at zero;
 the arrival-weighted mass of the law against the real arrival rate times
 its time mass ("W(0) = ..." names their ratio); the u . a residuals; the
 law's atom against u . omega; and the total mass of the time-domain law
@@ -38,10 +44,11 @@ law's atom against u . omega; and the total mass of the time-domain law
 
 The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
 of the solve, nor of anything downstream.  The oracle reuses the boundary
-system (_boundary_vector) with the mixture transform in place of B.  A
-solution's families (computed on first use) are the Laurent data of the
-correction families, ratios of E(s)^-1 quantities: pole parts by the
-trapezoid rule on a circle around each pole, all nodes in one batched solve.
+system (_boundary_vector) with null vectors of its own, from an SVD of the
+mixture's E at its refined roots.  A solution's families (computed on first
+use) are the Laurent data of the correction families, ratios of E(s)^-1
+quantities: pole parts by the trapezoid rule on a circle around each pole,
+all nodes in one batched solve.
 """
 
 from __future__ import annotations
@@ -52,10 +59,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr, schur, solve_sylvester
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .measures import ExpPolyMeasure
 from .model import MarpModel, eval_E, stability_report
-from .polyalg import Poly, RootSet, eig_roots, linsolve, poly_roots
+from .polyalg import Poly, RootSet, eig_clusters, eig_roots, linsolve, poly_roots
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
 NEWTON_STEP_TOL = 1e-14  # last step size; Psi holds probabilities
@@ -376,12 +384,14 @@ def _arrival_basis(d2: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class FluidModel:
-    """Generator blocks of the fluid queue (see the module docstring)."""
+    """Generator blocks of the fluid queue (see the module docstring), and
+    Psi 1, the mass an up phase returns with (1 unless the exit mixes)."""
 
     q_pp: np.ndarray
     q_pm: np.ndarray
     q_mm: np.ndarray
     q_mp: np.ndarray
+    psi_one: np.ndarray
 
     @staticmethod
     def build(model: MarpModel, pt: RationalLST) -> "FluidModel":
@@ -393,34 +403,90 @@ class FluidModel:
             q_pm=np.kron(route, exit_vec[:, None]),
             q_mm=model.d1 + pt.atom * d2,
             q_mp=np.kron(d2[:, basis], pt.alpha[None, :]),
+            psi_one=np.repeat(route.sum(axis=1), pt.order),
         )
+
+    @property
+    def scale(self) -> float:
+        """The largest rate, at least 1."""
+        return max(1.0, float(np.max(np.abs(self.q_mm))), float(np.max(np.abs(self.q_pp))))
 
     def residual(self, psi: np.ndarray) -> np.ndarray:
         return self.q_pm + self.q_pp @ psi + psi @ self.q_mm + psi @ self.q_mp @ psi
 
+    def shifted(self) -> "FluidModel":
+        """The blocks of T - scale x x^T / |x|^2, with x = [1; Psi 1].
+
+        T = [[Q--, Q-+], [-Q+-, -Q++]] has T [I; Psi] = [I; Psi] U, so its
+        spectrum is eig(U), with the zero root, and -eig(K); near load 1 an
+        eigenvalue of K tends to zero as well, and the Riccati problem
+        degrades like 1 / (1 - load).  T x = 0, and the rank-one shift moves
+        that zero to -scale and leaves the other eigenvalues and the
+        invariant subspace [I; Psi] alone (Brauer 1952; Guo, Iannazzo &
+        Meini 2007), so the shifted Riccati equation has the same solution
+        Psi and a Newton operator that stays regular at load 1.
+        """
+        n = self.q_mm.shape[0]
+        x = np.r_[np.ones(n), self.psi_one]
+        p = self.scale * x / (x @ x)
+        return FluidModel(
+            q_pp=self.q_pp + np.outer(self.psi_one, p[n:]),
+            q_pm=self.q_pm + np.outer(self.psi_one, p[:n]),
+            q_mm=self.q_mm - np.outer(x[:n], p[:n]),
+            q_mp=self.q_mp - np.outer(x[:n], p[n:]),
+            psi_one=self.psi_one,
+        )
+
+    def schur_start(self) -> np.ndarray:
+        """Psi from the stable invariant subspace of T (Laub 1979).
+
+        The leading N Schur vectors X of the real Schur form ordered by
+        Re < 0 span [I; Psi], and Psi = X2 X1^-1.  On the shifted blocks
+        the N eigenvalues of U lie in the open left half-plane and those of
+        -K in the open right one.
+        """
+        n = self.q_mm.shape[0]
+        gen = np.block([[self.q_mm, self.q_mp], [-self.q_pm, -self.q_pp]])
+        try:
+            _, vecs, sdim = schur(gen, sort="lhp")
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"ordered Schur form of the fluid generator failed: {exc}") from exc
+        if sdim != n:
+            raise SolverError(f"expected {n} eigenvalues of the shifted fluid generator in the "
+                              f"open left half-plane, found {sdim}")
+        return np.linalg.solve(vecs[:n, :n].T, vecs[n:, :n].T).T
+
     def solve_psi(self) -> np.ndarray:
-        """Newton from Psi = 0: (Q++ + Psi Q-+) X + X (Q-- + Q-+ Psi) = -R(Psi)."""
-        scale = max(1.0, float(np.max(np.abs(self.q_mm))), float(np.max(np.abs(self.q_pp))))
-        psi = np.zeros_like(self.q_pm)
+        """Newton on the shifted equation from its Schur start:
+        (Q++ + Psi Q-+) X + X (Q-- + Q-+ Psi) = -R(Psi), then the residual
+        check on the unshifted equation."""
+        shift = self.shifted()
+        psi = shift.schur_start()
         for _ in range(NEWTON_STEPS):
             try:
-                step = solve_sylvester(self.q_pp + psi @ self.q_mp, self.q_mm + self.q_mp @ psi,
-                                       -self.residual(psi))
+                step = solve_sylvester(shift.q_pp + psi @ shift.q_mp, shift.q_mm + shift.q_mp @ psi,
+                                       -shift.residual(psi))
             except (np.linalg.LinAlgError, ValueError) as exc:   # singular or diverged
                 raise SolverError(f"Riccati Newton step failed: {exc}") from exc
             psi = psi + step
             if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
                 break
-        err = float(np.max(np.abs(self.residual(psi)))) / scale
+        err = float(np.max(np.abs(self.residual(psi)))) / self.scale
         if not err <= RICCATI_TOL:
             raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
         return psi
 
 
-def _positive_roots(u_gen: np.ndarray) -> tuple:
-    """The N-1 positive roots: -eig(U) without its simple zero root."""
+def _positive_roots(model: MarpModel, u_gen: np.ndarray) -> tuple:
+    """The N-1 positive roots, -eig(U) without its simple zero root, and the
+    null vectors of E at them, all from one eigendecomposition of U.
+
+    U v = -rho v means (d1 + B(rho) d2 + rho I) v = 0, and E(s) = Lambda^-1
+    (d1 + B(s) d2 + s I) Lambda, so Lambda^-1 v spans the null space of E(rho).
+    """
     n = u_gen.shape[0]
-    roots = eig_roots(-u_gen)
+    eigs, vecs = np.linalg.eig(u_gen)
+    roots = eig_clusters(-eigs, is_real=True)
     scale = max(1.0, max(abs(rho) for rho, _ in roots))
     count = sum(m for rho, m in roots if rho.real >= -ZERO_ROOT_TOL * scale)
     if count != n:
@@ -433,21 +499,16 @@ def _positive_roots(u_gen: np.ndarray) -> tuple:
     positive = [rm for k, rm in enumerate(roots) if k != zero_idx]
     if any(m > 1 for _, m in positive):
         raise SolverError("repeated positive roots are not supported (simple-root assumption)")
-    return tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
+    rho_pos = tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
+    nulls = [vecs[:, np.argmin(np.abs(eigs + rho))] / model.rates for rho in rho_pos]
+    return rho_pos, nulls
 
 
-def _null_vector(mat: np.ndarray) -> np.ndarray:
-    """Right singular vector of the smallest singular value."""
-    return np.linalg.svd(mat)[2][-1].conj()
-
-
-def _boundary_vector(model: MarpModel, pt: RationalLST, rho_pos, margin: float) -> np.ndarray:
-    """u from u Lambda^-1 1 = margin and u a_i = 0 at every positive root."""
+def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarray:
+    """u from u Lambda^-1 1 = margin and u a_i = 0 for the null vectors a_i
+    of E at the positive roots."""
     n = model.n_states
-    amat = np.empty((n, n), dtype=complex)
-    amat[:, 0] = model.lam_inv_one
-    for idx, rho in enumerate(rho_pos):
-        amat[:, idx + 1] = _null_vector(eval_E(model, rho, pt(rho)))
+    amat = np.column_stack([model.lam_inv_one, *null_vectors]).astype(complex)
     c = np.zeros(n, dtype=complex)
     c[0] = margin
     u = linsolve(amat.T, c)
@@ -464,12 +525,15 @@ def _boundary_vector(model: MarpModel, pt: RationalLST, rho_pos, margin: float) 
 def _law_terms(k: np.ndarray, h: np.ndarray, b: np.ndarray, clusters: RootSet) -> list:
     """Density terms of h e^(Kx) b, block-diagonalising K cluster by cluster.
 
-    Each step moves one eigenvalue cluster to the top of a Schur form and
-    decouples it from the rest by a Sylvester solve; on the cluster's block
-    B = c I + N, e^(Bx) = e^(cx) sum_j (N x)^j / j! over j < multiplicity.
-    Coefficients of conjugate clusters are made exact conjugates.
+    One complex Schur form K = Z T Z^H.  Each step moves one eigenvalue
+    cluster to the top of the remaining triangular block (ztrsen with a
+    select mask) and decouples it from the rest by a triangular Sylvester
+    solve (ztrsyl); on the cluster's block B = c I + N, e^(Bx) = e^(cx)
+    sum_j (N x)^j / j! over j < multiplicity.  Coefficients of conjugate
+    clusters are made exact conjugates.
     """
-    rest, left, right = k.astype(complex), h.astype(complex), b.astype(complex)
+    rest, z = schur(k, output="complex")
+    left, right = h @ z, z.conj().T @ b
     coefs = {}
     pending = list(clusters)
     while pending:
@@ -477,12 +541,13 @@ def _law_terms(k: np.ndarray, h: np.ndarray, b: np.ndarray, clusters: RootSet) -
         if pending:
             others = np.array([c for c, _ in pending])
             radius = 0.5 * float(np.min(np.abs(others - center)))
-            t, z, sdim = schur(rest, output="complex",
-                               sort=lambda x, c=center, r=radius: abs(x - c) < r)
-            if sdim != mult:
+            select = np.abs(np.diag(rest) - center) < radius
+            if np.count_nonzero(select) != mult:
                 raise SolverError(f"could not separate the eigenvalue cluster at {center}")
-            y = solve_sylvester(t[:mult, :mult], -t[mult:, mult:], -t[:mult, mult:])
-            lz, rz = left @ z, z.conj().T @ right
+            t, q = ztrsen(select, rest, np.eye(rest.shape[0]), job="N")[:2]
+            y, scale = ztrsyl(t[:mult, :mult], t[mult:, mult:], -t[:mult, mult:], isgn=-1)[:2]
+            y = y / scale
+            lz, rz = left @ q, q.conj().T @ right
             block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
             rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
         else:
@@ -512,8 +577,8 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     psi = fluid.solve_psi()
     k = fluid.q_pp + psi @ fluid.q_mp
     u_gen = fluid.q_mm + fluid.q_mp @ psi
-    rho_pos = _positive_roots(u_gen)
-    u = _boundary_vector(model, pt, rho_pos, rep["margin"])
+    rho_pos, nulls = _positive_roots(model, u_gen)
+    u = _boundary_vector(model, nulls, rep["margin"])
 
     # boundary masses p0 U = 0; densities p0 Q-+ e^(Kx) (up), times Psi (down)
     n = model.n_states

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,8 +111,9 @@ class ExpPolyMeasure:
             out = out + c * math.factorial(m) / (np.asarray(s, dtype=complex) + a) ** (m + 1)
         return out
 
+    @cached_property
     def survival_terms(self) -> "ExpPolyMeasure":
-        """Survival function itself as exp-poly terms (no atom)."""
+        """Survival function itself as exp-poly terms (no atom), built once."""
         terms = []
         for a, m, c in self.terms:
             for i in range(m + 1):
@@ -120,7 +122,7 @@ class ExpPolyMeasure:
 
     def expo_tail_transform(self, rho: complex, t):
         """integral_0^inf e^(-rho y) P(X > t + y) dy, elementwise in t."""
-        return self.survival_terms().tilted_tail(rho, t)
+        return self.survival_terms.tilted_tail(rho, t)
 
     def between_exp(self, rho: complex, t):
         """P(t < X < t + Y) for Y ~ Exp(rho) independent; analytic in rho."""

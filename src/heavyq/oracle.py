@@ -187,13 +187,19 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         if any(abs(a - b) < 1e-8 * max(1.0, abs(a)) for b in rho_eps[i + 1:]):
             raise OracleError("refined roots collided")
 
-    u_eps = _boundary_vector(model, mix, rho_eps, margin)
+    u_eps = _boundary_vector(model, [_null_vector(eval_E(model, x, mix(x))) for x in rho_eps],
+                             margin)
     sol = ExactSolution(model=model, eps=eps, rho_eps=tuple(rho_eps),
                         u_eps=u_eps, _mix_lst=mix)
     norm = sol.normalisation()
     if abs(norm - 1.0) > 1e-9:
         raise OracleError(f"mixture transform not normalised: W(0) = {norm}")
     return sol
+
+
+def _null_vector(mat: np.ndarray) -> np.ndarray:
+    """Right singular vector of the smallest singular value."""
+    return np.linalg.svd(mat)[2][-1].conj()
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 _EPS = np.finfo(float).eps
 CLUSTER_TOL = 1e-7  # default relative radius of one root cluster
@@ -302,17 +303,22 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
 
 
 def eig_roots(mat: np.ndarray) -> RootSet:
-    """Eigenvalues of a square matrix, clustered like the roots of poly_roots.
+    """Eigenvalues of a square matrix, clustered like the roots of poly_roots."""
+    mat = np.asarray(mat)
+    return eig_clusters(np.linalg.eigvals(mat), not np.iscomplexobj(mat))
+
+
+def eig_clusters(eigs, is_real: bool) -> RootSet:
+    """Computed eigenvalues of a matrix, clustered like the roots of poly_roots.
 
     Eigenvalues within CLUSTER_TOL (relative to their magnitude) form one
     entry whose multiplicity is the cluster size and whose value is the
     cluster mean; conjugate symmetry is enforced exactly for a real matrix.
     """
-    mat = np.asarray(mat)
-    clusters = _cluster(np.linalg.eigvals(mat), CLUSTER_TOL)
+    clusters = _cluster(eigs, CLUSTER_TOL)
     roots = [sum(cl) / len(cl) for cl in clusters]
     mults = [len(cl) for cl in clusters]
-    return _root_set(roots, mults, not np.iscomplexobj(mat), CLUSTER_TOL)
+    return _root_set(roots, mults, is_real, CLUSTER_TOL)
 
 
 def _cluster(raw, cluster_tol: float) -> list:
@@ -421,33 +427,29 @@ def partial_fractions(f: RationalFn, den_roots: RootSet) -> dict:
 
 
 def linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
+    """Solve a @ x = b by one LU factorisation of the row-scaled matrix.
 
-    Raises SingularMatrixError when the best available pivot falls below
-    1e-13 of its row scale, which signals a degenerate model upstream.
+    Dividing every row by its largest entry makes LAPACK's partial pivoting
+    (getrf) the scaled partial pivoting of Gaussian elimination.  Raises
+    SingularMatrixError when a pivot falls below 1e-13 of its row scale,
+    which signals a degenerate model upstream.  x is real for real a and b.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise PolyalgError("dimension mismatch in linear solve")
     scale = np.max(np.abs(a), axis=1)
     scale[scale == 0] = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col]) / scale[col:]))
-        if abs(a[piv, col]) <= 1e-13 * scale[piv]:
-            raise SingularMatrixError(f"pivot {abs(a[piv, col]):.3e} below threshold in column {col}")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-            scale[[col, piv]] = scale[[piv, col]]
-        inv = 1.0 / a[col, col]
-        for row in range(col + 1, n):
-            factor = a[row, col] * inv
-            if factor != 0:
-                a[row, col:] -= factor * a[col, col:]
-                b[row] -= factor * b[col]
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
+    lu, piv, _ = getrf(a / scale[:, None])
+    pivots = np.abs(np.diagonal(lu))
+    small = np.flatnonzero(pivots <= 1e-13)
+    if small.size:
+        col = int(small[0])
+        rows = np.arange(n)
+        for k, swap in enumerate(piv[:col + 1]):
+            rows[[k, swap]] = rows[[swap, k]]
+        raise SingularMatrixError(f"pivot {pivots[col] * scale[rows[col]]:.3e} "
+                                  f"below threshold in column {col}")
+    return getrs(lu, piv, b / scale)[0]

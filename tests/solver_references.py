@@ -1,0 +1,118 @@
+"""The earlier factorisations of solve_base, kept as references for the tests.
+
+Each piece is the route solve_base took before it factorised every matrix
+once: Newton from Psi = 0 on the unshifted Riccati equation, the law terms by
+one sorted Schur form and one Sylvester solve per eigenvalue cluster, null
+vectors of E(rho) from an SVD, and Gaussian elimination with scaled partial
+pivoting.  reference_routes swaps all four into base_solver at once.
+"""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from scipy.linalg import schur, solve_sylvester
+
+from heavyq import base_solver
+from heavyq.base_solver import NEWTON_STEP_TOL, NEWTON_STEPS, RICCATI_TOL, SolverError
+from heavyq.model import eval_E
+from heavyq.oracle import _null_vector
+from heavyq.polyalg import PolyalgError, SingularMatrixError
+
+
+def newton_from_zero(fluid) -> np.ndarray:
+    """Newton from Psi = 0: (Q++ + Psi Q-+) X + X (Q-- + Q-+ Psi) = -R(Psi)."""
+    psi = np.zeros_like(fluid.q_pm)
+    for _ in range(NEWTON_STEPS):
+        step = solve_sylvester(fluid.q_pp + psi @ fluid.q_mp, fluid.q_mm + fluid.q_mp @ psi,
+                               -fluid.residual(psi))
+        psi = psi + step
+        if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+            break
+    err = float(np.max(np.abs(fluid.residual(psi)))) / fluid.scale
+    if not err <= RICCATI_TOL:
+        raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
+    return psi
+
+
+def law_terms_by_cluster(k, h, b, clusters) -> list:
+    """Density terms of h e^(Kx) b: per cluster, a Schur form of what is left
+    sorted by a Python callback, then a dense Sylvester solve."""
+    rest, left, right = k.astype(complex), h.astype(complex), b.astype(complex)
+    coefs = {}
+    pending = list(clusters)
+    while pending:
+        center, mult = pending.pop(0)
+        if pending:
+            others = np.array([c for c, _ in pending])
+            radius = 0.5 * float(np.min(np.abs(others - center)))
+            t, z, sdim = schur(rest, output="complex",
+                               sort=lambda x, c=center, r=radius: abs(x - c) < r)
+            if sdim != mult:
+                raise SolverError(f"could not separate the eigenvalue cluster at {center}")
+            y = solve_sylvester(t[:mult, :mult], -t[mult:, mult:], -t[:mult, mult:])
+            lz, rz = left @ z, z.conj().T @ right
+            block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
+            rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
+        else:
+            block, lb, rb = rest, left, right
+        nil = block - center * np.eye(mult)
+        acc = rb
+        for j in range(mult):
+            coefs[(center, j)] = complex(lb @ acc) / math.factorial(j)
+            acc = nil @ acc
+    terms = []
+    for (center, j), coef in coefs.items():
+        if center.imag < 0:
+            coef = coefs.get((center.conjugate(), j), coef.conjugate()).conjugate()
+        elif center.imag == 0:
+            coef = complex(coef.real, 0.0)
+        terms.append((-center, j, coef))
+    return terms
+
+
+def gauss_linsolve(a, b) -> np.ndarray:
+    """Gaussian elimination with scaled partial pivoting, row by row."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n,):
+        raise PolyalgError("dimension mismatch in linear solve")
+    scale = np.max(np.abs(a), axis=1)
+    scale[scale == 0] = 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col]) / scale[col:]))
+        if abs(a[piv, col]) <= 1e-13 * scale[piv]:
+            raise SingularMatrixError(f"pivot {abs(a[piv, col]):.3e} below threshold in column {col}")
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+            scale[[col, piv]] = scale[[piv, col]]
+        inv = 1.0 / a[col, col]
+        for row in range(col + 1, n):
+            factor = a[row, col] * inv
+            if factor != 0:
+                a[row, col:] -= factor * a[col, col:]
+                b[row] -= factor * b[col]
+    x = np.zeros(n, dtype=complex)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x
+
+
+@contextmanager
+def reference_routes(pt):
+    """solve_base by the reference pieces, for models served by pt."""
+    positive_roots = base_solver._positive_roots
+
+    def svd_null_vectors(model, u_gen):
+        rho_pos, _ = positive_roots(model, u_gen)
+        return rho_pos, [_null_vector(eval_E(model, rho, pt(rho))) for rho in rho_pos]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base_solver.FluidModel, "solve_psi", newton_from_zero)
+        mp.setattr(base_solver, "_law_terms", law_terms_by_cluster)
+        mp.setattr(base_solver, "_positive_roots", svd_null_vectors)
+        mp.setattr(base_solver, "linsolve", gauss_linsolve)
+        yield

@@ -148,10 +148,24 @@ def test_coefficient_entered_laws(rate, shape, named):
 
 
 def test_riccati_residual_check_names_its_value(monkeypatch):
+    # the Schur start already meets the check, so one Newton step from zero
+    # stands in for an unconverged solve
     from heavyq import base_solver
     monkeypatch.setattr(base_solver, "NEWTON_STEPS", 1)
+    monkeypatch.setattr(base_solver.FluidModel, "schur_start", lambda self: np.zeros_like(self.q_pm))
     with pytest.raises(SolverError, match=r"Riccati residual \d\.\d+e[-+]\d+ above 1e-10"):
         solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+
+
+def test_schur_start_names_its_eigenvalue_count():
+    # past load 1 the zero eigenvalue of the fluid generator leaves the
+    # invariant subspace of Psi, so the shift adds one to the stable count;
+    # solve_base rejects such a model before, on its load
+    from heavyq.base_solver import FluidModel
+    fluid = FluidModel.build(mmpp2_model(), RationalLST.exponential(1.0))
+    with pytest.raises(SolverError, match="expected 2 eigenvalues of the shifted fluid generator "
+                                          "in the open left half-plane, found 3"):
+        fluid.shifted().schur_start()
 
 
 def test_normalisation_check_names_its_ratio(monkeypatch):

@@ -524,15 +524,15 @@ def _in_time_unit(unit, model_rates, pt_factory):
 @pytest.mark.parametrize("unit", [1.0, 1000.0], ids=["unit1", "unit1000"])
 @pytest.mark.parametrize("case", ["erlang(12,3)", "exp3"])
 def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
-    # Erlang(12,3): the transform's triple zero at -12 comes out as three
-    # simple zeros; exp(3), the two-state paper run: a zero at the service
-    # pole -3.  Their family coefficients are rounding noise next to those
-    # of the other zeros, so theta puts no pole part of theirs in the laws it
-    # convolves and heavy-convolves, and the curves do not move.  The parts
-    # that stay are those of the complex pair at -13.4 +- 2.3i and the zero
-    # at -9.09 for Erlang(12,3), and of the zero at -2.94 for exp(3).  In a
-    # time unit 1000 times longer (heavy-tail mean 500) the same parts stay;
-    # there the root finder returns -12 as one triple zero, three parts.
+    # Erlang(12,3): the transform's triple zero at -12, which the root
+    # finder returns as one triple zero, three parts; exp(3), the two-state
+    # paper run: a zero at the service pole -3.  Their family coefficients
+    # are rounding noise next to those of the other zeros, so theta puts no
+    # pole part of theirs in the laws it convolves and heavy-convolves, and
+    # the curves do not move.  The parts that stay are those of the complex
+    # pair at -13.4 +- 2.3i and the zero at -9.09 for Erlang(12,3), and of
+    # the zero at -2.94 for exp(3).  In a time unit 1000 times longer
+    # (heavy-tail mean 500) the same parts stay.
     factory, pole, roots, kept = {
         "erlang(12,3)": (lambda f: RationalLST.erlang(12.0 * f, 3), 12.0, 3, 3),
         "exp3": (lambda f: RationalLST.exponential(3.0 * f), 3.0, 1, 1),
@@ -543,8 +543,7 @@ def test_noise_level_erlang_blocks_are_skipped(monkeypatch, case, unit):
     sol = solve_base(model, pt)
     at_pole = [(root, mult) for root, mult in sol.num_roots if abs(root + pole) < near_pole]
     assert sum(mult for _, mult in at_pole) == roots
-    noisy = sum(mult for root, mult in at_pole if complex(root).imag >= 0)
-    assert noisy == {(1.0, "erlang(12,3)"): 2, (1000.0, "erlang(12,3)"): 3}.get((unit, case), 1)
+    assert len(at_pole) == 1
     parts = [(-root, power) for root, mult in sol.num_roots for power in range(mult)]
 
     def scanned(laws):

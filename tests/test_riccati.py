@@ -193,10 +193,13 @@ def test_lumpable_environment_keeps_the_modes_the_delay_cannot_see(pt):
 
 
 def test_riccati_residual_and_newton_from_zero():
+    # the polished Schur start is what Newton from Psi = 0 reaches in 8 steps
+    from solver_references import newton_from_zero
     model = paper_model("mmpp5")
     fluid = FluidModel.build(model, RationalLST.erlang(18.0, 6))
     psi = fluid.solve_psi()
     assert np.max(np.abs(fluid.residual(psi))) <= 1e-12
+    np.testing.assert_allclose(psi, newton_from_zero(fluid), rtol=0, atol=1e-13)
     np.testing.assert_allclose(psi.sum(axis=1), 1.0, atol=1e-12)   # stable: Psi stochastic
     assert psi.min() >= -1e-15
 
