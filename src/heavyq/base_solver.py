@@ -182,11 +182,14 @@ class RationalLST:
         """Stationary-excess transform (1 - B(s)) / (mean s) = alpha (sI - T)^-1 1 / mean."""
         return Realisation(0.0, self.alpha / self.mean, self.tmat, np.ones(self.order))
 
+    @cached_property
     def excess_measure(self) -> ExpPolyMeasure:
+        """The stationary-excess law in the time domain, built once."""
         return _unit_law(self.excess, self.poles, "excess law", "B_e(0)")
 
+    @cached_property
     def service_measure(self) -> ExpPolyMeasure:
-        """The service law itself (with its atom, if any) in the time domain."""
+        """The service law itself (with its atom, if any) in the time domain, built once."""
         return _unit_law(self._service, self.poles, "service law", "B(0)")
 
 
@@ -273,8 +276,9 @@ class BaseSolution:
     def uw(self) -> float:
         return float((self.u @ self.model.omega).real)
 
-    def survival(self, t):
-        vals = self.w_law.survival(t)
+    def survival(self, t, table=None):
+        """P(W > t), by table (a measures.TermTable on t) when given."""
+        vals = self.w_law.survival(t, table)
         if np.max(np.abs(np.atleast_1d(vals).imag), initial=0.0) > 1e-10:
             raise SolverError("delay survival came out complex")
         return vals.real
@@ -283,6 +287,13 @@ class BaseSolution:
     def families(self) -> "Families":
         """Laurent data of the correction families, computed on first use."""
         return _laurent_families(self)
+
+    @cached_property
+    def root_factors(self):
+        """The variant-free part of the perturbation at the positive roots
+        (perturbation.root_factors), computed on first use."""
+        from .perturbation import root_factors
+        return root_factors(self)
 
     @cached_property
     def kept(self) -> dict:

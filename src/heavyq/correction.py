@@ -11,17 +11,26 @@ exp-poly law per family (its constant as an atom at zero, its pole parts at
 the transform's zeros inverted term by term), plus "between" probabilities
 against exponential windows at the positive roots.
 
-Convolutions with the heavy excess have no closed form.  Both kinds the
-recipe needs, the survivals of Y + E and the between term's convolutions
-of P(E > tau) with the tilted densities Y.tilted(rho), are sums over one
-table of nodes tau for the whole grid (_conv_nodes: 16-point panels in
+Every value theta needs is a sum of terms c t^m e^(-a t), or of their
+convolutions with the heavy excess, so theta works in one basis of the
+distinct (rate, power) pairs of its laws' terms.  Closed forms (survivals,
+tilted tails and between probabilities) are the terms times one table of
+t^k e^(-a t) on the grid (measures.TermTable, one exp per distinct rate),
+which also gives approximate's base survival.  Convolutions with the heavy
+excess have no closed form.  Both kinds the recipe needs, the survivals of
+Y + E and the between term's convolutions of P(E > tau) with the tilted
+densities Y.tilted(rho), are the terms times the sums J_k of one scan over
+one table of nodes tau for the whole grid (_conv_nodes: 16-point panels in
 v = sqrt(tau), past the excess's square-root cusp, no wider than
-CONV_RATE_WIDTH / |a| for the fastest rate a).  One scan carries them, for
-every law and positive root, from each grid point to the next by exact
-exponential propagation, so a grid costs time linear in its nodes.  The
-tilted tails of the excess enter only at the grid points (heavy_between).
+CONV_RATE_WIDTH / |a| for the fastest rate a).  The scan carries the sums
+from each grid point to the next by exact exponential propagation, so a
+grid costs time linear in its nodes; the sums travel with the node table
+(_Nodes), and the tilted laws, with their parents' rates and lower powers,
+are read off the survival scan's sums.  The tilted tails of the excess
+enter only at the grid points (heavy_between).
 tests/test_quadrature_reference.py checks both against adaptive quad and
-the former per-point composite rules.
+the former per-point composite rules, and tests/theta_references.py keeps
+the earlier per-law evaluation with its two scans per variant.
 
 The perturbations depend only on the solution and the heavy tail, so each
 is built and checked once and kept on the solution (BaseSolution.kept),
@@ -37,7 +46,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 
 from .base_solver import BaseSolution, Families, RationalLST, solve_base
-from .measures import ExpPolyMeasure
+from .measures import ExpPolyMeasure, TermTable
 from .model import stability_margin
 from .perturbation import PerturbationData, perturb, verify_delta_identity
 
@@ -89,14 +98,13 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
 # ---------------------------------------------------------------------------
 # convolution machinery
 
-def _scan(laws, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """For each t in ts, law y of laws and column c of the weights g, the sum
-    over the terms b x^m e^(-a x) of y of b sum_{tau_i < t} (t - tau_i)^m
-    e^(-a (t - tau_i)) g_ic, as a [t, law, column] array.
+def _scan(rates: np.ndarray, powers: int, tau: np.ndarray, g: np.ndarray,
+          ts: np.ndarray) -> np.ndarray:
+    """The sums J_k(t) over the nodes tau_i < t of (t - tau_i)^k
+    e^(-a (t - tau_i)) g_i, for each t in ts, rate a of rates and power
+    k < powers, as a [t, rate, power] array.
 
-    tau is increasing and no node equals a grid point.  A term enters only
-    through its rate a and power m, so the laws share the sums J_k(p) over
-    the nodes below p, one per distinct rate and power.  Each node is
+    tau is increasing and no node equals a grid point.  Each node is
     expanded about the first grid point p above it, where
     (p - tau)^k e^(-a (p - tau)) neither grows nor cancels, and the sums are
     carried from one grid point to the next exactly:
@@ -105,33 +113,50 @@ def _scan(laws, tau: np.ndarray, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     grid, where = np.unique(ts, return_inverse=True)
     cut = np.searchsorted(tau, grid)
     tau, g = tau[:cut[-1]], g[:cut[-1]]
-    index: dict = {}
-    terms = [(col, index.setdefault(a, len(index)), m, c)
-             for col, y in enumerate(laws) for a, m, c in y.terms]
-    k = np.arange(max(m for _, _, m, _ in terms) + 1)
-    mix = np.zeros((len(index), k.size, len(laws)), dtype=complex)
-    for col, r, m, c in terms:
-        mix[r, m, col] += c
-    rates = np.array(list(index), dtype=complex)[:, None]
+    k = np.arange(powers)
+    rates = rates[:, None]
     gap = grid[np.searchsorted(grid, tau, side="right")] - tau
-    kernel = np.exp(-rates * gap)[:, None, :] * gap ** k[:, None]
+    kernel = np.exp(-rates * gap)[:, None, :] * gap ** k[:, None] * g
     starts = np.r_[0, cut[:-1]]
-    # the segment sums of one column of g at a time, so that no array holds
-    # rates, powers, nodes and columns together
-    seg = np.zeros((rates.size, k.size, grid.size, g.shape[1]), dtype=complex)
+    seg = np.zeros((rates.size, k.size, grid.size), dtype=complex)
     live = starts < cut
-    for c in range(g.shape[1]):
-        seg[:, :, live, c] = np.add.reduceat(kernel * g[:, c], starts[live], axis=2)
+    seg[:, :, live] = np.add.reduceat(kernel, starts[live], axis=2)
     steps = np.diff(grid, prepend=grid[0])
     decay = np.exp(-rates * steps)
     binom = np.array([[math.comb(i, j) for j in k] for i in k])
     shift = binom * steps[:, None, None] ** np.maximum(k[:, None] - k, 0)
-    state = np.zeros((rates.size, k.size, g.shape[1]), dtype=complex)
+    state = np.zeros((rates.size, k.size), dtype=complex)
     sums = np.empty((grid.size,) + state.shape, dtype=complex)
     for n in range(grid.size):
-        state = decay[:, n, None, None] * (shift[n] @ state) + seg[:, :, n]
+        state = decay[:, n, None] * (state @ shift[n].T) + seg[:, :, n]
         sums[n] = state
-    return np.einsum("nrkc,rkl->nlc", sums, mix)[where]
+    return sums[where]
+
+
+class _Nodes:
+    """The node table of the heavy scans on a grid ts (_conv_nodes): nodes
+    tau, weights g times P(E > tau), the TermTable of the grid, and the sums
+    J_k of its last scan (_scan) over every rate the table knew then.  A
+    term list whose every (rate, power) pair those sums hold is read off
+    them, so the laws of one grid share one scan; tilted laws keep their
+    parents' rates and have lower powers."""
+
+    def __init__(self, ts: np.ndarray, tau: np.ndarray, g: np.ndarray, table: TermTable):
+        self.ts, self.tau, self.g, self.table = ts, tau, g, table
+        self.sums = np.zeros((ts.size, 0, 0), dtype=complex)
+
+    def scanned(self, term_lists) -> np.ndarray:
+        """For each list of terms (a, m, c), the sum of c sum_{tau_i < t}
+        (t - tau_i)^m e^(-a (t - tau_i)) g_i over its terms, as a [t, list]
+        array."""
+        located = [self.table.locate(terms) for terms in term_lists]
+        _, n_rates, n_powers = self.sums.shape
+        top = 1 + max(powers.max(initial=0) for _, powers, _ in located)
+        if top > n_powers or any(rows.max(initial=-1) >= n_rates for rows, _, _ in located):
+            self.sums = _scan(np.array(list(self.table.index), dtype=complex),
+                              max(top, n_powers), self.tau, self.g, self.ts)
+        return np.array([(self.sums[:, rows, powers] * coefs).sum(axis=1)
+                         for rows, powers, coefs in located]).T
 
 
 def _panels(edges: np.ndarray, width: float) -> tuple:
@@ -158,9 +183,9 @@ def _max_rate(laws) -> float:
     return max((abs(complex(a)) for y in laws for a, _, _ in y.terms), default=1.0)
 
 
-def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
-    """Nodes tau and a column of weights times P(E > tau) for the heavy
-    scans: 16-point Gauss-Legendre panels in v = sqrt(tau) between
+def _conv_nodes(ht, ts: np.ndarray, rate: float, table: TermTable | None = None) -> _Nodes:
+    """The node table of the heavy scans on ts, with table (a TermTable on
+    ts, or a new one): 16-point Gauss-Legendre panels in v = sqrt(tau) between
     v = k V_PANEL and sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH /
     rate in tau.  On a panel [lo, hi], tau = lo + (v - vlo) (v + vlo) covers
     [lo, hi] exactly; v^2 would cover the rounded sqrt(hi)^2 (1e5 + 1.5e-11
@@ -174,20 +199,21 @@ def _conv_nodes(ht, ts: np.ndarray, rate: float) -> tuple:
     v = vlo + (vhi - vlo) * frac
     scale = (hi - lo) / (vhi + vlo)   # (v - vlo) (v + vlo) = frac (v + vlo) scale
     tau = (lo + frac * (v + vlo) * scale).ravel()
-    return tau, ((2.0 * v * w * scale).ravel() * ht.excess_survival(tau))[:, None]
+    g = (2.0 * v * w * scale).ravel() * ht.excess_survival(tau)
+    return _Nodes(ts, tau, g, TermTable(ts) if table is None else table)
 
 
-def heavy_conv_survival(laws, ht, ts, nodes: tuple) -> np.ndarray:
+def heavy_conv_survival(laws, ht, ts, nodes: _Nodes) -> np.ndarray:
     """P(Y + E > t) for each exp-poly law Y of laws and the heavy excess E,
     as a [t, law] array.  The integrals of f_Y(t - tau) P(E > tau) over
-    [0, t] are one scan over nodes = _conv_nodes(ht, ts, rate) for a rate at
-    least every |a| of the laws, which may be complex-valued.
+    [0, t] are read off the sums of nodes = _conv_nodes(ht, ts, rate) for a
+    rate at least every |a| of the laws, which may be complex-valued.
     """
     ts = np.asarray(ts, dtype=float)
     at_t = ht.excess_survival(ts)
-    out = np.array([y.survival(ts) + y.atom * at_t for y in laws], dtype=complex).T
+    out = np.array([y.survival(ts, nodes.table) + y.atom * at_t for y in laws], dtype=complex).T
     if any(y.terms for y in laws) and np.any(ts > 0):
-        out += _scan(laws, *nodes, ts)[:, :, 0]
+        out += nodes.scanned([y.terms for y in laws])
     return out
 
 
@@ -207,14 +233,14 @@ def _psi(ht, rhos: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return ht.excess_survival(taus[:, None] + ys) @ (np.exp(-np.outer(ys, rhos)) * w[:, None])
 
 
-def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: tuple) -> np.ndarray:
+def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: _Nodes) -> np.ndarray:
     """P(t < Y + E < t + Exp(rho)) for each exp-poly law Y of laws and rate
     rho of rhos, as a [t, law, rho] array: surv, the [t, law] survival of
     Y + E, less rho times I(t) = integral_0^inf e^(-rho y) P(Y + E > t + y) dy.
     Split at tau = t, I(t) = Y.expo_tail_transform(rho, t) + Y.laplace(rho)
     psi(t) + integral_0^t P(E > tau) g(t - tau) dtau, with psi by _psi and
-    g = Y.tilted(rho); the last integrals are one scan over the nodes of
-    heavy_conv_survival.
+    g = Y.tilted(rho); the last integrals are read off the sums of nodes,
+    which a survival scan of the laws over the same nodes already holds.
     """
     ts = np.asarray(ts, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
@@ -227,11 +253,11 @@ def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: tuple) -> np.ndar
         if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
             raise CorrectionError(
                 f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
-    i_tail = np.array([[y.expo_tail_transform(rho, ts) + y.laplace(rho) * psi[1:, r]
+    i_tail = np.array([[y.expo_tail_transform(rho, ts, nodes.table) + y.laplace(rho) * psi[1:, r]
                         for r, rho in enumerate(rhos)] for y in laws]).transpose(2, 0, 1)
     if any(y.terms for y in laws) and np.any(ts > 0):
-        tilted = [y.tilted(rho) for y in laws for rho in rhos]
-        i_tail = i_tail + _scan(tilted, *nodes, ts).reshape(i_tail.shape)
+        tilted = [y.tilted(rho).terms for y in laws for rho in rhos]
+        i_tail = i_tail + nodes.scanned(tilted).reshape(i_tail.shape)
     return np.asarray(surv, dtype=complex)[:, :, None] - rhos * i_tail
 
 
@@ -251,7 +277,7 @@ def _paired(values):
 
 
 def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
-          sol: BaseSolution, variant: str) -> tuple:
+          sol: BaseSolution, variant: str, table: TermTable | None = None) -> tuple:
     """Theta_1 and Theta_2 on the grid, by one recipe for both variants.
 
     With d = base_law (the variant's base delay), Ep and E the rational and
@@ -273,11 +299,17 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     d*d*F_gamma (+ Ep and + E).  Theta_2 sums the terms over the positive roots
     rho_k with B = delta_0, the coefficients residue_k / rho_k and
     P(t < X < t + Exp(rho_k)) in place of P(X > t); a complex root counts
-    one member of its conjugate pair twice, by the real part.  One table of
-    nodes (_conv_nodes) serves the survival scan and the between scan.
-    Residual imaginary parts beyond 1e-10 raise.
+    one member of its conjugate pair twice, by the real part.  Residual
+    imaginary parts beyond 1e-10 raise.
+
+    Every law is evaluated in one basis of (rate, power) pairs: its closed
+    forms by table (a TermTable on ts, or a new one), one exp per distinct
+    rate and each survival once, and its heavy convolutions by the sums of
+    one scan over one table of nodes (_conv_nodes), which heavy_conv_survival
+    runs and heavy_between reads again for the tilted laws.
     """
     ts = np.asarray(ts, dtype=float)
+    table = TermTable(ts) if table is None else table
     mp = pt.mean if variant == "replace" else 0.0
     mh = ht.mean
     n_pos = len(sol.rho_pos)
@@ -305,17 +337,17 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
 
     d_law, dd_law = base_law, base_law.convolve(base_law)
     # mp times the rational excess: no terms at all when mp = 0
-    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
+    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
-    nodes = _conv_nodes(ht, ts, _max_rate(laws))
+    nodes = _conv_nodes(ht, ts, _max_rate(laws), table)
     heavy = heavy_conv_survival(laws, ht, ts, nodes)
 
     def recipe(coef, plain, rational, heavy):
         a, b, g = coef
         return a * plain + b * (rational[0] - mh * heavy[0]) - g * (rational[1] - mh * heavy[1])
 
-    theta1 = recipe((1.0, 1.0, 1.0), d_law.convolve(f_alpha).survival(ts),
-                    [y.convolve(excess).survival(ts) for y in laws[2:]], heavy[:, 2:].T)
+    theta1 = recipe((1.0, 1.0, 1.0), d_law.convolve(f_alpha).survival(ts, table),
+                    [y.convolve(excess).survival(ts, table) for y in laws[2:]], heavy[:, 2:].T)
     if np.max(np.abs(theta1.imag), initial=0.0) > 1e-10:
         raise CorrectionError("correction term has a residual imaginary part")
 
@@ -327,7 +359,7 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], rhos, nodes)
 
     def betweens(y):
-        return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
+        return np.array([y.between_exp(rho, ts, table) for rho in rhos], dtype=complex).T
 
     terms = recipe(residues[:, roots] / rhos, betweens(d_law),
                    [betweens(y.convolve(excess)) for y in (d_law, dd_law)],
@@ -451,8 +483,9 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 
-    base = base_sol.survival(ts)
-    th1, th2 = theta(ts, fams, base_sol.w_law, pt, ht, sol, variant)
+    table = TermTable(ts)
+    base = base_sol.survival(ts, table)
+    th1, th2 = theta(ts, fams, base_sol.w_law, pt, ht, sol, variant, table)
     corrected_raw = base + eps * prefactor * (th1 + th2)
     simplified_raw = base + eps * prefactor * th1
     return ApproxOutput(

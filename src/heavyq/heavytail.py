@@ -206,7 +206,7 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
 
 def phase_type_tail(pt) -> HeavyTail:
     """A rational law dressed up as a heavy tail (degeneracy test fixture)."""
-    excess, service = pt.excess_measure(), pt.service_measure()
+    excess, service = pt.excess_measure, pt.service_measure
     return HeavyTail(
         mean=pt.mean, lst=pt, excess_lst=pt.excess, lst_deriv=pt.deriv_at,
         excess_survival=lambda t: np.clip(np.atleast_1d(excess.survival(t)).real, 0.0, 1.0),

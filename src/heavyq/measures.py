@@ -5,7 +5,8 @@ rational transform whose poles lie in the open left half-plane, plus an
 optional atom at zero.  Rates and coefficients may be complex (conjugate
 pairs combine to damped cosines); survival evaluation, Laplace transforms,
 and the exponentially-tilted tail integrals used by the correction term all
-have closed forms.
+have closed forms.  Each of them is a sum of terms c t^m e^(-a t), which
+TermTable evaluates from one table of t^k e^(-a t) per grid.
 """
 
 from __future__ import annotations
@@ -90,20 +91,10 @@ class ExpPolyMeasure:
             out += c * t ** m * np.exp(-a * t)
         return out
 
-    def survival(self, t):
-        """Mass of (t, inf); the atom at zero never counts for t >= 0."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a, m, c in self.terms:
-            # integral_t^inf x^m e^(-a x) dx = m!/a^(m+1) e^(-a t) sum (a t)^i/i!
-            acc = np.zeros(t.shape, dtype=complex)
-            at = a * t
-            pw = np.ones(t.shape, dtype=complex)
-            for i in range(m + 1):
-                acc += pw / math.factorial(i)
-                pw = pw * at
-            out += c * math.factorial(m) / a ** (m + 1) * np.exp(-at) * acc
-        return out
+    def survival(self, t, table=None):
+        """Mass of (t, inf); the atom at zero never counts for t >= 0.  A
+        TermTable on t (table) lends its exps."""
+        return _evaluate(self.survival_terms.terms, t, table)
 
     def laplace(self, s):
         out = self.atom * np.ones_like(np.asarray(s, dtype=complex))
@@ -113,20 +104,20 @@ class ExpPolyMeasure:
 
     @cached_property
     def survival_terms(self) -> "ExpPolyMeasure":
-        """Survival function itself as exp-poly terms (no atom), built once."""
-        terms = []
-        for a, m, c in self.terms:
-            for i in range(m + 1):
-                terms.append((a, i, c * math.factorial(m) / a ** (m + 1) * a ** i / math.factorial(i)))
-        return ExpPolyMeasure(0.0, _merge(terms))
+        """Survival function itself as exp-poly terms (no atom, not merged),
+        built once: integral_t^inf x^m e^(-a x) dx = m!/a^(m+1) e^(-a t)
+        sum_i (a t)^i/i!."""
+        return ExpPolyMeasure(0.0, tuple(
+            (a, i, c * math.factorial(m) / a ** (m + 1) * a ** i / math.factorial(i))
+            for a, m, c in self.terms for i in range(m + 1)))
 
-    def expo_tail_transform(self, rho: complex, t):
+    def expo_tail_transform(self, rho: complex, t, table=None):
         """integral_0^inf e^(-rho y) P(X > t + y) dy, elementwise in t."""
-        return self.survival_terms.tilted_tail(rho, t)
+        return self.survival_terms.tilted_tail(rho, t, table)
 
-    def between_exp(self, rho: complex, t):
+    def between_exp(self, rho: complex, t, table=None):
         """P(t < X < t + Y) for Y ~ Exp(rho) independent; analytic in rho."""
-        return self.survival(t) - rho * self.expo_tail_transform(rho, t)
+        return self.survival(t, table) - rho * self.expo_tail_transform(rho, t, table)
 
     def tilted(self, rho: complex) -> "ExpPolyMeasure":
         """The function g(x) = integral_0^inf e^(-rho y) f_X(x + y) dy of the
@@ -137,14 +128,10 @@ class ExpPolyMeasure:
             (a, m - k, c * math.comb(m, k) * math.factorial(k) / (a + rho) ** (k + 1))
             for a, m, c in self.terms for k in range(m + 1)))
 
-    def tilted_tail(self, rho: complex, t):
+    def tilted_tail(self, rho: complex, t, table=None):
         """integral_t^inf f_X(x) e^(-rho (x - t)) dx for the density part,
         which is tilted(rho) at t."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a, m, c in self.tilted(rho).terms:
-            out += c * t ** m * np.exp(-a * t)
-        return out
+        return _evaluate(self.tilted(rho).terms, t, table)
 
     # -- convolution ------------------------------------------------------
     def convolve(self, other: "ExpPolyMeasure") -> "ExpPolyMeasure":
@@ -160,6 +147,54 @@ class ExpPolyMeasure:
             for a2, m2, c2 in other.terms:
                 terms.extend(_convolve_pair(a1, m1, c1, a2, m2, c2))
         return ExpPolyMeasure(atom, _merge(terms))
+
+
+class TermTable:
+    """The functions t^k e^(-a t) on one grid t, for every rate a of the
+    terms evaluated on it so far: one exp per distinct rate, kept for later
+    calls.  A tuple of terms (a, m, c) is its coefficients times the table's
+    entries at its (rate, power) pairs, summed in the tuple's order, so it
+    has the same value, to the bit, in every table on the same t; a table
+    evaluates each tuple object once (a law's survival_terms are one)."""
+
+    def __init__(self, t):
+        self.t = np.asarray(t, dtype=float).ravel()
+        self.index: dict = {}     # rate -> its row of exps
+        self.exps = np.empty((0, self.t.size), dtype=complex)
+        self.powers = np.ones((1, self.t.size))
+        self.values: dict = {}    # id(terms) -> (terms, their values)
+
+    def locate(self, terms) -> tuple:
+        """Rate rows, powers and coefficients of terms; a new rate gets its
+        row of exps here."""
+        index = self.index
+        rows = np.array([index.setdefault(a, len(index)) for a, _, _ in terms], dtype=np.intp)
+        if len(index) > len(self.exps):
+            fresh = np.array(list(index)[len(self.exps):], dtype=complex)
+            self.exps = np.concatenate([self.exps, np.exp(-np.outer(fresh, self.t))])
+        powers = np.array([m for _, m, _ in terms], dtype=np.intp)
+        if powers.size and powers.max() >= len(self.powers):
+            self.powers = self.t ** np.arange(powers.max() + 1)[:, None]
+        return rows, powers, np.array([c for _, _, c in terms], dtype=complex)
+
+    def __call__(self, terms: tuple) -> np.ndarray:
+        """The sum of c t^m e^(-a t) over terms, at every t of the table
+        (read-only: later calls with the same tuple return it again)."""
+        kept = self.values.get(id(terms))
+        if kept is None:
+            rows, powers, coefs = self.locate(terms)
+            vals = (coefs[:, None] * self.powers[powers] * self.exps[rows]).sum(axis=0)
+            vals.setflags(write=False)
+            # the entry holds terms, so their id stays theirs while it is kept
+            kept = self.values[id(terms)] = (terms, vals)
+        return kept[1]
+
+
+def _evaluate(terms, t, table=None):
+    """The sum of c t^m e^(-a t) over terms, elementwise in t, by table (a
+    TermTable on t) or a new one."""
+    t = np.asarray(t, dtype=float)
+    return (TermTable(t) if table is None else table)(terms).reshape(t.shape)
 
 
 def _convolve_pair(a1, m1, c1, a2, m2, c2):

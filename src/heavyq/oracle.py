@@ -34,6 +34,7 @@ EULER_MAX_DAMP = 37.0  # exp(A/2) amplifies roundoff; beyond this A hurts
 NEWTON_ITERS = 50
 SIM_CHUNK = 10 ** 5    # environment transitions per draw of the uniform streams
 CDF_TABLE_POINTS = 4000  # geometric abscissae of an inverse-CDF sampling table
+BUCKET_CELLS = 2 ** 12   # equal cells of [0, 1) in the bucket lookup of _walk_path
 
 
 class OracleError(RuntimeError):
@@ -248,7 +249,7 @@ def service_samplers(pt: RationalLST, ht):
         nu = -float(pt.tmat[0, 0])
         ph_sample = lambda u: -np.log1p(-u) / nu
     else:
-        law = pt.service_measure()
+        law = pt.service_measure
         ph_sample = _inverse_cdf_table(
             lambda t: np.clip(np.atleast_1d(law.survival(t)).real, 0.0, 1.0), pt.mean)
     return ph_sample, _inverse_cdf_table(ht.service_survival, ht.mean)
@@ -276,6 +277,30 @@ def _successor_table(cum_p: np.ndarray):
     return thresholds, table
 
 
+def _buckets(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(thresholds, u, side="right") for u in [0, 1), exactly.
+
+    u lies in cell c = floor(u BUCKET_CELLS) (a product by a power of two,
+    exact), and its bucket is the number of thresholds at or below the
+    cell's left end plus one compare against each threshold strictly inside
+    the cell.  A threshold on a cell's edge (0.0 among them) falls in the
+    count; one at or above 1 never counts, as no u reaches it.
+    """
+    cells = BUCKET_CELLS
+    at = (u * cells).astype(np.intp)
+    out = np.searchsorted(thresholds, np.arange(cells) / cells, side="right")[at]
+    scaled = thresholds * cells
+    inner = thresholds[(thresholds < 1.0) & (scaled != np.floor(scaled))]
+    cell = (inner * cells).astype(np.intp)
+    # the thresholds inside one cell, in order, as rows of a [rank, cell] table
+    rank = np.arange(inner.size) - np.searchsorted(cell, cell)
+    ranked = np.full((rank.max(initial=-1) + 1, cells), np.inf)
+    ranked[rank, cell] = inner
+    for row in ranked:
+        out += u >= row[at]
+    return out
+
+
 def _walk_path(thresholds: np.ndarray, table: np.ndarray, u_next: np.ndarray,
                state: int) -> np.ndarray:
     """States 0 .. L of the path from state driven by the L uniforms u_next.
@@ -293,7 +318,7 @@ def _walk_path(thresholds: np.ndarray, table: np.ndarray, u_next: np.ndarray,
     width = math.isqrt(n_steps)
     n_blocks = -(-n_steps // width)
     offsets = np.full(n_blocks * width, n_buckets - 1, dtype=np.intp)
-    offsets[:n_steps] = np.searchsorted(thresholds, u_next, side="right")
+    offsets[:n_steps] = _buckets(thresholds, u_next)
     # offsets[k, j]: the row of step k of block j, times n
     offsets = np.ascontiguousarray(offsets.reshape(n_blocks, width).T) * n
     flat = table.ravel()

@@ -15,7 +15,10 @@ the root shift is the residue y K x / y E' x.  M = [[E, y^H], [x^H, 0]] is
 regular at a simple root, and [x; -sigma_min] solves M [a; g] = [0; 1]: the
 null vector a = x is normalised by x^H a = 1.  Along a direction D,
 -M^-1 [D a; 0] is the derivative (a_D, g_D) of that solution, which gives
-the tilts a' (D = E') and k (D = K).  The paper's adjugate columns and
+the tilts a' (D = E') and k (D = K).  K(s) = s factor(s) dE/dg, and only
+the scalar factor depends on the variant, so both variants share one
+factorisation per root along dE/dg (root_factors, kept on the solution)
+and scale it by rho factor(rho).  The paper's adjugate columns and
 column-replacement determinants are only the derivation of these
 quantities; the tests keep them as an independent reference, and
 verify_delta_identity re-derives every shift through z and the families.
@@ -64,36 +67,14 @@ def _excess_factor(sol: BaseSolution, ht, variant: str):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def k_matrix(sol: BaseSolution, ht, variant: str = "replace"):
-    """Matrix function K(s) perturbing E(s); K(0) = 0 by the explicit s factor."""
-    base = sol.model.e_dg
-    factor = _excess_factor(sol, ht, variant)
+def bordered_solve(rho, e_num, e_der, direction) -> tuple:
+    """Null vector, slope and tilts at the simple root rho of det E.
 
-    def k_of_s(s):
-        return complex(s) * complex(factor(s)) * base
-
-    return k_of_s
-
-
-def _root_matrices(sol: BaseSolution, ht, idx: int, variant: str) -> tuple:
-    """Positive root idx with E, E' and K there."""
-    model, pt = sol.model, sol.pt
-    rho = sol.rho_pos[idx]
-    return (rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)),
-            k_matrix(sol, ht, variant)(rho))
-
-
-def bordered_solve(rho, e_num, e_der, k_num) -> tuple:
-    """Root shift and null-vector tilts at the simple root rho of det E.
-
-    Returns the shift y K x / y E' x, its rounding floor, the null vector
-    a = x, and its derivatives a' along E' and k along K.  The floor
-    1e3 eps |K|_2 / |y E' x| is the rounding level of the shift, below which
-    two shifts agree however far apart they are relatively (a shift that
-    vanishes exactly comes out as rounding noise).  A second null direction
-    (sigma_(N-1)/sigma_1) or a multiple root of det E (|y E' x|/|E'|_2)
-    below SIMPLE_ROOT_TOL raises; both ratios are free of the time unit and
-    of N.
+    Returns the null vector a = x, the slope y E' x, the residue numerator
+    y D x along direction D, and the derivatives a' along E' and a_D along
+    D.  A second null direction (sigma_(N-1)/sigma_1) or a multiple root of
+    det E (|y E' x|/|E'|_2) below SIMPLE_ROOT_TOL raises; both ratios are
+    free of the time unit and of N.
     """
     lsv, sv, rsv = np.linalg.svd(e_num)
     x, y = rsv[-1].conj(), lsv[:, -1].conj()
@@ -103,48 +84,94 @@ def bordered_solve(rho, e_num, e_der, k_num) -> tuple:
     if min(gap, steep) < SIMPLE_ROOT_TOL:
         raise PerturbationError(f"root {rho} is not numerically simple: "
                                 f"sigma_(N-1)/sigma_1 = {gap:.3e}, |y E' x|/|E'| = {steep:.3e}")
-    delta = (y @ k_num @ x) / slope
-    floor = DELTA_FLOOR * np.finfo(float).eps * float(np.linalg.norm(k_num, 2)) / abs(slope)
-
     bordered = np.block([[e_num, lsv[:, -1:]], [rsv[-1:], np.zeros((1, 1))]])
-    tilts = np.linalg.solve(bordered, -np.vstack([np.column_stack([e_der @ x, k_num @ x]),
+    tilts = np.linalg.solve(bordered, -np.vstack([np.column_stack([e_der @ x, direction @ x]),
                                                   np.zeros((1, 2))]))
-    a_der, k_vec = tilts[:-1].T
-    return delta, floor, x, a_der, k_vec
+    a_der, d_tilt = tilts[:-1].T
+    return x, slope, y @ direction @ x, a_der, d_tilt
+
+
+@dataclass(frozen=True)
+class RootFactors:
+    """The part of perturb that no variant changes, one column per positive
+    root (BaseSolution.root_factors).
+
+    K(s) = s factor(s) e_dg with e_dg = dE/dg (MarpModel.e_dg) and a
+    scalar factor, so at a root the shift y K x / y E' x, its floor
+    1e3 eps |K|_2 / |y E' x| and the tilt along K are f = rho factor(rho)
+    times shift, floor and dg_tilt.
+    """
+
+    a_mat: np.ndarray       # columns (Lambda^-1 1, a_2, ..., a_N): the null vectors
+    a_der: np.ndarray       # their derivatives along E'
+    dg_tilt: np.ndarray     # their derivatives along e_dg
+    shift: np.ndarray       # y e_dg x / y E' x
+    floor: np.ndarray       # DELTA_FLOOR eps |e_dg|_2 / |y E' x|
+
+    def __post_init__(self):
+        for name in ("a_mat", "a_der", "dg_tilt", "shift", "floor"):
+            getattr(self, name).setflags(write=False)
+
+
+def root_factors(sol: BaseSolution) -> RootFactors:
+    """bordered_solve along e_dg = dE/dg at every positive root, with one
+    norm of e_dg for the model.  The boundary system is assembled so that
+    c A^-1 reproduces the base vector u (checked)."""
+    model, pt = sol.model, sol.pt
+    n = model.n_states
+    a_mat = np.empty((n, n), dtype=complex)
+    a_mat[:, 0] = 1.0 / model.rates
+    a_der, dg_tilt = np.zeros((n, n - 1), dtype=complex), np.zeros((n, n - 1), dtype=complex)
+    shift, slopes = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
+    for idx, rho in enumerate(sol.rho_pos):
+        a_mat[:, idx + 1], slopes[idx], ygx, a_der[:, idx], dg_tilt[:, idx] = bordered_solve(
+            rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)), model.e_dg)
+        shift[idx] = ygx / slopes[idx]
+    floor = DELTA_FLOOR * np.finfo(float).eps * float(np.linalg.norm(model.e_dg, 2)) / np.abs(slopes)
+
+    c = np.zeros(n, dtype=complex)
+    c[0] = stability_margin(model, pt.mean)
+    u_check = linsolve(a_mat.T, c)
+    if np.max(np.abs(u_check - sol.u)) > 1e-9 * max(1.0, float(np.max(np.abs(sol.u)))):
+        raise PerturbationError("c A^-1 does not reproduce the base boundary vector")
+    return RootFactors(a_mat, a_der, dg_tilt, shift, floor)
+
+
+def _shifts(sol: BaseSolution, ht, variant: str) -> tuple:
+    """f = rho factor(rho) at every positive root, where K(rho) = f dE/dg,
+    with the root shifts f shift and their floors |f| floor."""
+    factor = _excess_factor(sol, ht, variant)
+    f = np.array([complex(rho) * complex(factor(rho)) for rho in sol.rho_pos], dtype=complex)
+    rf = sol.root_factors
+    return f, f * rf.shift, np.abs(f) * rf.floor
 
 
 def compute_delta(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> tuple:
     """Root shift delta for positive root idx and its rounding floor."""
-    return bordered_solve(*_root_matrices(sol, ht, idx, variant))[:2]
+    _, delta, floor = _shifts(sol, ht, variant)
+    return delta[idx], floor[idx]
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
     """Root shifts, null-vector tilts and the first-order boundary shift z.
 
     At each positive root, the null vector a_i, its s-derivative a_i' and
-    the correction vector k_i come from bordered_solve.  The boundary system
-    is assembled so that c A^-1 reproduces the base vector u (checked);
-    z = (u B + d) A^-1.  The residue identity that re-derives each delta
+    the correction vector k_i come from the solution's root factors, scaled
+    by the variant's f = rho factor(rho): delta_i = f shift_i, k_i = f
+    dg_tilt_i.  z = (u B + d) A^-1, where column i >= 1 of B is
+    delta_i a_i' - k_i.  The residue identity that re-derives each delta
     from z is enforced afterwards by verify_delta_identity.
     """
     model, pt = sol.model, sol.pt
     n = model.n_states
-    deltas, floors = [], []
-    a_mat = np.empty((n, n), dtype=complex)
-    a_mat[:, 0] = 1.0 / model.rates
+    rf = sol.root_factors
+    f, delta, floor = _shifts(sol, ht, variant)
+    # columns i >= 1 have c_i = d_i = 0 and u . a_i = 0, so z is unchanged
+    # by any smooth rescaling of a_i: the unit null vector stands in for
+    # the paper's adjugate column
     b_mat = np.zeros((n, n), dtype=complex)
-    for idx in range(len(sol.rho_pos)):
-        delta, floor, a_vec, a_der, kvec = bordered_solve(*_root_matrices(sol, ht, idx, variant))
-        deltas.append(delta)
-        floors.append(floor)
-        # columns i >= 1 have c_i = d_i = 0 and u . a_i = 0, so z is unchanged
-        # by any smooth rescaling of a_i: the unit null vector stands in for
-        # the paper's adjugate column
-        a_mat[:, idx + 1] = a_vec
-        b_mat[:, idx + 1] = delta * a_der - kvec
+    b_mat[:, 1:] = delta * rf.a_der - f * rf.dg_tilt
 
-    c = np.zeros(n, dtype=complex)
-    c[0] = stability_margin(model, pt.mean)
     d = np.zeros(n, dtype=complex)
     real_mass = model.real_fraction()
     if variant == "replace":
@@ -152,18 +179,14 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
     else:
         d[0] = pt.mean * real_mass
 
-    u_check = linsolve(a_mat.T, c)
-    if np.max(np.abs(u_check - sol.u)) > 1e-9 * max(1.0, float(np.max(np.abs(sol.u)))):
-        raise PerturbationError("c A^-1 does not reproduce the base boundary vector")
-
     w = sol.u @ b_mat + d
-    z = linsolve(a_mat.T, w)
+    z = linsolve(rf.a_mat.T, w)
     if np.max(np.abs(z.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(z)))):
         raise PerturbationError("first-order boundary shift came out complex")
     z = z.real
 
-    return PerturbationData(variant=variant, delta=tuple(deltas), delta_floor=tuple(floors),
-                            a_mat=a_mat, b_mat=b_mat, z=z)
+    return PerturbationData(variant=variant, delta=tuple(delta), delta_floor=tuple(floor),
+                            a_mat=rf.a_mat, b_mat=b_mat, z=z)
 
 
 def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):

@@ -196,7 +196,7 @@ def test_conv_survival_heavy_matches_monte_carlo():
     lam, nu = 1.0, 3.0
     rho = lam / nu
     delay = ExpPolyMeasure(atom=1 - rho, terms=((nu - lam, 0, rho * (nu - lam)),))
-    x = delay.convolve(RationalLST.exponential(nu).excess_measure())
+    x = delay.convolve(RationalLST.exponential(nu).excess_measure)
     n = 10 ** 6
     atom_draw = rng.random(n) < (1 - rho)
     samples = np.where(atom_draw, 0.0, rng.exponential(1.0 / (nu - lam), n))
@@ -612,7 +612,7 @@ def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
 
     weights, coefs, shapes = zip(*blocks)
     d_law, dd_law = base_law, base_law.convolve(base_law)
-    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure())
+    excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
     rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
     nodes = _conv_nodes(ht, ts, _max_rate(d_b + dd_b))

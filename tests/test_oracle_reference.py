@@ -167,9 +167,36 @@ SPARSE = cumulative(np.array([[0.0, 0.5, 0.0, 0.5, 0.0],
                               [0.0, 0.0, 0.0, 0.0, 1.0],
                               [0.25, 0.25, 0.25, 0.25, 0.0],
                               [0.5, 0.0, 0.5, 0.0, 0.0]]))
+
+
+def overshooting_row():
+    """A probability row whose cumulative sum rounds above 1, with a last
+    entry of probability 0: a threshold 1 + 2.2e-16 before the final 1."""
+    rng = np.random.default_rng(0)
+    while True:
+        p = rng.random(3)
+        p /= p.sum()
+        if np.cumsum(p)[-1] > 1.0:
+            return np.append(p, 0.0)
+
+
+def edge_cumulative():
+    """Thresholds on cell edges of the bucket lookup (0, 1/4096, 0.5), three
+    inside one cell, two of them 5.6e-17 apart, one just below 1 and one
+    above 1."""
+    cells = oracle.BUCKET_CELLS
+    rows = [[0.0, 1.0 / cells, 0.5, 1.0], [0.3, np.nextafter(0.3, 1.0), 0.3 + 0.1 / cells, 1.0],
+            [0.25, np.nextafter(1.0, 0.0), 1.0, 1.0], np.cumsum(overshooting_row())]
+    cum_p = np.array(rows)
+    cum_p[:, -1] = 1.0
+    return cum_p
+
+
 WALK_CASES = {"n1": cumulative(np.ones((1, 1))), "n2": random_cumulative(2, 1),
               "n5": random_cumulative(5, 2), "n8": random_cumulative(8, 3),
-              "sparse": SPARSE}
+              "n16": random_cumulative(16, 4), "n32": random_cumulative(32, 5),
+              "sparse": SPARSE, "mmpp5": cumulative(run_file_model("mmpp5").trans),
+              "edges": edge_cumulative()}
 
 
 def walk_uniforms(cum_p, length, seed):
@@ -181,6 +208,30 @@ def walk_uniforms(cum_p, length, seed):
     on = rng.random(length) < 1 / 3
     u[on] = rng.choice(ties, on.sum())
     return u
+
+
+def test_edge_cases_hold_what_they_name():
+    # mmpp5: a threshold at 0.0, and a pair 2.2e-16 apart just below 1, the
+    # upper one at 1 from the cumsum; the overshooting row: one above 1
+    thresholds, _ = oracle._successor_table(WALK_CASES["mmpp5"])
+    assert thresholds[0] == 0.0 and thresholds[-1] - thresholds[-2] == 2.0 ** -52
+    assert thresholds[-1] >= 1.0
+    assert oracle._successor_table(WALK_CASES["edges"])[0][-1] > 1.0
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_bucket_lookup_equals_the_binary_search(case):
+    # every threshold, its neighbours on both sides, every cell edge, the
+    # ends of [0, 1) and random uniforms
+    thresholds, _ = oracle._successor_table(WALK_CASES[case])
+    cells = oracle.BUCKET_CELLS
+    near = np.concatenate([thresholds, np.nextafter(thresholds, -1.0),
+                           np.nextafter(thresholds, 2.0)])
+    u = np.concatenate([near, np.arange(cells) / cells, np.nextafter(np.arange(1, cells + 1) / cells, 0.0),
+                        np.random.default_rng(3).random(10 ** 5)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = oracle._buckets(thresholds, u)
+    assert np.array_equal(got, np.searchsorted(thresholds, u, side="right"))
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))

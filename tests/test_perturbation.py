@@ -8,9 +8,9 @@ from heavyq.correction import approximate
 from heavyq.oracle import exact_solve
 from heavyq.perturbation import (
     PerturbationError,
+    _excess_factor,
     bordered_solve,
     compute_delta,
-    k_matrix,
     perturb,
     verify_delta_identity,
 )
@@ -40,6 +40,12 @@ def random_mmpp(n, seed, load=None, scale=1.0):
     if load is not None:
         rates *= load / stability_report(build_mmpp(rates, p), 1.0 / 3.0)["load"]
     return build_mmpp(scale * rates, p), RationalLST.exponential(3.0 * scale)
+
+
+def k_matrix(sol, ht, variant="replace"):
+    """Matrix function K(s) = s factor(s) dE/dg perturbing E(s); K(0) = 0."""
+    factor = _excess_factor(sol, ht, variant)
+    return lambda s: complex(s) * complex(factor(s)) * sol.model.e_dg
 
 
 def _det_along(mat, direction):
@@ -371,6 +377,28 @@ def test_bordered_solve_matches_the_adjugate_reference(name):
         assert abs(ratio - delta) <= max(1e-7 * abs(delta), pdata.delta_floor[idx])
         want = phi * (sol.u @ (delta * adj_der - adj_k))
         assert abs(sol.u @ b - want) <= 1e-8 * max(abs(want), np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2"])
+def test_both_variants_scale_one_factorisation_per_root(name):
+    # the solution keeps shift, floor and tilt per unit of rho factor(rho);
+    # each variant's are those of a bordered solve along its own K(rho)
+    model, pt = paper_model(name), RationalLST.exponential(3.0)
+    sol, ht = solve_base(model, pt), abate_whitt(2.0)
+    for variant in ("replace", "discard"):
+        pdata = perturb(sol, ht, variant)
+        for idx, rho in enumerate(sol.rho_pos):
+            k_num = k_matrix(sol, ht, variant)(rho)
+            _, slope, ykx, a_der, k_vec = bordered_solve(
+                rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)), k_num)
+            delta = ykx / slope
+            floor = 1e3 * np.finfo(float).eps * np.linalg.norm(k_num, 2) / abs(slope)
+            assert abs(pdata.delta[idx] - delta) <= 1e-12 * abs(delta)
+            assert abs(pdata.delta_floor[idx] - floor) <= 1e-12 * floor
+            assert compute_delta(sol, ht, idx, variant) == (pdata.delta[idx],
+                                                            pdata.delta_floor[idx])
+            want = delta * a_der - k_vec
+            assert np.max(np.abs(pdata.b_mat[:, idx + 1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("e_num, which", [
