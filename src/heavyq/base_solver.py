@@ -17,22 +17,30 @@ The first-passage matrix Psi from up to down phases solves the Riccati
 equation Q+- + Q++ Psi + Psi Q-- + Psi Q-+ Psi = 0.  One ordered real
 Schur form of the fluid generator, with its zero eigenvalue shifted away
 (FluidModel.shifted), spans [I; Psi] (Laub 1979); Newton's method on the
-shifted equation polishes that start, one Sylvester solve per step (Guo &
-Laub 2000), and its first step is already at rounding level.  With
+shifted equation polishes that start (Guo & Laub 2000), and its first step
+is already at rounding level.  The same Schur form gives every step: its
+diagonal blocks are similar to U and to -K, so a step is one
+quasi-triangular Sylvester solve (dtrsyl) between two basis changes.  With
 K = Q++ + Psi Q-+, U = Q-- + Q-+ Psi and p0 U = 0, the delay of a real
 arrival has P(W > x) proportional to p0 Q-+ (-K)^-1 e^(Kx) Psi d2 1, and
 its transform is the realisation atom + h (sI - K)^-1 b.  What the rest of
 the pipeline needs follows from these matrices:
 
-- the N-1 positive roots of det E are -eig(U) without its zero root, and
-  the poles and zeros of the delay transform are eig(K) and eig(K - b h /
-  atom), clustered into multiplicities like polynomial roots;
+- the N-1 positive roots of det E are -eig(U) without its zero root, the
+  poles of the delay transform are the diagonal of one complex Schur form
+  of K (Realisation.schur), and its zeros are eig(K - b h / atom), all
+  clustered into multiplicities like polynomial roots;
 - the null vectors of E at the positive roots are Lambda^-1 times the
   eigenvectors of U (the same eigendecomposition), and the boundary vector
   u solves the same linear system as in the paper, by one LU;
-- the time-domain law comes from a block diagonalisation of K: one complex
-  Schur form, then per eigenvalue cluster a reordering and a triangular
-  Sylvester solve.
+- the time-domain law comes from a block diagonalisation of K that starts
+  from the same complex Schur form: per eigenvalue cluster a reordering
+  and a triangular Sylvester solve.
+
+The factorisations call LAPACK (dgees, zgees, dgeqp3, dtrsyl, ztrsen,
+ztrsyl, getrf/getrs) without scipy's wrappers, whose checks and workspace
+queries cost more than the routines at these sizes; non-finite input and a
+failed routine raise SolverError.
 
 Checks, each raising SolverError with its value: N eigenvalues of the
 shifted fluid generator in the open left half-plane; the Riccati residual;
@@ -58,8 +66,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, schur, solve_sylvester
-from scipy.linalg.lapack import ztrsen, ztrsyl
+from scipy.linalg.lapack import dgees, dgeqp3, dgetrf, dgetrs, dtrsyl, zgees, ztrsen, ztrsyl
 
 from .measures import ExpPolyMeasure
 from .model import MarpModel, eval_E, stability_report
@@ -245,10 +252,25 @@ class Realisation:
         out = -(self._solve(s, self._solve(s, self.b[:, None]))[..., 0] @ self.h)
         return out if out.ndim else complex(out)
 
+    @cached_property
+    def schur(self) -> tuple:
+        """The complex Schur form K = Z S Z^H as (S, Z), by one zgees: its
+        diagonal is eig(K), and _law_terms reorders it."""
+        if not np.all(np.isfinite(self.k)):
+            raise SolverError("complex Schur form of K failed: K holds infs or NaNs")
+        form, _, _, z, _, info = zgees(_no_sort, self.k)
+        if info:
+            raise SolverError(f"complex Schur form of K failed: zgees info {info}")
+        return form, z
+
+
+def _no_sort(_):
+    return None
+
 
 def _unit_law(real: Realisation, poles: RootSet, what: str, at0: str) -> ExpPolyMeasure:
     """real's law, atom plus density h e^(Kx) b over the clusters poles of eig(K), of mass one."""
-    law = ExpPolyMeasure.from_terms(real.atom, _law_terms(real.k, real.h, real.b, poles))
+    law = ExpPolyMeasure.from_terms(real.atom, _law_terms(real, poles))
     mass = complex(law.total_mass())
     if not abs(mass - 1.0) <= MASS_TOL:
         raise SolverError(f"{what} not normalised: {at0} = {mass.real:.17g} "
@@ -380,13 +402,17 @@ def _arrival_basis(d2: np.ndarray) -> tuple:
     n = d2.shape[0]
     entered = np.nonzero(d2.sum(axis=0) > 0)[0]
     cols = d2[:, entered]
-    tri, piv = qr(cols, mode="r", pivoting=True)
+    if not np.all(np.isfinite(cols)):
+        raise SolverError("pivoted QR of the entered columns of d2 failed: d2 holds infs or NaNs")
+    tri, piv, _, _, info = dgeqp3(cols)
+    if info:
+        raise SolverError(f"pivoted QR of the entered columns of d2 failed: dgeqp3 info {info}")
     pivots = np.abs(np.diag(tri))
     rank = int(np.sum(pivots > RANK_TOL * pivots[0]))
     if rank == entered.size:
         basis, mix = entered, np.eye(rank)
     else:
-        basis = entered[np.sort(piv[:rank])]
+        basis = entered[np.sort(piv[:rank] - 1)]
         mix = np.linalg.lstsq(d2[:, basis], cols, rcond=None)[0]
     route = np.zeros((rank, n))
     route[:, entered] = mix
@@ -410,10 +436,10 @@ class FluidModel:
         basis, route = _arrival_basis(d2)
         exit_vec = -pt.tmat.sum(axis=1)
         return FluidModel(
-            q_pp=np.kron(np.eye(basis.size), pt.tmat),
-            q_pm=np.kron(route, exit_vec[:, None]),
+            q_pp=_kron(np.eye(basis.size), pt.tmat),
+            q_pm=_kron(route, exit_vec[:, None]),
             q_mm=model.d1 + pt.atom * d2,
-            q_mp=np.kron(d2[:, basis], pt.alpha[None, :]),
+            q_mp=_kron(d2[:, basis], pt.alpha[None, :]),
             psi_one=np.repeat(route.sum(axis=1), pt.order),
         )
 
@@ -448,37 +474,63 @@ class FluidModel:
             psi_one=self.psi_one,
         )
 
-    def schur_start(self) -> np.ndarray:
-        """Psi from the stable invariant subspace of T (Laub 1979).
+    def schur_start(self) -> tuple:
+        """Psi from the stable invariant subspace of T (Laub 1979), and the
+        Newton step in the same Schur basis.
 
-        The leading N Schur vectors X of the real Schur form ordered by
-        Re < 0 span [I; Psi], and Psi = X2 X1^-1.  On the shifted blocks
-        the N eigenvalues of U lie in the open left half-plane and those of
-        -K in the open right one.
+        T Q = Q S is the real Schur form ordered by Re < 0, with blocks Qij
+        and Sij split after the first N.  Its leading N Schur vectors span
+        [I; Psi], so Psi = Q21 X1^-1 and U = X1 S11 X1^-1 with X1 = Q11.  On
+        the shifted blocks the N eigenvalues of U lie in the open left
+        half-plane and those of -K in the open right one.  [[I, 0], [Psi, I]]
+        block-triangularises T into [[U, Q-+], [0, -K]], so -K = W S22 W^-1
+        with W = Q22 - Psi Q12, and as Q is orthogonal, W^-1 = Q22^T.  The
+        Newton equation K X + X U = -R is then the quasi-triangular Sylvester
+        equation S22 Y - Y S11 = Q22^T R X1 with X = W Y X1^-1 (dtrsyl).
+        Returns Psi and that step as a function of R.
         """
         n = self.q_mm.shape[0]
-        gen = np.block([[self.q_mm, self.q_mp], [-self.q_pm, -self.q_pp]])
-        try:
-            _, vecs, sdim = schur(gen, sort="lhp")
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"ordered Schur form of the fluid generator failed: {exc}") from exc
+        top = np.concatenate((self.q_mm, self.q_mp), axis=1)
+        gen = np.concatenate((top, -np.concatenate((self.q_pm, self.q_pp), axis=1)))
+        if not np.all(np.isfinite(gen)):
+            raise SolverError("ordered Schur form of the fluid generator failed: "
+                              "array must not contain infs or NaNs")
+        form, sdim, _, _, vecs, _, info = dgees(_open_left, gen, sort_t=1)
+        if info:
+            raise SolverError(f"ordered Schur form of the fluid generator failed: "
+                              f"{_gees_failure(info, gen.shape[0])}")
         if sdim != n:
             raise SolverError(f"expected {n} eigenvalues of the shifted fluid generator in the "
                               f"open left half-plane, found {sdim}")
-        return np.linalg.solve(vecs[:n, :n].T, vecs[n:, :n].T).T
+        lu, piv, info = dgetrf(vecs[:n, :n].T)
+        if info:
+            raise SolverError("the stable Schur vectors of the fluid generator do not span "
+                              "[I; Psi]: their leading block is singular")
+        psi = dgetrs(lu, piv, vecs[n:, :n].T)[0].T
+        w = vecs[n:, n:] - psi @ vecs[:n, n:]
+        s11, s22, q11, q22t = form[:n, :n], form[n:, n:], vecs[:n, :n], vecs[n:, n:].T
+
+        def newton_step(res: np.ndarray) -> np.ndarray:
+            if not np.all(np.isfinite(res)):
+                raise SolverError("Riccati Newton step failed: residual holds infs or NaNs")
+            y, scale, info = dtrsyl(s22, s11, q22t @ res @ q11, isgn=-1)
+            if info < 0:
+                raise SolverError(f"Riccati Newton step failed: dtrsyl info {info}")
+            return w @ dgetrs(lu, piv, y.T / scale)[0].T
+
+        return psi, newton_step
 
     def solve_psi(self) -> np.ndarray:
         """Newton on the shifted equation from its Schur start:
         (Q++ + Psi Q-+) X + X (Q-- + Q-+ Psi) = -R(Psi), then the residual
-        check on the unshifted equation."""
+        check on the unshifted equation.  Every step takes the operator at
+        the start, on its Schur blocks (schur_start): Newton's own for the
+        first step, which is already at rounding level, and within rounding
+        of it after that."""
         shift = self.shifted()
-        psi = shift.schur_start()
+        psi, newton_step = shift.schur_start()
         for _ in range(NEWTON_STEPS):
-            try:
-                step = solve_sylvester(shift.q_pp + psi @ shift.q_mp, shift.q_mm + shift.q_mp @ psi,
-                                       -shift.residual(psi))
-            except (np.linalg.LinAlgError, ValueError) as exc:   # singular or diverged
-                raise SolverError(f"Riccati Newton step failed: {exc}") from exc
+            step = newton_step(shift.residual(psi))
             psi = psi + step
             if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
                 break
@@ -486,6 +538,26 @@ class FluidModel:
         if not err <= RICCATI_TOL:
             raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
         return psi
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices by broadcasting: numpy's kron
+    forms the same products, bit for bit, with more overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _open_left(re: float, im: float) -> bool:
+    return re < 0.0
+
+
+def _gees_failure(info: int, order: int) -> str:
+    """What a positive info of dgees means, in scipy.linalg.schur's words."""
+    if info == order + 1:
+        return "Eigenvalues could not be separated for reordering."
+    if info == order + 2:
+        return "Leading eigenvalues do not satisfy sort condition."
+    return "Schur form not found. Possibly ill-conditioned."
 
 
 def _positive_roots(model: MarpModel, u_gen: np.ndarray) -> tuple:
@@ -533,18 +605,18 @@ def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarra
     return u
 
 
-def _law_terms(k: np.ndarray, h: np.ndarray, b: np.ndarray, clusters: RootSet) -> list:
+def _law_terms(real: Realisation, clusters: RootSet) -> list:
     """Density terms of h e^(Kx) b, block-diagonalising K cluster by cluster.
 
-    One complex Schur form K = Z T Z^H.  Each step moves one eigenvalue
-    cluster to the top of the remaining triangular block (ztrsen with a
-    select mask) and decouples it from the rest by a triangular Sylvester
-    solve (ztrsyl); on the cluster's block B = c I + N, e^(Bx) = e^(cx)
-    sum_j (N x)^j / j! over j < multiplicity.  Coefficients of conjugate
-    clusters are made exact conjugates.
+    From the complex Schur form K = Z T Z^H (real.schur), each step moves
+    one eigenvalue cluster to the top of the remaining triangular block
+    (ztrsen with a select mask) and decouples it from the rest by a
+    triangular Sylvester solve (ztrsyl); on the cluster's block B = c I + N,
+    e^(Bx) = e^(cx) sum_j (N x)^j / j! over j < multiplicity.  Coefficients
+    of conjugate clusters are made exact conjugates.
     """
-    rest, z = schur(k, output="complex")
-    left, right = h @ z, z.conj().T @ b
+    rest, z = real.schur
+    left, right = real.h @ z, z.conj().T @ real.b
     coefs = {}
     pending = list(clusters)
     while pending:
@@ -615,7 +687,7 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
 
     h = enter / arrival_mass
     w_hat = Realisation(atom=atom, h=h, k=k, b=b)
-    den_roots = eig_roots(k)
+    den_roots = eig_clusters(np.diag(w_hat.schur[0]), is_real=True)
     num_roots = eig_roots(k - np.outer(b, h) / atom)
     for root, _ in list(den_roots) + list(num_roots):
         if root.real >= 0:

@@ -413,15 +413,16 @@ def default_grid(sol: BaseSolution, points: int = 200,
     """Geometric grid out to where the base survival drops below GRID_FLOOR.
 
     The end is bracketed between 1e-3 and the first power of two, from 1 up
-    to 2^20, where the survival is at most GRID_FLOOR.  Each round then
-    evaluates the survival at 63 points inside the bracket, in one call,
-    and keeps the step up to the first of them at or below the floor, until
-    the bracket is two adjacent floats; the end is the upper one.
+    to 2^20, where the survival is at most GRID_FLOOR; one call evaluates
+    the survival at all 21 powers.  Each round then evaluates the survival
+    at 63 points inside the bracket, in one call, and keeps the step up to
+    the first of them at or below the floor, until the bracket is two
+    adjacent floats; the end is the upper one.
     """
     if t_max is None:
-        lo, hi = 1e-3, 1.0
-        while float(sol.survival(np.array([hi]))[0]) > GRID_FLOOR and hi < 1e6:
-            hi *= 2.0
+        powers = 2.0 ** np.arange(21)
+        stop = ~(sol.survival(powers) > GRID_FLOOR) | (powers >= 1e6)
+        lo, hi = 1e-3, float(powers[np.argmax(stop)])
         while np.nextafter(lo, hi) < hi:
             xs = np.linspace(lo, hi, 65)
             below = np.r_[sol.survival(xs[1:-1]) <= GRID_FLOOR, True]

@@ -346,8 +346,9 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     The environment makes one transition per exponential sojourn; a
     transition i -> j brings a real customer with probability q_real[i, j],
     whose service is heavy with probability eps.  Each chunk of transitions
-    draws five uniform streams in a fixed order (next state, real flag,
-    mixture component, service quantile, sojourn).  The state path comes
+    draws five random streams in a fixed order (next state, real flag,
+    mixture component, service quantile, sojourn) into buffers allocated
+    once per call, so no chunk takes fresh pages.  The state path comes
     from one successor table, built once, and a walk by blocks over the
     chunk (_walk_path); everything else is array arithmetic.  The workload
     just before transition k is the Lindley recursion
@@ -367,12 +368,12 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     got = 0
     state = int(rng.integers(0, n))
     workload = 0.0
+    uniforms, expo = np.empty((4, chunk)), np.empty(chunk)   # refilled by every chunk
+    u_next, u_real, u_mix, u_q = uniforms
     while got < n_customers:
-        u_next = rng.random(chunk)
-        u_real = rng.random(chunk)
-        u_mix = rng.random(chunk)
-        u_q = rng.random(chunk)
-        expo = rng.exponential(1.0, chunk)
+        for row in uniforms:
+            rng.random(out=row)
+        rng.standard_exponential(out=expo)
         path = _walk_path(thresholds, table, u_next, state)
         real = np.flatnonzero(u_real < model.q_real[path[:-1], path[1:]])
         real = real[:n_customers - got]
@@ -421,7 +422,8 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
     n_batches = 50
     usable = (n_customers // n_batches) * n_batches
     batched = delays[:usable].reshape(n_batches, -1)
-    per_batch = np.stack([(batched > t).mean(axis=1) for t in grid], axis=1)
+    per_batch = np.stack([np.count_nonzero(batched > t, axis=1) / batched.shape[1]
+                          for t in grid], axis=1)
     surv = per_batch.mean(axis=0)
     half = 1.96 * per_batch.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return SimulationResult(grid=grid, survival=surv, half_width=half,

@@ -5,6 +5,9 @@ once: Newton from Psi = 0 on the unshifted Riccati equation, the law terms by
 one sorted Schur form and one Sylvester solve per eigenvalue cluster, null
 vectors of E(rho) from an SVD, and Gaussian elimination with scaled partial
 pivoting.  reference_routes swaps all four into base_solver at once.
+sylvester_newton is the shifted Newton with a dense Sylvester solve per step,
+from scipy's ordered Schur start, that solve_psi replaced by steps on the
+Schur blocks of that start.
 """
 
 import math
@@ -33,6 +36,25 @@ def newton_from_zero(fluid) -> np.ndarray:
     err = float(np.max(np.abs(fluid.residual(psi)))) / fluid.scale
     if not err <= RICCATI_TOL:
         raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
+    return psi
+
+
+def sylvester_newton(fluid) -> np.ndarray:
+    """Psi by Newton on fluid's shifted equation from scipy's ordered Schur
+    start, one dense Sylvester solve per step: (Q++ + Psi Q-+) X +
+    X (Q-- + Q-+ Psi) = -R(Psi)."""
+    shift = fluid.shifted()
+    n = shift.q_mm.shape[0]
+    gen = np.block([[shift.q_mm, shift.q_mp], [-shift.q_pm, -shift.q_pp]])
+    _, vecs, sdim = schur(gen, sort="lhp")
+    assert sdim == n
+    psi = np.linalg.solve(vecs[:n, :n].T, vecs[n:, :n].T).T
+    for _ in range(NEWTON_STEPS):
+        step = solve_sylvester(shift.q_pp + psi @ shift.q_mp, shift.q_mm + shift.q_mp @ psi,
+                               -shift.residual(psi))
+        psi = psi + step
+        if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+            break
     return psi
 
 
@@ -112,7 +134,8 @@ def reference_routes(pt):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base_solver.FluidModel, "solve_psi", newton_from_zero)
-        mp.setattr(base_solver, "_law_terms", law_terms_by_cluster)
+        mp.setattr(base_solver, "_law_terms",
+                   lambda real, clusters: law_terms_by_cluster(real.k, real.h, real.b, clusters))
         mp.setattr(base_solver, "_positive_roots", svd_null_vectors)
         mp.setattr(base_solver, "linsolve", gauss_linsolve)
         yield

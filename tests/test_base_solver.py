@@ -149,10 +149,12 @@ def test_coefficient_entered_laws(rate, shape, named):
 
 def test_riccati_residual_check_names_its_value(monkeypatch):
     # the Schur start already meets the check, so one Newton step from zero
-    # stands in for an unconverged solve
+    # (on the Schur blocks of the true start) stands in for an unconverged solve
     from heavyq import base_solver
     monkeypatch.setattr(base_solver, "NEWTON_STEPS", 1)
-    monkeypatch.setattr(base_solver.FluidModel, "schur_start", lambda self: np.zeros_like(self.q_pm))
+    start = base_solver.FluidModel.schur_start
+    monkeypatch.setattr(base_solver.FluidModel, "schur_start",
+                        lambda self: (np.zeros_like(self.q_pm), start(self)[1]))
     with pytest.raises(SolverError, match=r"Riccati residual \d\.\d+e[-+]\d+ above 1e-10"):
         solve_base(mmpp2_model(), RationalLST.exponential(3.0))
 
@@ -166,6 +168,25 @@ def test_schur_start_names_its_eigenvalue_count():
     with pytest.raises(SolverError, match="expected 2 eigenvalues of the shifted fluid generator "
                                           "in the open left half-plane, found 3"):
         fluid.shifted().schur_start()
+
+
+def test_factorisations_name_non_finite_input():
+    # LAPACK is called without scipy's checks, so each factorisation checks
+    # its own input and names itself
+    from dataclasses import replace
+
+    from heavyq.base_solver import FluidModel, _arrival_basis
+    fluid = FluidModel.build(mmpp2_model(), RationalLST.exponential(3.0)).shifted()
+    with pytest.raises(SolverError, match="ordered Schur form of the fluid generator failed: "
+                                          "array must not contain infs or NaNs"):
+        replace(fluid, q_pp=fluid.q_pp * np.inf).schur_start()
+    psi, newton_step = fluid.schur_start()
+    with pytest.raises(SolverError, match="Riccati Newton step failed"):
+        newton_step(np.full_like(psi, np.nan))
+    with pytest.raises(SolverError, match="complex Schur form of K failed"):
+        Realisation(0.0, np.ones(2), np.array([[-1.0, np.nan], [0.0, -2.0]]), np.ones(2)).schur
+    with pytest.raises(SolverError, match="pivoted QR of the entered columns of d2 failed"):
+        _arrival_basis(np.array([[0.5, np.inf], [0.2, 0.3]]))
 
 
 def test_normalisation_check_names_its_ratio(monkeypatch):

@@ -1,9 +1,10 @@
 """solve_base against its earlier factorisations (solver_references).
 
 The solver factorises each matrix once: one ordered Schur form of the
-shifted fluid generator starts Newton, one eigendecomposition of U gives the
-positive roots and the null vectors of E there, one complex Schur form of K
-gives the law terms, and linsolve is one LU.  The earlier routes stay as
+shifted fluid generator starts Newton and gives every Newton step, one
+eigendecomposition of U gives the positive roots and the null vectors of E
+there, one complex Schur form of K gives the poles and the law terms, and
+linsolve is one LU.  The earlier routes stay as
 references; the two agree within 1e-12 wherever the earlier one is accurate,
 and near load 1, where it is not, the shifted route is the closer to the
 exact law.
@@ -15,6 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heavyq import base_solver, polyalg
 from heavyq.base_solver import FluidModel, RationalLST, _law_terms, solve_base
@@ -26,7 +28,7 @@ from heavyq.model import build_marp, build_mmpp
 from heavyq.oracle import exact_solve
 from heavyq.polyalg import SingularMatrixError, linsolve
 from solver_references import (gauss_linsolve, law_terms_by_cluster, newton_from_zero,
-                               reference_routes)
+                               reference_routes, sylvester_newton)
 from test_perturbation import random_mmpp
 from test_riccati import PAPER, h2_renewal, paper_model, subset_sum_solve
 
@@ -154,21 +156,47 @@ def test_near_saturation_against_the_subset_sum_law(load):
 
 
 def test_one_schur_start_and_no_svd(monkeypatch):
+    # one ordered real Schur form of the fluid generator serves the start
+    # and every Newton step, one complex Schur form of K the poles and the
+    # law terms; no dense Sylvester solve and no SVD
     model, pt = random_mmpp(64, 7, 0.8)
-    sylvester, svd = [], []
+    calls = {name: [] for name in ("dgees", "zgees", "solve_sylvester", "schur", "svd")}
 
-    def counted(calls, fn):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(args)
+            calls[name].append(args)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(base_solver, "solve_sylvester", counted(sylvester, base_solver.solve_sylvester))
-    monkeypatch.setattr(np.linalg, "svd", counted(svd, np.linalg.svd))
+    for name in ("dgees", "zgees"):
+        monkeypatch.setattr(base_solver, name, counted(name, getattr(base_solver, name)))
+    for name in ("solve_sylvester", "schur"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     sol = solve_base(model, pt)
-    assert 1 <= len(sylvester) <= 2
-    assert not svd
+    assert {name: len(args) for name, args in calls.items()} == {
+        "dgees": 1, "zgees": 1, "solve_sylvester": 0, "schur": 0, "svd": 0}
     assert abs(complex(sol.w_law.total_mass()) - 1.0) <= 1e-12
+
+
+PSI_CASES = {
+    **{f"{name}{tag}": (lambda name=name, d=d: paper_run(name, d))
+       for name in ("mm1", "erlang2", "mmpp2", "mmpp5")
+       for tag, d in (("", False), (" discard", True))},
+    **{f"random N={n}": (lambda n=n: random_mmpp(n, 7, 0.8)) for n in (16, 64, 128)},
+    **{f"N={n} seed {seed} load {load}": (lambda n=n, seed=seed, load=load:
+                                          random_mmpp(n, seed, load))
+       for load in (0.9999, 0.999999) for n, seed in ((2, 7), (3, 11), (5, 11))},
+}
+
+
+@pytest.mark.parametrize("case", PSI_CASES)
+def test_psi_matches_the_sylvester_newton(case):
+    # Newton steps on the Schur blocks of the start against a dense
+    # Sylvester solve per step, both on the shifted equation
+    model, pt = PSI_CASES[case]()
+    fluid = FluidModel.build(model, pt)
+    assert np.max(np.abs(fluid.solve_psi() - sylvester_newton(fluid))) <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["mmpp2", "mmpp5", "random N=16"])
@@ -185,13 +213,11 @@ def test_boundary_vector_matches_the_svd_route_at_eps_zero(case):
 def test_law_terms_match_the_per_cluster_route(case):
     model, pt = CASES[case]()
     sol = solve_base(model, pt)
-    real = sol.w_hat
-    laws = [(real.k, real.h, real.b, sol.den_roots)]
-    for law in (pt.excess, pt._service):
-        laws.append((law.k, law.h, law.b, pt.poles))
-    for args in laws:
-        got = sorted(_law_terms(*args), key=lambda t: (t[0].real, t[0].imag, t[1]))
-        want = sorted(law_terms_by_cluster(*args), key=lambda t: (t[0].real, t[0].imag, t[1]))
+    for real, clusters in ((sol.w_hat, sol.den_roots), (pt.excess, pt.poles),
+                           (pt._service, pt.poles)):
+        got = sorted(_law_terms(real, clusters), key=lambda t: (t[0].real, t[0].imag, t[1]))
+        want = sorted(law_terms_by_cluster(real.k, real.h, real.b, clusters),
+                      key=lambda t: (t[0].real, t[0].imag, t[1]))
         assert [(a, m) for a, m, _ in got] == [(a, m) for a, m, _ in want]
         scale = max(abs(c) for _, _, c in want)
         for (_, _, c), (_, _, d) in zip(got, want):
@@ -201,7 +227,7 @@ def test_law_terms_match_the_per_cluster_route(case):
 def test_riccati_start_needs_no_newton_step():
     for model, pt in (paper_run("mmpp5"), random_mmpp(64, 11, 0.95)):
         fluid = FluidModel.build(model, pt)
-        start = fluid.shifted().schur_start()
+        start = fluid.shifted().schur_start()[0]
         psi = fluid.solve_psi()
         assert np.max(np.abs(start - psi)) <= base_solver.NEWTON_STEP_TOL
         np.testing.assert_allclose(psi, newton_from_zero(fluid), rtol=0, atol=1e-13)
