@@ -2,8 +2,8 @@
 
 The first-order term of the delay expansion decomposes into three partial
 fraction families (driven by the boundary shift z, the adjugate tilt, and
-the determinant tilt), which correction_coeffs projects from the contour
-integrals on the base solution (BaseSolution.families).  Both variants turn
+the determinant tilt), which correction_coeffs projects from the Laurent
+data of the base solution (BaseSolution.families).  Both variants turn
 them into the time domain by one recipe (theta), which differs between them
 only in the mean of the rational law the perturbation removes: tail
 probabilities of the base delay convolved with excess service laws and one
@@ -71,9 +71,10 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
     the determinant tilt.  For the replace variant z is the replace shift;
     for the discard variant it is z - z_discard and the other families are
     unchanged.  The constants are the closed forms, each checked against
-    the contour value: the z-family constant must equal the weighted shift
-    z . omega itself, and the determinant-family constant the sum of rate *
-    real self-transition mass.  The adjugate-tilt constant has no closed
+    the families' constant (F at one point less the pole parts there): the
+    z-family constant must equal the weighted shift z . omega itself, and
+    the determinant-family constant the sum of rate * real self-transition
+    mass.  The adjugate-tilt constant has no closed
     form and keeps its real part.
     """
     model, n = sol.model, sol.model.n_states
@@ -92,7 +93,8 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
     if abs(gamma_const - gamma_direct) > 1e-6 * max(1.0, gamma_direct):
         raise CorrectionError(
             f"determinant-family constant {gamma_const} != {gamma_direct}")
-    return Families(fams.poles, fams.coefs, np.array([zw_direct, beta_const.real, gamma_direct]))
+    return Families(fams.poles, fams.coefs, np.array([zw_direct, beta_const.real, gamma_direct]),
+                    fams.contour)
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +412,73 @@ class ApproxOutput:
 
 def default_grid(sol: BaseSolution, points: int = 200,
                  t_max: float | None = None) -> np.ndarray:
-    """Geometric grid out to where the base survival drops below GRID_FLOOR.
-
-    The end is bracketed between 1e-3 and the first power of two, from 1 up
-    to 2^20, where the survival is at most GRID_FLOOR; one call evaluates
-    the survival at all 21 powers.  Each round then evaluates the survival
-    at 63 points inside the bracket, in one call, and keeps the step up to
-    the first of them at or below the floor, until the bracket is two
-    adjacent floats; the end is the upper one.
-    """
+    """Geometric grid out to where the base survival drops below GRID_FLOOR
+    (_grid_end), or to t_max."""
     if t_max is None:
-        powers = 2.0 ** np.arange(21)
-        stop = ~(sol.survival(powers) > GRID_FLOOR) | (powers >= 1e6)
-        lo, hi = 1e-3, float(powers[np.argmax(stop)])
-        while np.nextafter(lo, hi) < hi:
-            xs = np.linspace(lo, hi, 65)
-            below = np.r_[sol.survival(xs[1:-1]) <= GRID_FLOOR, True]
-            k = int(np.argmax(below)) + 1
-            lo, hi = xs[k - 1], xs[k]
-        t_max = hi
+        t_max = _grid_end(sol)
     ends = np.geomspace(t_max / 400.0, t_max, points - 1)
     ends[-1:] = t_max   # a one-point geomspace is its start
     return np.concatenate([[0.0], ends])
+
+
+def _grid_end(sol: BaseSolution) -> float:
+    """The first float above 1e-3 where the base survival is at most
+    GRID_FLOOR, or the cap 2^20, in about five survival calls.
+
+    One call at the powers of two from 1 to 2^20 brackets the end between
+    1e-3 or the last power above the floor and the first power at or below
+    it (the cap when there is none).  One call at 64 geometric points
+    narrows the bracket, and the end is estimated where log S crosses the
+    floor linearly.  Newton steps on log S, each one call at t and
+    t (1 + 1e-7), refine the estimate until a step is below 1e-6 of it,
+    which leaves an error of a few ulps (the difference quotient is good
+    to about 1e-9); then one call at the 33 adjacent floats around it
+    finds the end, the first float at or below the floor after one above
+    it.  Should that window miss the end, rounds of 63 points narrow the
+    last bracket until it is two adjacent floats, the route this one
+    replaced.
+    """
+    log_floor = math.log(GRID_FLOOR)
+
+    def log_surv(ts):
+        return np.log(np.maximum(sol.survival(ts), 1e-300))
+
+    powers = 2.0 ** np.arange(21)
+    surv = sol.survival(powers)
+    k = int(np.argmax(~(surv > GRID_FLOOR) | (powers >= 1e6)))
+    if surv[k] > GRID_FLOOR:
+        return float(powers[k])
+    lo, hi = (1e-3 if k == 0 else float(powers[k - 1])), float(powers[k])
+    xs = np.geomspace(lo, hi, 65)[1:]
+    logs = np.r_[log_surv(xs[:-1]), math.log(max(surv[k], 1e-300))]
+    j = int(np.argmax(logs <= log_floor))
+    if j > 0:
+        lo, hi = float(xs[j - 1]), float(xs[j])
+        t = lo + (hi - lo) * (logs[j - 1] - log_floor) / (logs[j - 1] - logs[j])
+    else:
+        hi = float(xs[0])
+        t = 0.5 * (lo + hi)
+    for _ in range(4):
+        lt, lt2 = log_surv(np.array([t, t * (1.0 + 1e-7)]))
+        if lt > log_floor:
+            lo = t
+        else:
+            hi = t
+        step = (lt - log_floor) * t * 1e-7 / (lt2 - lt) if lt2 != lt else 0.0
+        t = min(max(t - step, lo), hi)
+        if abs(step) <= 1e-6 * t:
+            break
+    window = (np.float64(t).view(np.int64) + np.arange(-16, 17)).view(np.float64)
+    below = sol.survival(window) <= GRID_FLOOR
+    j = int(np.argmax(below))
+    if below[j] and j > 0 and not below[0]:
+        return float(window[j])
+    while np.nextafter(lo, hi) < hi:
+        xs = np.linspace(lo, hi, 65)
+        below = np.r_[sol.survival(xs[1:-1]) <= GRID_FLOOR, True]
+        j = int(np.argmax(below)) + 1
+        lo, hi = xs[j - 1], xs[j]
+    return hi
 
 
 def mixture_stable(model, pt: RationalLST, ht, eps: float) -> bool:

@@ -219,21 +219,30 @@ def _convolve_pair(a1, m1, c1, a2, m2, c2):
 
 
 def _merge(terms):
-    """Combine terms sharing (rate, power); drop exact zeros; sort for determinism."""
+    """Combine terms sharing (rate, power); drop exact zeros; sort for determinism.
+
+    A term joins the first key, in order of creation, of its power and
+    within RATE_MERGE_TOL of its rate.  Keys only get appended, so a term
+    whose exact (rate, power) came before joins the same key, looked up
+    without the scan."""
     bucket: dict = {}
     keys: list = []
+    placed: dict = {}   # (rate, power) of a term seen before -> the key it joined
     for a, m, c in terms:
-        placed = False
-        for key in keys:
-            ka, km = key
-            if km == m and abs(ka - a) <= RATE_MERGE_TOL * max(1.0, abs(ka)):
+        key = placed.get((a, m))
+        if key is None:
+            key = next((k for k in keys
+                        if k[1] == m and abs(k[0] - a) <= RATE_MERGE_TOL * max(1.0, abs(k[0]))),
+                       None)
+            if key is None:
+                key = (a, m)
+                keys.append(key)
+                bucket[key] = c
+            else:
                 bucket[key] += c
-                placed = True
-                break
-        if not placed:
-            key = (a, m)
-            keys.append(key)
-            bucket[key] = c
+            placed[(a, m)] = key
+        else:
+            bucket[key] += c
     out = [(a, m, c) for (a, m), c in bucket.items() if c != 0]
     out.sort(key=lambda x: (round(x[0].real if isinstance(x[0], complex) else x[0], 12),
                             round(x[0].imag if isinstance(x[0], complex) else 0.0, 12), x[1]))

@@ -8,35 +8,46 @@ matrix, the root shifts, the null-vector tilts, and the first-order
 boundary-vector shift z.
 
 All of it comes from the numeric matrices E, E' and K at each positive root
-rho, by one SVD and one bordered solve (Keller 1977; Govaerts, Numerical
-Methods for Bifurcations of Dynamical Equilibria, 2000).  With x and y the
-right and left singular vectors of the smallest singular value of E(rho),
-the root shift is the residue y K x / y E' x.  M = [[E, y^H], [x^H, 0]] is
-regular at a simple root, and [x; -sigma_min] solves M [a; g] = [0; 1]: the
-null vector a = x is normalised by x^H a = 1.  Along a direction D,
--M^-1 [D a; 0] is the derivative (a_D, g_D) of that solution, which gives
-the tilts a' (D = E') and k (D = K).  K(s) = s factor(s) dE/dg, and only
+rho, by one LU of a bordered matrix (Keller 1977; Govaerts, Numerical
+Methods for Bifurcations of Dynamical Equilibria, 2000).  The base solve
+knows the null vector a of E(rho) (Lambda^-1 times an eigenvector of U);
+scaled to unit length it borders M = [[E, E' a], [a^H, 0]], which is regular
+exactly when rho is a simple root: a one-dimensional null space and
+y E' a != 0 for the left null vector y.  Along a direction D,
+M [t; mu] = [D a; 0] gives E t = D a - mu E' a and a^H t = 0, so along
+D = K, mu = y K a / y E' a is the residue-route shift and t the combined
+tilt delta a' - k that z needs; [y, 0] = [0, 1] M^-1 is the left null vector
+with y E' a = 1, and [w, 0] = [u, 0] M^-1 is the value at rho of u E(s)^-1,
+which has no pole there as u . a = 0 (base_solver takes the correction
+families' residues at rho from y and w).  K(s) = s factor(s) dE/dg, and only
 the scalar factor depends on the variant, so both variants share one
-factorisation per root along dE/dg (root_factors, kept on the solution)
-and scale it by rho factor(rho).  The paper's adjugate columns and
+factorisation per root along dE/dg (root_factors, kept on the solution) and
+scale it by rho factor(rho).  The paper's adjugate columns and
 column-replacement determinants are only the derivation of these
-quantities; the tests keep them as an independent reference, and
-verify_delta_identity re-derives every shift through z and the families.
+quantities; the tests keep them as an independent reference.  Two checks
+re-derive every shift: root_factors tracks the roots of det(E + eps dE/dg)
+at eps = +-h (tracked_shifts), which uses neither the bordered
+matrix nor its null vectors, and verify_delta_identity closes the loop
+through z and the families for each variant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base_solver import BaseSolution
+from .base_solver import BaseSolution, _inverses
 from .model import eval_E, eval_E_deriv, stability_margin
 from .polyalg import linsolve
 
-DELTA_AGREEMENT_TOL = 1e-7  # relative, of the delta identity
+DELTA_AGREEMENT_TOL = 1e-7  # relative, of the tracked shifts and the delta identity
 DELTA_FLOOR = 1e3        # rounding floor of the shift checks, in eps |K| / |y E' x|
-SIMPLE_ROOT_TOL = 1e-10  # sigma_(N-1)/sigma_1 and |y E' x|/|E'|_2 of a simple root
+SIMPLE_ROOT_TOL = 1e-10  # 1/(|M^-1| |E|) and |y E' a|/(|y| |a| |E'|) of a simple root
+TRACK_EPS = 3e-6         # step h in eps of the root tracking
+TRACK_FLOOR = 10.0       # rounding floor of the tracked shifts, in eps_mach cond / h
+TRACK_STEPS = 30         # Newton steps of the root tracking before giving up
 
 
 class PerturbationError(RuntimeError):
@@ -67,81 +78,118 @@ def _excess_factor(sol: BaseSolution, ht, variant: str):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def bordered_solve(rho, e_num, e_der, direction) -> tuple:
-    """Null vector, slope and tilts at the simple root rho of det E.
+def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
+    """Null vectors, shifts and tilts at simple roots rho of det E.
 
-    Returns the null vector a = x, the slope y E' x, the residue numerator
-    y D x along direction D, and the derivatives a' along E' and a_D along
-    D.  A second null direction (sigma_(N-1)/sigma_1) or a multiple root of
-    det E (|y E' x|/|E'|_2) below SIMPLE_ROOT_TOL raises; both ratios are
-    free of the time unit and of N.
+    Roots stack on the first axis: rho (R,), e_num and e_der (R, N, N), and
+    a (R, N) null vectors of any scale; direction (N x N) and row (N, with
+    row . a = 0) are shared.  One batched LU inverts M = [[E, E' a], [a^H,
+    0]] with a of unit length, and gives the unit a, the left null vectors
+    y with y E' a = 1 ([y, 0] = [0, 1] M^-1), the tilts t and shifts mu
+    along D = direction (M [t; mu] = [D a; 0]) and w ([w, 0] = [row, 0]
+    M^-1), roots on the first axis of each.
+
+    A second null direction or a multiple root raises: 1/(|M^-1| |E|) or
+    |y E' a|/(|y| |a| |E'|) below SIMPLE_ROOT_TOL, in Frobenius norms.  The
+    first is at most sigma_(N-1)/sigma_1 of E, since M maps [v; 0], v the
+    unit combination of E's last two right singular vectors orthogonal to
+    a, to a vector no longer than sigma_(N-1); the second is at most
+    |y E' x|/|E'|_2 for unit null vectors x and y.  So each fires wherever
+    its singular-value form does, and both are free of the time unit and
+    of N.  An exactly singular M has the first 0, and then y comes from an
+    eigendecomposition of E^H for the message.
     """
-    lsv, sv, rsv = np.linalg.svd(e_num)
-    x, y = rsv[-1].conj(), lsv[:, -1].conj()
-    slope = y @ e_der @ x
-    gap = sv[-2] / sv[0]
-    steep = abs(slope) / np.linalg.norm(e_der, 2)
-    if min(gap, steep) < SIMPLE_ROOT_TOL:
-        raise PerturbationError(f"root {rho} is not numerically simple: "
-                                f"sigma_(N-1)/sigma_1 = {gap:.3e}, |y E' x|/|E'| = {steep:.3e}")
-    bordered = np.block([[e_num, lsv[:, -1:]], [rsv[-1:], np.zeros((1, 1))]])
-    tilts = np.linalg.solve(bordered, -np.vstack([np.column_stack([e_der @ x, direction @ x]),
-                                                  np.zeros((1, 2))]))
-    a_der, d_tilt = tilts[:-1].T
-    return x, slope, y @ direction @ x, a_der, d_tilt
+    n = e_num.shape[-1]
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    ed_a = np.einsum("rij,rj->ri", e_der, a)
+    bordered = np.zeros((len(rho), n + 1, n + 1), dtype=complex)
+    bordered[:, :n, :n] = e_num
+    bordered[:, :n, n] = ed_a
+    bordered[:, n, :n] = a.conj()
+    inv = _inverses(bordered)
+    y = inv[:, n, :n]
+    gap = 1.0 / (np.linalg.norm(inv, axis=(-2, -1)) * np.linalg.norm(e_num, axis=(-2, -1)))
+    singular = ~np.isfinite(gap)
+    gap[singular] = 0.0
+    for idx in np.nonzero(singular)[0]:
+        eigs, vecs = np.linalg.eig(e_num[idx].conj().T)
+        y[idx] = vecs[:, np.argmin(np.abs(eigs))].conj()
+    steep = np.abs(np.einsum("ri,ri->r", y, ed_a)) / (
+        np.linalg.norm(y, axis=1) * np.linalg.norm(e_der, axis=(-2, -1)))
+    for idx in np.nonzero(np.minimum(gap, steep) < SIMPLE_ROOT_TOL)[0]:
+        raise PerturbationError(f"root {rho[idx]} is not numerically simple: "
+                                f"1/(|M^-1| |E|) = {gap[idx]:.3e}, "
+                                f"|y E' a|/(|y| |a| |E'|) = {steep[idx]:.3e}")
+    d_a = a @ direction.T
+    tilt = np.einsum("rij,rj->ri", inv[:, :n, :n], d_a)
+    return a, y, tilt, np.einsum("ri,ri->r", y, d_a), row @ inv[:, :n, :n]
 
 
 @dataclass(frozen=True)
 class RootFactors:
-    """The part of perturb that no variant changes, one column per positive
+    """The part of perturb that no variant changes, one entry per positive
     root (BaseSolution.root_factors).
 
     K(s) = s factor(s) e_dg with e_dg = dE/dg (MarpModel.e_dg) and a
-    scalar factor, so at a root the shift y K x / y E' x, its floor
-    1e3 eps |K|_2 / |y E' x| and the tilt along K are f = rho factor(rho)
-    times shift, floor and dg_tilt.
+    scalar factor, so at a root the shift y K a / y E' a, its floor
+    1e3 eps |K|_2 |y| |a| / |y E' a| and the tilt delta a' - k are
+    f = rho factor(rho) times shift, floor and tilt.  y and w are the
+    bordered solve's (bordered_solve with row u): the left null vector with
+    y E' a = 1 and the value of u E(s)^-1 at the root.
     """
 
-    a_mat: np.ndarray       # columns (Lambda^-1 1, a_2, ..., a_N): the null vectors
-    a_der: np.ndarray       # their derivatives along E'
-    dg_tilt: np.ndarray     # their derivatives along e_dg
-    shift: np.ndarray       # y e_dg x / y E' x
-    floor: np.ndarray       # DELTA_FLOOR eps |e_dg|_2 / |y E' x|
+    a_mat: np.ndarray       # columns (Lambda^-1 1, a_2, ..., a_N), the a_i of unit length
+    tilt: np.ndarray        # columns delta a' - k per unit of f, with a^H tilt = 0
+    shift: np.ndarray       # y e_dg a / y E' a
+    floor: np.ndarray       # DELTA_FLOOR eps |e_dg|_2 |y| |a| / |y E' a|
+    y: np.ndarray           # rows: left null vectors, y E' a = 1
+    w: np.ndarray           # rows: u E(s)^-1 at each root
 
     def __post_init__(self):
-        for name in ("a_mat", "a_der", "dg_tilt", "shift", "floor"):
+        for name in ("a_mat", "tilt", "shift", "floor", "y", "w"):
             getattr(self, name).setflags(write=False)
 
 
 def root_factors(sol: BaseSolution) -> RootFactors:
-    """bordered_solve along e_dg = dE/dg at every positive root, with one
-    norm of e_dg for the model.  The boundary system is assembled so that
-    c A^-1 reproduces the base vector u (checked)."""
+    """bordered_solve along e_dg = dE/dg at every positive root, from the
+    base solve's null vectors, with one 2-norm of e_dg for the model (the
+    square root of the largest eigenvalue of e_dg^T e_dg).
+
+    Checked: the shifts agree with root tracking (tracked_shifts) within
+    DELTA_AGREEMENT_TOL relative or below floor plus the tracking's
+    rounding level, TRACK_FLOOR eps_mach cond / h with cond = |E|_F |y| |a|
+    / |y E' a|, the root's condition (how far rounding in E moves it); and
+    the boundary system c A^-1 reproduces the base vector u."""
     model, pt = sol.model, sol.pt
     n = model.n_states
+    rho = np.array(sol.rho_pos, dtype=complex)
     a_mat = np.empty((n, n), dtype=complex)
     a_mat[:, 0] = 1.0 / model.rates
-    a_der, dg_tilt = np.zeros((n, n - 1), dtype=complex), np.zeros((n, n - 1), dtype=complex)
-    shift, slopes = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
-    for idx, rho in enumerate(sol.rho_pos):
-        a_mat[:, idx + 1], slopes[idx], ygx, a_der[:, idx], dg_tilt[:, idx] = bordered_solve(
-            rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)), model.e_dg)
-        shift[idx] = ygx / slopes[idx]
-    floor = DELTA_FLOOR * np.finfo(float).eps * float(np.linalg.norm(model.e_dg, 2)) / np.abs(slopes)
+    g, g_der = pt.value_and_deriv(rho)
+    e_num, e_der = eval_E(model, rho, g), eval_E_deriv(model, g_der)
+    a, y, tilt, shift, w = bordered_solve(rho, e_num, e_der, np.reshape(sol.nulls, (-1, n)),
+                                          model.e_dg, sol.u)
+    a_mat[:, 1:] = a.T
+    dg_norm = math.sqrt(float(np.linalg.eigvalsh(model.e_dg.T @ model.e_dg)[-1]))
+    y_norm = np.linalg.norm(y, axis=1)       # |y| |a| / |y E' a|, as |a| = y E' a = 1
+    floor = DELTA_FLOOR * np.finfo(float).eps * dg_norm * y_norm
+    cond = np.linalg.norm(e_num, axis=(-2, -1)) * y_norm
+    _agree("root tracking disagrees with the shift", rho, shift, tracked_shifts(sol, shift),
+           floor + TRACK_FLOOR * np.finfo(float).eps * cond / TRACK_EPS)
 
     c = np.zeros(n, dtype=complex)
     c[0] = stability_margin(model, pt.mean)
     u_check = linsolve(a_mat.T, c)
     if np.max(np.abs(u_check - sol.u)) > 1e-9 * max(1.0, float(np.max(np.abs(sol.u)))):
         raise PerturbationError("c A^-1 does not reproduce the base boundary vector")
-    return RootFactors(a_mat, a_der, dg_tilt, shift, floor)
+    return RootFactors(a_mat, tilt.T.copy(), shift, floor, y, w)
 
 
 def _shifts(sol: BaseSolution, ht, variant: str) -> tuple:
     """f = rho factor(rho) at every positive root, where K(rho) = f dE/dg,
     with the root shifts f shift and their floors |f| floor."""
-    factor = _excess_factor(sol, ht, variant)
-    f = np.array([complex(rho) * complex(factor(rho)) for rho in sol.rho_pos], dtype=complex)
+    rho = np.array(sol.rho_pos, dtype=complex)
+    f = rho * _excess_factor(sol, ht, variant)(rho)
     rf = sol.root_factors
     return f, f * rf.shift, np.abs(f) * rf.floor
 
@@ -155,12 +203,12 @@ def compute_delta(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
     """Root shifts, null-vector tilts and the first-order boundary shift z.
 
-    At each positive root, the null vector a_i, its s-derivative a_i' and
-    the correction vector k_i come from the solution's root factors, scaled
-    by the variant's f = rho factor(rho): delta_i = f shift_i, k_i = f
-    dg_tilt_i.  z = (u B + d) A^-1, where column i >= 1 of B is
-    delta_i a_i' - k_i.  The residue identity that re-derives each delta
-    from z is enforced afterwards by verify_delta_identity.
+    At each positive root, the null vector a_i and the tilt delta_i a_i' -
+    k_i come from the solution's root factors, scaled by the variant's
+    f = rho factor(rho): delta_i = f shift_i, delta_i a_i' - k_i = f tilt_i.
+    z = (u B + d) A^-1, where column i >= 1 of B is that tilt.  The residue
+    identity that re-derives each delta from z is enforced afterwards by
+    verify_delta_identity.
     """
     model, pt = sol.model, sol.pt
     n = model.n_states
@@ -170,7 +218,7 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
     # by any smooth rescaling of a_i: the unit null vector stands in for
     # the paper's adjugate column
     b_mat = np.zeros((n, n), dtype=complex)
-    b_mat[:, 1:] = delta * rf.a_der - f * rf.dg_tilt
+    b_mat[:, 1:] = f * rf.tilt
 
     d = np.zeros(n, dtype=complex)
     real_mass = model.real_fraction()
@@ -189,22 +237,68 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
                             a_mat=rf.a_mat, b_mat=b_mat, z=z)
 
 
+def tracked_shifts(sol: BaseSolution, guess) -> np.ndarray:
+    """The root shifts along dE/dg, by tracking the roots of det(E + eps dE/dg).
+
+    E(s) takes the service transform g(s) only in g dE/dg, so E + eps dE/dg
+    is E with g(s) + eps in its place, and its derivative is g' dE/dg + I.
+    Newton steps 1 / tr(E^-1 E') at eps = -h and h (h = TRACK_EPS; eps has
+    no unit), on every positive root at once, one batched inverse per step,
+    give the central difference (rho(-h) - rho(h)) / 2h = y dE/dg a / y E' a
+    + O(h^2), the shift of root_factors by another route: no bordered
+    matrix, no null vector.  E is real on the real axis, so a root below
+    it takes the conjugate of its partner's shift.  Newton starts from the
+    first-order prediction rho - eps guess, which only decides how many
+    steps it takes, and stops after a step below 1e-8 of every root: Newton
+    converges quadratically, so that step left an error of order 1e-16
+    relative, times the root's condition.  An exactly singular E (a step
+    can land on a real root exactly) is at its root and steps by 0.
+    """
+    model, pt = sol.model, sol.pt
+    rho = np.array(sol.rho_pos, dtype=complex)
+    upper = rho.imag >= 0
+    h, roots = TRACK_EPS, rho[upper]
+    eps = np.repeat([-h, h], roots.size)
+    x = np.tile(roots, 2) - eps * np.tile(np.asarray(guess, dtype=complex)[upper], 2)
+    for _ in range(TRACK_STEPS):
+        g, g_der = pt.value_and_deriv(x)
+        inv = _inverses(eval_E(model, x, g + eps))
+        step = np.nan_to_num(1.0 / (g_der * np.einsum("rij,ji->r", inv, model.e_dg)
+                                    + np.trace(inv, axis1=1, axis2=2)), nan=0.0)
+        x = x - step
+        if np.all(np.abs(step) <= 1e-8 * np.maximum(1.0, np.abs(x))):
+            break
+    else:
+        raise PerturbationError(f"root tracking at eps = +-{h:.3e} did not converge")
+    lo, hi = x.reshape(2, roots.size)
+    shifts = np.empty(rho.size, dtype=complex)
+    shifts[upper] = (lo - hi) / (2.0 * h)
+    partner = [np.argmin(np.abs(roots - r.conjugate())) for r in rho[~upper]]
+    shifts[~upper] = shifts[upper][partner].conj()
+    return shifts
+
+
 def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):
     """Numerator-side residue identity for every delta.
 
     delta_k must equal (factor(rho_k) beta_k + alpha_k(z)) / u.w, with
     alpha_k and beta_k the residues at rho_k of the z- and adjugate-tilt
-    families (sol.families) and z the variant's own boundary shift.  This
-    closes the loop through z and the families, independently of the
-    bordered solve.
+    families (sol.families) and z the variant's own boundary shift, within
+    DELTA_AGREEMENT_TOL relative or below the rounding floor.  This closes
+    the loop through z and the families; root_factors has already held
+    every shift to root tracking (tracked_shifts), which uses neither.
     """
-    fam, n = sol.families, sol.model.n_states
-    factor = _excess_factor(sol, ht, pdata.variant)
-    for idx, rho in enumerate(sol.rho_pos):
-        res = fam.coefs[idx][0]      # residues at rho: F_alpha's vector, F_beta, F_gamma
-        want = (complex(factor(rho)) * res[n] + pdata.z @ res[:n]) / sol.uw
-        got = pdata.delta[idx]
-        if abs(got - want) > max(DELTA_AGREEMENT_TOL * max(abs(got), abs(want)),
-                                 pdata.delta_floor[idx]):
-            raise PerturbationError(f"numerator-side delta identity failed at root {rho}: "
-                                    f"{got} vs {want}")
+    rho, got = np.array(sol.rho_pos, dtype=complex), np.asarray(pdata.delta)
+    n = sol.model.n_states
+    res = np.array([coefs[0] for coefs in sol.families.coefs[:rho.size]]).reshape(rho.size, n + 2)
+    want = (_excess_factor(sol, ht, pdata.variant)(rho) * res[:, n] + res[:, :n] @ pdata.z) / sol.uw
+    _agree("numerator-side delta identity failed", rho, got, want, np.asarray(pdata.delta_floor))
+
+
+def _agree(what: str, rho, got, want, floor):
+    """Raise at the first root where got and want differ by more than
+    DELTA_AGREEMENT_TOL relative and more than floor."""
+    bad = np.abs(got - want) > np.maximum(
+        DELTA_AGREEMENT_TOL * np.maximum(np.abs(got), np.abs(want)), floor)
+    for idx in np.flatnonzero(bad)[:1]:
+        raise PerturbationError(f"{what} at root {rho[idx]}: {got[idx]} vs {want[idx]}")

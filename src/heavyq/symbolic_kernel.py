@@ -260,9 +260,10 @@ def xi_polys(model: MarpModel, pt, r: int) -> dict:
     of the adjugate) and ``xi_prime_by_state`` (plain clearing), all with the
     denominator of the service transform raised to the stated power r.
     Indexing of the (i, l) maps is (component i, state l), zero-based, i.e.
-    the adjugate entry used is Adj_{l,i}.  The correction itself takes its
-    families from E(s)^-1 (BaseSolution.families); these polynomials are the
-    paper's route to the same rationals.
+    the adjugate entry used is Adj_{l,i}.  The correction itself takes the
+    families' pole parts in closed form from E(s)^-1 and the null vectors
+    at the positive roots (BaseSolution.families); these polynomials are
+    the paper's route to the same rationals.
     """
     q, p = service_polys(pt)
     # reject a shared root: q and p may not vanish together

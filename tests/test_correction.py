@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heavyq import correction, symbolic_kernel
-from heavyq.base_solver import Families, RationalLST, solve_base
+from heavyq.base_solver import BaseSolution, Families, RationalLST, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (
     GRID_FLOOR,
@@ -30,6 +30,7 @@ from heavyq.oracle import exact_solve
 from heavyq.perturbation import perturb
 from heavyq.polyalg import Poly, RationalFn, RootSet, partial_fractions
 from heavyq.symbolic_kernel import xi_polys
+from perturbation_references import laurent_families
 from test_perturbation import random_mmpp
 from test_riccati import cleared_determinant, paper_model
 
@@ -399,6 +400,48 @@ def test_default_grid_end_is_within_a_few_ulps_of_the_bisection(n, seed, load, s
     assert (end == 2.0 ** 20) == (scale < 1.0)
 
 
+GRID_CASES = [("mmpp2",), ("mmpp5",), ("erlang2",), ("mm1",), (8, 0, 0.8, 1.0),
+              (8, 2, 0.999, 1.0), (16, 3, 0.95, 1.0), (8, 0, 0.99999, 0.1)]
+
+
+@pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_default_grid_end_takes_at_most_five_survival_calls(case, monkeypatch):
+    # measured: 4 calls on the run files and the random cases, 1 at the cap
+    if len(case) == 1:
+        cfg = parse_config(os.path.join(PAPER, f"{case[0]}.cfg"))
+        sol = solve_base(cfg.model, cfg.pt)
+    else:
+        sol = solve_base(*random_mmpp(*case))
+    calls = []
+    survival = BaseSolution.survival
+
+    def counting(self, t, table=None):
+        calls.append(np.size(t))
+        return survival(self, t, table)
+
+    monkeypatch.setattr(BaseSolution, "survival", counting)
+    default_grid(sol)
+    assert len(calls) <= 5, calls
+
+
+
+def test_default_grid_end_falls_back_to_the_rounds_when_the_window_misses(monkeypatch):
+    # a window of adjacent floats that reads all below the floor hides the
+    # crossing; the 63-point rounds from the Newton bracket still end within
+    # a few ulps of the bisection (measured: one ulp below it, a crossing of
+    # the floor that rounding puts next to the bisection's)
+    cfg = parse_config(os.path.join(PAPER, "mmpp2.cfg"))
+    sol = solve_base(cfg.model, cfg.pt)
+    want = bisected_grid_end(sol)
+    survival = BaseSolution.survival
+
+    def blind_window(self, t, table=None):
+        vals = survival(self, t, table)
+        return np.zeros_like(vals) if np.size(t) == 33 else vals
+
+    monkeypatch.setattr(BaseSolution, "survival", blind_window)
+    assert abs(default_grid(sol)[-1] - want) <= 4 * np.spacing(want)
+
 def test_tail_dominated_by_heavy_component(mmpp2_setup):
     # base dies exponentially; corrected/(eps * excess survival) stays bounded
     model, pt, ht, sol, *_ = mmpp2_setup
@@ -475,6 +518,60 @@ def test_lumpable_environment_curves_against_exact_solve(pt):
         assert errs[0] <= 1e-4, variant
         # halving eps quarters the error
         assert 0.2 <= errs[1] / errs[0] <= 0.3, (variant, errs)
+
+
+def bursty_mmpp(n, seed=5, load=0.8):
+    """Rates e^U(-1.5, 1.5) rescaled to load, P = 0.95 I + 0.05 x uniform rows,
+    exp(3) service: a family far from M/M/1 with close positive roots."""
+    rng = np.random.default_rng(seed)
+    rates = np.exp(rng.uniform(-1.5, 1.5, n))
+    p = 0.95 * np.eye(n) + 0.05 * rng.uniform(size=(n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    pt = RationalLST.exponential(3.0)
+    rates *= load / (build_mmpp(rates, p).real_arrival_rate() * pt.mean)
+    return build_mmpp(rates, p), pt
+
+
+LUMPABLE = build_mmpp([2.0, 2.0, 3.0], [[.5, .2, .3], [.2, .5, .3], [.25, .25, .5]])
+FAMILY_CASES = {
+    **{f"{m}-{s}": (lambda m=m, s=s: (paper_model(m), SERVICES[s]))
+       for m in ("mmpp2", "mmpp5", "erlang2", "mm1") for s in SERVICES},
+    "lumpable-exp3": lambda: (LUMPABLE, SERVICES["exp3"]),
+    "lumpable-erlang(6,2)": lambda: (LUMPABLE, SERVICES["erlang(6,2)"]),
+    "mmpp2-erlang(12,3)": lambda: (mmpp2_model(), RationalLST.erlang(12.0, 3)),
+    "random16": lambda: random_mmpp(16, 7, 0.8),
+    "random32": lambda: random_mmpp(32, 11, 0.95),
+    "random64": lambda: random_mmpp(64, 11, 0.95),
+    "bursty16": lambda: bursty_mmpp(16),
+    "bursty32": lambda: bursty_mmpp(32),
+}
+
+
+@pytest.mark.parametrize("case", list(FAMILY_CASES))
+def test_closed_form_families_match_the_contour(case):
+    # every pole part against the contour route at every pole, within 1e-10
+    # of the largest coefficient of its component (at least 1e-6 of the
+    # largest of all, for a component that vanishes at every pole), and the
+    # constants within 1e-10; measured at most 4.8e-12 (random64's zeros)
+    sol = solve_base(*FAMILY_CASES[case]())
+    new, ref = sol.families, laurent_families(sol)
+    assert new.poles == ref.poles
+    size = np.max(np.abs(np.concatenate(ref.coefs)), axis=0)
+    scale = np.maximum(size, 1e-6 * np.max(size))
+    for pole, got, want in zip(new.poles, new.coefs, ref.coefs):
+        assert np.max(np.abs(got - want) / scale) <= 1e-10, pole
+    assert np.max(np.abs(new.const - ref.const) / np.maximum(1.0, np.abs(ref.const))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "mm1"])
+def test_the_contour_takes_at_most_one_pole_on_the_paper_runs(name):
+    # the positive roots and every simple zero where E is regular have closed
+    # forms; erlang2 and mm1 keep their zero at the service pole -3, where
+    # E itself has a pole, on the contour
+    cfg = parse_config(os.path.join(PAPER, f"{name}.cfg"))
+    fam = solve_base(cfg.model, cfg.pt).families
+    assert len(fam.contour) <= 1
+    assert all(k >= len(cfg.model.rates) - 1 for k in fam.contour)
 
 
 def test_erlang_12_3_replace_curve_against_exact_solve():

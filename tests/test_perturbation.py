@@ -7,13 +7,18 @@ from heavyq.model import build_marp, build_mmpp, eval_E, eval_E_deriv, stability
 from heavyq.correction import approximate
 from heavyq.oracle import exact_solve
 from heavyq.perturbation import (
+    DELTA_AGREEMENT_TOL,
+    TRACK_EPS,
+    TRACK_FLOOR,
     PerturbationError,
     _excess_factor,
     bordered_solve,
     compute_delta,
     perturb,
+    tracked_shifts,
     verify_delta_identity,
 )
+from perturbation_references import svd_bordered_solve
 from test_riccati import paper_model
 
 
@@ -379,17 +384,21 @@ def test_bordered_solve_matches_the_adjugate_reference(name):
         assert abs(sol.u @ b - want) <= 1e-8 * max(abs(want), np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2"])
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "random16"])
 def test_both_variants_scale_one_factorisation_per_root(name):
     # the solution keeps shift, floor and tilt per unit of rho factor(rho);
-    # each variant's are those of a bordered solve along its own K(rho)
-    model, pt = paper_model(name), RationalLST.exponential(3.0)
+    # each variant's are those of the SVD-bordered solve along its own K(rho),
+    # whose null vector x is the LU route's unit a up to a phase phi
+    if name == "random16":
+        model, pt = random_mmpp(16, 7, load=0.8)
+    else:
+        model, pt = paper_model(name), RationalLST.exponential(3.0)
     sol, ht = solve_base(model, pt), abate_whitt(2.0)
     for variant in ("replace", "discard"):
         pdata = perturb(sol, ht, variant)
         for idx, rho in enumerate(sol.rho_pos):
             k_num = k_matrix(sol, ht, variant)(rho)
-            _, slope, ykx, a_der, k_vec = bordered_solve(
+            x, slope, ykx, a_der, k_vec = svd_bordered_solve(
                 rho, eval_E(model, rho, pt(rho)), eval_E_deriv(model, pt.deriv_at(rho)), k_num)
             delta = ykx / slope
             floor = 1e3 * np.finfo(float).eps * np.linalg.norm(k_num, 2) / abs(slope)
@@ -397,17 +406,107 @@ def test_both_variants_scale_one_factorisation_per_root(name):
             assert abs(pdata.delta_floor[idx] - floor) <= 1e-12 * floor
             assert compute_delta(sol, ht, idx, variant) == (pdata.delta[idx],
                                                             pdata.delta_floor[idx])
-            want = delta * a_der - k_vec
+            a = pdata.a_mat[:, idx + 1]
+            phi = x.conj() @ a
+            assert abs(abs(phi) - 1.0) <= 1e-12 and np.linalg.norm(a - phi * x) <= 1e-12
+            want = phi * (delta * a_der - k_vec)
             assert np.max(np.abs(pdata.b_mat[:, idx + 1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("e_num, which", [
-    (np.diag([0.0, 0.0, 1.0]), r"sigma_\(N-1\)/sigma_1 = 0\.000e\+00"),
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), r"\|y E' x\|/\|E'\| = 0\.000e\+00"),
+    (np.diag([0.0, 0.0, 1.0]), r"1/\(\|M\^-1\| \|E\|\) = 0\.000e\+00"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), r"\|y E' a\|/\(\|y\| \|a\| \|E'\|\) = 0\.000e\+00"),
 ], ids=["second null direction", "double root"])
 def test_bordered_solve_rejects_a_root_that_is_not_simple(e_num, which):
+    # a = e_1 spans a null direction of both; the bordered matrix is then
+    # singular, and the double root has y = e_2 with y E' a = 0
     eye = np.eye(e_num.shape[0])
-    pattern = r"root 0\.0 is not numerically simple: sigma_\(N-1\)/sigma_1 = .+, \|y E' x\|/\|E'\| = "
+    pattern = (r"root 0\.0 is not numerically simple: 1/\(\|M\^-1\| \|E\|\) = .+, "
+               r"\|y E' a\|/\(\|y\| \|a\| \|E'\|\) = ")
     for want in (pattern, which):
         with pytest.raises(PerturbationError, match=want):
-            bordered_solve(0.0, e_num.astype(complex), eye, eye)
+            bordered_solve(np.zeros(1), e_num[None].astype(complex), eye[None], eye[:1],
+                           eye, np.zeros(e_num.shape[0]))
+
+
+def test_bordered_solve_fires_where_the_singular_values_do():
+    # near-singular cases on either side of SIMPLE_ROOT_TOL: the LU measures
+    # fire wherever sigma_(N-1)/sigma_1 or |y E' x|/|E'|_2 fire
+    rng = np.random.default_rng(5)
+    for gap in (1e-13, 1e-11, 1e-9):
+        q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        e_num = (q1 * np.array([1.0, 0.5, gap, 0.0])) @ q2.T
+        a, e_der = q2[:, 3], np.eye(4)
+        svd_fires = lu_fires = False
+        try:
+            svd_bordered_solve(0.0, e_num, e_der, e_der)
+        except PerturbationError:
+            svd_fires = True
+        try:
+            bordered_solve(np.zeros(1), e_num[None].astype(complex), e_der[None], a[None],
+                           e_der, np.zeros(4))
+        except PerturbationError:
+            lu_fires = True
+        assert lu_fires or not svd_fires, gap
+
+
+@pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "random64", "random128"])
+def test_tracked_shifts_agree_with_the_bordered_shifts(name):
+    # root tracking at eps = +-h along dE/dg, which uses neither the
+    # bordered matrix nor the families, within a twentieth of what the
+    # check in root_factors allows: DELTA_AGREEMENT_TOL relative or the
+    # floors, TRACK_FLOOR eps cond / h for the tracking (measured at most
+    # 1.1e-2 of it, up to N = 128); each variant's shift is rho factor(rho)
+    # times the tracked one
+    if name.startswith("random"):
+        model, pt = random_mmpp(int(name[6:]), 11, load=0.95)
+    else:
+        model, pt = paper_model(name), RationalLST.exponential(3.0)
+    sol, ht = solve_base(model, pt), abate_whitt(2.0)
+    rf, rho = sol.root_factors, np.array(sol.rho_pos)
+    tracked = tracked_shifts(sol, rf.shift)
+    cond = np.linalg.norm(eval_E(model, rho, pt(rho)), axis=(1, 2)) * np.linalg.norm(rf.y, axis=1)
+    allowed = np.maximum(DELTA_AGREEMENT_TOL * np.abs(rf.shift),
+                         rf.floor + TRACK_FLOOR * np.finfo(float).eps * cond / TRACK_EPS)
+    assert np.all(np.abs(tracked - rf.shift) <= 0.05 * allowed)
+    for variant in ("replace", "discard"):
+        f = rho * _excess_factor(sol, ht, variant)(rho)
+        np.testing.assert_allclose(perturb(sol, ht, variant).delta, f * rf.shift, rtol=1e-15)
+
+
+def test_tracked_shifts_do_not_depend_on_the_start():
+    # the first-order guess only shortens Newton: starting from the base
+    # roots finds the same perturbed roots
+    sol = solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+    seeded = tracked_shifts(sol, sol.root_factors.shift)
+    cold = tracked_shifts(sol, np.zeros(len(sol.rho_pos)))
+    np.testing.assert_allclose(cold, seeded, rtol=1e-9)
+
+
+def test_rank_one_tracked_shift_is_rounding_noise():
+    # the root does not move along dE/dg (delta = 0 in both variants): the
+    # tracked shift is rounding over h, which the floor of the check admits
+    sol = solve_base(rank_one_model(), RationalLST.exponential(3.0))
+    rf = sol.root_factors
+    assert abs(rf.shift[0]) <= rf.floor[0] and abs(tracked_shifts(sol, rf.shift)[0]) <= 1e-9
+
+
+def test_root_tracking_catches_a_corrupted_shift(monkeypatch):
+    # a bordered solve whose shifts are off by 1e-5 relative: root_factors
+    # holds them to root tracking and names both values
+    from heavyq import perturbation
+
+    bordered, corrupt = perturbation.bordered_solve, {}
+
+    def corrupted(*args):
+        a, y, tilt, shift, w = bordered(*args)
+        corrupt["shift"] = shift * (1.0 + 1e-5)
+        return a, y, tilt, corrupt["shift"], w
+
+    monkeypatch.setattr(perturbation, "bordered_solve", corrupted)
+    sol = solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+    with pytest.raises(PerturbationError, match="root tracking disagrees with the shift") as err:
+        sol.root_factors
+    bad = corrupt["shift"]
+    assert f"at root {sol.rho_pos[0]}: {bad[0]} vs {tracked_shifts(sol, bad)[0]}" in str(err.value)
