@@ -471,19 +471,8 @@ def _inverses(mats: np.ndarray) -> np.ndarray:
 def _solves(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """X with mats X = rhs, both stacked on the first axis, by batched LU.
 
-    Systems of order above 16, where the arithmetic outweighs the calls,
-    go in real arithmetic when they are real.  An exactly singular system
-    gives nan (found by halving the stack).
+    An exactly singular system gives nan (found by halving the stack).
     """
-    if mats.shape[-1] > 16 and (np.iscomplexobj(mats) or np.iscomplexobj(rhs)):
-        real = ~(np.any(mats.imag, axis=(-2, -1)) | np.any(rhs.imag, axis=(-2, -1)))
-        if np.all(real):
-            return _solves(mats.real, rhs.real).astype(complex)
-        if np.any(real):
-            out = np.empty(rhs.shape, dtype=complex)
-            out[real] = _solves(mats[real].real, rhs[real].real)
-            out[~real] = _solves(mats[~real], rhs[~real])
-            return out
     try:
         return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:

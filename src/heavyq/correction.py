@@ -432,17 +432,13 @@ def _grid_end(sol: BaseSolution) -> float:
     floor linearly.  Newton steps on log S, each one call at t and
     t (1 + 1e-7), refine the estimate until a step is below 1e-6 of it,
     which leaves an error of a few ulps (the difference quotient is good
-    to about 1e-9); then one call at the 33 adjacent floats around it
-    finds the end, the first float at or below the floor after one above
-    it.  Should that window miss the end, rounds of 63 points narrow the
-    last bracket until it is two adjacent floats, the route this one
-    replaced.
+    to about 1e-9).  One call at the floats within 16 ulps of it, inside
+    the bracket, narrows the bracket to the last one above the floor and
+    the first one at or below it.  Rounds of 63 points then narrow the
+    bracket until it is two adjacent floats, which that window has already
+    done unless it missed the end; the end is the upper one.
     """
     log_floor = math.log(GRID_FLOOR)
-
-    def log_surv(ts):
-        return np.log(np.maximum(sol.survival(ts), 1e-300))
-
     powers = 2.0 ** np.arange(21)
     surv = sol.survival(powers)
     k = int(np.argmax(~(surv > GRID_FLOOR) | (powers >= 1e6)))
@@ -450,34 +446,32 @@ def _grid_end(sol: BaseSolution) -> float:
         return float(powers[k])
     lo, hi = (1e-3 if k == 0 else float(powers[k - 1])), float(powers[k])
     xs = np.geomspace(lo, hi, 65)[1:]
-    logs = np.r_[log_surv(xs[:-1]), math.log(max(surv[k], 1e-300))]
-    j = int(np.argmax(logs <= log_floor))
+    surv = np.r_[sol.survival(xs[:-1]), surv[k]]
+    j = int(np.argmax(surv <= GRID_FLOOR))
     if j > 0:
         lo, hi = float(xs[j - 1]), float(xs[j])
-        t = lo + (hi - lo) * (logs[j - 1] - log_floor) / (logs[j - 1] - logs[j])
+        l_lo, l_hi = np.log(np.maximum(surv[j - 1:j + 1], 1e-300))
+        t = lo + (hi - lo) * (l_lo - log_floor) / (l_lo - l_hi)
     else:
         hi = float(xs[0])
         t = 0.5 * (lo + hi)
     for _ in range(4):
-        lt, lt2 = log_surv(np.array([t, t * (1.0 + 1e-7)]))
-        if lt > log_floor:
-            lo = t
-        else:
-            hi = t
+        surv = sol.survival(np.array([t, t * (1.0 + 1e-7)]))
+        lo, hi = (t, hi) if surv[0] > GRID_FLOOR else (lo, t)
+        lt, lt2 = np.log(np.maximum(surv, 1e-300))
         step = (lt - log_floor) * t * 1e-7 / (lt2 - lt) if lt2 != lt else 0.0
         t = min(max(t - step, lo), hi)
         if abs(step) <= 1e-6 * t:
             break
-    window = (np.float64(t).view(np.int64) + np.arange(-16, 17)).view(np.float64)
-    below = sol.survival(window) <= GRID_FLOOR
-    j = int(np.argmax(below))
-    if below[j] and j > 0 and not below[0]:
-        return float(window[j])
-    while np.nextafter(lo, hi) < hi:
-        xs = np.linspace(lo, hi, 65)
-        below = np.r_[sol.survival(xs[1:-1]) <= GRID_FLOOR, True]
-        j = int(np.argmax(below)) + 1
-        lo, hi = xs[j - 1], xs[j]
+    xs = (np.float64(t).view(np.int64) + np.arange(-16, 17)).view(np.float64)
+    xs = xs[(xs > lo) & (xs < hi)]
+    while xs.size:
+        below = np.r_[sol.survival(xs) <= GRID_FLOOR, True]
+        j = int(np.argmax(below))
+        lo, hi = (float(xs[j - 1]) if j > 0 else lo), (float(xs[j]) if j < xs.size else hi)
+        if np.nextafter(lo, hi) == hi:
+            break
+        xs = np.linspace(lo, hi, 65)[1:-1]
     return hi
 
 

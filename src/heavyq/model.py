@@ -185,21 +185,12 @@ def eval_E(model: MarpModel, s, g) -> np.ndarray:
     """Numeric E(s) = (Q1 o P + g Q2 o P) Lambda + s I - Lambda with the
     service transform replaced by the value g.
 
-    s and g may be arrays of one shape; the matrices then stack on leading
-    axes.  The terms are formed in place, in the order of the expression.
+    s and g may be arrays of one shape; the matrices then stack on leading axes.
     """
-    lam, n = model.rates, model.n_states
-    s, g = np.asarray(s), np.asarray(g)
-    out = np.empty(np.broadcast_shapes(s.shape, g.shape) + (n, n),
-                   dtype=np.result_type(s, g, float))
-    np.multiply(g[..., None, None], model.q_real, out=out)
-    out += model.q_dummy
-    out *= model.trans
-    out *= lam
-    diag = np.arange(n)
-    out[..., diag, diag] += s[..., None]
-    out[..., diag, diag] -= lam
-    return out
+    lam = model.rates
+    s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
+    h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
+    return h + np.eye(model.n_states) * s - np.diag(lam)
 
 
 def eval_E_deriv(model: MarpModel, gprime) -> np.ndarray:

@@ -44,7 +44,7 @@ from .polyalg import linsolve
 
 DELTA_AGREEMENT_TOL = 1e-7  # relative, of the tracked shifts and the delta identity
 DELTA_FLOOR = 1e3        # rounding floor of the shift checks, in eps |K| / |y E' x|
-SIMPLE_ROOT_TOL = 1e-10  # 1/(|M^-1| |E|) and |y E' a|/(|y| |a| |E'|) of a simple root
+SIMPLE_ROOT_TOL = 1e-10  # 1/(|P| |E|) and |y E' a|/(|y| |a| |E'|) of a simple root
 TRACK_EPS = 3e-6         # step h in eps of the root tracking
 TRACK_FLOOR = 10.0       # rounding floor of the tracked shifts, in eps_mach cond / h
 TRACK_STEPS = 30         # Newton steps of the root tracking before giving up
@@ -89,15 +89,17 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
     along D = direction (M [t; mu] = [D a; 0]) and w ([w, 0] = [row, 0]
     M^-1), roots on the first axis of each.
 
-    A second null direction or a multiple root raises: 1/(|M^-1| |E|) or
-    |y E' a|/(|y| |a| |E'|) below SIMPLE_ROOT_TOL, in Frobenius norms.  The
-    first is at most sigma_(N-1)/sigma_1 of E, since M maps [v; 0], v the
-    unit combination of E's last two right singular vectors orthogonal to
-    a, to a vector no longer than sigma_(N-1); the second is at most
-    |y E' x|/|E'|_2 for unit null vectors x and y.  So each fires wherever
-    its singular-value form does, and both are free of the time unit and
-    of N.  An exactly singular M has the first 0, and then y comes from an
-    eigendecomposition of E^H for the message.
+    A second null direction or a multiple root raises: 1/(|P| |E|), P the
+    E block of M^-1, or |y E' a|/(|y| |a| |E'|) below SIMPLE_ROOT_TOL, in
+    Frobenius norms.  The first is at most sigma_(N-1)/sigma_1 of E: M maps
+    [v; 0], v the unit combination of E's last two right singular vectors
+    orthogonal to a, to [E v; 0], no longer than sigma_(N-1), so P E v = v
+    and |P| >= 1/sigma_(N-1).  The second is at most |y E' x|/|E'|_2 for
+    unit null vectors x and y.  So each fires wherever its singular-value
+    form does.  Both are free of the time unit: every rate times c makes E
+    and P c E and P/c and leaves E' a, y and a alone.  An exactly singular
+    M has the first 0, and then y comes from an eigendecomposition of E^H
+    for the message.
     """
     n = e_num.shape[-1]
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
@@ -108,7 +110,8 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
     bordered[:, n, :n] = a.conj()
     inv = _inverses(bordered)
     y = inv[:, n, :n]
-    gap = 1.0 / (np.linalg.norm(inv, axis=(-2, -1)) * np.linalg.norm(e_num, axis=(-2, -1)))
+    gap = 1.0 / (np.linalg.norm(inv[:, :n, :n], axis=(-2, -1))
+                 * np.linalg.norm(e_num, axis=(-2, -1)))
     singular = ~np.isfinite(gap)
     gap[singular] = 0.0
     for idx in np.nonzero(singular)[0]:
@@ -118,7 +121,7 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
         np.linalg.norm(y, axis=1) * np.linalg.norm(e_der, axis=(-2, -1)))
     for idx in np.nonzero(np.minimum(gap, steep) < SIMPLE_ROOT_TOL)[0]:
         raise PerturbationError(f"root {rho[idx]} is not numerically simple: "
-                                f"1/(|M^-1| |E|) = {gap[idx]:.3e}, "
+                                f"1/(|P| |E|) = {gap[idx]:.3e}, "
                                 f"|y E' a|/(|y| |a| |E'|) = {steep[idx]:.3e}")
     d_a = a @ direction.T
     tilt = np.einsum("rij,rj->ri", inv[:, :n, :n], d_a)

@@ -425,22 +425,23 @@ def test_default_grid_end_takes_at_most_five_survival_calls(case, monkeypatch):
 
 
 
-def test_default_grid_end_falls_back_to_the_rounds_when_the_window_misses(monkeypatch):
-    # a window of adjacent floats that reads all below the floor hides the
-    # crossing; the 63-point rounds from the Newton bracket still end within
-    # a few ulps of the bisection (measured: one ulp below it, a crossing of
-    # the floor that rounding puts next to the bisection's)
-    cfg = parse_config(os.path.join(PAPER, "mmpp2.cfg"))
-    sol = solve_base(cfg.model, cfg.pt)
-    want = bisected_grid_end(sol)
-    survival = BaseSolution.survival
+def test_default_grid_end_falls_back_to_the_rounds_when_the_window_misses():
+    # S = GRID_FLOOR exp(-cbrt(t - T)) crosses the floor at T, where log S
+    # has a vertical tangent: each Newton step overshoots, the estimate
+    # stays far outside the window of adjacent floats, and the 63-point
+    # rounds find the bisection's end (measured: 8 rounds, equal to it)
+    class Steep:
+        calls = []
 
-    def blind_window(self, t, table=None):
-        vals = survival(self, t, table)
-        return np.zeros_like(vals) if np.size(t) == 33 else vals
+        def survival(self, t, table=None):
+            self.calls.append(np.size(t))
+            return GRID_FLOOR * np.exp(-np.cbrt(np.asarray(t, dtype=float) - 10.3))
 
-    monkeypatch.setattr(BaseSolution, "survival", blind_window)
-    assert abs(default_grid(sol)[-1] - want) <= 4 * np.spacing(want)
+    sol = Steep()
+    end = default_grid(sol)[-1]
+    assert len(sol.calls) > 7, sol.calls
+    assert end == bisected_grid_end(sol) == 10.3
+
 
 def test_tail_dominated_by_heavy_component(mmpp2_setup):
     # base dies exponentially; corrected/(eps * excess survival) stays bounded

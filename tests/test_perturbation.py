@@ -350,11 +350,25 @@ def test_perturbation_is_free_of_the_time_unit(n):
     # every rate times c moves the roots and the shifts by c and leaves z
     # alone; the discard K has no heavy-tail time scale of its own
     ht = abate_whitt(2.0)
-    ref = perturb(solve_base(*random_mmpp(n, 7)), ht, "discard")
+    sol = solve_base(*random_mmpp(n, 7))
+    ref = perturb(sol, ht, "discard")
     for c in (0.01, 0.1, 10.0):
         pdata = perturb(solve_base(*random_mmpp(n, 7, scale=c)), ht, "discard")
         np.testing.assert_allclose(np.asarray(pdata.delta) / c, ref.delta, rtol=1e-12, atol=0)
         np.testing.assert_allclose(pdata.z, ref.z, rtol=0, atol=1e-12)
+    # the models' row-sum check is absolute, so larger scales go straight
+    # to the bordered solve: E, dE/dg and rho times c, E' unchanged
+    model, pt = sol.model, sol.pt
+    rho = np.array(sol.rho_pos, dtype=complex)
+    g, g_der = pt.value_and_deriv(rho)
+    e_num, e_der = eval_E(model, rho, g), eval_E_deriv(model, g_der)
+    nulls = np.reshape(sol.nulls, (-1, model.n_states))
+    a, y, tilt, shift, w = bordered_solve(rho, e_num, e_der, nulls, model.e_dg, sol.u)
+    for c in (1e-10, 1e8, 1e10):
+        got = bordered_solve(c * rho, c * e_num, e_der, nulls, c * model.e_dg, sol.u)
+        for want, have in zip((a, y, tilt, shift, w), (got[0], got[1], got[2], got[3] / c,
+                                                          got[4] * c)):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "random8"])
@@ -414,14 +428,14 @@ def test_both_variants_scale_one_factorisation_per_root(name):
 
 
 @pytest.mark.parametrize("e_num, which", [
-    (np.diag([0.0, 0.0, 1.0]), r"1/\(\|M\^-1\| \|E\|\) = 0\.000e\+00"),
+    (np.diag([0.0, 0.0, 1.0]), r"1/\(\|P\| \|E\|\) = 0\.000e\+00"),
     (np.array([[0.0, 1.0], [0.0, 0.0]]), r"\|y E' a\|/\(\|y\| \|a\| \|E'\|\) = 0\.000e\+00"),
 ], ids=["second null direction", "double root"])
 def test_bordered_solve_rejects_a_root_that_is_not_simple(e_num, which):
     # a = e_1 spans a null direction of both; the bordered matrix is then
     # singular, and the double root has y = e_2 with y E' a = 0
     eye = np.eye(e_num.shape[0])
-    pattern = (r"root 0\.0 is not numerically simple: 1/\(\|M\^-1\| \|E\|\) = .+, "
+    pattern = (r"root 0\.0 is not numerically simple: 1/\(\|P\| \|E\|\) = .+, "
                r"\|y E' a\|/\(\|y\| \|a\| \|E'\|\) = ")
     for want in (pattern, which):
         with pytest.raises(PerturbationError, match=want):
