@@ -27,20 +27,26 @@ its transform is the realisation atom + h (sI - K)^-1 b.  What the rest of
 the pipeline needs follows from these matrices:
 
 - the N-1 positive roots of det E are -eig(U) without its zero root, the
-  poles of the delay transform are the diagonal of one complex Schur form
-  of K (Realisation.schur), and its zeros are eig(K - b h / atom), all
-  clustered into multiplicities like polynomial roots;
+  poles of the delay transform are eig(K), from one eigendecomposition
+  (Realisation.eig), and its zeros are eig(K - b h / atom), all clustered
+  into multiplicities like polynomial roots;
 - the null vectors of E at the positive roots are Lambda^-1 times the
   eigenvectors of U (the same eigendecomposition), and the boundary vector
   u solves the same linear system as in the paper, by one LU;
-- the time-domain law comes from a block diagonalisation of K that starts
-  from the same complex Schur form: per eigenvalue cluster a reordering
-  and a triangular Sylvester solve.
+- the time-domain law comes from the same eigendecomposition of K: where
+  every cluster of poles is simple (every delay law of the run files), its
+  terms are the residues (h V)_i (V^-1 b)_i, by one more LU.
+  Only multiple clusters (an Erlang service or excess law, say) are
+  reordered out of a complex Schur form of K (Realisation.schur), each by
+  one ztrsen and one triangular Sylvester solve (_law_terms).
 
-The factorisations call LAPACK (dgees, zgees, dgeqp3, dtrsyl, ztrsen,
-ztrsyl, getrf/getrs) without scipy's wrappers, whose checks and workspace
-queries cost more than the routines at these sizes; non-finite input and a
-failed routine raise SolverError.
+The factorisations call LAPACK (dgees, dgeev, zgees, zgeev, dgeqp3,
+dtrsyl, ztrsen, ztrsyl, getrf/getrs) without scipy's wrappers, whose checks
+and workspace queries cost more than the routines at these sizes; non-finite
+input and a failed routine raise SolverError.  solve_base takes no
+numpy.linalg factorisation (only a rank-deficient d2 takes its lstsq):
+numpy's LAPACK is a second copy of the same code, and where other work runs
+between solves, touching both copies costs more than the routines.
 
 Checks, each raising SolverError with its value: N eigenvalues of the
 shifted fluid generator in the open left half-plane; the Riccati residual;
@@ -69,7 +75,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dgeqp3, dgetrf, dgetrs, dtrsyl, zgees, ztrsen, ztrsyl
+from scipy.linalg.lapack import (dgeev, dgees, dgeqp3, dgetrf, dgetrs, dtrsyl, zgees, zgeev,
+                                 zgetrf, zgetrs, ztrsen, ztrsyl)
 
 from .measures import ExpPolyMeasure
 from .model import MarpModel, eval_E, eval_E_deriv, stability_report
@@ -269,15 +276,39 @@ class Realisation:
         return self.atom + col @ self.h, -((inv @ col[..., None])[..., 0] @ self.h)
 
     @cached_property
+    def eig(self) -> tuple:
+        """eig(K) as (eigenvalues, right eigenvectors), by one dgeev
+        (_eig): the poles of the transform, and where every cluster of
+        them is simple, the law terms (_law_terms)."""
+        return _eig(self.k, "K")
+
+    @cached_property
     def schur(self) -> tuple:
-        """The complex Schur form K = Z S Z^H as (S, Z), by one zgees: its
-        diagonal is eig(K), and _law_terms reorders it."""
-        if not np.all(np.isfinite(self.k)):
+        """The complex Schur form K = Z S Z^H as (S, Z), by one zgees, for
+        _law_terms' reordering when a cluster of eig(K) is multiple."""
+        if not np.isfinite(self.k).all():
             raise SolverError("complex Schur form of K failed: K holds infs or NaNs")
         form, _, _, z, _, info = zgees(_no_sort, self.k)
         if info:
             raise SolverError(f"complex Schur form of K failed: zgees info {info}")
         return form, z
+
+
+def _eig(mat: np.ndarray, name: str) -> tuple:
+    """The eigenvalues of a real matrix, complex, and its unit right
+    eigenvectors, by one dgeev.  LAPACK returns a conjugate pair
+    (imaginary part > 0 first) as the real and imaginary parts of the first
+    vector in two real columns; they are unpacked as exact conjugates."""
+    if not np.isfinite(mat).all():
+        raise SolverError(f"eigendecomposition of {name} failed: {name} holds infs or NaNs")
+    wr, wi, _, vr, info = dgeev(mat, compute_vl=0)
+    if info:
+        raise SolverError(f"eigendecomposition of {name} failed: dgeev info {info}")
+    vecs = vr.astype(complex)
+    first = np.flatnonzero(wi > 0)
+    vecs[:, first] += 1j * vr[:, first + 1]
+    vecs[:, first + 1] = vecs[:, first].conj()
+    return wr + 1j * wi, vecs
 
 
 def _no_sort(_):
@@ -540,13 +571,13 @@ def _arrival_basis(d2: np.ndarray) -> tuple:
     n = d2.shape[0]
     entered = np.nonzero(d2.sum(axis=0) > 0)[0]
     cols = d2[:, entered]
-    if not np.all(np.isfinite(cols)):
+    if not np.isfinite(cols).all():
         raise SolverError("pivoted QR of the entered columns of d2 failed: d2 holds infs or NaNs")
     tri, piv, _, _, info = dgeqp3(cols)
     if info:
         raise SolverError(f"pivoted QR of the entered columns of d2 failed: dgeqp3 info {info}")
-    pivots = np.abs(np.diag(tri))
-    rank = int(np.sum(pivots > RANK_TOL * pivots[0]))
+    pivots = np.abs(tri.diagonal())
+    rank = int(np.count_nonzero(pivots > RANK_TOL * pivots[0]))
     if rank == entered.size:
         basis, mix = entered, np.eye(rank)
     else:
@@ -584,7 +615,7 @@ class FluidModel:
     @property
     def scale(self) -> float:
         """The largest rate, at least 1."""
-        return max(1.0, float(np.max(np.abs(self.q_mm))), float(np.max(np.abs(self.q_pp))))
+        return max(1.0, float(np.abs(self.q_mm).max()), float(np.abs(self.q_pp).max()))
 
     def residual(self, psi: np.ndarray) -> np.ndarray:
         return self.q_pm + self.q_pp @ psi + psi @ self.q_mm + psi @ self.q_mp @ psi
@@ -602,13 +633,13 @@ class FluidModel:
         Psi and a Newton operator that stays regular at load 1.
         """
         n = self.q_mm.shape[0]
-        x = np.r_[np.ones(n), self.psi_one]
-        p = self.scale * x / (x @ x)
+        x = np.concatenate((np.ones(n), self.psi_one))
+        shift = x[:, None] * (self.scale * x / (x @ x))
         return FluidModel(
-            q_pp=self.q_pp + np.outer(self.psi_one, p[n:]),
-            q_pm=self.q_pm + np.outer(self.psi_one, p[:n]),
-            q_mm=self.q_mm - np.outer(x[:n], p[:n]),
-            q_mp=self.q_mp - np.outer(x[:n], p[n:]),
+            q_pp=self.q_pp + shift[n:, n:],
+            q_pm=self.q_pm + shift[n:, :n],
+            q_mm=self.q_mm - shift[:n, :n],
+            q_mp=self.q_mp - shift[:n, n:],
             psi_one=self.psi_one,
         )
 
@@ -630,7 +661,7 @@ class FluidModel:
         n = self.q_mm.shape[0]
         top = np.concatenate((self.q_mm, self.q_mp), axis=1)
         gen = np.concatenate((top, -np.concatenate((self.q_pm, self.q_pp), axis=1)))
-        if not np.all(np.isfinite(gen)):
+        if not np.isfinite(gen).all():
             raise SolverError("ordered Schur form of the fluid generator failed: "
                               "array must not contain infs or NaNs")
         form, sdim, _, _, vecs, _, info = dgees(_open_left, gen, sort_t=1)
@@ -649,7 +680,7 @@ class FluidModel:
         s11, s22, q11, q22t = form[:n, :n], form[n:, n:], vecs[:n, :n], vecs[n:, n:].T
 
         def newton_step(res: np.ndarray) -> np.ndarray:
-            if not np.all(np.isfinite(res)):
+            if not np.isfinite(res).all():
                 raise SolverError("Riccati Newton step failed: residual holds infs or NaNs")
             y, scale, info = dtrsyl(s22, s11, q22t @ res @ q11, isgn=-1)
             if info < 0:
@@ -670,9 +701,9 @@ class FluidModel:
         for _ in range(NEWTON_STEPS):
             step = newton_step(shift.residual(psi))
             psi = psi + step
-            if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+            if np.abs(step).max() <= NEWTON_STEP_TOL:
                 break
-        err = float(np.max(np.abs(self.residual(psi)))) / self.scale
+        err = float(np.abs(self.residual(psi)).max()) / self.scale
         if not err <= RICCATI_TOL:
             raise SolverError(f"Riccati residual {err:.3e} above {RICCATI_TOL:g}")
         return psi
@@ -706,7 +737,7 @@ def _positive_roots(model: MarpModel, u_gen: np.ndarray) -> tuple:
     (d1 + B(s) d2 + s I) Lambda, so Lambda^-1 v spans the null space of E(rho).
     """
     n = u_gen.shape[0]
-    eigs, vecs = np.linalg.eig(u_gen)
+    eigs, vecs = _eig(u_gen, "U")
     roots = eig_clusters(-eigs, is_real=True)
     scale = max(1.0, max(abs(rho) for rho, _ in roots))
     count = sum(m for rho, m in roots if rho.real >= -ZERO_ROOT_TOL * scale)
@@ -720,71 +751,106 @@ def _positive_roots(model: MarpModel, u_gen: np.ndarray) -> tuple:
     positive = [rm for k, rm in enumerate(roots) if k != zero_idx]
     if any(m > 1 for _, m in positive):
         raise SolverError("repeated positive roots are not supported (simple-root assumption)")
-    rho_pos = tuple(sorted((rho for rho, _ in positive), key=lambda z: (z.real, z.imag)))
-    nulls = [vecs[:, np.argmin(np.abs(eigs + rho))] / model.rates for rho in rho_pos]
-    return rho_pos, nulls
+    rho_pos = tuple(rho for rho, _ in positive)      # a RootSet is sorted by (real, imag)
+    idx = np.abs(eigs[None, :] + np.array(rho_pos)[:, None]).argmin(axis=1)
+    return rho_pos, list(vecs[:, idx].T / model.rates)
 
 
 def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarray:
     """u from u Lambda^-1 1 = margin and u a_i = 0 for the null vectors a_i
     of E at the positive roots."""
     n = model.n_states
-    amat = np.column_stack([model.lam_inv_one, *null_vectors]).astype(complex)
+    amat = np.empty((n, n), dtype=complex)
+    amat[:, 0] = model.lam_inv_one
+    amat[:, 1:] = np.reshape(null_vectors, (n - 1, n)).T
     c = np.zeros(n, dtype=complex)
     c[0] = margin
     u = linsolve(amat.T, c)
-    if np.max(np.abs(u.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(u)))):
+    if np.abs(u.imag).max() > 1e-8 * max(1.0, float(np.abs(u).max())):
         raise SolverError("boundary vector came out complex")
-    u = np.array(u.real)
-    for a in amat.T[1:]:
-        res = abs(np.dot(u, a))
-        if res > UA_TOL * max(1.0, float(np.linalg.norm(u) * np.linalg.norm(a))):
-            raise SolverError(f"u . a residual {res:.3e} too large")
+    u = u.real.copy()
+    res = np.abs(u @ amat[:, 1:])
+    norms = np.hypot.reduce(np.abs(amat[:, 1:]), axis=0)     # |a| per column
+    bad = res > UA_TOL * np.maximum(1.0, math.sqrt(u @ u) * norms)
+    for k in np.flatnonzero(bad)[:1]:
+        raise SolverError(f"u . a residual {res[k]:.3e} too large")
     return u
 
 
 def _law_terms(real: Realisation, clusters: RootSet) -> list:
-    """Density terms of h e^(Kx) b, block-diagonalising K cluster by cluster.
+    """Density terms of h e^(Kx) b, one per cluster of eig(K) and power.
 
-    From the complex Schur form K = Z T Z^H (real.schur), each step moves
-    one eigenvalue cluster to the top of the remaining triangular block
-    (ztrsen with a select mask) and decouples it from the rest by a
-    triangular Sylvester solve (ztrsyl); on the cluster's block B = c I + N,
-    e^(Bx) = e^(cx) sum_j (N x)^j / j! over j < multiplicity.  Coefficients
-    of conjugate clusters are made exact conjugates.
+    A simple cluster's term is the residue there of h (sI - K)^-1 b,
+    (h v)(w b) with v the eigenvector and w the matching row of V^-1: one
+    eigendecomposition (real.eig) and one solve.  Multiple clusters (the
+    Erlang service and excess laws, hidden modes of lumpable environments)
+    are split off first, from the complex Schur form K = Z T Z^H
+    (real.schur): each step moves one such cluster to the top of the
+    remaining triangular block (ztrsen with a select mask) and decouples it
+    from the rest by a triangular Sylvester solve (ztrsyl); on the
+    cluster's block B = c I + N, e^(Bx) = e^(cx) sum_j (N x)^j / j! over
+    j < multiplicity.  The simple clusters then take the eigendecomposition
+    of the block that is left.  A cluster owns the eigenvalues closer to it
+    than half the distance to the nearest other cluster, and must own as
+    many as its multiplicity.  Coefficients of conjugate clusters are made
+    exact conjugates.
     """
-    rest, z = real.schur
-    left, right = real.h @ z, z.conj().T @ real.b
+    simple = np.array([c for c, m in clusters if m == 1], dtype=complex)
     coefs = {}
-    pending = list(clusters)
-    while pending:
-        center, mult = pending.pop(0)
-        if pending:
-            others = np.array([c for c, _ in pending])
-            radius = 0.5 * float(np.min(np.abs(others - center)))
-            select = np.abs(np.diag(rest) - center) < radius
-            if np.count_nonzero(select) != mult:
-                raise SolverError(f"could not separate the eigenvalue cluster at {center}")
-            t, q = ztrsen(select, rest, np.eye(rest.shape[0]), job="N")[:2]
-            y, scale = ztrsyl(t[:mult, :mult], t[mult:, mult:], -t[:mult, mult:], isgn=-1)[:2]
-            y = y / scale
-            lz, rz = left @ q, q.conj().T @ right
-            block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
-            rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
-        else:
-            block, lb, rb = rest, left, right
-        nil = block - center * np.eye(mult)
-        acc = rb
-        for j in range(mult):
-            coefs[(center, j)] = complex(lb @ acc) / math.factorial(j)
-            acc = nil @ acc
+    if simple.size == len(clusters):
+        (eigs, vecs), left, right = real.eig, real.h, real.b
+    else:
+        rest, z = real.schur
+        left, right = real.h @ z, z.conj().T @ real.b
+        pending = [(c, m) for c, m in clusters if m > 1]
+        while pending:
+            center, mult = pending.pop(0)
+            others = np.array([c for c, _ in pending] + list(simple), dtype=complex)
+            if others.size:
+                radius = 0.5 * float(np.min(np.abs(others - center)))
+                select = np.abs(np.diag(rest) - center) < radius
+                if np.count_nonzero(select) != mult:
+                    raise SolverError(f"could not separate the eigenvalue cluster at {center}")
+                t, q = ztrsen(select, rest, np.eye(rest.shape[0]), job="N")[:2]
+                y, scale = ztrsyl(t[:mult, :mult], t[mult:, mult:], -t[:mult, mult:], isgn=-1)[:2]
+                y = y / scale
+                lz, rz = left @ q, q.conj().T @ right
+                block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
+                rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
+            else:
+                block, lb, rb = rest, left, right
+            nil = block - center * np.eye(mult)
+            acc = rb
+            for j in range(mult):
+                coefs[(center, j)] = complex(lb @ acc) / math.factorial(j)
+                acc = nil @ acc
+        if simple.size:
+            eigs, _, vecs, info = zgeev(rest, compute_vl=0)
+            if info:
+                raise SolverError(f"eigendecomposition of K's simple block failed: "
+                                  f"zgeev info {info}")
+    if simple.size:
+        gaps = np.abs(simple[:, None] - simple[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        owned = np.abs(simple[:, None] - eigs[None, :]) < 0.5 * gaps.min(axis=1)[:, None]
+        for k in np.flatnonzero(np.count_nonzero(owned, axis=1) != 1)[:1]:
+            raise SolverError(f"could not separate the eigenvalue cluster at {simple[k]}")
+        lu, piv, info = zgetrf(vecs)
+        if info:
+            raise SolverError("the eigenvectors of K are linearly dependent")
+        weights = zgetrs(lu, piv, right)[0]
+        idx = np.argmax(owned, axis=1)
+        for center, coef in zip(simple.tolist(), (left @ vecs)[idx] * weights[idx]):
+            coefs[(center, 0)] = complex(coef)
     terms = []
-    for (center, j), coef in coefs.items():
-        if center.imag < 0:
-            coef = coefs.get((center.conjugate(), j), coef.conjugate()).conjugate()
-        elif center.imag == 0:
-            coef = complex(coef.real, 0.0)
-        terms.append((-center, j, coef))
+    for center, mult in clusters:
+        for j in range(mult):
+            coef = coefs[(center, j)]
+            if center.imag < 0:
+                coef = coefs.get((center.conjugate(), j), coef.conjugate()).conjugate()
+            elif center.imag == 0:
+                coef = complex(coef.real, 0.0)
+            terms.append((-center, j, coef))
     return terms
 
 
@@ -809,7 +875,10 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     rhs[-1] = 1.0
     p0 = linsolve(lhs, rhs).real
     enter = p0 @ fluid.q_mp
-    up_mass = np.linalg.solve(-k.T, enter)          # p0 Q-+ (-K)^-1
+    lu, piv, info = dgetrf(-k.T)
+    if info:
+        raise SolverError("K is singular")
+    up_mass = dgetrs(lu, piv, enter)[0]             # p0 Q-+ (-K)^-1
     arrivals = model.d2.sum(axis=1)
     b = psi @ arrivals
     time_mass = p0.sum() + up_mass @ psi.sum(axis=1)
@@ -825,7 +894,7 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
 
     h = enter / arrival_mass
     w_hat = Realisation(atom=atom, h=h, k=k, b=b)
-    den_roots = eig_clusters(np.diag(w_hat.schur[0]), is_real=True)
+    den_roots = eig_clusters(w_hat.eig[0], is_real=True)
     num_roots = eig_roots(k - np.outer(b, h) / atom)
     for root, _ in list(den_roots) + list(num_roots):
         if root.real >= 0:

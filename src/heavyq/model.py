@@ -16,7 +16,7 @@ import numpy as np
 
 from .polyalg import linsolve
 
-ROWSUM_TOL = 1e-10  # inputs are human-entered rationals
+ROWSUM_TOL = 1e-10  # row sums of d1 + d2 (over the row's largest entry) and of P
 
 
 class ModelError(ValueError):
@@ -95,8 +95,9 @@ def build_marp(d1, d2) -> MarpModel:
     """Build and validate a model from its dummy/real intensity matrices.
 
     Requires d2 >= 0 entrywise, d1 >= 0 off the diagonal, zero row sums of
-    d1 + d2 (within 1e-10), strictly positive exit rates, at least one real
-    arrival, and an irreducible embedded chain.
+    d1 + d2 (within ROWSUM_TOL of the row's largest entry of d1 or d2, so
+    the check does not depend on the time unit), strictly positive exit
+    rates, at least one real arrival, and an irreducible embedded chain.
     """
     d1 = np.array(d1, dtype=float)
     d2 = np.array(d2, dtype=float)
@@ -111,7 +112,7 @@ def build_marp(d1, d2) -> MarpModel:
     if np.any(d2 < 0):
         raise ModelError("negative intensity in d2")
     rowsums = (d1 + d2).sum(axis=1)
-    bad = np.abs(rowsums) > ROWSUM_TOL
+    bad = np.abs(rowsums) > ROWSUM_TOL * np.maximum(np.abs(d1).max(axis=1), d2.max(axis=1))
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise ModelError(f"rows of d1+d2 must sum to 0; row {i + 1} sums to {rowsums[i]:.3e}")
@@ -170,7 +171,7 @@ def build_mmpp(rates, trans_spec) -> MarpModel:
     if np.any(p < 0) or np.any(np.diag(p) > 1):
         raise ModelError("self-transition probabilities must lie in [0, 1]")
     rs = p.sum(axis=1)
-    if np.any(np.abs(rs - 1.0) > ROWSUM_TOL):
+    if np.any(np.abs(rs - 1.0) > ROWSUM_TOL):      # probabilities: no time unit
         i = int(np.argmax(np.abs(rs - 1.0)))
         raise ModelError(f"row {i + 1} of the transition matrix sums to {rs[i]!r}, not 1")
 

@@ -87,7 +87,10 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
     0]] with a of unit length, and gives the unit a, the left null vectors
     y with y E' a = 1 ([y, 0] = [0, 1] M^-1), the tilts t and shifts mu
     along D = direction (M [t; mu] = [D a; 0]) and w ([w, 0] = [row, 0]
-    M^-1), roots on the first axis of each.
+    M^-1), roots on the first axis of each.  E and E' are real on the real
+    axis, so with a real direction and row, a root below it whose exact
+    conjugate is among the roots is not factorised: its a, y, t, mu and w
+    are the conjugates of its partner's.
 
     A second null direction or a multiple root raises: 1/(|P| |E|), P the
     E block of M^-1, or |y E' a|/(|y| |a| |E'|) below SIMPLE_ROOT_TOL, in
@@ -102,9 +105,17 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
     for the message.
     """
     n = e_num.shape[-1]
-    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    roots = np.asarray(rho).tolist()
+    src = np.arange(len(roots))
+    if np.isrealobj(direction) and np.isrealobj(row):
+        index = {r: k for k, r in enumerate(roots)}
+        src = np.array([index.get(r.conjugate(), k) if r.imag < 0 else k
+                        for k, r in enumerate(roots)], dtype=int)
+    mine = np.flatnonzero(src == np.arange(len(roots)))
+    e_num, e_der = e_num[mine], e_der[mine]
+    a = a[mine] / np.linalg.norm(a[mine], axis=-1, keepdims=True)
     ed_a = np.einsum("rij,rj->ri", e_der, a)
-    bordered = np.zeros((len(rho), n + 1, n + 1), dtype=complex)
+    bordered = np.zeros((mine.size, n + 1, n + 1), dtype=complex)
     bordered[:, :n, :n] = e_num
     bordered[:, :n, n] = ed_a
     bordered[:, n, :n] = a.conj()
@@ -119,13 +130,20 @@ def bordered_solve(rho, e_num, e_der, a, direction, row) -> tuple:
         y[idx] = vecs[:, np.argmin(np.abs(eigs))].conj()
     steep = np.abs(np.einsum("ri,ri->r", y, ed_a)) / (
         np.linalg.norm(y, axis=1) * np.linalg.norm(e_der, axis=(-2, -1)))
+    take = np.searchsorted(mine, src)
+    gap, steep = gap[take], steep[take]
     for idx in np.nonzero(np.minimum(gap, steep) < SIMPLE_ROOT_TOL)[0]:
         raise PerturbationError(f"root {rho[idx]} is not numerically simple: "
                                 f"1/(|P| |E|) = {gap[idx]:.3e}, "
                                 f"|y E' a|/(|y| |a| |E'|) = {steep[idx]:.3e}")
     d_a = a @ direction.T
     tilt = np.einsum("rij,rj->ri", inv[:, :n, :n], d_a)
-    return a, y, tilt, np.einsum("ri,ri->r", y, d_a), row @ inv[:, :n, :n]
+    out = (a, y, tilt, np.einsum("ri,ri->r", y, d_a), row @ inv[:, :n, :n])
+    mirrored = src != np.arange(len(roots))
+    out = tuple(part[take] for part in out)
+    for part in out:
+        part[mirrored] = part[mirrored].conj()
+    return out
 
 
 @dataclass(frozen=True)

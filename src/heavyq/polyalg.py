@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dgeev, dgetrf, dgetrs, zgeev, zgetrf, zgetrs
 
 _EPS = np.finfo(float).eps
 CLUSTER_TOL = 1e-7  # default relative radius of one root cluster
@@ -303,9 +303,22 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootSet:
 
 
 def eig_roots(mat: np.ndarray) -> RootSet:
-    """Eigenvalues of a square matrix, clustered like the roots of poly_roots."""
+    """Eigenvalues of a square matrix, clustered like the roots of poly_roots.
+
+    One LAPACK geev without eigenvectors; raises PolyalgError on
+    non-finite input or when the QR iteration fails.
+    """
     mat = np.asarray(mat)
-    return eig_clusters(np.linalg.eigvals(mat), not np.iscomplexobj(mat))
+    if not np.all(np.isfinite(mat)):
+        raise PolyalgError("eigenvalues of a matrix that holds infs or NaNs")
+    if np.iscomplexobj(mat):
+        eigs, _, _, info = zgeev(mat, compute_vl=0, compute_vr=0)
+    else:
+        wr, wi, _, _, info = dgeev(mat, compute_vl=0, compute_vr=0)
+        eigs = wr + 1j * wi
+    if info:
+        raise PolyalgError(f"eigenvalue iteration failed: geev info {info}")
+    return eig_clusters(eigs, not np.iscomplexobj(mat))
 
 
 def eig_clusters(eigs, is_real: bool) -> RootSet:
@@ -322,17 +335,27 @@ def eig_clusters(eigs, is_real: bool) -> RootSet:
 
 
 def _cluster(raw, cluster_tol: float) -> list:
-    """Group raw roots lying within cluster_tol of a group's running mean."""
-    raw = sorted((complex(z) for z in raw), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    """Group raw roots lying within cluster_tol of a group's running mean.
+
+    Each group's mean and radius are kept and updated only when the group
+    grows, so the scan costs one comparison per group and root.
+    """
+    raw = sorted(np.asarray(raw, dtype=complex).tolist(),
+                 key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     clusters: list[list[complex]] = []
+    means: list[tuple] = []      # per group, its mean and radius
     for r in raw:
-        for cl in clusters:
-            ctr = sum(cl) / len(cl)
-            if abs(r - ctr) <= cluster_tol * max(1.0, abs(ctr)):
-                cl.append(r)
+        for k, (ctr, rad) in enumerate(means):
+            if abs(r - ctr) <= rad:
                 break
         else:
-            clusters.append([r])
+            k = len(clusters)
+            clusters.append([])
+            means.append(None)
+        group = clusters[k]
+        group.append(r)
+        ctr = sum(group) / len(group)
+        means[k] = ctr, cluster_tol * max(1.0, abs(ctr))
     return clusters
 
 
@@ -340,14 +363,23 @@ def _root_set(roots, mults, is_real: bool, cluster_tol: float) -> RootSet:
     """RootSet sorted by (real, imag), conjugate pairs made exact for real input."""
     if is_real:
         roots = _pair_conjugates(roots, mults, cluster_tol)
-    order = np.lexsort((np.imag(roots), np.real(roots)))
+    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     return RootSet(tuple(roots[i] for i in order), tuple(mults[i] for i in order))
 
 
 def _pair_conjugates(roots, mults, tol):
-    """Force exact conjugate pairing (and exact realness) for real input."""
+    """Force exact conjugate pairing (and exact realness) for real input.
+
+    Each root not yet paired takes the nearest unpaired root of its
+    multiplicity to its conjugate, the first one on a tie.  A root whose
+    exact conjugate is in the list (eig of a real matrix gives exact
+    pairs) finds it by one lookup; the others scan the list.
+    """
     out = list(roots)
     used = [False] * len(out)
+    exact: dict = {}
+    for j, r in enumerate(out):
+        exact.setdefault(r, []).append(j)
     for i, r in enumerate(out):
         if used[i]:
             continue
@@ -356,13 +388,17 @@ def _pair_conjugates(roots, mults, tol):
             out[i] = complex(r.real, 0.0)
             used[i] = True
             continue
-        best, bestd = -1, np.inf
-        for j in range(len(out)):
-            if j == i or used[j] or mults[j] != mults[i]:
-                continue
-            d = abs(out[j] - r.conjugate())
-            if d < bestd:
-                best, bestd = j, d
+        best = next((j for j in exact.get(r.conjugate(), ())
+                     if j != i and not used[j] and mults[j] == mults[i]), -1)
+        bestd = 0.0
+        if best < 0:
+            bestd = np.inf
+            for j in range(len(out)):
+                if j == i or used[j] or mults[j] != mults[i]:
+                    continue
+                d = abs(out[j] - r.conjugate())
+                if d < bestd:
+                    best, bestd = j, d
         if best >= 0 and bestd <= 1e4 * tol * scale:
             avg = (r + out[best].conjugate()) / 2
             out[i] = avg
@@ -432,21 +468,23 @@ def linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Dividing every row by its largest entry makes LAPACK's partial pivoting
     (getrf) the scaled partial pivoting of Gaussian elimination.  Raises
     SingularMatrixError when a pivot falls below 1e-13 of its row scale,
-    which signals a degenerate model upstream.  x is real for real a and b.
+    which signals a degenerate model upstream.  x is real for real a and b
+    (double precision, dgetrf/dgetrs) and complex otherwise (zgetrf/zgetrs).
     """
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise PolyalgError("dimension mismatch in linear solve")
-    scale = np.max(np.abs(a), axis=1)
+    scale = np.abs(a).max(axis=1)
     scale[scale == 0] = 1.0
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
+    cplx = np.iscomplexobj(a) or np.iscomplexobj(b)
+    getrf, getrs = (zgetrf, zgetrs) if cplx else (dgetrf, dgetrs)
     lu, piv, _ = getrf(a / scale[:, None])
-    pivots = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivots <= 1e-13)
-    if small.size:
-        col = int(small[0])
+    pivots = np.abs(lu.diagonal())
+    small = pivots <= 1e-13
+    if small.any():
+        col = int(small.argmax())
         rows = np.arange(n)
         for k, swap in enumerate(piv[:col + 1]):
             rows[[k, swap]] = rows[[swap, k]]

@@ -7,7 +7,11 @@ vectors of E(rho) from an SVD, and Gaussian elimination with scaled partial
 pivoting.  reference_routes swaps all four into base_solver at once.
 sylvester_newton is the shifted Newton with a dense Sylvester solve per step,
 from scipy's ordered Schur start, that solve_psi replaced by steps on the
-Schur blocks of that start.
+Schur blocks of that start.  law_terms_by_reordering is the law route that
+the eigendecomposition of K replaced on simple spectra: every cluster, simple
+or not, reordered out of one complex Schur form of K.  eig_clusters_by_scan
+is the clustering of eigenvalues as it was before it kept each group's mean,
+with its quadratic conjugate pairing; the two must agree bit for bit.
 """
 
 import math
@@ -16,12 +20,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from scipy.linalg import schur, solve_sylvester
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from heavyq import base_solver
 from heavyq.base_solver import NEWTON_STEP_TOL, NEWTON_STEPS, RICCATI_TOL, SolverError
 from heavyq.model import eval_E
 from heavyq.oracle import _null_vector
-from heavyq.polyalg import PolyalgError, SingularMatrixError
+from heavyq.polyalg import CLUSTER_TOL, PolyalgError, RootSet, SingularMatrixError
 
 
 def newton_from_zero(fluid) -> np.ndarray:
@@ -92,6 +97,96 @@ def law_terms_by_cluster(k, h, b, clusters) -> list:
             coef = complex(coef.real, 0.0)
         terms.append((-center, j, coef))
     return terms
+
+
+def law_terms_by_reordering(real, clusters) -> list:
+    """Density terms of h e^(Kx) b, block-diagonalising K cluster by cluster.
+
+    From the complex Schur form K = Z T Z^H (real.schur), each step moves
+    one eigenvalue cluster to the top of the remaining triangular block
+    (ztrsen with a select mask) and decouples it from the rest by a
+    triangular Sylvester solve (ztrsyl); on the cluster's block B = c I + N,
+    e^(Bx) = e^(cx) sum_j (N x)^j / j! over j < multiplicity.  Coefficients
+    of conjugate clusters are made exact conjugates.
+    """
+    rest, z = real.schur
+    left, right = real.h @ z, z.conj().T @ real.b
+    coefs = {}
+    pending = list(clusters)
+    while pending:
+        center, mult = pending.pop(0)
+        if pending:
+            others = np.array([c for c, _ in pending])
+            radius = 0.5 * float(np.min(np.abs(others - center)))
+            select = np.abs(np.diag(rest) - center) < radius
+            if np.count_nonzero(select) != mult:
+                raise SolverError(f"could not separate the eigenvalue cluster at {center}")
+            t, q = ztrsen(select, rest, np.eye(rest.shape[0]), job="N")[:2]
+            y, scale = ztrsyl(t[:mult, :mult], t[mult:, mult:], -t[:mult, mult:], isgn=-1)[:2]
+            y = y / scale
+            lz, rz = left @ q, q.conj().T @ right
+            block, lb, rb = t[:mult, :mult], lz[:mult], rz[:mult] - y @ rz[mult:]
+            rest, left, right = t[mult:, mult:], lz[mult:] + lz[:mult] @ y, rz[mult:]
+        else:
+            block, lb, rb = rest, left, right
+        nil = block - center * np.eye(mult)
+        acc = rb
+        for j in range(mult):
+            coefs[(center, j)] = complex(lb @ acc) / math.factorial(j)
+            acc = nil @ acc
+    terms = []
+    for (center, j), coef in coefs.items():
+        if center.imag < 0:
+            coef = coefs.get((center.conjugate(), j), coef.conjugate()).conjugate()
+        elif center.imag == 0:
+            coef = complex(coef.real, 0.0)
+        terms.append((-center, j, coef))
+    return terms
+
+
+def eig_clusters_by_scan(eigs, is_real: bool) -> RootSet:
+    """Computed eigenvalues clustered within CLUSTER_TOL of a group's mean,
+    recomputed for every group and root, then sorted by (real, imag) with
+    conjugates paired by a scan over all roots for each."""
+    raw = sorted((complex(z) for z in eigs), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    clusters = []
+    for r in raw:
+        for cl in clusters:
+            ctr = sum(cl) / len(cl)
+            if abs(r - ctr) <= CLUSTER_TOL * max(1.0, abs(ctr)):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    roots = [sum(cl) / len(cl) for cl in clusters]
+    mults = [len(cl) for cl in clusters]
+    if is_real:
+        out, used = list(roots), [False] * len(roots)
+        for i, r in enumerate(out):
+            if used[i]:
+                continue
+            scale = max(1.0, abs(r))
+            if abs(r.imag) <= CLUSTER_TOL * scale:
+                out[i] = complex(r.real, 0.0)
+                used[i] = True
+                continue
+            best, bestd = -1, np.inf
+            for j in range(len(out)):
+                if j == i or used[j] or mults[j] != mults[i]:
+                    continue
+                d = abs(out[j] - r.conjugate())
+                if d < bestd:
+                    best, bestd = j, d
+            if best >= 0 and bestd <= 1e4 * CLUSTER_TOL * scale:
+                avg = (r + out[best].conjugate()) / 2
+                out[i] = avg
+                out[best] = avg.conjugate()
+                used[i] = used[best] = True
+            else:
+                used[i] = True
+        roots = out
+    order = np.lexsort((np.imag(roots), np.real(roots)))
+    return RootSet(tuple(roots[i] for i in order), tuple(mults[i] for i in order))
 
 
 def gauss_linsolve(a, b) -> np.ndarray:

@@ -185,6 +185,8 @@ def test_factorisations_name_non_finite_input():
         newton_step(np.full_like(psi, np.nan))
     with pytest.raises(SolverError, match="complex Schur form of K failed"):
         Realisation(0.0, np.ones(2), np.array([[-1.0, np.nan], [0.0, -2.0]]), np.ones(2)).schur
+    with pytest.raises(SolverError, match="eigendecomposition of K failed: K holds infs or NaNs"):
+        Realisation(0.0, np.ones(2), np.array([[-1.0, np.inf], [0.0, -2.0]]), np.ones(2)).eig
     with pytest.raises(SolverError, match="pivoted QR of the entered columns of d2 failed"):
         _arrival_basis(np.array([[0.5, np.inf], [0.2, 0.3]]))
 
@@ -199,7 +201,7 @@ def test_normalisation_check_names_its_ratio(monkeypatch):
 
 
 def test_law_mass_check_names_the_mass(monkeypatch):
-    # a block diagonalisation that loses accuracy must not pass silently
+    # a law route that loses accuracy must not pass silently
     from heavyq import base_solver
     real = base_solver._law_terms
 
@@ -208,6 +210,22 @@ def test_law_mass_check_names_the_mass(monkeypatch):
 
     monkeypatch.setattr(base_solver, "_law_terms", lossy)
     with pytest.raises(SolverError, match=r"not normalised: W\(0\) = 1\.000000\d* \(mass"):
+        solve_base(mmpp2_model(), RationalLST.exponential(3.0))
+
+
+def test_law_mass_check_catches_a_lossy_eigendecomposition(monkeypatch):
+    # the eigendecomposition of K gives the poles and the residues of the
+    # law: eigenvalues off by 1e-6 relative put the continuous part's mass
+    # off by as much
+    from heavyq import base_solver
+    eig = base_solver._eig
+
+    def lossy(mat, name):
+        eigs, vecs = eig(mat, name)
+        return (eigs * (1.0 - 1e-6) if name == "K" else eigs), vecs
+
+    monkeypatch.setattr(base_solver, "_eig", lossy)
+    with pytest.raises(SolverError, match=r"not normalised: W\(0\) = 1\.00000\d* \(mass"):
         solve_base(mmpp2_model(), RationalLST.exponential(3.0))
 
 

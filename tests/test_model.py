@@ -131,6 +131,13 @@ def test_rejections():
         build_marp([[-1.0, -1.0], [0.0, -1.0]], [[1.0, 1.0], [0.0, 1.0]])  # negative off-diag
     with pytest.raises(ModelError):
         build_marp([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.5], [1.0, 0.0]])  # row sums off
+    for scale in (1.0, 1e8, 1e10):
+        # the row sums are held to 1e-10 of the row's largest entry, so a
+        # row off by 1e-9 of it is off in every time unit (and rates times
+        # 1e8 with rounding-size row sums build: test_perturbation)
+        with pytest.raises(ModelError, match="row 2 sums to"):
+            build_marp(scale * np.array([[-1.0, 1.0], [0.5, -1.0]]),
+                       scale * np.array([[0.0, 0.0], [0.0, 0.5 + 1e-9]]))
     with pytest.raises(ModelError):
         # reducible: no way back from state 2
         build_marp([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])

@@ -352,12 +352,12 @@ def test_perturbation_is_free_of_the_time_unit(n):
     ht = abate_whitt(2.0)
     sol = solve_base(*random_mmpp(n, 7))
     ref = perturb(sol, ht, "discard")
-    for c in (0.01, 0.1, 10.0):
+    for c in (0.01, 0.1, 10.0, 1e8, 1e10):
         pdata = perturb(solve_base(*random_mmpp(n, 7, scale=c)), ht, "discard")
         np.testing.assert_allclose(np.asarray(pdata.delta) / c, ref.delta, rtol=1e-12, atol=0)
         np.testing.assert_allclose(pdata.z, ref.z, rtol=0, atol=1e-12)
-    # the models' row-sum check is absolute, so larger scales go straight
-    # to the bordered solve: E, dE/dg and rho times c, E' unchanged
+    # the bordered solve on its own, down to c = 1e-10 as well: E, dE/dg
+    # and rho times c, E' unchanged
     model, pt = sol.model, sol.pt
     rho = np.array(sol.rho_pos, dtype=complex)
     g, g_der = pt.value_and_deriv(rho)

@@ -3,11 +3,12 @@
 The solver factorises each matrix once: one ordered Schur form of the
 shifted fluid generator starts Newton and gives every Newton step, one
 eigendecomposition of U gives the positive roots and the null vectors of E
-there, one complex Schur form of K gives the poles and the law terms, and
-linsolve is one LU.  The earlier routes stay as
-references; the two agree within 1e-12 wherever the earlier one is accurate,
-and near load 1, where it is not, the shifted route is the closer to the
-exact law.
+there, one eigendecomposition of K gives the poles and, where they are
+simple, the law terms (a complex Schur form of K only reorders multiple
+clusters), and linsolve is one LU.  The earlier routes stay as references;
+the two agree within 1e-12 wherever the earlier one is accurate, and near
+load 1, where it is not, the shifted route is the closer to the exact law.
+The clustering of eigenvalues agrees with its earlier form bit for bit.
 """
 
 import os
@@ -27,8 +28,10 @@ from heavyq.measures import MeasureError
 from heavyq.model import build_marp, build_mmpp
 from heavyq.oracle import exact_solve
 from heavyq.polyalg import SingularMatrixError, linsolve
-from solver_references import (gauss_linsolve, law_terms_by_cluster, newton_from_zero,
-                               reference_routes, sylvester_newton)
+from solver_references import (eig_clusters_by_scan, gauss_linsolve, law_terms_by_cluster,
+                               law_terms_by_reordering, newton_from_zero, reference_routes,
+                               sylvester_newton)
+from test_correction import bursty_mmpp
 from test_perturbation import random_mmpp
 from test_riccati import PAPER, h2_renewal, paper_model, subset_sum_solve
 
@@ -118,6 +121,7 @@ def test_near_saturation_against_the_exact_generator(n, seed, load):
     # and 9.4e-6 at 0.999999.  The shifted route stays within 1.7e-10.
     model, pt = random_mmpp(n, seed, load)
     new = solve_base(model, pt)
+    assert all(m == 1 for _, m in new.den_roots)     # the law from the eigendecomposition of K
     with reference_routes(pt):
         ref = solve_base(model, pt)
     grid = default_grid(new)
@@ -155,28 +159,144 @@ def test_near_saturation_against_the_subset_sum_law(load):
     assert scored >= {0.9999: 8, 0.999999: 4}[load]
 
 
-def test_one_schur_start_and_no_svd(monkeypatch):
-    # one ordered real Schur form of the fluid generator serves the start
-    # and every Newton step, one complex Schur form of K the poles and the
-    # law terms; no dense Sylvester solve and no SVD
-    model, pt = random_mmpp(64, 7, 0.8)
-    calls = {name: [] for name in ("dgees", "zgees", "solve_sylvester", "schur", "svd")}
+def mixed_service():
+    """A service law with one multiple pole among simple ones: an Erlang(3)
+    stage at rate 12, or an exponential one at rate 15 or 6."""
+    tmat = np.zeros((5, 5))
+    tmat[:3, :3] = 12.0 * (np.eye(3, k=1) - np.eye(3))
+    tmat[3, 3], tmat[4, 4] = -15.0, -6.0
+    alpha = np.array([0.5, 0.0, 0.0, 0.3, 0.2])
+    poles = polyalg.RootSet((complex(-15.0), complex(-12.0), complex(-6.0)), (1, 3, 1))
+    return RationalLST(alpha, tmat, 0.5 * 3 / 12.0 + 0.3 / 15.0 + 0.2 / 6.0, poles)
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """Patch each named function of module to record its calls."""
+    calls = {name: 0 for name in names}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name].append(args)
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("dgees", "zgees"):
-        monkeypatch.setattr(base_solver, name, counted(name, getattr(base_solver, name)))
-    for name in ("solve_sylvester", "schur"):
-        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_one_schur_start_and_no_svd(monkeypatch):
+    # one ordered real Schur form of the fluid generator serves the start
+    # and every Newton step, one eigendecomposition of U the roots and the
+    # null vectors, and one of K the poles and, its spectrum being simple,
+    # the law terms: no complex Schur form and no reordering, no dense
+    # Sylvester solve and no SVD
+    model, pt = random_mmpp(64, 7, 0.8)
+    lapack = count_calls(monkeypatch, base_solver, ("dgees", "dgeev", "zgees", "ztrsen"))
+    dense = count_calls(monkeypatch, scipy.linalg, ("solve_sylvester", "schur"))
+    svd = count_calls(monkeypatch, np.linalg, ("svd",))
     sol = solve_base(model, pt)
-    assert {name: len(args) for name, args in calls.items()} == {
-        "dgees": 1, "zgees": 1, "solve_sylvester": 0, "schur": 0, "svd": 0}
+    assert all(m == 1 for _, m in sol.den_roots)
+    assert {**lapack, **dense, **svd} == {"dgees": 1, "dgeev": 2, "zgees": 0, "ztrsen": 0,
+                                          "solve_sylvester": 0, "schur": 0, "svd": 0}
     assert abs(complex(sol.w_law.total_mass()) - 1.0) <= 1e-12
+    # the reordering runs only where a cluster is multiple: one complex Schur
+    # form per realisation, no reordering of a single cluster (Erlang), and
+    # one per multiple cluster among simple ones
+    for pt, reorders in ((RationalLST.erlang(18.0, 6), 0), (mixed_service(), 1)):
+        lapack.update(zgees=0, ztrsen=0)
+        for law in (pt.service_measure, pt.excess_measure):
+            assert abs(complex(law.total_mass()) - 1.0) <= 1e-12
+        assert (lapack["zgees"], lapack["ztrsen"]) == (2, 2 * reorders)
+
+
+LAW_CASES = {
+    **{f"random N={n}": (lambda n=n: random_mmpp(n, 7, 0.8))
+       for n in (2, 3, 5, 8, 16, 32, 64, 128)},
+    "bursty N=16": lambda: bursty_mmpp(16),
+    "bursty N=32": lambda: bursty_mmpp(32),
+    "lumpable exp9": lambda: (lumpable(), RationalLST.exponential(9.0)),
+    "lumpable erlang(24,3)": lambda: (lumpable(), RationalLST.erlang(24.0, 3)),
+    "mmpp5 erlang(6,2)": lambda: (paper_model("mmpp5"), RationalLST.erlang(6.0, 2)),
+    "mmpp5 h2": lambda: (paper_model("mmpp5"),
+                         RationalLST.hyperexponential([0.3, 0.7], [2.0, 8.0])),
+    "mmpp2 mixed service": lambda: (paper_model("mmpp2"), mixed_service()),
+}
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_law_terms_match_the_reordering_route(case):
+    # the residues from one eigendecomposition of K against every cluster
+    # reordered out of the complex Schur form, for the delay, service and
+    # excess laws, within 1e-12 of the largest coefficient (measured at
+    # most 1.4e-14, bursty N = 32)
+    model, pt = LAW_CASES[case]()
+    sol = solve_base(model, pt)
+    for real, clusters in ((sol.w_hat, sol.den_roots), (pt._service, pt.poles),
+                           (pt.excess, pt.poles)):
+        got = _law_terms(real, clusters)
+        want = law_terms_by_reordering(real, clusters)
+        assert [(a, m) for a, m, _ in got] == [(a, m) for a, m, _ in want]
+        scale = max(abs(c) for _, _, c in want)
+        assert max(abs(c - d) for (_, _, c), (_, _, d) in zip(got, want)) <= 1e-12 * scale
+
+
+def random_real_spectrum(rng) -> np.ndarray:
+    """Eigenvalues as a real matrix's eigendecomposition gives them, with
+    the cases the clustering has to tell apart: conjugate pairs, exact and
+    scattered multiple eigenvalues, near-real pairs and close neighbours."""
+    n = int(rng.integers(1, 13))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        return np.linalg.eigvals(rng.normal(size=(n, n)) * scale)
+    if kind == 1:      # a Jordan block in a random basis: eig scatters it
+        jordan = np.eye(n) * -scale + np.eye(n, k=1)
+        basis = rng.normal(size=(n, n))
+        return np.linalg.eigvals(basis @ jordan @ np.linalg.inv(basis))
+    base = (rng.normal(size=n) + 1j * rng.normal(size=n) * (rng.uniform(size=n) < 0.5)) * scale
+    if kind == 2:      # exact and near conjugates and realness at rounding distance
+        out = []
+        for z in base:
+            tiny = 10.0 ** rng.uniform(-12, -5) * max(1.0, abs(z))
+            out.extend([complex(z.real, tiny), complex(z.real, -tiny)] if rng.uniform() < 0.3
+                       else [z, z.conjugate() * (1 + tiny * (rng.uniform() < 0.3))])
+        return np.array(out)
+    if kind == 3:      # neighbours within a few CLUSTER_TOL, and exact repeats
+        steps = rng.choice([0.0, 0.3, 0.9, 1.1, 3.0], size=n) * polyalg.CLUSTER_TOL
+        ctr = base[0].real
+        return np.array([ctr * (1 + d) if rng.uniform() < 0.7 else ctr for d in steps]
+                        + [z for z in base[1:] if z.imag == 0])
+    return np.concatenate((base, base.conj(), np.zeros(int(rng.integers(0, 2)))))
+
+
+def bits(rootset) -> tuple:
+    return (tuple((z.real.hex(), z.imag.hex()) for z in rootset.roots), rootset.multiplicities)
+
+
+def test_eig_clusters_match_the_scan():
+    # the clustering that keeps each group's mean and pairs exact conjugates
+    # by lookup against the one that recomputed every mean in its scan and
+    # paired every root by a scan, bit for bit, on 1500 spectra
+    rng = np.random.default_rng(29)
+    multiple = 0
+    for _ in range(1500):
+        eigs = random_real_spectrum(rng)
+        got = polyalg.eig_clusters(eigs, is_real=True)
+        assert bits(got) == bits(eig_clusters_by_scan(eigs, True)), eigs
+        multiple += any(m > 1 for m in got.multiplicities)
+    assert multiple >= 300
+    # a second root on either side of a group's radius, CLUSTER_TOL times
+    # max(1, |mean|), where a radius taken at another point would differ
+    edge = []
+    for ctr in (0.5, 3.0, 1000.0, -250.0 + 40.0j):
+        for step in (1.0, -1.0, 1j):
+            for factor in (1.0 - 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-6):
+                gap = polyalg.CLUSTER_TOL * max(1.0, abs(ctr)) * factor * step
+                edge.append(np.array([ctr, ctr + gap, np.conj(ctr), np.conj(ctr + gap)]))
+    for eigs in edge + [np.array([-0.0, 0.0, 1e-300]), np.array([2.0 + 1j, 2.0 - 1j, 2.0 + 1j])]:
+        assert bits(polyalg.eig_clusters(eigs, True)) == bits(eig_clusters_by_scan(eigs, True))
+    assert len({len(polyalg.eig_clusters(eigs, True)) for eigs in edge}) > 1
 
 
 PSI_CASES = {
