@@ -10,11 +10,15 @@ here expands subset sums, so there is no cap on the number of states.
 
 invert evaluates the transform once per call, on the matrix of Euler
 abscissae of all its t; both Euler estimates come from one cumulative sum
-over those values.  The simulator walks the environment's state path by
-blocks from one successor table and does the rest (real-arrival flags,
-services, the Lindley recursion for the delays) as array arithmetic on the
-same uniform streams the per-transition loop drew, so a seed gives the same
-customers.
+over those values.  The simulator draws the random streams of the
+per-transition loop, chunk by chunk in the same order, so a seed gives the
+same customers, and works on each chunk as arrays in two halves.  A worker
+thread, one chunk ahead, draws the streams and does the half of the walk
+through the environment's successor table that does not depend on the
+state carried in; the calling thread finishes the chunk from that state
+and the carried workload: the rest of the walk, the real-arrival flags,
+the services and the Lindley recursion for the delays.  The real-flag
+stream is skipped, not drawn, when every flag's probability is 0 or 1.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ EULER_MAX_DAMP = 37.0  # exp(A/2) amplifies roundoff; beyond this A hurts
 NEWTON_ITERS = 50
 SIM_CHUNK = 10 ** 5    # environment transitions per draw of the uniform streams
 CDF_TABLE_POINTS = 4000  # geometric abscissae of an inverse-CDF sampling table
-BUCKET_CELLS = 2 ** 12   # equal cells of [0, 1) in the bucket lookup of _walk_path
+BUCKET_CELLS = 2 ** 12   # equal cells of [0, 1) in the bucket lookup of _Walker
+WALK_WIDTH = 64          # steps per block of _Walker's prefix scan
 
 
 class OracleError(RuntimeError):
@@ -160,7 +165,7 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         raise OracleError("mixture model is unstable")
     mix = _MixtureLST(pt, ht, eps)
 
-    rho_eps = []
+    rho_eps, nulls = [], []
     for idx, rho in enumerate(base.rho_pos):
         x = complex(rho - eps * deltas[idx] if deltas is not None else rho)
         # Newton on det E, step 1 / tr(E^-1 E') by LU, and one more step after
@@ -177,30 +182,27 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
             if converged:
                 break
             converged = abs(step) <= 1e-13 * max(1.0, abs(x))
-        sv = np.linalg.svd(eval_E(model, x, mix(x)), compute_uv=False)
+        # one SVD gives the simplicity check and the null vector, the right
+        # singular vector of the smallest singular value
+        _, sv, right = np.linalg.svd(eval_E(model, x, mix(x)))
         if not converged or sv[-1] > 1e-8 * sv[0]:
             raise OracleError(f"Newton did not converge for root {rho}")
         if x.real <= 0:
             raise OracleError(f"refined root {x} lost its positive real part")
         rho_eps.append(x)
+        nulls.append(right[-1].conj())
     # distinctness guard: refined roots must stay separated
     for i, a in enumerate(rho_eps):
         if any(abs(a - b) < 1e-8 * max(1.0, abs(a)) for b in rho_eps[i + 1:]):
             raise OracleError("refined roots collided")
 
-    u_eps = _boundary_vector(model, [_null_vector(eval_E(model, x, mix(x))) for x in rho_eps],
-                             margin)
+    u_eps = _boundary_vector(model, nulls, margin)
     sol = ExactSolution(model=model, eps=eps, rho_eps=tuple(rho_eps),
                         u_eps=u_eps, _mix_lst=mix)
     norm = sol.normalisation()
     if abs(norm - 1.0) > 1e-9:
         raise OracleError(f"mixture transform not normalised: W(0) = {norm}")
     return sol
-
-
-def _null_vector(mat: np.ndarray) -> np.ndarray:
-    """Right singular vector of the smallest singular value."""
-    return np.linalg.svd(mat)[2][-1].conj()
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def service_samplers(pt: RationalLST, ht):
     """
     if pt.order == 1 and pt.atom == 0.0:
         nu = -float(pt.tmat[0, 0])
-        ph_sample = lambda u: -np.log1p(-u) / nu
+        ph_sample = lambda u: np.log1p(-u) / -nu
     else:
         law = pt.service_measure
         ph_sample = _inverse_cdf_table(
@@ -277,66 +279,82 @@ def _successor_table(cum_p: np.ndarray):
     return thresholds, table
 
 
-def _buckets(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(thresholds, u, side="right") for u in [0, 1), exactly.
+class _Walker:
+    """The environment's successor table, walked by blocks of WALK_WIDTH steps.
 
-    u lies in cell c = floor(u BUCKET_CELLS) (a product by a power of two,
-    exact), and its bucket is the number of thresholds at or below the
-    cell's left end plus one compare against each threshold strictly inside
-    the cell.  A threshold on a cell's edge (0.0 among them) falls in the
-    count; one at or above 1 never counts, as no u reaches it.
+    A step from state i on a uniform in bucket b is the flat index
+    n b + i into the table (_successor_table); its successor is flat[n b + i].
+    The walk is a two-pass prefix scan by blocks (Blelloch 1990) over
+    compositions of the maps table[b], split in two halves.  maps, the half
+    that does not depend on the start state, finds every step's bucket
+    offset n b and, in pass 1, maps every state through every block at once.
+    steps, the other half, fixes each block's start state by a loop over the
+    blocks and, in pass 2, walks all blocks together from their starts.
     """
-    cells = BUCKET_CELLS
-    at = (u * cells).astype(np.intp)
-    out = np.searchsorted(thresholds, np.arange(cells) / cells, side="right")[at]
-    scaled = thresholds * cells
-    inner = thresholds[(thresholds < 1.0) & (scaled != np.floor(scaled))]
-    cell = (inner * cells).astype(np.intp)
-    # the thresholds inside one cell, in order, as rows of a [rank, cell] table
-    rank = np.arange(inner.size) - np.searchsorted(cell, cell)
-    ranked = np.full((rank.max(initial=-1) + 1, cells), np.inf)
-    ranked[rank, cell] = inner
-    for row in ranked:
-        out += u >= row[at]
-    return out
 
+    def __init__(self, cum_p: np.ndarray):
+        g, table = _successor_table(cum_p)
+        n_buckets, self.n = table.shape
+        self.flat = table.ravel()
+        self.pad = (n_buckets - 1) * self.n     # offset of the identity step
+        # bucket lookup: u lies in cell c = floor(u BUCKET_CELLS) (a product
+        # by a power of two, exact), and its bucket is the number of
+        # thresholds at or below the cell's left end plus one compare against
+        # each threshold strictly inside the cell.  A threshold on a cell's
+        # edge (0.0 among them) falls in the count; one at or above 1 never
+        # counts, as no u reaches it.  Both tables count in units of n.
+        cells = BUCKET_CELLS
+        self.below = np.searchsorted(g, np.arange(cells) / cells, side="right") * self.n
+        scaled = g * cells
+        inner = g[(g < 1.0) & (scaled != np.floor(scaled))]
+        cell = (inner * cells).astype(np.intp)
+        # the thresholds inside one cell, in order, as rows of a [rank, cell] table
+        rank = np.arange(inner.size) - np.searchsorted(cell, cell)
+        self.ranked = np.full((rank.max(initial=-1) + 1, cells), np.inf)
+        self.ranked[rank, cell] = inner
 
-def _walk_path(thresholds: np.ndarray, table: np.ndarray, u_next: np.ndarray,
-               state: int) -> np.ndarray:
-    """States 0 .. L of the path from state driven by the L uniforms u_next.
+    def bucket_offsets(self, u: np.ndarray, out: np.ndarray) -> None:
+        """out = n searchsorted(thresholds, u, side="right") for u in [0, 1), exactly."""
+        at = (u * BUCKET_CELLS).astype(np.intp)
+        np.take(self.below, at, out=out)
+        for row in self.ranked:
+            np.add(out, self.n, out=out, where=u >= row[at])
 
-    thresholds and table come from _successor_table.  The walk is a
-    two-pass prefix scan by blocks (Blelloch 1990) over compositions of the
-    maps table[b].  The steps are cut into blocks of width isqrt(L), the
-    last one padded with identity steps.  Pass 1 maps every state through
-    every block at once; a loop over the blocks fixes each block's start
-    state; pass 2 walks all blocks together from their starts.  Each step
-    is one gather from the flat table at n * bucket + state.
-    """
-    n_buckets, n = table.shape
-    n_steps = u_next.size
-    width = math.isqrt(n_steps)
-    n_blocks = -(-n_steps // width)
-    offsets = np.full(n_blocks * width, n_buckets - 1, dtype=np.intp)
-    offsets[:n_steps] = _buckets(thresholds, u_next)
-    # offsets[k, j]: the row of step k of block j, times n
-    offsets = np.ascontiguousarray(offsets.reshape(n_blocks, width).T) * n
-    flat = table.ravel()
-    ends = np.repeat(np.arange(n)[:, None], n_blocks, axis=1)
-    for row in offsets:
-        ends = flat[row + ends]
-    ends = ends.T.tolist()   # ends[j][i]: block j entered in state i ends here
-    starts = [0] * n_blocks
-    cur = state
-    for j in range(n_blocks):
-        starts[j] = cur
-        cur = ends[j][cur]
-    path = np.empty((width, n_blocks), dtype=np.intp)
-    at = np.array(starts, dtype=np.intp)
-    for k, row in enumerate(offsets):
-        path[k] = at
-        at = flat[row + at]
-    return np.append(path.T.ravel()[:n_steps], cur)
+    def maps(self, u_next: np.ndarray):
+        """The state-free half of the walk driven by the uniforms u_next.
+
+        The steps are cut into blocks of width WALK_WIDTH (fewer for a short
+        walk), the last one padded with identity steps.  Gives offsets, with
+        offsets[j, k] the bucket offset of step k of block j, and ends, with
+        ends[j][i] the state in which block j entered in state i ends.
+        """
+        n_steps = u_next.size
+        width = min(WALK_WIDTH, n_steps)
+        n_blocks = -(-n_steps // width)
+        offsets = np.full((n_blocks, width), self.pad, dtype=np.intp)
+        self.bucket_offsets(u_next, offsets.reshape(-1)[:n_steps])
+        ends = np.repeat(np.arange(self.n)[:, None], n_blocks, axis=1)
+        for column in offsets.T:
+            ends = self.flat[column + ends]
+        return offsets, ends.T.tolist()
+
+    def steps(self, maps, n_steps: int, state: int):
+        """The flat index of each of the n_steps steps from state, and the end state.
+
+        maps is what maps gave for the walk's uniforms.
+        """
+        offsets, ends = maps
+        starts = [0] * len(ends)
+        cur = state
+        for j, end in enumerate(ends):
+            starts[j] = cur
+            cur = end[cur]
+        pos = np.empty_like(offsets)
+        at = np.array(starts, dtype=np.intp)
+        for column, out in zip(offsets.T, pos.T):
+            np.add(column, at, out=out)
+            at = self.flat[out]
+        return pos.reshape(-1)[:n_steps], cur
 
 
 def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
@@ -345,55 +363,98 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
 
     The environment makes one transition per exponential sojourn; a
     transition i -> j brings a real customer with probability q_real[i, j],
-    whose service is heavy with probability eps.  Each chunk of transitions
-    draws five random streams in a fixed order (next state, real flag,
-    mixture component, service quantile, sojourn) into buffers allocated
-    once per call, so no chunk takes fresh pages.  The state path comes
-    from one successor table, built once, and a walk by blocks over the
-    chunk (_walk_path); everything else is array arithmetic.  The workload
-    just before transition k is the Lindley recursion
-    V_k = max(V_{k-1} + service_{k-1} - drain_k, 0), which is
-    S_k - min(0, min_{j<=k} S_j) for the partial sums S of its increments
-    (Lindley 1952); the workload and the state carry across chunks.
+    whose service is heavy with probability eps.  Each chunk of SIM_CHUNK
+    transitions draws five random streams in a fixed order (next state,
+    real flag, mixture component, service quantile, sojourn) from
+    Generator(PCG64(seed)).  When every step's q_real is 0 or 1, u < q does
+    not depend on u: the real-flag stream is skipped by advancing the
+    generator over it (one 64-bit output per double), so the later streams
+    are the same numbers.
+
+    One worker thread prepares the next chunk while the calling thread
+    finishes the current one: it draws the streams and runs the state-free
+    half of the walk (_Walker.maps).  After the draw of the start state
+    only the worker touches the generator, one chunk at a time, so a seed
+    gives the same customers however the threads interleave.  The next
+    chunk is started as soon as the current one is taken, unless the
+    current one may hold the last customer needed; then only once its real
+    arrivals show that it does not, so no chunk is drawn in vain.  The rest
+    of a chunk depends on the state and workload carried in: the walk's
+    second half (_Walker.steps), the real customers (u_real < q at each
+    step's flat index), their services (phase-type for all, then the heavy
+    ones overwritten) and the delays.  The workload just before transition
+    k is the Lindley recursion V_k = max(V_{k-1} + service_{k-1} - drain_k, 0),
+    which is S_k - min(0, min_{j<=k} S_j) for the partial sums S of its
+    increments (Lindley 1952).  The worker is joined before the call
+    returns or raises.
     """
-    rng = np.random.default_rng(seed)
+    # imported here: the thread pool module is not loaded with numpy or scipy
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.Generator(np.random.PCG64(seed))
     n = model.n_states
     cum_p = np.cumsum(model.trans, axis=1)
     cum_p[:, -1] = 1.0
-    thresholds, table = _successor_table(cum_p)
-    ph_sample, heavy_sample = service_samplers(pt, ht)
-
+    walker = _Walker(cum_p)
+    # per flat step index n b + i: P(real) and minus the exit rate of i
+    origin = np.arange(walker.flat.size) % n
+    q_step = model.q_real[origin, walker.flat]
+    neg_rate = -model.rates[origin]
+    draw_real = bool(np.any((q_step > 0.0) & (q_step < 1.0)))
     chunk = SIM_CHUNK
+
+    def prepare():
+        u_next = rng.random(chunk)
+        if draw_real:
+            u_real = rng.random(chunk)
+        else:
+            rng.bit_generator.advance(chunk)
+            u_real = 0.0
+        u_mix, u_q = rng.random(chunk), rng.random(chunk)
+        expo = rng.standard_exponential(chunk)
+        return walker.maps(u_next), u_real, u_mix, u_q, expo
+
     delays = np.empty(n_customers)
     got = 0
     state = int(rng.integers(0, n))
     workload = 0.0
-    uniforms, expo = np.empty((4, chunk)), np.empty(chunk)   # refilled by every chunk
-    u_next, u_real, u_mix, u_q = uniforms
-    while got < n_customers:
-        for row in uniforms:
-            rng.random(out=row)
-        rng.standard_exponential(out=expo)
-        path = _walk_path(thresholds, table, u_next, state)
-        real = np.flatnonzero(u_real < model.q_real[path[:-1], path[1:]])
-        real = real[:n_customers - got]
-        # transitions after the last customer needed are not simulated
-        stop = chunk if got + real.size < n_customers else int(real[-1]) + 1
-        heavy = u_mix[real] < eps
-        services = np.empty(real.size)
-        services[heavy] = heavy_sample(u_q[real[heavy]])
-        services[~heavy] = ph_sample(u_q[real[~heavy]])
-        added = np.zeros(stop)
-        added[real] = services
-        # workload change over transition k: the service added at k - 1
-        # (the carried workload for k = 0) less the drain during sojourn k
-        level = np.cumsum(np.concatenate(([workload], added[:-1]))
-                          - expo[:stop] / model.rates[path[:stop]])
-        before = level - np.minimum(np.minimum.accumulate(level), 0.0)
-        delays[got:got + real.size] = before[real]
-        got += real.size
-        workload = before[-1] + added[-1]
-        state = int(path[-1])
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(prepare)
+        # the samplers' tables are built while the first chunk is prepared
+        ph_sample, heavy_sample = service_samplers(pt, ht)
+        while got < n_customers:
+            maps, u_real, u_mix, u_q, expo = ahead.result()
+            # a chunk that may hold the last customer needed starts the next
+            # one only once its real arrivals show that it does not
+            ahead = worker.submit(prepare) if n_customers - got > chunk else None
+            pos, end = walker.steps(maps, chunk, state)
+            real = np.flatnonzero(u_real < q_step[pos])[:n_customers - got]
+            if got + real.size < n_customers:
+                stop = chunk
+                if ahead is None:
+                    ahead = worker.submit(prepare)
+            else:   # transitions after the last customer needed are not simulated
+                stop = int(real[-1]) + 1
+            services = ph_sample(u_q[real])
+            heavy = np.flatnonzero(u_mix[real] < eps)
+            services[heavy] = heavy_sample(u_q[real[heavy]])
+            # level k: the carried workload plus the services added before
+            # transition k less the drains of sojourns 0 .. k; a service at
+            # the chunk's last transition is carried to the next chunk
+            level = neg_rate.take(pos[:stop])
+            np.divide(expo[:stop], level, out=level)
+            level[0] += workload
+            carry = bool(real.size) and real[-1] == stop - 1
+            inner = real.size - carry
+            level[1:][real[:inner]] += services[:inner]
+            np.cumsum(level, out=level)
+            low = np.minimum.accumulate(level)
+            np.minimum(low, 0.0, out=low)
+            before = np.subtract(level, low, out=low)
+            np.take(before, real, out=delays[got:got + real.size])
+            got += real.size
+            workload = before[-1] + (services[-1] if carry else 0.0)
+            state = end
     return delays
 
 
@@ -418,12 +479,14 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
     if grid is None:
         grid = np.linspace(0.0, np.quantile(delays, 0.999), 30)
     # batch means absorb the serial correlation of consecutive delays, which
-    # is substantial at high load; iid half-widths would be far too narrow
+    # is substantial at high load; iid half-widths would be far too narrow.
+    # A batch's count above t is its size less its count at or below t, by
+    # one search in the sorted batch
     n_batches = 50
     usable = (n_customers // n_batches) * n_batches
-    batched = delays[:usable].reshape(n_batches, -1)
-    per_batch = np.stack([np.count_nonzero(batched > t, axis=1) / batched.shape[1]
-                          for t in grid], axis=1)
+    batched = np.sort(delays[:usable].reshape(n_batches, -1), axis=1)
+    size = batched.shape[1]
+    per_batch = np.array([size - row.searchsorted(grid, side="right") for row in batched]) / size
     surv = per_batch.mean(axis=0)
     half = 1.96 * per_batch.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return SimulationResult(grid=grid, survival=surv, half_width=half,

@@ -25,8 +25,12 @@ from scipy.linalg.lapack import ztrsen, ztrsyl
 from heavyq import base_solver
 from heavyq.base_solver import NEWTON_STEP_TOL, NEWTON_STEPS, RICCATI_TOL, SolverError
 from heavyq.model import eval_E
-from heavyq.oracle import _null_vector
 from heavyq.polyalg import CLUSTER_TOL, PolyalgError, RootSet, SingularMatrixError
+
+
+def svd_null_vector(mat: np.ndarray) -> np.ndarray:
+    """Right singular vector of the smallest singular value."""
+    return np.linalg.svd(mat)[2][-1].conj()
 
 
 def newton_from_zero(fluid) -> np.ndarray:
@@ -225,7 +229,7 @@ def reference_routes(pt):
 
     def svd_null_vectors(model, u_gen):
         rho_pos, _ = positive_roots(model, u_gen)
-        return rho_pos, [_null_vector(eval_E(model, rho, pt(rho))) for rho in rho_pos]
+        return rho_pos, [svd_null_vector(eval_E(model, rho, pt(rho))) for rho in rho_pos]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base_solver.FluidModel, "solve_psi", newton_from_zero)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heavyq.model import ModelError, build_marp, build_mmpp, stability_report
-from heavyq.oracle import _successor_table, _walk_path
+from heavyq.oracle import _Walker
 
 
 def erlang2_model(lam=1.0):
@@ -177,15 +177,14 @@ def test_embedded_chain_frequencies_match_pi():
     for m in models:
         cum_p = np.cumsum(m.trans, axis=1)
         cum_p[:, -1] = 1.0
-        walkers.append(_successor_table(cum_p))
+        walkers.append(_Walker(cum_p))
     states = [0] * n_models
     counts = np.zeros((n_models, max_n))
     for _ in range(steps // chunk):
         u = rng.random((chunk, n_models))
-        for k, ((thresholds, table), col) in enumerate(zip(walkers, u.T)):
-            path = _walk_path(thresholds, table, col, states[k])
-            counts[k, :table.shape[1]] += np.bincount(path[1:], minlength=table.shape[1])
-            states[k] = int(path[-1])
+        for k, (walker, col) in enumerate(zip(walkers, u.T)):
+            pos, states[k] = walker.steps(walker.maps(col), chunk, states[k])
+            counts[k, :walker.n] += np.bincount(walker.flat[pos], minlength=walker.n)
     freq = counts / steps
     three_sigma_p = 2.0 * (1.0 - 0.9986501019683699)  # P(|N(0,1)| > 3)
     for k, m in enumerate(models):

@@ -10,6 +10,8 @@ are kept here as the oracle only.
 import bisect
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from heavyq import oracle
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
 from heavyq.heavytail import abate_whitt
+from heavyq.model import build_marp
 from heavyq.oracle import (
     EULER_AVG,
     EULER_MAX_DAMP,
@@ -102,8 +105,12 @@ def loop_path(cum_p, u_next, state):
 
 
 def blocked_path(cum_p, u_next, state):
-    thresholds, table = oracle._successor_table(cum_p)
-    return oracle._walk_path(thresholds, table, u_next, state)
+    """States along the walk by blocks: the start, then each step's successor."""
+    walker = oracle._Walker(cum_p)
+    pos, end = walker.steps(walker.maps(u_next), u_next.size, state)
+    path = np.append(state, walker.flat[pos])
+    assert path[-1] == end
+    return path
 
 
 def batch_means(delays, grid, n_batches=50):
@@ -117,16 +124,27 @@ def run_file_model(name):
     return parse_config(os.path.join(PAPER, f"{name}.cfg")).model
 
 
+def fractional_marp():
+    """Real arrivals on state changes too, each with a probability in (0, 1)."""
+    return build_marp([[-3, .5, .2], [.4, -2, .3], [.1, .2, -1.5]],
+                      [[1, .8, .5], [.3, .6, .4], [.2, .5, .5]])
+
+
+def sim_model(name):
+    return fractional_marp() if name == "marp3" else run_file_model(name)
+
+
 MODELS = ("mmpp2", "mmpp5")
+SIM_MODELS = MODELS + ("marp3",)
 SERVICES = {"exp3": lambda: RationalLST.exponential(3.0),
             "erlang6": lambda: RationalLST.erlang(6.0, 2)}
 
 
-@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("model_name", SIM_MODELS)
 @pytest.mark.parametrize("service", sorted(SERVICES))
 @pytest.mark.parametrize("seed, n_customers", [(17, 20_000), (903, 50_000)])
 def test_simulate_equals_the_loop(model_name, service, seed, n_customers):
-    model, pt, ht = run_file_model(model_name), SERVICES[service](), abate_whitt(2.0)
+    model, pt, ht = sim_model(model_name), SERVICES[service](), abate_whitt(2.0)
     eps = 0.01
     want = loop_waiting_times(model, pt, ht, eps, n_customers, seed)
     got = waiting_times(model, pt, ht, eps, n_customers, seed)
@@ -138,14 +156,110 @@ def test_simulate_equals_the_loop(model_name, service, seed, n_customers):
     assert np.array_equal(res.half_width, half)
 
 
-@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("model_name", SIM_MODELS)
 def test_workload_and_state_carry_across_chunks(model_name, monkeypatch):
     # small chunks: many boundaries, and the last customer mid-chunk
     monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
-    model, pt, ht = run_file_model(model_name), RationalLST.erlang(6.0, 2), abate_whitt(2.0)
+    model, pt, ht = sim_model(model_name), RationalLST.erlang(6.0, 2), abate_whitt(2.0)
     want = loop_waiting_times(model, pt, ht, 0.01, 20_000, 5, chunk=997)
     got = waiting_times(model, pt, ht, 0.01, 20_000, 5)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_the_models_draw_the_real_flags_they_name():
+    # the run files' flags are 0 or 1, so their real-flag stream is skipped;
+    # the fractional model's are not, so its stream is drawn, and the tests
+    # above compare its customers with the loop's
+    for name in ("mmpp2", "mmpp5"):
+        assert set(np.unique(run_file_model(name).q_real)) <= {0.0, 1.0}
+    q = fractional_marp().q_real
+    assert np.count_nonzero((q > 0.0) & (q < 1.0)) == 6
+
+
+def second_call_raises(fn):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second chunk")
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("side", ["services", "walk"])
+def test_an_error_in_either_thread_ends_the_call_and_its_worker(side, monkeypatch):
+    # the services are sampled on the calling thread, the state-free half of
+    # the walk on the worker; either one raising on the second chunk
+    monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
+    if side == "services":
+        samplers = oracle.service_samplers
+
+        def raising_samplers(pt, ht):
+            ph_sample, heavy_sample = samplers(pt, ht)
+            return second_call_raises(ph_sample), heavy_sample
+
+        monkeypatch.setattr(oracle, "service_samplers", raising_samplers)
+    else:
+        monkeypatch.setattr(oracle._Walker, "maps", second_call_raises(oracle._Walker.maps))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second chunk"):
+        simulate(run_file_model("mmpp2"), RationalLST.exponential(3.0), abate_whitt(2.0),
+                 0.01, 10 ** 4, seed=5)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("model_name", SIM_MODELS)
+def test_no_chunk_is_drawn_in_vain(model_name, monkeypatch):
+    # every chunk the worker prepares is finished by the calling thread,
+    # the last one too, which stops at the last customer needed
+    monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
+    calls = {"maps": 0, "steps": 0}
+
+    def counted(name):
+        method = getattr(oracle._Walker, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(oracle._Walker, name, counted(name))
+    waiting_times(sim_model(model_name), RationalLST.exponential(3.0), abate_whitt(2.0),
+                  0.01, 10 ** 4, seed=5)
+    assert calls["steps"] > 5 and calls["maps"] == calls["steps"]
+
+
+def test_simultaneous_calls_equal_sequential_ones(monkeypatch):
+    # more calls than cores, each with its worker, many chunks and a short
+    # switch interval: a generator or buffer shared between calls or chunks
+    # would move a customer, and with it the grid's 0.999 quantile
+    monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
+    model, pt, ht = run_file_model("mmpp5"), RationalLST.erlang(6.0, 2), abate_whitt(2.0)
+    seeds = (3, 4, 5)
+    want = [simulate(model, pt, ht, 0.01, 20_000, seed) for seed in seeds]
+    got = [None] * len(seeds)
+
+    def run(k):
+        got[k] = simulate(model, pt, ht, 0.01, 20_000, seeds[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(seeds))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for res, ref in zip(got, want):
+        for name in ("grid", "survival", "half_width"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
 
 
 def cumulative(trans):
@@ -230,12 +344,14 @@ def test_bucket_lookup_equals_the_binary_search(case):
     u = np.concatenate([near, np.arange(cells) / cells, np.nextafter(np.arange(1, cells + 1) / cells, 0.0),
                         np.random.default_rng(3).random(10 ** 5)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = oracle._buckets(thresholds, u)
-    assert np.array_equal(got, np.searchsorted(thresholds, u, side="right"))
+    walker = oracle._Walker(WALK_CASES[case])
+    got = np.empty(u.size, dtype=np.intp)
+    walker.bucket_offsets(u, got)
+    assert np.array_equal(got, walker.n * np.searchsorted(thresholds, u, side="right"))
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-@pytest.mark.parametrize("length", [1, 2, 997, 10 ** 5])
+@pytest.mark.parametrize("length", [1, 2, 64, 65, 997, 10 ** 5])
 def test_blocked_walk_equals_the_loop(case, length):
     cum_p = WALK_CASES[case]
     u = walk_uniforms(cum_p, length, seed=length)
@@ -245,7 +361,7 @@ def test_blocked_walk_equals_the_loop(case, length):
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_blocked_walk_carries_the_state_across_calls(case):
-    # 997 = 31 * 32 + 5 steps leave the last block of width 31 part padding
+    # 997 = 15 * 64 + 37 steps leave the last block of width 64 part padding
     cum_p = WALK_CASES[case]
     u = walk_uniforms(cum_p, 3000, seed=11)
     want = loop_path(cum_p, u, 0)
