@@ -32,7 +32,8 @@ the pipeline needs follows from these matrices:
   into multiplicities like polynomial roots;
 - the null vectors of E at the positive roots are Lambda^-1 times the
   eigenvectors of U (the same eigendecomposition), and the boundary vector
-  u solves the same linear system as in the paper, by one LU;
+  u is p0 Lambda scaled to u Lambda^-1 1 = margin, the solution of the
+  paper's linear system, whose equations u . a = 0 check it;
 - the time-domain law comes from the same eigendecomposition of K: where
   every cluster of poles is simple (every delay law of the run files), its
   terms are the residues (h V)_i (V^-1 b)_i, by one more LU.
@@ -57,8 +58,8 @@ law's atom against u . omega; and the total mass of the time-domain law
 (again "W(0) = ...").
 
 The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
-of the solve, nor of anything downstream.  The oracle reuses the boundary
-system (_boundary_vector) with null vectors of its own, from an SVD of the
+of the solve, nor of anything downstream.  The oracle solves the paper's
+boundary system itself, with null vectors of its own, from an SVD of the
 mixture's E at its refined roots.  A solution's families (computed on first
 use) are the Laurent data of the correction families, ratios of E(s)^-1
 quantities, in closed form: at the positive roots from the perturbation's
@@ -756,25 +757,15 @@ def _positive_roots(model: MarpModel, u_gen: np.ndarray) -> tuple:
     return rho_pos, list(vecs[:, idx].T / model.rates)
 
 
-def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarray:
-    """u from u Lambda^-1 1 = margin and u a_i = 0 for the null vectors a_i
-    of E at the positive roots."""
-    n = model.n_states
-    amat = np.empty((n, n), dtype=complex)
-    amat[:, 0] = model.lam_inv_one
-    amat[:, 1:] = np.reshape(null_vectors, (n - 1, n)).T
-    c = np.zeros(n, dtype=complex)
-    c[0] = margin
-    u = linsolve(amat.T, c)
-    if np.abs(u.imag).max() > 1e-8 * max(1.0, float(np.abs(u).max())):
-        raise SolverError("boundary vector came out complex")
-    u = u.real.copy()
-    res = np.abs(u @ amat[:, 1:])
-    norms = np.hypot.reduce(np.abs(amat[:, 1:]), axis=0)     # |a| per column
+def _check_boundary(u: np.ndarray, null_vectors) -> None:
+    """u . a = 0 for the null vectors a of E at the positive roots, within
+    UA_TOL relative to |u| |a|."""
+    amat = np.reshape(null_vectors, (-1, u.size)).T
+    res = np.abs(u @ amat)
+    norms = np.hypot.reduce(np.abs(amat), axis=0)     # |a| per column
     bad = res > UA_TOL * np.maximum(1.0, math.sqrt(u @ u) * norms)
     for k in np.flatnonzero(bad)[:1]:
         raise SolverError(f"u . a residual {res[k]:.3e} too large")
-    return u
 
 
 def _law_terms(real: Realisation, clusters: RootSet) -> list:
@@ -865,7 +856,6 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     k = fluid.q_pp + psi @ fluid.q_mp
     u_gen = fluid.q_mm + fluid.q_mp @ psi
     rho_pos, nulls = _positive_roots(model, u_gen)
-    u = _boundary_vector(model, nulls, rep["margin"])
 
     # boundary masses p0 U = 0; densities p0 Q-+ e^(Kx) (up), times Psi (down)
     n = model.n_states
@@ -874,6 +864,10 @@ def solve_base(model: MarpModel, pt: RationalLST) -> BaseSolution:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     p0 = linsolve(lhs, rhs).real
+    # the boundary vector is p0 Lambda scaled to u Lambda^-1 1 = margin; the
+    # null vectors of eig(U) check it
+    u = rep["margin"] * p0 * model.rates / p0.sum()
+    _check_boundary(u, nulls)
     enter = p0 @ fluid.q_mp
     lu, piv, info = dgetrf(-k.T)
     if info:

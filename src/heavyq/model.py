@@ -187,11 +187,22 @@ def eval_E(model: MarpModel, s, g) -> np.ndarray:
     service transform replaced by the value g.
 
     s and g may be arrays of one shape; the matrices then stack on leading axes.
+    The stack is built in one array, in place, by the operations of the
+    formula in its order, so it holds the same numbers as the formula's
+    temporaries would, to the bit.
     """
     lam = model.rates
     s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
-    h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
-    return h + np.eye(model.n_states) * s - np.diag(lam)
+    out = np.empty(np.broadcast(s, g, model.q_real).shape, np.result_type(s, g, lam))
+    # g Q2 is taken in g's type and then stored, as in the formula, where the
+    # type of s enters only at the sum with s I
+    np.multiply(g, model.q_real, out=out)
+    out += model.q_dummy
+    out *= model.trans
+    out *= lam
+    out += np.eye(model.n_states) * s
+    out -= np.diag(lam)
+    return out
 
 
 def eval_E_deriv(model: MarpModel, gprime) -> np.ndarray:

@@ -2,23 +2,26 @@
 
 The mixture model (phase-type weight 1-eps, heavy tail weight eps) is solved
 without any perturbation shortcut: the nonnegative roots of det E(s) are
-located by Newton iteration on the numeric matrix E(s) itself, the boundary
-vector comes from the same linear system as the base model, and the
-transform s u E(s)^-1 omega is inverted numerically.  None of this shares
-code paths with the correction-term assembly, which is the point; nothing
-here expands subset sums, so there is no cap on the number of states.
+located by Newton iteration on the numeric matrix E(s) itself, all roots in
+one stacked loop, the boundary vector solves the paper's linear system with
+null vectors of its own (_boundary_vector), and the transform
+s u E(s)^-1 omega is inverted numerically.  None of this shares code paths
+with the base solve or the correction-term assembly, which is the point;
+nothing here expands subset sums, so there is no cap on the number of
+states.
 
 invert evaluates the transform once per call, on the matrix of Euler
 abscissae of all its t; both Euler estimates come from one cumulative sum
 over those values.  The simulator draws the random streams of the
 per-transition loop, chunk by chunk in the same order, so a seed gives the
 same customers, and works on each chunk as arrays in two halves.  A worker
-thread, one chunk ahead, draws the streams and does the half of the walk
-through the environment's successor table that does not depend on the
-state carried in; the calling thread finishes the chunk from that state
-and the carried workload: the rest of the walk, the real-arrival flags,
-the services and the Lindley recursion for the delays.  The real-flag
-stream is skipped, not drawn, when every flag's probability is 0 or 1.
+thread, one half chunk ahead, draws the half's streams, each from its own
+offset in the generator's sequence, and does the half of the walk through
+the environment's successor table that does not depend on the state carried
+in; the calling thread finishes the half from that state and what it
+carries: the rest of the walk, the real-arrival flags, the services and the
+Lindley recursion for the delays.  The real-flag stream is skipped, not
+drawn, when every flag's probability is 0 or 1.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_solver import BaseSolution, RationalLST, _boundary_vector, solve_base
+from .base_solver import UA_TOL, BaseSolution, RationalLST, solve_base
 from .model import MarpModel, eval_E, eval_E_deriv, stability_margin
+from .polyalg import linsolve
 
 EULER_TERMS = 40       # raw Bromwich terms before averaging; sqrt-type
                        # branch points need this many for 1e-7 accuracy
@@ -149,6 +153,50 @@ class _MixtureLST:
         return (1 - self.eps) * self.pt.deriv_at(s) + self.eps * self.ht.lst_deriv(s)
 
 
+def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarray:
+    """u from u Lambda^-1 1 = margin and u a_i = 0 for the null vectors a_i
+    of E at the positive roots, by one LU."""
+    n = model.n_states
+    amat = np.empty((n, n), dtype=complex)
+    amat[:, 0] = model.lam_inv_one
+    amat[:, 1:] = np.reshape(null_vectors, (n - 1, n)).T
+    c = np.zeros(n, dtype=complex)
+    c[0] = margin
+    u = linsolve(amat.T, c)
+    if np.abs(u.imag).max() > 1e-8 * max(1.0, float(np.abs(u).max())):
+        raise OracleError("boundary vector came out complex")
+    u = u.real.copy()
+    res = np.abs(u @ amat[:, 1:])
+    norms = np.hypot.reduce(np.abs(amat[:, 1:]), axis=0)     # |a| per column
+    bad = res > UA_TOL * np.maximum(1.0, math.sqrt(u @ u) * norms)
+    for k in np.flatnonzero(bad)[:1]:
+        raise OracleError(f"u . a residual {res[k]:.3e} too large")
+    return u
+
+
+def _newton_steps(model: MarpModel, mix: _MixtureLST, x: np.ndarray) -> tuple:
+    """Newton steps 1 / tr(E^-1 E') on det E at the points x, by one stacked
+    LU, and the mask of the points where E is exactly singular (no step).
+
+    The derivative of the mixture transform is taken one point at a time.
+    """
+    mats = eval_E(model, x, mix(x))
+    ders = eval_E_deriv(model, np.array([mix.deriv(z) for z in x], dtype=complex))
+    singular = np.zeros(x.size, dtype=bool)
+    try:
+        return 1.0 / np.trace(np.linalg.solve(mats, ders), axis1=-2, axis2=-1), singular
+    except np.linalg.LinAlgError:
+        pass
+    # one singular matrix fails the whole stack: take the points one by one
+    steps = np.zeros(x.size, dtype=complex)
+    for i in range(x.size):
+        try:
+            steps[i] = 1.0 / np.trace(np.linalg.solve(mats[i], ders[i]))
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return steps, singular
+
+
 def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
                 base: BaseSolution | None = None, deltas=None) -> ExactSolution:
     """Solve the mixture model exactly through Newton-refined roots.
@@ -165,32 +213,36 @@ def exact_solve(model: MarpModel, pt: RationalLST, ht, eps: float,
         raise OracleError("mixture model is unstable")
     mix = _MixtureLST(pt, ht, eps)
 
-    rho_eps, nulls = [], []
-    for idx, rho in enumerate(base.rho_pos):
-        x = complex(rho - eps * deltas[idx] if deltas is not None else rho)
-        # Newton on det E, step 1 / tr(E^-1 E') by LU, and one more step after
-        # the stop test; an exactly singular E(x) makes x a root
-        converged = False
-        for _ in range(NEWTON_ITERS + 1):
-            try:
-                step = 1.0 / np.trace(np.linalg.solve(eval_E(model, x, mix(x)),
-                                                      eval_E_deriv(model, mix.deriv(x))))
-            except np.linalg.LinAlgError:
-                converged = True
-                break
-            x -= step
-            if converged:
-                break
-            converged = abs(step) <= 1e-13 * max(1.0, abs(x))
-        # one SVD gives the simplicity check and the null vector, the right
-        # singular vector of the smallest singular value
-        _, sv, right = np.linalg.svd(eval_E(model, x, mix(x)))
-        if not converged or sv[-1] > 1e-8 * sv[0]:
+    x = [complex(rho - eps * deltas[idx] if deltas is not None else rho)
+         for idx, rho in enumerate(base.rho_pos)]
+    # Newton on det E at all roots at once, each root with its own stop test
+    # and one more step after it; an exactly singular E(x) makes x a root
+    converged = [False] * len(x)
+    live = list(range(len(x)))
+    for _ in range(NEWTON_ITERS + 1):
+        if not live:
+            break
+        steps, singular = _newton_steps(model, mix, np.array([x[i] for i in live]))
+        going = []
+        for i, step, stop in zip(live, steps.tolist(), singular.tolist()):
+            if stop:
+                converged[i] = True
+                continue
+            x[i] -= step
+            if not converged[i]:
+                converged[i] = abs(step) <= 1e-13 * max(1.0, abs(x[i]))
+                going.append(i)
+        live = going
+    x = np.array(x, dtype=complex)
+    # one stacked SVD gives the simplicity checks and the null vectors, the
+    # right singular vectors of the smallest singular values
+    _, sv, right = np.linalg.svd(eval_E(model, x, mix(x)))
+    for rho, root, ok, values in zip(base.rho_pos, x, converged, sv):
+        if not ok or values[-1] > 1e-8 * values[0]:
             raise OracleError(f"Newton did not converge for root {rho}")
-        if x.real <= 0:
-            raise OracleError(f"refined root {x} lost its positive real part")
-        rho_eps.append(x)
-        nulls.append(right[-1].conj())
+        if root.real <= 0:
+            raise OracleError(f"refined root {root} lost its positive real part")
+    rho_eps, nulls = tuple(x), right[:, -1].conj()
     # distinctness guard: refined roots must stay separated
     for i, a in enumerate(rho_eps):
         if any(abs(a - b) < 1e-8 * max(1.0, abs(a)) for b in rho_eps[i + 1:]):
@@ -316,7 +368,7 @@ class _Walker:
     def bucket_offsets(self, u: np.ndarray, out: np.ndarray) -> None:
         """out = n searchsorted(thresholds, u, side="right") for u in [0, 1), exactly."""
         at = (u * BUCKET_CELLS).astype(np.intp)
-        np.take(self.below, at, out=out)
+        np.take(self.below, at, out=out, mode="clip")     # in range; see waiting_times
         for row in self.ranked:
             np.add(out, self.n, out=out, where=u >= row[at])
 
@@ -367,26 +419,40 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     transitions draws five random streams in a fixed order (next state,
     real flag, mixture component, service quantile, sojourn) from
     Generator(PCG64(seed)).  When every step's q_real is 0 or 1, u < q does
-    not depend on u: the real-flag stream is skipped by advancing the
-    generator over it (one 64-bit output per double), so the later streams
-    are the same numbers.
+    not depend on u: the real-flag stream is not drawn, and the later
+    streams keep their offsets (one 64-bit output per double), so they are
+    the same numbers.
 
-    One worker thread prepares the next chunk while the calling thread
+    A chunk is drawn and walked in two halves of ceil(SIM_CHUNK / 2) steps,
+    the second half possibly shorter.  PCG64 jumps to any offset of its
+    sequence, so each uniform stream is drawn from a copy of the generator
+    advanced to the stream's offset in the chunk (k SIM_CHUNK for the k-th),
+    and the sojourns go on from offset 4 SIM_CHUNK: every half draws the
+    same numbers as the whole chunk would, and the next chunk starts where
+    the last sojourn of this one ended.  The halves keep the arrays small
+    enough for the allocator to reuse their pages, instead of faulting in
+    fresh ones for every chunk.
+
+    One worker thread prepares the next half while the calling thread
     finishes the current one: it draws the streams and runs the state-free
     half of the walk (_Walker.maps).  After the draw of the start state
-    only the worker touches the generator, one chunk at a time, so a seed
-    gives the same customers however the threads interleave.  The next
-    chunk is started as soon as the current one is taken, unless the
-    current one may hold the last customer needed; then only once its real
-    arrivals show that it does not, so no chunk is drawn in vain.  The rest
-    of a chunk depends on the state and workload carried in: the walk's
-    second half (_Walker.steps), the real customers (u_real < q at each
-    step's flat index), their services (phase-type for all, then the heavy
-    ones overwritten) and the delays.  The workload just before transition
-    k is the Lindley recursion V_k = max(V_{k-1} + service_{k-1} - drain_k, 0),
-    which is S_k - min(0, min_{j<=k} S_j) for the partial sums S of its
-    increments (Lindley 1952).  The worker is joined before the call
-    returns or raises.
+    only the worker touches the generator and its copies, one half at a
+    time, so a seed gives the same customers however the threads
+    interleave.  The next half is started as soon as the current one is
+    taken, unless the current one may hold the last customer needed; then
+    only once its real arrivals show that it does not, so no half is drawn
+    in vain.  The rest of a half depends on the state and levels carried
+    in: the walk's second half (_Walker.steps), the real customers
+    (u_real < q at each step's flat index), their services (phase-type for
+    all, then the heavy ones overwritten) and the delays.  The workload just
+    before transition k is the Lindley recursion
+    V_k = max(V_{k-1} + service_{k-1} - drain_k, 0), which is
+    S_k - min(0, min_{j<=k} S_j) for the partial sums S of its increments
+    (Lindley 1952).  A chunk's partial sums start from the workload carried
+    in, and its second half goes on from the first half's last partial sum,
+    its running minimum and a service at its last step, so each delay is
+    the number one scan over the chunk gives, to the bit.  The worker is
+    joined before the call returns or raises.
     """
     # imported here: the thread pool module is not loaded with numpy or scipy
     from concurrent.futures import ThreadPoolExecutor
@@ -402,58 +468,82 @@ def waiting_times(model: MarpModel, pt: RationalLST, ht, eps: float,
     neg_rate = -model.rates[origin]
     draw_real = bool(np.any((q_step > 0.0) & (q_step < 1.0)))
     chunk = SIM_CHUNK
+    half = -(-chunk // 2)
+    # the uniform streams a chunk draws, by their offset in units of chunk:
+    # next state, real flag (only when drawn), mixture component, quantile
+    offsets = (0, 1, 2, 3) if draw_real else (0, 2, 3)
+    streams = [np.random.Generator(np.random.PCG64(seed)) for _ in offsets]
 
-    def prepare():
-        u_next = rng.random(chunk)
-        if draw_real:
-            u_real = rng.random(chunk)
-        else:
-            rng.bit_generator.advance(chunk)
-            u_real = 0.0
-        u_mix, u_q = rng.random(chunk), rng.random(chunk)
-        expo = rng.standard_exponential(chunk)
-        return walker.maps(u_next), u_real, u_mix, u_q, expo
+    def halves():
+        while True:
+            start = rng.bit_generator.state
+            for k, stream in zip(offsets, streams):
+                stream.bit_generator.state = start
+                stream.bit_generator.advance(k * chunk)
+            rng.bit_generator.advance(4 * chunk)
+            for size in (half, chunk - half):
+                u = [stream.random(size) for stream in streams]
+                expo = rng.standard_exponential(size)
+                yield walker.maps(u[0]), u[1] if draw_real else 0.0, u[-2], u[-1], expo
 
+    pieces = halves()
     delays = np.empty(n_customers)
     got = 0
     state = int(rng.integers(0, n))
-    workload = 0.0
+    # carried into a half: the level and running minimum before its first
+    # step and a service at the previous half's last step, if any
+    base, floor, service = 0.0, 0.0, None
+    first = True
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(prepare)
-        # the samplers' tables are built while the first chunk is prepared
+        ahead = worker.submit(next, pieces)
+        # the samplers' tables are built while the first half is prepared
         ph_sample, heavy_sample = service_samplers(pt, ht)
         while got < n_customers:
             maps, u_real, u_mix, u_q, expo = ahead.result()
-            # a chunk that may hold the last customer needed starts the next
+            size = expo.size
+            # a half that may hold the last customer needed starts the next
             # one only once its real arrivals show that it does not
-            ahead = worker.submit(prepare) if n_customers - got > chunk else None
-            pos, end = walker.steps(maps, chunk, state)
+            ahead = worker.submit(next, pieces) if n_customers - got > size else None
+            pos, end = walker.steps(maps, size, state)
             real = np.flatnonzero(u_real < q_step[pos])[:n_customers - got]
             if got + real.size < n_customers:
-                stop = chunk
+                stop = size
                 if ahead is None:
-                    ahead = worker.submit(prepare)
+                    ahead = worker.submit(next, pieces)
             else:   # transitions after the last customer needed are not simulated
                 stop = int(real[-1]) + 1
             services = ph_sample(u_q[real])
             heavy = np.flatnonzero(u_mix[real] < eps)
             services[heavy] = heavy_sample(u_q[real[heavy]])
-            # level k: the carried workload plus the services added before
+            # level k: the carried level plus the services added before
             # transition k less the drains of sojourns 0 .. k; a service at
-            # the chunk's last transition is carried to the next chunk
+            # the half's last transition is carried to the next half
             level = neg_rate.take(pos[:stop])
             np.divide(expo[:stop], level, out=level)
-            level[0] += workload
+            if service is not None:
+                level[0] += service
+            level[0] += base
             carry = bool(real.size) and real[-1] == stop - 1
             inner = real.size - carry
             level[1:][real[:inner]] += services[:inner]
             np.cumsum(level, out=level)
             low = np.minimum.accumulate(level)
-            np.minimum(low, 0.0, out=low)
+            np.minimum(low, floor, out=low)
+            if first:
+                # the second half goes on with the chunk's partial sums and
+                # their running minimum, as one scan over the chunk would
+                base, floor = level[-1], low[-1]
+                service = services[-1] if carry else None
             before = np.subtract(level, low, out=low)
-            np.take(before, real, out=delays[got:got + real.size])
+            # the indices are in range, and mode "clip" writes into out where
+            # mode "raise" copies it through a buffer
+            np.take(before, real, out=delays[got:got + real.size], mode="clip")
             got += real.size
-            workload = before[-1] + (services[-1] if carry else 0.0)
+            if not first:
+                # the workload is carried only from chunk to chunk
+                base = before[-1] + (services[-1] if carry else 0.0)
+                floor, service = 0.0, None
+            first = not first
             state = end
     return delays
 

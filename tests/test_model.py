@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavyq.model import ModelError, build_marp, build_mmpp, stability_report
+from heavyq.model import ModelError, build_marp, build_mmpp, eval_E, stability_report
 from heavyq.oracle import _Walker
 
 
@@ -122,6 +122,34 @@ def test_invariants_random_models():
         np.testing.assert_allclose(m.q_dummy * numer,
                                    np.where(~np.eye(n, dtype=bool), m.d1, 0.0), atol=1e-12)
         assert float(m.pi @ (m.d2.sum(axis=1) / m.rates)) > 0
+
+
+def formula_E(model, s, g):
+    """E(s) with the service transform at g, by the formula's temporaries."""
+    lam = model.rates
+    s, g = np.asarray(s)[..., None, None], np.asarray(g)[..., None, None]
+    h = (model.q_dummy + g * model.q_real) * model.trans * lam[None, :]
+    return h + np.eye(model.n_states) * s - np.diag(lam)
+
+
+@pytest.mark.parametrize("model", [erlang2_model(), mmpp2_model(), mmpp5_model()],
+                         ids=["erlang2", "mmpp2", "mmpp5"])
+def test_eval_E_equals_the_formula_bit_for_bit(model):
+    # stacks of every shape the callers pass, complex or real s and g, with
+    # signed zeros and a negative g, so that zero products keep their sign
+    rng = np.random.default_rng(6)
+    for shape in [(), (7,), (3, 4), (25, 56)]:
+        for s_complex, g_complex in [(True, True), (False, True), (True, False), (False, False)]:
+            s = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            g = rng.normal(size=shape)
+            s, g = (s + 1j * rng.normal(size=shape) if s_complex else s,
+                    g + 1j * rng.normal(size=shape) if g_complex else g)
+            if shape:
+                s.reshape(-1)[:2] = [0.0, -0.0]
+                g.reshape(-1)[:3] = [0.0, -0.0, -1.0]
+            got, want = eval_E(model, s, g), formula_E(model, s, g)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_rejections():

@@ -1,10 +1,12 @@
-"""The batched inversion and the array simulator against their loop forms.
+"""The batched oracle and the array simulator against their loop forms.
 
-The reference functions below are the scalar implementations the oracle
-used before: Euler summation one t at a time, with the transform called
-once per abscissa and the two estimates summed separately, and the
-simulator's per-transition loop over the same five uniform streams.  They
-are kept here as the oracle only.
+The reference functions below are the implementations the oracle used
+before: Euler summation one t at a time, with the transform called once
+per abscissa and the two estimates summed separately; Newton refinement of
+one root at a time, with one SVD per root; the simulator's per-transition
+loop over the same five uniform streams; and the simulator that drew and
+scanned each chunk whole, on one thread.  They are kept here as the oracle
+only.
 """
 
 import bisect
@@ -19,8 +21,9 @@ import pytest
 from heavyq import oracle
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.cli import parse_config
+from heavyq.correction import default_grid
 from heavyq.heavytail import abate_whitt
-from heavyq.model import build_marp
+from heavyq.model import build_marp, eval_E, eval_E_deriv, stability_margin
 from heavyq.oracle import (
     EULER_AVG,
     EULER_MAX_DAMP,
@@ -33,6 +36,8 @@ from heavyq.oracle import (
     simulate,
     waiting_times,
 )
+from heavyq.perturbation import perturb
+from test_correction import bursty_mmpp
 
 PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
 AGREE = 1e-8
@@ -60,6 +65,37 @@ def loop_invert(transform, t, tol=1e-7):
     if abs(est - check) > max(50.0 * tol, 1e-12):
         raise InversionOscillation(f"Euler tail not settled at t={t}")
     return est
+
+
+def per_root_exact_solve(model, pt, ht, eps, base, deltas=None):
+    """The mixture solution with Newton run on one root at a time, each step
+    by its own LU, then one SVD per root, as exact_solve's loop form."""
+    mix = oracle._MixtureLST(pt, ht, eps)
+    rho_eps, nulls = [], []
+    for idx, rho in enumerate(base.rho_pos):
+        x = complex(rho - eps * deltas[idx] if deltas is not None else rho)
+        converged = False
+        for _ in range(oracle.NEWTON_ITERS + 1):
+            try:
+                step = 1.0 / np.trace(np.linalg.solve(eval_E(model, x, mix(x)),
+                                                      eval_E_deriv(model, mix.deriv(x))))
+            except np.linalg.LinAlgError:
+                converged = True
+                break
+            x -= step
+            if converged:
+                break
+            converged = abs(step) <= 1e-13 * max(1.0, abs(x))
+        _, sv, right = np.linalg.svd(eval_E(model, x, mix(x)))
+        if not converged or sv[-1] > 1e-8 * sv[0]:
+            raise OracleError(f"Newton did not converge for root {rho}")
+        if x.real <= 0:
+            raise OracleError(f"refined root {x} lost its positive real part")
+        rho_eps.append(x)
+        nulls.append(right[-1].conj())
+    margin = stability_margin(model, (1 - eps) * pt.mean + eps * ht.mean)
+    return oracle.ExactSolution(model=model, eps=eps, rho_eps=tuple(rho_eps),
+                                u_eps=oracle._boundary_vector(model, nulls, margin), _mix_lst=mix)
 
 
 def loop_waiting_times(model, pt, ht, eps, n_customers, seed, chunk=10 ** 5):
@@ -91,6 +127,52 @@ def loop_waiting_times(model, pt, ht, eps, n_customers, seed, chunk=10 ** 5):
                     break
             state = nxt
     return delays
+
+
+def whole_chunk_waiting_times(model, pt, ht, eps, n_customers, seed, chunk=10 ** 5):
+    """Delays of real customers with each chunk's five streams drawn in order
+    from one generator and the chunk walked and scanned whole, on one thread;
+    also each customer's transition index."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = model.n_states
+    walker = oracle._Walker(cumulative(model.trans))
+    origin = np.arange(walker.flat.size) % n
+    q_step = model.q_real[origin, walker.flat]
+    neg_rate = -model.rates[origin]
+    draw_real = bool(np.any((q_step > 0.0) & (q_step < 1.0)))
+    ph_sample, heavy_sample = service_samplers(pt, ht)
+    delays, at = np.empty(n_customers), np.empty(n_customers, dtype=np.intp)
+    got, start = 0, 0
+    state = int(rng.integers(0, n))
+    workload = 0.0
+    while got < n_customers:
+        u_next = rng.random(chunk)
+        if draw_real:
+            u_real = rng.random(chunk)
+        else:
+            rng.bit_generator.advance(chunk)
+            u_real = 0.0
+        u_mix, u_q = rng.random(chunk), rng.random(chunk)
+        expo = rng.standard_exponential(chunk)
+        pos, state = walker.steps(walker.maps(u_next), chunk, state)
+        real = np.flatnonzero(u_real < q_step[pos])[:n_customers - got]
+        stop = chunk if got + real.size < n_customers else int(real[-1]) + 1
+        services = ph_sample(u_q[real])
+        heavy = np.flatnonzero(u_mix[real] < eps)
+        services[heavy] = heavy_sample(u_q[real[heavy]])
+        level = expo[:stop] / neg_rate[pos[:stop]]
+        level[0] += workload
+        carry = bool(real.size) and real[-1] == stop - 1
+        inner = real.size - carry
+        level[1:][real[:inner]] += services[:inner]
+        level = np.cumsum(level)
+        before = level - np.minimum(np.minimum.accumulate(level), 0.0)
+        delays[got:got + real.size] = before[real]
+        at[got:got + real.size] = start + real
+        got += real.size
+        start += chunk
+        workload = before[-1] + (services[-1] if carry else 0.0)
+    return delays, at
 
 
 def loop_path(cum_p, u_next, state):
@@ -149,6 +231,8 @@ def test_simulate_equals_the_loop(model_name, service, seed, n_customers):
     want = loop_waiting_times(model, pt, ht, eps, n_customers, seed)
     got = waiting_times(model, pt, ht, eps, n_customers, seed)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+    # the halves give the numbers of the whole chunk, to the bit
+    assert np.array_equal(got, whole_chunk_waiting_times(model, pt, ht, eps, n_customers, seed)[0])
     grid = np.quantile(want, [0.3, 0.5, 0.7, 0.9, 0.99])
     res = simulate(model, pt, ht, eps, n_customers, seed, grid=grid)
     surv, half = batch_means(want, grid)
@@ -164,6 +248,23 @@ def test_workload_and_state_carry_across_chunks(model_name, monkeypatch):
     want = loop_waiting_times(model, pt, ht, 0.01, 20_000, 5, chunk=997)
     got = waiting_times(model, pt, ht, 0.01, 20_000, 5)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("model_name", SIM_MODELS)
+@pytest.mark.parametrize("service", sorted(SERVICES))
+def test_halves_carry_the_scan_bit_for_bit(model_name, service, monkeypatch):
+    # chunks of 997 steps: halves of 499 and 498, so an odd first half;
+    # customers whose service is added at a first half's last step; and a
+    # count whose last customer arrives inside a first half
+    monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
+    model, pt, ht = sim_model(model_name), SERVICES[service](), abate_whitt(2.0)
+    want, at = whole_chunk_waiting_times(model, pt, ht, 0.01, 20_000, 5, chunk=997)
+    offset = at % 997
+    assert np.any(offset == 498)
+    inside_first = np.flatnonzero(offset[:-1] < 498)[-1] + 1
+    for n_customers in (20_000, inside_first):
+        got = waiting_times(model, pt, ht, 0.01, n_customers, 5)
+        assert np.array_equal(got, want[:n_customers])
 
 
 def test_the_models_draw_the_real_flags_they_name():
@@ -212,9 +313,13 @@ def test_an_error_in_either_thread_ends_the_call_and_its_worker(side, monkeypatc
 
 @pytest.mark.parametrize("model_name", SIM_MODELS)
 def test_no_chunk_is_drawn_in_vain(model_name, monkeypatch):
-    # every chunk the worker prepares is finished by the calling thread,
-    # the last one too, which stops at the last customer needed
+    # the worker prepares exactly the halves up to the last customer
+    # needed, and the calling thread finishes each of them, the last one
+    # too, which stops at that customer
     monkeypatch.setattr(oracle, "SIM_CHUNK", 997)
+    model, pt, ht = sim_model(model_name), RationalLST.exponential(3.0), abate_whitt(2.0)
+    last = whole_chunk_waiting_times(model, pt, ht, 0.01, 10 ** 4, 5, chunk=997)[1][-1]
+    halves = 2 * (last // 997) + (1 if last % 997 < 499 else 2)
     calls = {"maps": 0, "steps": 0}
 
     def counted(name):
@@ -228,9 +333,8 @@ def test_no_chunk_is_drawn_in_vain(model_name, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(oracle._Walker, name, counted(name))
-    waiting_times(sim_model(model_name), RationalLST.exponential(3.0), abate_whitt(2.0),
-                  0.01, 10 ** 4, seed=5)
-    assert calls["steps"] > 5 and calls["maps"] == calls["steps"]
+    waiting_times(model, pt, ht, 0.01, 10 ** 4, seed=5)
+    assert halves > 10 and calls == {"maps": halves, "steps": halves}
 
 
 def test_simultaneous_calls_equal_sequential_ones(monkeypatch):
@@ -392,6 +496,90 @@ def test_invert_batch_matches_loop_exact_solution(model_name):
     ts = np.geomspace(0.1, 40.0, 9)
     want = [loop_invert(exact.transform, t) for t in ts]
     np.testing.assert_allclose(exact.survival_grid(ts), want, rtol=0.0, atol=AGREE)
+
+
+def oracle_case(name):
+    """Model, service and grid: a run file's with its own grid, or the
+    bursty 16-state model's (close positive roots) on the default grid."""
+    if name == "bursty16":
+        model, pt = bursty_mmpp(16, 5)
+        return model, pt, default_grid(solve_base(model, pt))
+    cfg = parse_config(os.path.join(PAPER, f"{name}.cfg"))
+    return cfg.model, cfg.pt, default_grid(solve_base(cfg.model, cfg.pt), points=cfg.points,
+                                           t_max=cfg.tmax)
+
+
+ORACLE_CASES = ("mmpp2", "mmpp5", "bursty16")
+
+
+def same_solution(got, want, grid):
+    assert np.array_equal(np.array(got.rho_eps), np.array(want.rho_eps))
+    assert np.array_equal(got.u_eps, want.u_eps)
+    ts = grid[grid > 0]
+    assert np.array_equal(got.survival_grid(ts), want.survival_grid(ts))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("seeded", [False, True], ids=["base roots", "first order"])
+def test_stacked_newton_equals_the_per_root_loop(case, seeded):
+    # all roots at once, each with its own stop test and extra step, give
+    # the roots, the boundary vector and the curve of one root at a time
+    model, pt, grid = oracle_case(case)
+    ht, base = abate_whitt(2.0), solve_base(model, pt)
+    deltas = perturb(base, ht, "replace").delta if seeded else None
+    for eps in (0.005, 0.01):
+        same_solution(exact_solve(model, pt, ht, eps, base=base, deltas=deltas),
+                      per_root_exact_solve(model, pt, ht, eps, base, deltas), grid)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("iters", [1, 2, 3])
+def test_few_newton_steps_fail_on_the_same_root(case, iters, monkeypatch):
+    # with too few steps allowed, both forms stop on the same root, or
+    # both converge to the same numbers
+    monkeypatch.setattr(oracle, "NEWTON_ITERS", iters)
+    model, pt, grid = oracle_case(case)
+    ht, base = abate_whitt(2.0), solve_base(model, pt)
+    try:
+        want = per_root_exact_solve(model, pt, ht, 0.01, base)
+    except OracleError as exc:
+        assert str(exc).startswith("Newton did not converge for root ")
+        with pytest.raises(OracleError) as got:
+            exact_solve(model, pt, ht, 0.01, base=base)
+        assert str(got.value) == str(exc)
+    else:
+        assert iters > 1
+        same_solution(exact_solve(model, pt, ht, 0.01, base=base), want, grid)
+
+
+def test_a_singular_matrix_stops_only_its_root(monkeypatch):
+    # np.linalg.solve raises for any stack holding E(x) within 1e-11 of
+    # E at one refined root, as an exactly singular E(x) would: that root
+    # stops where it is, the others take their steps from single solves
+    model, pt, grid = oracle_case("mmpp5")
+    ht, base = abate_whitt(2.0), solve_base(model, pt)
+    free = exact_solve(model, pt, ht, 0.01, base=base)
+    mix = oracle._MixtureLST(pt, ht, 0.01)
+    target = 1
+    at_root = eval_E(model, free.rho_eps[target], mix(free.rho_eps[target]))
+    solve, raised = np.linalg.solve, []
+
+    def solve_or_raise(a, b):
+        a = np.asarray(a)
+        if a.shape[-2:] == at_root.shape:
+            near = np.abs(a - at_root).max(axis=(-2, -1)) <= 1e-11 * np.abs(at_root).max()
+            if np.any(near):
+                raised.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_or_raise)
+    got = exact_solve(model, pt, ht, 0.01, base=base)
+    assert 3 in raised and 2 in raised     # the stack, then the root alone
+    same_solution(got, per_root_exact_solve(model, pt, ht, 0.01, base), grid)
+    others = [k for k in range(len(base.rho_pos)) if k != target]
+    assert all(got.rho_eps[k] == free.rho_eps[k] for k in others)
+    assert abs(got.rho_eps[target] - free.rho_eps[target]) <= 1e-11 * abs(free.rho_eps[target])
 
 
 def test_invert_scalar_gives_float_and_array_gives_array():
