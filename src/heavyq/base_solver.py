@@ -60,13 +60,9 @@ law's atom against u . omega; and the total mass of the time-domain law
 The subset-sum determinant and adjugate of E (symbolic_kernel) are not part
 of the solve, nor of anything downstream.  The oracle solves the paper's
 boundary system itself, with null vectors of its own, from an SVD of the
-mixture's E at its refined roots.  A solution's families (computed on first
-use) are the Laurent data of the correction families, ratios of E(s)^-1
-quantities, in closed form: at the positive roots from the perturbation's
-bordered LU (perturbation.root_factors), at the simple zeros of the
-transform from one batched inverse of E.  Only the zeros where that does
-not hold (multiple or scattered ones, and those where E is singular or has
-a pole of its own) keep the trapezoid rule on a circle around the pole.
+mixture's E at its refined roots.  The first-order data a solution carries
+(its root factors and correction families, built on first use) come from
+perturbation.
 """
 
 from __future__ import annotations
@@ -80,7 +76,7 @@ from scipy.linalg.lapack import (dgeev, dgees, dgeqp3, dgetrf, dgetrs, dtrsyl, z
                                  zgetrf, zgetrs, ztrsen, ztrsyl)
 
 from .measures import ExpPolyMeasure
-from .model import MarpModel, eval_E, eval_E_deriv, stability_report
+from .model import MarpModel, stability_report
 from .polyalg import Poly, RootSet, eig_clusters, eig_roots, linsolve, poly_roots
 
 NEWTON_STEPS = 60        # Riccati Newton steps before giving up
@@ -91,10 +87,6 @@ ZERO_ROOT_TOL = 1e-9     # Re >= -tol * max(1, largest |root|) is nonnegative
 MASS_TOL = 1e-8          # arrival- against time-weighted mass; the law's mass
 UA_TOL = 1e-9            # u . a residual, relative to |u| |a|
 ATOM_TOL = 1e-7          # law atom against u . omega
-CONTOUR_NODES = 64       # trapezoid nodes per pole of the families' contour fallback
-CONTOUR_RADIUS = 0.3     # circle radius over the distance to the nearest other pole
-REGULAR_TOL = 1e-12      # 1/(|E^-1| |E|) at a zero below which E counts as singular there
-ZERO_STEP_TOL = 1e-8     # Newton step |D/D'| at a zero, over the distance to the nearest other pole
 
 
 class SolverError(RuntimeError):
@@ -356,9 +348,10 @@ class BaseSolution:
         return vals.real
 
     @cached_property
-    def families(self) -> "Families":
-        """Laurent data of the correction families, computed on first use."""
-        return _families(self)
+    def families(self):
+        """The correction families (perturbation.families), computed on first use."""
+        from .perturbation import families
+        return families(self)
 
     @cached_property
     def root_factors(self):
@@ -371,191 +364,8 @@ class BaseSolution:
     def kept(self) -> dict:
         """Store for what the correction derives from this solution and one
         heavy tail (the replace and discard perturbations); see
-        correction._checked_perturb."""
+        perturbation.checked_perturb."""
         return {}
-
-
-@dataclass(frozen=True)
-class Families:
-    """Laurent data of correction families: per pole, the coefficients of
-    its negative powers, and a constant, one column per family.
-
-    With x = E(s)^-1 omega, D = u . x and B = dE/dg, BaseSolution.families
-    stacks the N + 2 components of
-        F = (u.w) (x / D, s (tr E^-1 B - u E^-1 B x / D), tr E^-1 B / D),
-    and family projects them.  correction_coeffs keeps three components:
-    the z-family F_alpha = (z, 0, 0) . F, which is linear in z, the
-    adjugate-tilt family F_beta (component N) and the determinant-tilt
-    family F_gamma (component N + 1).  poles lists rho_pos (simple) and then
-    num_roots; row k-1 of a pole's coefficient array multiplies (s - pole)^-k.
-    contour lists the poles whose parts came from the contour fallback.
-    """
-
-    poles: tuple        # (pole, multiplicity)
-    coefs: tuple        # per pole, (multiplicity, components) array
-    const: np.ndarray   # (components,)
-    contour: tuple = ()  # indices into poles
-
-    def family(self, weights: np.ndarray) -> "Families":
-        """The families weights . F, one per column of weights."""
-        return Families(self.poles, tuple(c @ weights for c in self.coefs),
-                        self.const @ weights, self.contour)
-
-
-def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
-    """F at the points s, one row per point, by one batched solve."""
-    model, g = sol.model, sol.pt(s)
-    rhs = np.column_stack([model.omega, model.e_dg])
-    cols = np.linalg.solve(eval_E(model, s, g), rhs)
-    x, m = cols[..., 0], cols[..., 1:]
-    d = x @ sol.u
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    ubx = np.einsum("i,...ij,...j->...", sol.u, m, x)
-    return sol.uw * np.column_stack([x / d[:, None], s * (tr - ubx / d), tr / d])
-
-
-def _root_parts(sol: BaseSolution) -> np.ndarray:
-    """Residues of F at the positive roots, one row per root.
-
-    E(rho) is singular with null vectors a and y (y E' a = 1) and u . a = 0,
-    so D is regular there, D(rho) = w . omega with w the value of u E^-1
-    (perturbation.root_factors).  E^-1 = a y / (s - rho) + regular gives
-    Res x/D = a (y . omega) / D(rho), Res tr E^-1 B / D = y B a / D(rho),
-    and, as u E^-1 is regular, Res s (tr E^-1 B - u E^-1 B x / D) =
-    rho (y B a - w B Res x/D); y B a is the root factors' shift.
-    """
-    rf = sol.root_factors
-    rho = np.array(sol.rho_pos, dtype=complex)
-    d_rho = rf.w @ sol.model.omega
-    res_x = rf.a_mat[:, 1:].T * (rf.y @ sol.model.omega / d_rho)[:, None]
-    w_b_x = np.einsum("ri,ij,rj->r", rf.w, sol.model.e_dg, res_x)
-    return sol.uw * np.column_stack([res_x, rho * (rf.shift - w_b_x), rf.shift / d_rho])
-
-
-def _zero_parts(sol: BaseSolution, zeros: np.ndarray, radii: np.ndarray) -> tuple:
-    """Residues of F at simple zeros of D where E is regular, one row per
-    zero, and which zeros qualify.
-
-    There Res x/D = x/D', Res tr E^-1 B / D = tr E^-1 B / D' and
-    Res s (tr E^-1 B - u E^-1 B x / D) = -zero u E^-1 B x / D', with
-    D' = -u E^-1 E' x, from a batched inverse of E.  A pole of D close to a
-    zero makes these ratios vary fast, so where the Newton step z - D/D'
-    exceeds two ulps they are taken that step further, at the zero to
-    rounding level, as the contour's residue is, unless that point is not
-    regular (a zero at a simple service pole, where every part vanishes).
-    A zero qualifies when that step is at most ZERO_STEP_TOL of the distance
-    to the nearest other pole (a simple zero, not one of a scattered
-    cluster) and 1/(|E^-1| |E|) exceeds REGULAR_TOL where the ratios are
-    taken.
-    """
-    x, v, d_der, inv, regular = _resolvent_at(sol, zeros)
-    step = (x @ sol.u) / d_der
-    with np.errstate(invalid="ignore"):
-        close = np.abs(step) <= ZERO_STEP_TOL * radii
-    at = zeros.copy()
-    moved = np.flatnonzero(close & (np.abs(step) > 2 * np.spacing(np.abs(zeros))))
-    if moved.size:
-        polished = _resolvent_at(sol, zeros[moved] - step[moved])
-        moved = moved[polished[-1]]
-        at[moved] -= step[moved]
-        for full, part in zip((x, v, d_der, inv), polished[:4]):
-            full[moved] = part[polished[-1]]
-        regular[moved] = True
-    tr = np.einsum("rij,ji->r", inv, sol.model.e_dg)
-    vbx = np.einsum("ri,ij,rj->r", v, sol.model.e_dg, x)
-    parts = sol.uw * np.column_stack([x, -at * vbx, tr]) / d_der[:, None]
-    return parts, close & regular
-
-
-def _resolvent_at(sol: BaseSolution, s: np.ndarray) -> tuple:
-    """x = E^-1 omega, v = u E^-1, D' = -v E' x and E^-1 at the points s by
-    one batched inverse, and where 1/(|E^-1| |E|) exceeds REGULAR_TOL (not
-    on an eigenvalue of the service realisation)."""
-    model = sol.model
-    g, g_der, defined = _service_at(sol.pt, s)
-    e_num = eval_E(model, s, g)
-    inv = _inverses(e_num)
-    x, v = inv @ model.omega, sol.u @ inv
-    d_der = -np.einsum("ri,rij,rj->r", v, eval_E_deriv(model, g_der), x)
-    with np.errstate(invalid="ignore"):
-        regular = (np.linalg.norm(inv, axis=(-2, -1)) * np.linalg.norm(e_num, axis=(-2, -1))
-                   < 1.0 / REGULAR_TOL) & defined
-    return x, v, d_der, inv, regular
-
-
-def _service_at(pt: RationalLST, s: np.ndarray) -> tuple:
-    """pt, its derivative and where they are defined, at the points s: on
-    an eigenvalue of the realisation both are 0 and undefined."""
-    try:
-        return (*pt.value_and_deriv(s), np.ones(s.size, dtype=bool))
-    except SolverError:
-        if s.size == 1:
-            return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=bool)
-        parts = [_service_at(pt, s[k:k + 1]) for k in range(s.size)]
-        return tuple(np.concatenate(vals) for vals in zip(*parts))
-
-
-def _inverses(mats: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of matrices (_solves)."""
-    return _solves(mats, np.broadcast_to(np.eye(mats.shape[-1]), mats.shape))
-
-
-def _solves(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with mats X = rhs, both stacked on the first axis, by batched LU.
-
-    An exactly singular system gives nan (found by halving the stack).
-    """
-    try:
-        return np.linalg.solve(mats, rhs)
-    except np.linalg.LinAlgError:
-        if len(mats) == 1:
-            return np.full(rhs.shape, np.nan, dtype=np.result_type(mats, rhs))
-        half = len(mats) // 2
-        return np.concatenate([_solves(mats[:half], rhs[:half]), _solves(mats[half:], rhs[half:])])
-
-
-def _families(sol: BaseSolution) -> Families:
-    """Pole parts in closed form, the contour for the rest, and constants at one point.
-
-    The positive roots take _root_parts and the simple zeros of D where E
-    is regular _zero_parts.  The other zeros take the contour: multiple
-    ones, members of a cluster that eig scattered (a multiple zero at a
-    multiple service pole), zeros on a service pole itself, where E has a
-    pole, and zeros where E is singular too (hidden modes of lumpable
-    environments, a pole and a zero of the transform at once).  There the
-    coefficient of (s - c)^-k is the mean of F(s) (s - c)^k over
-    CONTOUR_NODES points on the circle |s - c| = CONTOUR_RADIUS times the
-    distance to the nearest other pole (Trefethen & Weideman 2014).  The
-    constant is F at s0 = 2i max(1,
-    |poles|) less every pole part there, so the checks on it compare
-    independent numbers, not the limit s -> inf; on the imaginary axis
-    det E vanishes only at 0, so E(s0) is regular.  The contour nodes and
-    s0 share one batched solve.
-    """
-    poles = tuple((rho, 1) for rho in sol.rho_pos) + tuple(sol.num_roots)
-    centres = np.array([c for c, _ in poles], dtype=complex)
-    gaps = [np.abs(centres[centres != c] - c) for c in centres]
-    radii = np.array([gap.min() if gap.size else abs(c) for gap, c in zip(gaps, centres)])
-    n_roots = len(sol.rho_pos)
-    coefs = [row[None, :] for row in _root_parts(sol)] + [None] * (len(poles) - n_roots)
-    simple = [k for k in range(n_roots, len(poles)) if poles[k][1] == 1]
-    if simple:
-        parts, ok = _zero_parts(sol, centres[simple], radii[simple])
-        for k, row, good in zip(simple, parts, ok):
-            if good:
-                coefs[k] = row[None, :]
-    contour = tuple(k for k, c in enumerate(coefs) if c is None)
-    circle = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    nodes = centres[list(contour), None] + CONTOUR_RADIUS * radii[list(contour), None] * circle
-    s0 = 2j * max([1.0] + [abs(c) for c in centres])
-    values = _family_values(sol, np.append(nodes, s0))
-    for idx, k in enumerate(contour):
-        mult = poles[k][1]
-        weights = (nodes[idx] - centres[k])[:, None] ** np.arange(1, mult + 1) / CONTOUR_NODES
-        coefs[k] = weights.T @ values[idx * CONTOUR_NODES:(idx + 1) * CONTOUR_NODES]
-    const = values[-1] - sum((s0 - c) ** -np.arange(1.0, mult + 1) @ coef
-                             for (c, mult), coef in zip(poles, coefs))
-    return Families(poles=poles, coefs=tuple(coefs), const=const, contour=contour)
 
 
 def _arrival_basis(d2: np.ndarray) -> tuple:

@@ -33,8 +33,8 @@ the former per-point composite rules, and tests/theta_references.py keeps
 the earlier per-law evaluation with its two scans per variant.
 
 The perturbations depend only on the solution and the heavy tail, so each
-is built and checked once and kept on the solution (BaseSolution.kept),
-one tail at a time.
+is built and checked once and kept on the solution, one tail at a time
+(perturbation.checked_perturb).
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 
-from .base_solver import BaseSolution, Families, RationalLST, solve_base
+from .base_solver import BaseSolution, RationalLST, solve_base
 from .measures import ExpPolyMeasure, TermTable
 from .model import stability_margin
-from .perturbation import PerturbationData, perturb, verify_delta_identity
+from .perturbation import Families, PerturbationData, checked_perturb
 
 GAUSS24 = np.polynomial.legendre.leggauss(24)
 GAUSS16 = np.polynomial.legendre.leggauss(16)
@@ -374,23 +374,6 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
 # ---------------------------------------------------------------------------
 # the public approximations
 
-def _checked_perturb(sol: BaseSolution, ht, variant: str) -> PerturbationData:
-    """perturb(sol, ht, variant) after verify_delta_identity, built once per
-    solution, tail and variant and kept in sol.kept, which every variant
-    approximated on sol shares.  The store holds one tail's perturbations: a
-    request with another tail object empties it, so sweeping tails on one
-    solution keeps nothing older alive."""
-    store = sol.kept
-    if store.get("tail") is not ht:
-        store.clear()
-        store["tail"] = ht
-    if variant not in store:
-        pdata = perturb(sol, ht, variant)
-        verify_delta_identity(sol, pdata, ht)
-        store[variant] = pdata
-    return store[variant]
-
-
 @dataclass(frozen=True)
 class ApproxOutput:
     variant: str
@@ -512,14 +495,14 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     if t_grid is None:
         ts = default_grid(sol)
 
-    pdata = _checked_perturb(sol, ht, "replace")
+    pdata = checked_perturb(sol, ht, "replace")
 
     if variant == "replace":
         fams = correction_coeffs(sol, pdata)
         base_sol = sol
         prefactor = 1.0 / sol.uw
     else:
-        pdata_disc = _checked_perturb(sol, ht, "discard")
+        pdata_disc = checked_perturb(sol, ht, "discard")
         fams = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
         base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z

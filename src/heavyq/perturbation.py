@@ -4,8 +4,8 @@ The service transform moves by eps * s * (mp * pte(s) - mh * hte(s)) per
 real transition (the discard variant drops the heavy term), which shifts
 each positive determinant root by -eps * delta_k and tilts its null vector.
 Everything needed for the corrected transform lives here: the perturbing
-matrix, the root shifts, the null-vector tilts, and the first-order
-boundary-vector shift z.
+matrix, the root shifts, the null-vector tilts, the first-order
+boundary-vector shift z, and the Laurent data of the correction families.
 
 All of it comes from the numeric matrices E, E' and K at each positive root
 rho, by one LU of a bordered matrix (Keller 1977; Govaerts, Numerical
@@ -18,8 +18,7 @@ M [t; mu] = [D a; 0] gives E t = D a - mu E' a and a^H t = 0, so along
 D = K, mu = y K a / y E' a is the residue-route shift and t the combined
 tilt delta a' - k that z needs; [y, 0] = [0, 1] M^-1 is the left null vector
 with y E' a = 1, and [w, 0] = [u, 0] M^-1 is the value at rho of u E(s)^-1,
-which has no pole there as u . a = 0 (base_solver takes the correction
-families' residues at rho from y and w).  K(s) = s factor(s) dE/dg, and only
+which has no pole there as u . a = 0.  K(s) = s factor(s) dE/dg, and only
 the scalar factor depends on the variant, so both variants share one
 factorisation per root along dE/dg (root_factors, kept on the solution) and
 scale it by rho factor(rho).  The paper's adjugate columns and
@@ -28,7 +27,16 @@ quantities; the tests keep them as an independent reference.  Two checks
 re-derive every shift: root_factors tracks the roots of det(E + eps dE/dg)
 at eps = +-h (tracked_shifts), which uses neither the bordered
 matrix nor its null vectors, and verify_delta_identity closes the loop
-through z and the families for each variant.
+through z and the families for each variant (checked_perturb, once per
+solution, tail and variant).
+
+The families (kept on the solution) are the Laurent data of the correction
+families, ratios of E(s)^-1 quantities, in closed form: at the positive
+roots from y and w, at the simple zeros of the transform from one batched
+inverse of E.  Only the zeros where that does not hold (multiple or
+scattered ones, and those where E is singular or has a pole of its own)
+keep the trapezoid rule on a circle around the pole.  Every E^-1 they take
+comes from one routine (_resolvent_at).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_solver import BaseSolution, _inverses
+from .base_solver import BaseSolution, RationalLST, SolverError
 from .model import eval_E, eval_E_deriv, stability_margin
 from .polyalg import linsolve
 
@@ -48,6 +56,10 @@ SIMPLE_ROOT_TOL = 1e-10  # 1/(|P| |E|) and |y E' a|/(|y| |a| |E'|) of a simple r
 TRACK_EPS = 3e-6         # step h in eps of the root tracking
 TRACK_FLOOR = 10.0       # rounding floor of the tracked shifts, in eps_mach cond / h
 TRACK_STEPS = 30         # Newton steps of the root tracking before giving up
+CONTOUR_NODES = 64       # trapezoid nodes per pole of the families' contour fallback
+CONTOUR_RADIUS = 0.3     # circle radius over the distance to the nearest other pole
+REGULAR_TOL = 1e-12      # 1/(|E^-1| |E|) at a zero below which E counts as singular there
+ZERO_STEP_TOL = 1e-8     # Newton step |D/D'| at a zero, over the distance to the nearest other pole
 
 
 class PerturbationError(RuntimeError):
@@ -206,19 +218,182 @@ def root_factors(sol: BaseSolution) -> RootFactors:
     return RootFactors(a_mat, tilt.T.copy(), shift, floor, y, w)
 
 
-def _shifts(sol: BaseSolution, ht, variant: str) -> tuple:
-    """f = rho factor(rho) at every positive root, where K(rho) = f dE/dg,
-    with the root shifts f shift and their floors |f| floor."""
-    rho = np.array(sol.rho_pos, dtype=complex)
-    f = rho * _excess_factor(sol, ht, variant)(rho)
+@dataclass(frozen=True)
+class Families:
+    """Laurent data of correction families: per pole, the coefficients of
+    its negative powers, and a constant, one column per family.
+
+    With x = E(s)^-1 omega, D = u . x and B = dE/dg, families (kept as
+    BaseSolution.families) stacks the N + 2 components of
+        F = (u.w) (x / D, s (tr E^-1 B - u E^-1 B x / D), tr E^-1 B / D),
+    and family projects them.  correction_coeffs keeps three components:
+    the z-family F_alpha = (z, 0, 0) . F, which is linear in z, the
+    adjugate-tilt family F_beta (component N) and the determinant-tilt
+    family F_gamma (component N + 1).  poles lists rho_pos (simple) and then
+    num_roots; row k-1 of a pole's coefficient array multiplies (s - pole)^-k.
+    contour lists the poles whose parts came from the contour fallback.
+    """
+
+    poles: tuple        # (pole, multiplicity)
+    coefs: tuple        # per pole, (multiplicity, components) array
+    const: np.ndarray   # (components,)
+    contour: tuple = ()  # indices into poles
+
+    def family(self, weights: np.ndarray) -> "Families":
+        """The families weights . F, one per column of weights."""
+        return Families(self.poles, tuple(c @ weights for c in self.coefs),
+                        self.const @ weights, self.contour)
+
+
+def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
+    """F at the points s, one row per point, from the x, tr E^-1 B and v B x
+    of _resolvent_at.  A point on a pole of the service law, or where E is
+    singular, raises SolverError."""
+    x, tr, vbx, _, _, defined = _resolvent_at(sol, s)
+    for k in np.flatnonzero(~defined)[:1]:
+        raise SolverError(f"transform evaluated at a pole: sI - K singular at s = {s[k]}")
+    for k in np.flatnonzero(~np.isfinite(x).all(axis=1))[:1]:
+        raise SolverError(f"E singular at s = {s[k]}")
+    d = x @ sol.u
+    return sol.uw * np.column_stack([x / d[:, None], s * (tr - vbx / d), tr / d])
+
+
+def _root_parts(sol: BaseSolution) -> np.ndarray:
+    """Residues of F at the positive roots, one row per root.
+
+    E(rho) is singular with null vectors a and y (y E' a = 1) and u . a = 0,
+    so D is regular there, D(rho) = w . omega with w the value of u E^-1
+    (root_factors).  E^-1 = a y / (s - rho) + regular gives
+    Res x/D = a (y . omega) / D(rho), Res tr E^-1 B / D = y B a / D(rho),
+    and, as u E^-1 is regular, Res s (tr E^-1 B - u E^-1 B x / D) =
+    rho (y B a - w B Res x/D); y B a is the root factors' shift.
+    """
     rf = sol.root_factors
-    return f, f * rf.shift, np.abs(f) * rf.floor
+    rho = np.array(sol.rho_pos, dtype=complex)
+    d_rho = rf.w @ sol.model.omega
+    res_x = rf.a_mat[:, 1:].T * (rf.y @ sol.model.omega / d_rho)[:, None]
+    w_b_x = np.einsum("ri,ij,rj->r", rf.w, sol.model.e_dg, res_x)
+    return sol.uw * np.column_stack([res_x, rho * (rf.shift - w_b_x), rf.shift / d_rho])
 
 
-def compute_delta(sol: BaseSolution, ht, idx: int, variant: str = "replace") -> tuple:
-    """Root shift delta for positive root idx and its rounding floor."""
-    _, delta, floor = _shifts(sol, ht, variant)
-    return delta[idx], floor[idx]
+def _zero_parts(sol: BaseSolution, zeros: np.ndarray, radii: np.ndarray) -> tuple:
+    """Residues of F at simple zeros of D where E is regular, one row per
+    zero, and which zeros qualify.
+
+    There Res x/D = x/D', Res tr E^-1 B / D = tr E^-1 B / D' and
+    Res s (tr E^-1 B - u E^-1 B x / D) = -zero u E^-1 B x / D', with
+    D' = -u E^-1 E' x, from _resolvent_at.  A pole of D close to a
+    zero makes these ratios vary fast, so where the Newton step z - D/D'
+    exceeds two ulps they are taken that step further, at the zero to
+    rounding level, as the contour's residue is, unless that point is not
+    regular (a zero at a simple service pole, where every part vanishes).
+    A zero qualifies when that step is at most ZERO_STEP_TOL of the distance
+    to the nearest other pole (a simple zero, not one of a scattered
+    cluster) and 1/(|E^-1| |E|) exceeds REGULAR_TOL where the ratios are
+    taken.
+    """
+    x, tr, vbx, d_der, regular, _ = _resolvent_at(sol, zeros)
+    step = (x @ sol.u) / d_der
+    with np.errstate(invalid="ignore"):
+        close = np.abs(step) <= ZERO_STEP_TOL * radii
+    at = zeros.copy()
+    moved = np.flatnonzero(close & (np.abs(step) > 2 * np.spacing(np.abs(zeros))))
+    if moved.size:
+        *polished, ok, _ = _resolvent_at(sol, zeros[moved] - step[moved])
+        moved = moved[ok]
+        at[moved] -= step[moved]
+        for full, part in zip((x, tr, vbx, d_der), polished):
+            full[moved] = part[ok]
+        regular[moved] = True
+    parts = sol.uw * np.column_stack([x, -at * vbx, tr]) / d_der[:, None]
+    return parts, close & regular
+
+
+def _resolvent_at(sol: BaseSolution, s: np.ndarray) -> tuple:
+    """x = E^-1 omega, tr E^-1 B, v B x and D' = -v E' x, with v = u E^-1,
+    at the points s by one batched inverse of E; where 1/(|E^-1| |E|)
+    exceeds REGULAR_TOL and the service law is defined, and where it is
+    defined (not on an eigenvalue of its realisation)."""
+    model = sol.model
+    g, g_der, defined = _service_at(sol.pt, s)
+    e_num = eval_E(model, s, g)
+    inv = _inverses(e_num)
+    x, v = inv @ model.omega, sol.u @ inv
+    d_der = -np.einsum("ri,rij,rj->r", v, eval_E_deriv(model, g_der), x)
+    tr = np.einsum("rij,ji->r", inv, model.e_dg)
+    vbx = np.einsum("ri,ij,rj->r", v, model.e_dg, x)
+    with np.errstate(invalid="ignore"):
+        regular = (np.linalg.norm(inv, axis=(-2, -1)) * np.linalg.norm(e_num, axis=(-2, -1))
+                   < 1.0 / REGULAR_TOL) & defined
+    return x, tr, vbx, d_der, regular, defined
+
+
+def _service_at(pt: RationalLST, s: np.ndarray) -> tuple:
+    """pt, its derivative and where they are defined, at the points s: on
+    an eigenvalue of the realisation both are 0 and undefined."""
+    try:
+        return (*pt.value_and_deriv(s), np.ones(s.size, dtype=bool))
+    except SolverError:
+        if s.size == 1:
+            return np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), np.zeros(1, dtype=bool)
+        parts = [_service_at(pt, s[k:k + 1]) for k in range(s.size)]
+        return tuple(np.concatenate(vals) for vals in zip(*parts))
+
+
+def _inverses(mats: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of matrices, stacked on the first axis, by
+    batched LU.  An exactly singular matrix gives nan (found by halving the
+    stack)."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        if len(mats) == 1:
+            return np.full_like(mats, np.nan)
+        half = len(mats) // 2
+        return np.concatenate([_inverses(mats[:half]), _inverses(mats[half:])])
+
+
+def families(sol: BaseSolution) -> Families:
+    """Pole parts in closed form, the contour for the rest, and constants at one point.
+
+    The positive roots take _root_parts and the simple zeros of D where E
+    is regular _zero_parts.  The other zeros take the contour: multiple
+    ones, members of a cluster that eig scattered (a multiple zero at a
+    multiple service pole), zeros on a service pole itself, where E has a
+    pole, and zeros where E is singular too (hidden modes of lumpable
+    environments, a pole and a zero of the transform at once).  There the
+    coefficient of (s - c)^-k is the mean of F(s) (s - c)^k over
+    CONTOUR_NODES points on the circle |s - c| = CONTOUR_RADIUS times the
+    distance to the nearest other pole (Trefethen & Weideman 2014).  The
+    constant is F at s0 = 2i max(1, |poles|) less every pole part there, so
+    the checks on it compare independent numbers, not the limit s -> inf;
+    on the imaginary axis det E vanishes only at 0, so E(s0) is regular.
+    The contour nodes and s0 share one batched inverse (_family_values).
+    """
+    poles = tuple((rho, 1) for rho in sol.rho_pos) + tuple(sol.num_roots)
+    centres = np.array([c for c, _ in poles], dtype=complex)
+    gaps = [np.abs(centres[centres != c] - c) for c in centres]
+    radii = np.array([gap.min() if gap.size else abs(c) for gap, c in zip(gaps, centres)])
+    n_roots = len(sol.rho_pos)
+    coefs = [row[None, :] for row in _root_parts(sol)] + [None] * (len(poles) - n_roots)
+    simple = [k for k in range(n_roots, len(poles)) if poles[k][1] == 1]
+    if simple:
+        parts, ok = _zero_parts(sol, centres[simple], radii[simple])
+        for k, row, good in zip(simple, parts, ok):
+            if good:
+                coefs[k] = row[None, :]
+    contour = tuple(k for k, c in enumerate(coefs) if c is None)
+    circle = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    nodes = centres[list(contour), None] + CONTOUR_RADIUS * radii[list(contour), None] * circle
+    s0 = 2j * max([1.0] + [abs(c) for c in centres])
+    values = _family_values(sol, np.append(nodes, s0))
+    for idx, k in enumerate(contour):
+        mult = poles[k][1]
+        weights = (nodes[idx] - centres[k])[:, None] ** np.arange(1, mult + 1) / CONTOUR_NODES
+        coefs[k] = weights.T @ values[idx * CONTOUR_NODES:(idx + 1) * CONTOUR_NODES]
+    const = values[-1] - sum((s0 - c) ** -np.arange(1.0, mult + 1) @ coef
+                             for (c, mult), coef in zip(poles, coefs))
+    return Families(poles=poles, coefs=tuple(coefs), const=const, contour=contour)
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:
@@ -234,7 +409,9 @@ def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData
     model, pt = sol.model, sol.pt
     n = model.n_states
     rf = sol.root_factors
-    f, delta, floor = _shifts(sol, ht, variant)
+    rho = np.array(sol.rho_pos, dtype=complex)
+    f = rho * _excess_factor(sol, ht, variant)(rho)   # K(rho) = f dE/dg
+    delta, floor = f * rf.shift, np.abs(f) * rf.floor
     # columns i >= 1 have c_i = d_i = 0 and u . a_i = 0, so z is unchanged
     # by any smooth rescaling of a_i: the unit null vector stands in for
     # the paper's adjugate column
@@ -314,6 +491,23 @@ def verify_delta_identity(sol: BaseSolution, pdata: PerturbationData, ht):
     res = np.array([coefs[0] for coefs in sol.families.coefs[:rho.size]]).reshape(rho.size, n + 2)
     want = (_excess_factor(sol, ht, pdata.variant)(rho) * res[:, n] + res[:, :n] @ pdata.z) / sol.uw
     _agree("numerator-side delta identity failed", rho, got, want, np.asarray(pdata.delta_floor))
+
+
+def checked_perturb(sol: BaseSolution, ht, variant: str) -> PerturbationData:
+    """perturb(sol, ht, variant) after verify_delta_identity, built once per
+    solution, tail and variant and kept in sol.kept, which every variant
+    approximated on sol shares.  The store holds one tail's perturbations: a
+    request with another tail object empties it, so sweeping tails on one
+    solution keeps nothing older alive."""
+    store = sol.kept
+    if store.get("tail") is not ht:
+        store.clear()
+        store["tail"] = ht
+    if variant not in store:
+        pdata = perturb(sol, ht, variant)
+        verify_delta_identity(sol, pdata, ht)
+        store[variant] = pdata
+    return store[variant]
 
 
 def _agree(what: str, rho, got, want, floor):

@@ -11,8 +11,8 @@ E'.
 
 import numpy as np
 
-from heavyq.base_solver import CONTOUR_NODES, CONTOUR_RADIUS, Families, _family_values
-from heavyq.perturbation import SIMPLE_ROOT_TOL, PerturbationError
+from heavyq.perturbation import (CONTOUR_NODES, CONTOUR_RADIUS, SIMPLE_ROOT_TOL, Families,
+                                 PerturbationError, _family_values)
 
 
 def laurent_families(sol) -> Families:

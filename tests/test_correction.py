@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from heavyq import correction, symbolic_kernel
-from heavyq.base_solver import BaseSolution, Families, RationalLST, solve_base
+from heavyq import correction, perturbation, symbolic_kernel
+from heavyq.base_solver import BaseSolution, RationalLST, SolverError, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (
     GRID_FLOOR,
@@ -27,7 +27,7 @@ from heavyq.heavytail import abate_whitt, custom_heavytail, phase_type_tail
 from heavyq.measures import ExpPolyMeasure
 from heavyq.model import build_marp, build_mmpp, eval_E
 from heavyq.oracle import exact_solve
-from heavyq.perturbation import perturb
+from heavyq.perturbation import Families, perturb
 from heavyq.polyalg import Poly, RationalFn, RootSet, partial_fractions
 from heavyq.symbolic_kernel import xi_polys
 from perturbation_references import laurent_families
@@ -564,6 +564,36 @@ def test_closed_form_families_match_the_contour(case):
     assert np.max(np.abs(new.const - ref.const) / np.maximum(1.0, np.abs(ref.const))) <= 1e-10
 
 
+def test_a_zero_on_a_service_pole_is_removable():
+    # E(s) has a pole where the service law has one, and F does not: every
+    # zero of the transform within 1e-9 (relative) of a pole of pt carries
+    # pole parts at rounding level, at most 1e-13 of the largest family
+    # coefficient or constant (measured at most 3.0e-15, lumpable-exp3 at
+    # -3); the cases hold 24 such zeros, 14 of them on the contour
+    found = []
+    for case, make in FAMILY_CASES.items():
+        sol = solve_base(*make())
+        fams = sol.families
+        largest = max(np.max(np.abs(np.concatenate(fams.coefs))), np.max(np.abs(fams.const)))
+        service_poles = np.array([pole for pole, _ in sol.pt.poles])
+        for k in range(len(sol.rho_pos), len(fams.poles)):
+            zero = fams.poles[k][0]
+            if np.min(np.abs(service_poles - zero)) <= 1e-9 * abs(zero):
+                found.append(k in fams.contour)
+                assert np.max(np.abs(fams.coefs[k])) <= 1e-13 * largest, (case, zero)
+    assert (len(found), sum(found)) == (24, 14)
+
+
+def test_families_stop_where_E_is_exactly_singular(monkeypatch):
+    # an exactly singular E gives nan inverses (_inverses); F there raises
+    # instead of passing nan on to the coefficients
+    sol = solve_base(paper_model("mmpp5"), RationalLST.exponential(3.0))
+    sol.root_factors
+    monkeypatch.setattr(perturbation, "_inverses", lambda mats: np.full_like(mats, np.nan))
+    with pytest.raises(SolverError, match="E singular at s = "):
+        sol.families
+
+
 @pytest.mark.parametrize("name", ["mmpp2", "mmpp5", "erlang2", "mm1"])
 def test_the_contour_takes_at_most_one_pole_on_the_paper_runs(name):
     # the positive roots and every simple zero where E is regular have closed
@@ -877,8 +907,8 @@ def test_perturbations_are_built_once_per_solution_and_tail(monkeypatch):
 
 def _assert_built_once(monkeypatch, model, pt):
     ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
-    perturbs = _counting(monkeypatch, correction, "perturb")
-    checks = _counting(monkeypatch, correction, "verify_delta_identity")
+    perturbs = _counting(monkeypatch, perturbation, "perturb")
+    checks = _counting(monkeypatch, perturbation, "verify_delta_identity")
     sols, tails = [solve_base(model, pt) for _ in range(2)], [abate_whitt(2.0), abate_whitt(3.0)]
     for sol in sols:
         for ht in tails:

@@ -13,7 +13,6 @@ from heavyq.perturbation import (
     PerturbationError,
     _excess_factor,
     bordered_solve,
-    compute_delta,
     perturb,
     tracked_shifts,
     verify_delta_identity,
@@ -91,9 +90,10 @@ def reference_shift(sol, ht, idx, variant):
 
 
 def assert_shift_matches_reference(sol, ht, idx, variant):
-    """compute_delta's shift equals the column-replacement ratio within 1e-7
+    """perturb's shift equals the column-replacement ratio within 1e-7
     relative, or both lie below its rounding floor."""
-    delta, floor = compute_delta(sol, ht, idx, variant)
+    pdata = perturb(sol, ht, variant)
+    delta, floor = pdata.delta[idx], pdata.delta_floor[idx]
     ratio = reference_shift(sol, ht, idx, variant)
     assert abs(delta - ratio) <= max(1e-7 * max(abs(delta), abs(ratio)), floor), \
         f"root {sol.rho_pos[idx]}: {delta} vs {ratio}"
@@ -147,7 +147,7 @@ def test_delta_toy_closed_form(toy):
     sol, ht = toy
     lam, nu = 1.0, 3.0
     rho2 = sol.rho_pos[0]
-    d1, d2 = compute_delta(sol, ht, 0, "replace")[0], reference_shift(sol, ht, 0, "replace")
+    d1, d2 = perturb(sol, ht, "replace").delta[0], reference_shift(sol, ht, 0, "replace")
     factor = sol.pt.mean * sol.pt.excess(rho2) - ht.mean * complex(ht.excess_lst(rho2))
     gprime = -nu / (nu + rho2) ** 2
     want = -rho2 * lam ** 2 * factor / (2 * (rho2 - lam) - lam ** 2 * gprime)
@@ -158,7 +158,7 @@ def test_delta_toy_closed_form(toy):
 def test_delta_zero_for_identical_tail(toy):
     sol, _ = toy
     ht = phase_type_tail(sol.pt)
-    d1, d2 = compute_delta(sol, ht, 0, "replace")[0], reference_shift(sol, ht, 0, "replace")
+    d1, d2 = perturb(sol, ht, "replace").delta[0], reference_shift(sol, ht, 0, "replace")
     assert abs(d1) < 1e-14 and abs(d2) < 1e-14
 
 
@@ -167,7 +167,7 @@ def test_delta_against_root_tracking():
     # perturbed determinant numerically
     sol = solve_base(mmpp2_model(), RationalLST.exponential(3.0))
     ht = abate_whitt(2.0)
-    delta = compute_delta(sol, ht, 0, "replace")[0]
+    delta = perturb(sol, ht, "replace").delta[0]
     eps = 1e-6
     rho = sol.rho_pos[0]
 
@@ -291,9 +291,10 @@ def test_dual_delta_randomised():
     sol = solve_base(rank_one_model(), RationalLST.exponential(3.0))
     ht = abate_whitt(2.0)
     for variant in ("replace", "discard"):
-        delta, floor = compute_delta(sol, ht, 0, variant)
+        pdata = perturb(sol, ht, variant)
+        delta, floor = pdata.delta[0], pdata.delta_floor[0]
         assert max(abs(delta), abs(reference_shift(sol, ht, 0, variant))) <= floor <= 1e-12
-        verify_delta_identity(sol, perturb(sol, ht, variant), ht)
+        verify_delta_identity(sol, pdata, ht)
     done = 0
     while done < 10:
         n = int(rng.integers(2, 5))
@@ -418,8 +419,6 @@ def test_both_variants_scale_one_factorisation_per_root(name):
             floor = 1e3 * np.finfo(float).eps * np.linalg.norm(k_num, 2) / abs(slope)
             assert abs(pdata.delta[idx] - delta) <= 1e-12 * abs(delta)
             assert abs(pdata.delta_floor[idx] - floor) <= 1e-12 * floor
-            assert compute_delta(sol, ht, idx, variant) == (pdata.delta[idx],
-                                                            pdata.delta_floor[idx])
             a = pdata.a_mat[:, idx + 1]
             phi = x.conj() @ a
             assert abs(abs(phi) - 1.0) <= 1e-12 and np.linalg.norm(a - phi * x) <= 1e-12
