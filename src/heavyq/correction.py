@@ -93,8 +93,7 @@ def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
     if abs(gamma_const - gamma_direct) > 1e-6 * max(1.0, gamma_direct):
         raise CorrectionError(
             f"determinant-family constant {gamma_const} != {gamma_direct}")
-    return Families(fams.poles, fams.coefs, np.array([zw_direct, beta_const.real, gamma_direct]),
-                    fams.contour)
+    return Families(fams.poles, fams.coefs, np.array([zw_direct, beta_const.real, gamma_direct]))
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,11 @@ through z and the families for each variant (checked_perturb, once per
 solution, tail and variant).
 
 The families (kept on the solution) are the Laurent data of the correction
-families, ratios of E(s)^-1 quantities, in closed form: at the positive
-roots from y and w, at the simple zeros of the transform from one batched
-inverse of E.  Only the zeros where that does not hold (multiple or
-scattered ones, and those where E is singular or has a pole of its own)
-keep the trapezoid rule on a circle around the pole.  Every E^-1 they take
-comes from one routine (_resolvent_at).
+families, ratios of E(s)^-1 quantities, in closed form at every pole: at
+the positive roots and hidden modes (roots of det E that are zeros of the
+transform too) from the bordered solve, at the other simple zeros from one
+batched inverse of E (_resolvent_at), and zero at a service pole, where F
+is analytic.  F itself is taken at one point, for the constants.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ SIMPLE_ROOT_TOL = 1e-10  # 1/(|P| |E|) and |y E' a|/(|y| |a| |E'|) of a simple r
 TRACK_EPS = 3e-6         # step h in eps of the root tracking
 TRACK_FLOOR = 10.0       # rounding floor of the tracked shifts, in eps_mach cond / h
 TRACK_STEPS = 30         # Newton steps of the root tracking before giving up
-CONTOUR_NODES = 64       # trapezoid nodes per pole of the families' contour fallback
-CONTOUR_RADIUS = 0.3     # circle radius over the distance to the nearest other pole
 REGULAR_TOL = 1e-12      # 1/(|E^-1| |E|) at a zero below which E counts as singular there
 ZERO_STEP_TOL = 1e-8     # Newton step |D/D'| at a zero, over the distance to the nearest other pole
 
@@ -231,89 +228,78 @@ class Families:
     adjugate-tilt family F_beta (component N) and the determinant-tilt
     family F_gamma (component N + 1).  poles lists rho_pos (simple) and then
     num_roots; row k-1 of a pole's coefficient array multiplies (s - pole)^-k.
-    contour lists the poles whose parts came from the contour fallback.
     """
 
     poles: tuple        # (pole, multiplicity)
     coefs: tuple        # per pole, (multiplicity, components) array
     const: np.ndarray   # (components,)
-    contour: tuple = ()  # indices into poles
 
     def family(self, weights: np.ndarray) -> "Families":
         """The families weights . F, one per column of weights."""
-        return Families(self.poles, tuple(c @ weights for c in self.coefs),
-                        self.const @ weights, self.contour)
+        return Families(self.poles, tuple(c @ weights for c in self.coefs), self.const @ weights)
 
 
 def _family_values(sol: BaseSolution, s: np.ndarray) -> np.ndarray:
     """F at the points s, one row per point, from the x, tr E^-1 B and v B x
-    of _resolvent_at.  A point on a pole of the service law, or where E is
-    singular, raises SolverError."""
-    x, tr, vbx, _, _, defined = _resolvent_at(sol, s)
-    for k in np.flatnonzero(~defined)[:1]:
-        raise SolverError(f"transform evaluated at a pole: sI - K singular at s = {s[k]}")
+    of _resolvent_at.  A point where E is singular raises SolverError."""
+    x, tr, vbx, _, _ = _resolvent_at(sol, s)
     for k in np.flatnonzero(~np.isfinite(x).all(axis=1))[:1]:
         raise SolverError(f"E singular at s = {s[k]}")
     d = x @ sol.u
     return sol.uw * np.column_stack([x / d[:, None], s * (tr - vbx / d), tr / d])
 
 
-def _root_parts(sol: BaseSolution) -> np.ndarray:
-    """Residues of F at the positive roots, one row per root.
+def _root_parts(sol: BaseSolution, rho, a, y, shift, w) -> np.ndarray:
+    """Residues of F at simple roots rho of det E with u . a = 0, one row
+    per root, from bordered_solve's a, y (y E' a = 1), shift y B a and w.
 
-    E(rho) is singular with null vectors a and y (y E' a = 1) and u . a = 0,
-    so D is regular there, D(rho) = w . omega with w the value of u E^-1
-    (root_factors).  E^-1 = a y / (s - rho) + regular gives
-    Res x/D = a (y . omega) / D(rho), Res tr E^-1 B / D = y B a / D(rho),
-    and, as u E^-1 is regular, Res s (tr E^-1 B - u E^-1 B x / D) =
-    rho (y B a - w B Res x/D); y B a is the root factors' shift.
+    D is regular there, D(rho) = w . omega.  E^-1 = a y / (s - rho) +
+    regular gives Res x/D = a (y . omega) / D(rho), Res tr E^-1 B / D =
+    y B a / D(rho), and, as u E^-1 is regular, Res s (tr E^-1 B -
+    u E^-1 B x / D) = rho (y B a - w B Res x/D).
     """
-    rf = sol.root_factors
-    rho = np.array(sol.rho_pos, dtype=complex)
-    d_rho = rf.w @ sol.model.omega
-    res_x = rf.a_mat[:, 1:].T * (rf.y @ sol.model.omega / d_rho)[:, None]
-    w_b_x = np.einsum("ri,ij,rj->r", rf.w, sol.model.e_dg, res_x)
-    return sol.uw * np.column_stack([res_x, rho * (rf.shift - w_b_x), rf.shift / d_rho])
+    d_rho = w @ sol.model.omega
+    res_x = a * (y @ sol.model.omega / d_rho)[:, None]
+    w_b_x = np.einsum("ri,ij,rj->r", w, sol.model.e_dg, res_x)
+    return sol.uw * np.column_stack([res_x, rho * (shift - w_b_x), shift / d_rho])
 
 
 def _zero_parts(sol: BaseSolution, zeros: np.ndarray, radii: np.ndarray) -> tuple:
-    """Residues of F at simple zeros of D where E is regular, one row per
-    zero, and which zeros qualify.
+    """Residues of F at zeros of D where the zero is simple and E regular,
+    one row per zero, the Newton step |D/D'| over radii and 1/(|E^-1| |E|)
+    where the ratios are taken.
 
     There Res x/D = x/D', Res tr E^-1 B / D = tr E^-1 B / D' and
     Res s (tr E^-1 B - u E^-1 B x / D) = -zero u E^-1 B x / D', with
     D' = -u E^-1 E' x, from _resolvent_at.  A pole of D close to a
     zero makes these ratios vary fast, so where the Newton step z - D/D'
-    exceeds two ulps they are taken that step further, at the zero to
-    rounding level, as the contour's residue is, unless that point is not
-    regular (a zero at a simple service pole, where every part vanishes).
-    A zero qualifies when that step is at most ZERO_STEP_TOL of the distance
-    to the nearest other pole (a simple zero, not one of a scattered
-    cluster) and 1/(|E^-1| |E|) exceeds REGULAR_TOL where the ratios are
-    taken.
+    is at most ZERO_STEP_TOL of radii (the distance to the nearest other
+    pole) and exceeds two ulps they are taken that step further, at the
+    zero to rounding level, unless that point is not regular (a zero at a
+    simple service pole, where every part vanishes).
     """
-    x, tr, vbx, d_der, regular, _ = _resolvent_at(sol, zeros)
-    step = (x @ sol.u) / d_der
-    with np.errstate(invalid="ignore"):
-        close = np.abs(step) <= ZERO_STEP_TOL * radii
-    at = zeros.copy()
-    moved = np.flatnonzero(close & (np.abs(step) > 2 * np.spacing(np.abs(zeros))))
-    if moved.size:
-        *polished, ok, _ = _resolvent_at(sol, zeros[moved] - step[moved])
-        moved = moved[ok]
-        at[moved] -= step[moved]
-        for full, part in zip((x, tr, vbx, d_der), polished):
-            full[moved] = part[ok]
-        regular[moved] = True
-    parts = sol.uw * np.column_stack([x, -at * vbx, tr]) / d_der[:, None]
-    return parts, close & regular
+    x, tr, vbx, d_der, gap = _resolvent_at(sol, zeros)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        step = (x @ sol.u) / d_der
+        ratio = np.abs(step) / radii
+        at = zeros.copy()
+        moved = np.flatnonzero((ratio <= ZERO_STEP_TOL)
+                               & (np.abs(step) > 2 * np.spacing(np.abs(zeros))))
+        if moved.size:
+            *polished, polished_gap = _resolvent_at(sol, zeros[moved] - step[moved])
+            ok = polished_gap > REGULAR_TOL
+            moved = moved[ok]
+            at[moved] -= step[moved]
+            for full, part in zip((x, tr, vbx, d_der, gap), (*polished, polished_gap)):
+                full[moved] = part[ok]
+        return sol.uw * np.column_stack([x, -at * vbx, tr]) / d_der[:, None], ratio, gap
 
 
 def _resolvent_at(sol: BaseSolution, s: np.ndarray) -> tuple:
     """x = E^-1 omega, tr E^-1 B, v B x and D' = -v E' x, with v = u E^-1,
-    at the points s by one batched inverse of E; where 1/(|E^-1| |E|)
-    exceeds REGULAR_TOL and the service law is defined, and where it is
-    defined (not on an eigenvalue of its realisation)."""
+    at the points s by one batched inverse of E, and 1/(|E^-1| |E|) there:
+    0 where the service law is not defined (on an eigenvalue of its
+    realisation), nan where E is exactly singular."""
     model = sol.model
     g, g_der, defined = _service_at(sol.pt, s)
     e_num = eval_E(model, s, g)
@@ -322,10 +308,9 @@ def _resolvent_at(sol: BaseSolution, s: np.ndarray) -> tuple:
     d_der = -np.einsum("ri,rij,rj->r", v, eval_E_deriv(model, g_der), x)
     tr = np.einsum("rij,ji->r", inv, model.e_dg)
     vbx = np.einsum("ri,ij,rj->r", v, model.e_dg, x)
-    with np.errstate(invalid="ignore"):
-        regular = (np.linalg.norm(inv, axis=(-2, -1)) * np.linalg.norm(e_num, axis=(-2, -1))
-                   < 1.0 / REGULAR_TOL) & defined
-    return x, tr, vbx, d_der, regular, defined
+    gap = np.where(defined, 1.0 / (np.linalg.norm(inv, axis=(-2, -1))
+                                   * np.linalg.norm(e_num, axis=(-2, -1))), 0.0)
+    return x, tr, vbx, d_der, gap
 
 
 def _service_at(pt: RationalLST, s: np.ndarray) -> tuple:
@@ -354,46 +339,58 @@ def _inverses(mats: np.ndarray) -> np.ndarray:
 
 
 def families(sol: BaseSolution) -> Families:
-    """Pole parts in closed form, the contour for the rest, and constants at one point.
+    """Pole parts in closed form at every pole, and constants at one point.
 
-    The positive roots take _root_parts and the simple zeros of D where E
-    is regular _zero_parts.  The other zeros take the contour: multiple
-    ones, members of a cluster that eig scattered (a multiple zero at a
-    multiple service pole), zeros on a service pole itself, where E has a
-    pole, and zeros where E is singular too (hidden modes of lumpable
-    environments, a pole and a zero of the transform at once).  There the
-    coefficient of (s - c)^-k is the mean of F(s) (s - c)^k over
-    CONTOUR_NODES points on the circle |s - c| = CONTOUR_RADIUS times the
-    distance to the nearest other pole (Trefethen & Weideman 2014).  The
-    constant is F at s0 = 2i max(1, |poles|) less every pole part there, so
-    the checks on it compare independent numbers, not the limit s -> inf;
-    on the imaginary axis det E vanishes only at 0, so E(s0) is regular.
-    The contour nodes and s0 share one batched inverse (_family_values).
+    The positive roots take _root_parts from the root factors.  A zero of
+    D, r from its nearest other pole, takes the first rule that applies:
+    (1) a simple zero that passes _zero_parts' tests (Newton step at most
+    ZERO_STEP_TOL r, 1/(|E^-1| |E|) above REGULAR_TOL) takes its parts;
+    (2) a zero nearer than r to a pole of the service law, where E has a
+    pole and F none (eig scatters multiple zeros there), has zero parts;
+    (3) a simple zero where E is singular, a hidden mode of a lumpable
+    environment (u . a = y . omega = 0, so D is regular), takes _root_parts
+    from bordered_solve around the null vector of eig(E); any other raises.
+    Rule 1 comes first, as genuine zeros lie near service poles too.
+    The constant is F at s0 = 2i max(1, |poles|) less every pole part
+    there, so the checks on it compare independent numbers, not the limit
+    s -> inf; on the imaginary axis det E vanishes only at 0, so E(s0) is
+    regular, and the service law's poles all have negative real parts.
     """
+    model, n_roots, rf = sol.model, len(sol.rho_pos), sol.root_factors
     poles = tuple((rho, 1) for rho in sol.rho_pos) + tuple(sol.num_roots)
     centres = np.array([c for c, _ in poles], dtype=complex)
     gaps = [np.abs(centres[centres != c] - c) for c in centres]
     radii = np.array([gap.min() if gap.size else abs(c) for gap, c in zip(gaps, centres)])
-    n_roots = len(sol.rho_pos)
-    coefs = [row[None, :] for row in _root_parts(sol)] + [None] * (len(poles) - n_roots)
-    simple = [k for k in range(n_roots, len(poles)) if poles[k][1] == 1]
-    if simple:
-        parts, ok = _zero_parts(sol, centres[simple], radii[simple])
-        for k, row, good in zip(simple, parts, ok):
-            if good:
-                coefs[k] = row[None, :]
-    contour = tuple(k for k, c in enumerate(coefs) if c is None)
-    circle = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    nodes = centres[list(contour), None] + CONTOUR_RADIUS * radii[list(contour), None] * circle
     s0 = 2j * max([1.0] + [abs(c) for c in centres])
-    values = _family_values(sol, np.append(nodes, s0))
-    for idx, k in enumerate(contour):
-        mult = poles[k][1]
-        weights = (nodes[idx] - centres[k])[:, None] ** np.arange(1, mult + 1) / CONTOUR_NODES
-        coefs[k] = weights.T @ values[idx * CONTOUR_NODES:(idx + 1) * CONTOUR_NODES]
-    const = values[-1] - sum((s0 - c) ** -np.arange(1.0, mult + 1) @ coef
-                             for (c, mult), coef in zip(poles, coefs))
-    return Families(poles=poles, coefs=tuple(coefs), const=const, contour=contour)
+    value = _family_values(sol, np.array([s0]))[0]
+    coefs = list(_root_parts(sol, centres[:n_roots], rf.a_mat[:, 1:].T, rf.y, rf.shift,
+                             rf.w)[:, None, :])
+    zeros, mult = centres[n_roots:], np.array([m for _, m in poles[n_roots:]], dtype=int)
+    parts, step, gap = _zero_parts(sol, zeros, radii[n_roots:])
+    near = np.abs(zeros[:, None] - np.array([c for c, _ in sol.pt.poles])).min(
+        axis=1, initial=np.inf) / radii[n_roots:]
+    simple = (mult == 1) & (step <= ZERO_STEP_TOL) & (gap > REGULAR_TOL)
+    removable = ~simple & (near < 1.0)
+    hidden = ~simple & ~removable & (mult == 1) & ~(gap > REGULAR_TOL)
+    for k in np.flatnonzero(~(simple | removable | hidden))[:1]:
+        raise PerturbationError(
+            f"zero {zeros[k]} of multiplicity {mult[k]} has no closed form: Newton step "
+            f"{step[k]:.3e} r (simple at most {ZERO_STEP_TOL:.0e}), 1/(|E^-1| |E|) = "
+            f"{gap[k]:.3e} (regular above {REGULAR_TOL:.0e}), nearest service pole at "
+            f"{near[k]:.3e} r (removable below 1), r the distance to the nearest other pole")
+    if hidden.any():
+        g, g_der = sol.pt.value_and_deriv(zeros[hidden])
+        e_num = eval_E(model, zeros[hidden], g)
+        vals, vecs = np.linalg.eig(e_num)
+        a = np.take_along_axis(vecs, np.argmin(np.abs(vals), axis=1)[:, None, None], axis=2)
+        a, y, _, shift, w = bordered_solve(zeros[hidden], e_num, eval_E_deriv(model, g_der),
+                                           a[..., 0], model.e_dg, sol.u)
+        parts[hidden] = _root_parts(sol, zeros[hidden], a, y, shift, w)
+    coefs += [np.zeros((m, parts.shape[1]), dtype=complex) if drop else row[None, :]
+              for m, drop, row in zip(mult, removable, parts)]
+    const = value - sum((s0 - c) ** -np.arange(1.0, m + 1) @ coef
+                        for (c, m), coef in zip(poles, coefs))
+    return Families(poles=poles, coefs=tuple(coefs), const=const)
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:

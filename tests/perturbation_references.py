@@ -2,8 +2,9 @@
 
 laurent_families is the contour route that BaseSolution.families took for
 every pole before the closed-form residues: the trapezoid rule on a circle
-around each pole, all nodes in one batched solve.  svd_bordered_solve is
-the per-root route that perturbation.root_factors took before the bordered
+around each pole, all nodes in one batched solve; the library takes every
+pole part in closed form, so its constants live here.  svd_bordered_solve
+is the per-root route that perturbation.root_factors took before the bordered
 LU: the null vectors from an SVD of E(rho), bordered by the singular
 vectors, with the simplicity test on the singular values and the 2-norm of
 E'.
@@ -11,8 +12,10 @@ E'.
 
 import numpy as np
 
-from heavyq.perturbation import (CONTOUR_NODES, CONTOUR_RADIUS, SIMPLE_ROOT_TOL, Families,
-                                 PerturbationError, _family_values)
+from heavyq.perturbation import SIMPLE_ROOT_TOL, Families, PerturbationError, _family_values
+
+CONTOUR_NODES = 64       # trapezoid nodes per pole
+CONTOUR_RADIUS = 0.3     # circle radius over the distance to the nearest other pole
 
 
 def laurent_families(sol) -> Families:
@@ -37,8 +40,7 @@ def laurent_families(sol) -> Families:
         coefs.append(weights.T @ values[idx * CONTOUR_NODES:(idx + 1) * CONTOUR_NODES])
     const = values[-1] - sum((s0 - c) ** -np.arange(1.0, mult + 1) @ coef
                              for (c, mult), coef in zip(poles, coefs))
-    return Families(poles=poles, coefs=tuple(coefs), const=const,
-                    contour=tuple(range(len(poles))))
+    return Families(poles=poles, coefs=tuple(coefs), const=const)
 
 
 def svd_bordered_solve(rho, e_num, e_der, direction) -> tuple:

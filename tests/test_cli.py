@@ -177,14 +177,15 @@ def test_cli_unstable_eps_rejected(tmp_path, capsys):
 
 
 def test_cli_approx_fails_cleanly_on_a_coefficient_entered_fourfold_pole(tmp_path, capsys):
-    # Erlang shape 4 rate 3 as q/p: the companion spectrum scatters, and a
-    # contour node of the families lands on one of its eigenvalues
+    # Erlang shape 4 rate 3 as q/p: the companion spectrum scatters, and the
+    # excess law cannot separate the scattered cluster (the families build)
     text = ("d1 = [[-0.5]]\nd2 = [[0.5]]\nservice.q = [81]\n"
             "service.p = [81, 108, 54, 12, 1]\nheavytail.abate_whitt = 2\n"
             "eps = 1/100\nvariants = replace\ngrid.points = 20\n")
     code = main(["approx", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "numerical failure: transform evaluated at a pole" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: could not separate the eigenvalue cluster at" in err
 
 
 def test_cli_simulate_runs(tmp_path):
