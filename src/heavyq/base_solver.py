@@ -340,9 +340,9 @@ class BaseSolution:
     def uw(self) -> float:
         return float((self.u @ self.model.omega).real)
 
-    def survival(self, t, table=None):
-        """P(W > t), by table (a measures.TermTable on t) when given."""
-        vals = self.w_law.survival(t, table)
+    def survival(self, t):
+        """P(W > t), for t the times or a measures.TermTable on them."""
+        vals = self.w_law.survival(t)
         if np.max(np.abs(np.atleast_1d(vals).imag), initial=0.0) > 1e-10:
             raise SolverError("delay survival came out complex")
         return vals.real

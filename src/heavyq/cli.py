@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -123,13 +123,12 @@ class RunConfig:
     model: MarpModel
     pt: RationalLST
     ht: HeavyTail
-    eps: float = 0.01
-    tmax: float | None = None
-    points: int = 200
-    variants: tuple = ("replace",)
-    seed: int = 12345
-    sim_customers: int = 10 ** 6
-    raw: dict = field(default_factory=dict)
+    eps: float
+    tmax: float | None
+    points: int
+    variants: tuple
+    seed: int
+    sim_customers: int
 
 
 def parse_config(path: str) -> RunConfig:
@@ -196,7 +195,6 @@ def parse_config(path: str) -> RunConfig:
             variants=variants,
             seed=int(take("seed", 12345)),
             sim_customers=int(take("simulate.customers", 10 ** 6)),
-            raw={k: v for k, (v, _) in entries.items()},
         )
     except (ModelError, ValueError, HeavyTailError) as exc:
         if isinstance(exc, ConfigError):

@@ -13,10 +13,10 @@ against exponential windows at the positive roots.
 
 Every value theta needs is a sum of terms c t^m e^(-a t), or of their
 convolutions with the heavy excess, so theta works in one basis of the
-distinct (rate, power) pairs of its laws' terms.  Closed forms (survivals,
-tilted tails and between probabilities) are the terms times one table of
-t^k e^(-a t) on the grid (measures.TermTable, one exp per distinct rate),
-which also gives approximate's base survival.  Convolutions with the heavy
+distinct (rate, power) pairs of its laws' terms.  The grid is one object,
+a table of t^k e^(-a t) on it (measures.TermTable, one exp per distinct
+rate), which gives the closed forms (survivals, tilted tails and between
+probabilities) and approximate's base survival.  Convolutions with the heavy
 excess have no closed form.  Both kinds the recipe needs, the survivals of
 Y + E and the between term's convolutions of P(E > tau) with the tilted
 densities Y.tilted(rho), are the terms times the sums J_k of one scan over
@@ -48,7 +48,7 @@ from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts ca
 from .base_solver import BaseSolution, RationalLST, solve_base
 from .measures import ExpPolyMeasure, TermTable
 from .model import stability_margin
-from .perturbation import Families, PerturbationData, checked_perturb
+from .perturbation import Families, checked_perturb
 
 GAUSS24 = np.polynomial.legendre.leggauss(24)
 GAUSS16 = np.polynomial.legendre.leggauss(16)
@@ -63,23 +63,21 @@ class CorrectionError(RuntimeError):
     """Failure while assembling or evaluating the correction term."""
 
 
-def correction_coeffs(sol: BaseSolution, pdata: PerturbationData,
-                      z_discard: np.ndarray | None = None) -> Families:
+def correction_coeffs(sol: BaseSolution, z: np.ndarray) -> Families:
     """The three partial-fraction families, F_alpha, F_beta and F_gamma.
 
     sol.families projected on the weights (z, 0, 0), the adjugate tilt and
-    the determinant tilt.  For the replace variant z is the replace shift;
-    for the discard variant it is z - z_discard and the other families are
-    unchanged.  The constants are the closed forms, each checked against
-    the families' constant (F at one point less the pole parts there): the
-    z-family constant must equal the weighted shift z . omega itself, and
-    the determinant-family constant the sum of rate * real self-transition
-    mass.  The adjugate-tilt constant has no closed
-    form and keeps its real part.
+    the determinant tilt.  z is the replace shift for the replace variant
+    and the replace less the discard shift for the discard variant.  The
+    constants are the closed forms, each checked against the families'
+    constant (F at one point less the pole parts there): the z-family
+    constant must equal z . omega itself, and the determinant-family
+    constant the sum of rate * real self-transition mass.  The
+    adjugate-tilt constant has no closed form and keeps its real part.
     """
     model, n = sol.model, sol.model.n_states
     weights = np.zeros((n + 2, 3))
-    weights[:n, 0] = pdata.z if z_discard is None else pdata.z - z_discard
+    weights[:n, 0] = z
     weights[n, 1] = weights[n + 1, 2] = 1.0
     fams = sol.families.family(weights)
     zw_const, beta_const, gamma_const = fams.const
@@ -135,16 +133,16 @@ def _scan(rates: np.ndarray, powers: int, tau: np.ndarray, g: np.ndarray,
 
 
 class _Nodes:
-    """The node table of the heavy scans on a grid ts (_conv_nodes): nodes
-    tau, weights g times P(E > tau), the TermTable of the grid, and the sums
-    J_k of its last scan (_scan) over every rate the table knew then.  A
-    term list whose every (rate, power) pair those sums hold is read off
-    them, so the laws of one grid share one scan; tilted laws keep their
+    """The node table of the heavy scans on the grid of table, a TermTable
+    (_conv_nodes): nodes tau, weights g times P(E > tau), and the sums J_k
+    of its last scan (_scan) over every rate the table knew then.  A term
+    list whose every (rate, power) pair those sums hold is read off them,
+    so the laws of one grid share one scan; tilted laws keep their
     parents' rates and have lower powers."""
 
-    def __init__(self, ts: np.ndarray, tau: np.ndarray, g: np.ndarray, table: TermTable):
-        self.ts, self.tau, self.g, self.table = ts, tau, g, table
-        self.sums = np.zeros((ts.size, 0, 0), dtype=complex)
+    def __init__(self, table: TermTable, tau: np.ndarray, g: np.ndarray):
+        self.table, self.tau, self.g = table, tau, g
+        self.sums = np.zeros((table.t.size, 0, 0), dtype=complex)
 
     def scanned(self, term_lists) -> np.ndarray:
         """For each list of terms (a, m, c), the sum of c sum_{tau_i < t}
@@ -155,7 +153,7 @@ class _Nodes:
         top = 1 + max(powers.max(initial=0) for _, powers, _ in located)
         if top > n_powers or any(rows.max(initial=-1) >= n_rates for rows, _, _ in located):
             self.sums = _scan(np.array(list(self.table.index), dtype=complex),
-                              max(top, n_powers), self.tau, self.g, self.ts)
+                              max(top, n_powers), self.tau, self.g, self.table.t)
         return np.array([(self.sums[:, rows, powers] * coefs).sum(axis=1)
                          for rows, powers, coefs in located]).T
 
@@ -184,13 +182,14 @@ def _max_rate(laws) -> float:
     return max((abs(complex(a)) for y in laws for a, _, _ in y.terms), default=1.0)
 
 
-def _conv_nodes(ht, ts: np.ndarray, rate: float, table: TermTable | None = None) -> _Nodes:
-    """The node table of the heavy scans on ts, with table (a TermTable on
-    ts, or a new one): 16-point Gauss-Legendre panels in v = sqrt(tau) between
+def _conv_nodes(ht, table: TermTable, rate: float) -> _Nodes:
+    """The node table of the heavy scans on the grid ts of table, a
+    TermTable: 16-point Gauss-Legendre panels in v = sqrt(tau) between
     v = k V_PANEL and sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH /
     rate in tau.  On a panel [lo, hi], tau = lo + (v - vlo) (v + vlo) covers
     [lo, hi] exactly; v^2 would cover the rounded sqrt(hi)^2 (1e5 + 1.5e-11
     for 1e5), which shifts the integral by that sliver times its integrand."""
+    ts = table.t
     t_max = float(ts.max(initial=0.0))
     edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
                        ts[ts > 0])
@@ -201,18 +200,18 @@ def _conv_nodes(ht, ts: np.ndarray, rate: float, table: TermTable | None = None)
     scale = (hi - lo) / (vhi + vlo)   # (v - vlo) (v + vlo) = frac (v + vlo) scale
     tau = (lo + frac * (v + vlo) * scale).ravel()
     g = (2.0 * v * w * scale).ravel() * ht.excess_survival(tau)
-    return _Nodes(ts, tau, g, TermTable(ts) if table is None else table)
+    return _Nodes(table, tau, g)
 
 
-def heavy_conv_survival(laws, ht, ts, nodes: _Nodes) -> np.ndarray:
-    """P(Y + E > t) for each exp-poly law Y of laws and the heavy excess E,
-    as a [t, law] array.  The integrals of f_Y(t - tau) P(E > tau) over
-    [0, t] are read off the sums of nodes = _conv_nodes(ht, ts, rate) for a
-    rate at least every |a| of the laws, which may be complex-valued.
+def heavy_conv_survival(laws, ht, nodes: _Nodes) -> np.ndarray:
+    """P(Y + E > t) on the grid of nodes for each exp-poly law Y of laws and
+    the heavy excess E, as a [t, law] array.  The integrals of f_Y(t - tau)
+    P(E > tau) over [0, t] are read off the sums of nodes, from _conv_nodes
+    at a rate at least every |a| of the laws, which may be complex-valued.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = nodes.table.t
     at_t = ht.excess_survival(ts)
-    out = np.array([y.survival(ts, nodes.table) + y.atom * at_t for y in laws], dtype=complex).T
+    out = np.array([y.survival(nodes.table) + y.atom * at_t for y in laws], dtype=complex).T
     if any(y.terms for y in laws) and np.any(ts > 0):
         out += nodes.scanned([y.terms for y in laws])
     return out
@@ -234,16 +233,17 @@ def _psi(ht, rhos: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return ht.excess_survival(taus[:, None] + ys) @ (np.exp(-np.outer(ys, rhos)) * w[:, None])
 
 
-def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: _Nodes) -> np.ndarray:
-    """P(t < Y + E < t + Exp(rho)) for each exp-poly law Y of laws and rate
-    rho of rhos, as a [t, law, rho] array: surv, the [t, law] survival of
-    Y + E, less rho times I(t) = integral_0^inf e^(-rho y) P(Y + E > t + y) dy.
+def heavy_between(laws, ht, surv: np.ndarray, rhos, nodes: _Nodes) -> np.ndarray:
+    """P(t < Y + E < t + Exp(rho)) for each exp-poly law Y of laws, rate
+    rho of rhos and t on the grid of nodes, as a [t, law, rho] array: surv,
+    the [t, law] survival of Y + E, less rho times I(t) =
+    integral_0^inf e^(-rho y) P(Y + E > t + y) dy.
     Split at tau = t, I(t) = Y.expo_tail_transform(rho, t) + Y.laplace(rho)
     psi(t) + integral_0^t P(E > tau) g(t - tau) dtau, with psi by _psi and
     g = Y.tilted(rho); the last integrals are read off the sums of nodes,
     which a survival scan of the laws over the same nodes already holds.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = nodes.table.t
     rhos = np.asarray(rhos, dtype=complex)
     if np.any(rhos.real <= 0):
         raise CorrectionError("tilting rate must have positive real part")
@@ -254,7 +254,7 @@ def heavy_between(laws, ht, ts, surv: np.ndarray, rhos, nodes: _Nodes) -> np.nda
         if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
             raise CorrectionError(
                 f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
-    i_tail = np.array([[y.expo_tail_transform(rho, ts, nodes.table) + y.laplace(rho) * psi[1:, r]
+    i_tail = np.array([[y.expo_tail_transform(rho, nodes.table) + y.laplace(rho) * psi[1:, r]
                         for r, rho in enumerate(rhos)] for y in laws]).transpose(2, 0, 1)
     if any(y.terms for y in laws) and np.any(ts > 0):
         tilted = [y.tilted(rho).terms for y in laws for rho in rhos]
@@ -277,12 +277,12 @@ def _paired(values):
     return out
 
 
-def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
-          sol: BaseSolution, variant: str, table: TermTable | None = None) -> tuple:
-    """Theta_1 and Theta_2 on the grid, by one recipe for both variants.
+def theta(table: TermTable, fams: Families, base_law: ExpPolyMeasure, ht,
+          sol: BaseSolution, variant: str) -> tuple:
+    """Theta_1 and Theta_2 on table's grid, by one recipe for both variants.
 
-    With d = base_law (the variant's base delay), Ep and E the rational and
-    heavy excess laws and mh the heavy mean, the term of a law B with
+    With d = base_law (the variant's base delay), Ep and E the excess laws
+    of sol.pt and ht and mh the heavy mean, the term of a law B with
     coefficients (a, b, g) in the three families is
         a P(d*B > t) + b (mp P(d*B + Ep > t) - mh P(d*B + E > t))
                      - g (mp P(d*d*B + Ep > t) - mh P(d*d*B + E > t)).
@@ -304,13 +304,12 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     imaginary parts beyond 1e-10 raise.
 
     Every law is evaluated in one basis of (rate, power) pairs: its closed
-    forms by table (a TermTable on ts, or a new one), one exp per distinct
-    rate and each survival once, and its heavy convolutions by the sums of
-    one scan over one table of nodes (_conv_nodes), which heavy_conv_survival
-    runs and heavy_between reads again for the tilted laws.
+    forms by table, one exp per distinct rate and each survival once, and
+    its heavy convolutions by the sums of one scan over one table of nodes
+    (_conv_nodes), which heavy_conv_survival runs and heavy_between reads
+    again for the tilted laws.
     """
-    ts = np.asarray(ts, dtype=float)
-    table = TermTable(ts) if table is None else table
+    pt = sol.pt
     mp = pt.mean if variant == "replace" else 0.0
     mh = ht.mean
     n_pos = len(sol.rho_pos)
@@ -340,27 +339,27 @@ def theta(ts, fams: Families, base_law: ExpPolyMeasure, pt: RationalLST, ht,
     # mp times the rational excess: no terms at all when mp = 0
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
-    nodes = _conv_nodes(ht, ts, _max_rate(laws), table)
-    heavy = heavy_conv_survival(laws, ht, ts, nodes)
+    nodes = _conv_nodes(ht, table, _max_rate(laws))
+    heavy = heavy_conv_survival(laws, ht, nodes)
 
     def recipe(coef, plain, rational, heavy):
         a, b, g = coef
         return a * plain + b * (rational[0] - mh * heavy[0]) - g * (rational[1] - mh * heavy[1])
 
-    theta1 = recipe((1.0, 1.0, 1.0), d_law.convolve(f_alpha).survival(ts, table),
-                    [y.convolve(excess).survival(ts, table) for y in laws[2:]], heavy[:, 2:].T)
+    theta1 = recipe((1.0, 1.0, 1.0), d_law.convolve(f_alpha).survival(table),
+                    [y.convolve(excess).survival(table) for y in laws[2:]], heavy[:, 2:].T)
     if np.max(np.abs(theta1.imag), initial=0.0) > 1e-10:
         raise CorrectionError("correction term has a residual imaginary part")
 
     paired = _paired(sol.rho_pos)
     if not paired:
-        return theta1.real, np.zeros(ts.size)
+        return theta1.real, np.zeros(table.t.size)
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
-    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], rhos, nodes)
+    between = heavy_between([d_law, dd_law], ht, heavy[:, :2], rhos, nodes)
 
     def betweens(y):
-        return np.array([y.between_exp(rho, ts, table) for rho in rhos], dtype=complex).T
+        return np.array([y.between_exp(rho, table) for rho in rhos], dtype=complex).T
 
     terms = recipe(residues[:, roots] / rhos, betweens(d_law),
                    [betweens(y.convolve(excess)) for y in (d_law, dd_law)],
@@ -476,10 +475,10 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     variant "replace": base survival is the phase-type delay, correction
     scaled by eps / (u . omega).  variant "discard": base is the delay under
     the thinned service law (1-eps) B(s) + eps solved exactly (a fluid solve
-    that expands no subset sums), coefficients use z - z_discard, and the
-    prefactor uses u + eps z_discard.  The perturbations for ht are kept on
-    sol (BaseSolution.kept) for later calls with the same sol and ht; a call
-    with another tail replaces them.
+    that expands no subset sums), coefficients use z less the discard shift
+    zd, and the prefactor uses u + eps zd.  A given sol must be solved for
+    these model and pt objects; it keeps the perturbations for ht
+    (BaseSolution.kept) until a call with another tail replaces them.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")
@@ -491,25 +490,27 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
         raise CorrectionError("perturbed (mixture) model is unstable")
     if sol is None:
         sol = solve_base(model, pt)
+    elif sol.model is not model or sol.pt is not pt:
+        raise CorrectionError("sol is the base solution of another model or service law")
     if t_grid is None:
         ts = default_grid(sol)
 
     pdata = checked_perturb(sol, ht, "replace")
 
     if variant == "replace":
-        fams = correction_coeffs(sol, pdata)
+        fams = correction_coeffs(sol, pdata.z)
         base_sol = sol
         prefactor = 1.0 / sol.uw
     else:
         pdata_disc = checked_perturb(sol, ht, "discard")
-        fams = correction_coeffs(sol, pdata, z_discard=pdata_disc.z)
+        fams = correction_coeffs(sol, pdata.z - pdata_disc.z)
         base_sol = solve_base(model, discard_base_lst(pt, eps))
         u_disc = sol.u + eps * pdata_disc.z
         prefactor = 1.0 / float(u_disc @ model.omega)
 
     table = TermTable(ts)
-    base = base_sol.survival(ts, table)
-    th1, th2 = theta(ts, fams, base_sol.w_law, pt, ht, sol, variant, table)
+    base = base_sol.survival(table)
+    th1, th2 = theta(table, fams, base_sol.w_law, ht, sol, variant)
     corrected_raw = base + eps * prefactor * (th1 + th2)
     simplified_raw = base + eps * prefactor * th1
     return ApproxOutput(

@@ -5,8 +5,8 @@ rational transform whose poles lie in the open left half-plane, plus an
 optional atom at zero.  Rates and coefficients may be complex (conjugate
 pairs combine to damped cosines); survival evaluation, Laplace transforms,
 and the exponentially-tilted tail integrals used by the correction term all
-have closed forms.  Each of them is a sum of terms c t^m e^(-a t), which
-TermTable evaluates from one table of t^k e^(-a t) per grid.
+have closed forms.  Each is a sum of terms c t^m e^(-a t), at the times t
+or at a TermTable on them, which holds one table of t^k e^(-a t) per grid.
 """
 
 from __future__ import annotations
@@ -91,10 +91,9 @@ class ExpPolyMeasure:
             out += c * t ** m * np.exp(-a * t)
         return out
 
-    def survival(self, t, table=None):
-        """Mass of (t, inf); the atom at zero never counts for t >= 0.  A
-        TermTable on t (table) lends its exps."""
-        return _evaluate(self.survival_terms.terms, t, table)
+    def survival(self, t):
+        """Mass of (t, inf); the atom at zero never counts for t >= 0."""
+        return _evaluate(self.survival_terms.terms, t)
 
     def laplace(self, s):
         out = self.atom * np.ones_like(np.asarray(s, dtype=complex))
@@ -111,13 +110,13 @@ class ExpPolyMeasure:
             (a, i, c * math.factorial(m) / a ** (m + 1) * a ** i / math.factorial(i))
             for a, m, c in self.terms for i in range(m + 1)))
 
-    def expo_tail_transform(self, rho: complex, t, table=None):
+    def expo_tail_transform(self, rho: complex, t):
         """integral_0^inf e^(-rho y) P(X > t + y) dy, elementwise in t."""
-        return self.survival_terms.tilted_tail(rho, t, table)
+        return self.survival_terms.tilted_tail(rho, t)
 
-    def between_exp(self, rho: complex, t, table=None):
+    def between_exp(self, rho: complex, t):
         """P(t < X < t + Y) for Y ~ Exp(rho) independent; analytic in rho."""
-        return self.survival(t, table) - rho * self.expo_tail_transform(rho, t, table)
+        return self.survival(t) - rho * self.expo_tail_transform(rho, t)
 
     def tilted(self, rho: complex) -> "ExpPolyMeasure":
         """The function g(x) = integral_0^inf e^(-rho y) f_X(x + y) dy of the
@@ -128,10 +127,10 @@ class ExpPolyMeasure:
             (a, m - k, c * math.comb(m, k) * math.factorial(k) / (a + rho) ** (k + 1))
             for a, m, c in self.terms for k in range(m + 1)))
 
-    def tilted_tail(self, rho: complex, t, table=None):
+    def tilted_tail(self, rho: complex, t):
         """integral_t^inf f_X(x) e^(-rho (x - t)) dx for the density part,
         which is tilted(rho) at t."""
-        return _evaluate(self.tilted(rho).terms, t, table)
+        return _evaluate(self.tilted(rho).terms, t)
 
     # -- convolution ------------------------------------------------------
     def convolve(self, other: "ExpPolyMeasure") -> "ExpPolyMeasure":
@@ -150,12 +149,12 @@ class ExpPolyMeasure:
 
 
 class TermTable:
-    """The functions t^k e^(-a t) on one grid t, for every rate a of the
-    terms evaluated on it so far: one exp per distinct rate, kept for later
-    calls.  A tuple of terms (a, m, c) is its coefficients times the table's
-    entries at its (rate, power) pairs, summed in the tuple's order, so it
-    has the same value, to the bit, in every table on the same t; a table
-    evaluates each tuple object once (a law's survival_terms are one)."""
+    """The grid t with the functions t^k e^(-a t) on it for every rate a
+    of the terms evaluated on it so far, one exp per rate, kept for later
+    calls.  A tuple of terms (a, m, c) is its coefficients times the
+    table's entries at its (rate, power) pairs, summed in the tuple's
+    order, so it has the same value, to the bit, in every table on the
+    same t; a table evaluates each tuple object once."""
 
     def __init__(self, t):
         self.t = np.asarray(t, dtype=float).ravel()
@@ -190,11 +189,13 @@ class TermTable:
         return kept[1]
 
 
-def _evaluate(terms, t, table=None):
-    """The sum of c t^m e^(-a t) over terms, elementwise in t, by table (a
-    TermTable on t) or a new one."""
+def _evaluate(terms, t):
+    """The sum of c t^m e^(-a t) over terms at t, the times (by a new
+    TermTable, in their shape) or a TermTable on them."""
+    if isinstance(t, TermTable):
+        return t(terms)
     t = np.asarray(t, dtype=float)
-    return (TermTable(t) if table is None else table)(terms).reshape(t.shape)
+    return TermTable(t)(terms).reshape(t.shape)
 
 
 def _convolve_pair(a1, m1, c1, a2, m2, c2):

@@ -17,6 +17,7 @@ import pytest
 from heavyq.base_solver import RationalLST, solve_base
 from heavyq.correction import approximate, default_grid
 from heavyq.heavytail import abate_whitt
+from heavyq.measures import TermTable
 from heavyq.model import build_marp, build_mmpp, eval_E, stability_report
 from heavyq.oracle import exact_solve, invert, simulate
 from heavyq.perturbation import perturb
@@ -225,8 +226,8 @@ def test_criterion_07_first_order_scaling(two_state):
     from heavyq.correction import correction_coeffs, theta
 
     pdata = perturb(bundle.sol, bundle.ht, "replace")
-    fams = correction_coeffs(bundle.sol, pdata)
-    th1, th2 = theta(ts, fams, bundle.sol.w_law, bundle.pt, bundle.ht, bundle.sol, "replace")
+    fams = correction_coeffs(bundle.sol, pdata.z)
+    th1, th2 = theta(TermTable(ts), fams, bundle.sol.w_law, bundle.ht, bundle.sol, "replace")
     th = (th1 + th2) / bundle.sol.uw
     base = bundle.sol.survival(ts)
     sups = []

@@ -24,7 +24,7 @@ from heavyq.correction import (
     theta,
 )
 from heavyq.heavytail import abate_whitt, custom_heavytail, phase_type_tail
-from heavyq.measures import ExpPolyMeasure
+from heavyq.measures import ExpPolyMeasure, TermTable
 from heavyq.model import build_marp, build_mmpp, eval_E
 from heavyq.oracle import exact_solve
 from heavyq.perturbation import Families, perturb
@@ -108,7 +108,7 @@ def mmpp2_setup():
     ht = abate_whitt(2.0)
     sol = solve_base(model, pt)
     pdata = perturb(sol, ht, "replace")
-    fams = correction_coeffs(sol, pdata)
+    fams = correction_coeffs(sol, pdata.z)
     return model, pt, ht, sol, pdata, fams
 
 
@@ -121,7 +121,7 @@ def family_sums(fams, s):
 def test_toy_coefficients_structure(toy_setup):
     model, pt, ht, sol, pdata = toy_setup
     xi = paper_xi_polys(model, pt)
-    fams = correction_coeffs(sol, pdata)
+    fams = correction_coeffs(sol, pdata.z)
     n_pos = len(sol.rho_pos)
     # toy block: gamma = 0 and the whole beta family vanishes
     assert fams.const[2] == 0.0
@@ -186,7 +186,8 @@ def test_conv_survival_erlang_sum():
 def test_conv_survival_atom_plus_heavy():
     ht = abate_whitt(2.0)
     t = np.array([0.5, 2.0])
-    got = heavy_conv_survival([ExpPolyMeasure.point_mass(1.0)], ht, t, _conv_nodes(ht, t, 1.0))
+    got = heavy_conv_survival([ExpPolyMeasure.point_mass(1.0)], ht,
+                              _conv_nodes(ht, TermTable(t), 1.0))
     np.testing.assert_allclose(np.real(got[:, 0]), ht.excess_survival(t), atol=1e-12)
 
 
@@ -213,7 +214,7 @@ def test_heavy_conv_survival_quadrature_oracle():
     ht = abate_whitt(2.0)
     law = ExpPolyMeasure(atom=0.4, terms=((2.0, 0, 1.2),))
     ts = np.array([0.3, 1.0, 4.0])
-    got = heavy_conv_survival([law], ht, ts, _conv_nodes(ht, ts, 2.0))[:, 0]
+    got = heavy_conv_survival([law], ht, _conv_nodes(ht, TermTable(ts), 2.0))[:, 0]
     for idx, t in enumerate(ts):
         direct = quad(lambda x: 1.2 * np.exp(-2.0 * x)
                       * float(ht.excess_survival(np.array([t - x]))[0]), 0, t,
@@ -235,9 +236,9 @@ def test_between_prob_heavy_against_double_quadrature():
     y = ExpPolyMeasure(atom=0.3, terms=((1.5, 0, 0.7 * 1.5),))
     rho = 1.1
     ts = np.array([0.4, 1.2])
-    nodes = _conv_nodes(ht, ts, 1.5)
-    surv = heavy_conv_survival([y], ht, ts, nodes)
-    got = heavy_between([y], ht, ts, surv, [rho], nodes)[:, 0, 0]
+    nodes = _conv_nodes(ht, TermTable(ts), 1.5)
+    surv = heavy_conv_survival([y], ht, nodes)
+    got = heavy_between([y], ht, surv, [rho], nodes)[:, 0, 0]
 
     def surv_x(v):
         inner = quad(lambda x: float(y.density(np.array([x]))[0].real)
@@ -252,13 +253,43 @@ def test_between_prob_heavy_against_double_quadrature():
         assert got[idx].real == pytest.approx(want, abs=5e-7)
 
 
+def _grid_calls(law, t, rho):
+    return [law.survival(t), law.between_exp(rho, t), law.tilted_tail(rho, t)]
+
+
+@pytest.mark.parametrize("name", ["base", "convolved", "tilted"])
+def test_a_term_table_stands_for_its_grid(mmpp2_setup, name):
+    # survival, between_exp and tilted_tail on TermTable(ts) give the same
+    # bits as on ts: alone, and on one table that the other laws use first
+    # or after
+    _, pt, _, sol, *_ = mmpp2_setup
+    rho = complex(sol.rho_pos[0])
+    laws = {"base": sol.w_law, "convolved": sol.w_law.convolve(pt.excess_measure),
+            "tilted": sol.w_law.tilted(rho)}
+    ts = np.concatenate([[0.0], np.geomspace(0.01, 80.0, 40)])
+    others = [y for key, y in laws.items() if key != name]
+    want = _grid_calls(laws[name], ts, rho)
+    alone = _grid_calls(laws[name], TermTable(ts), rho)
+    first = TermTable(ts)
+    got_first = _grid_calls(laws[name], first, rho)
+    for y in others:
+        _grid_calls(y, first, rho)
+    after = TermTable(ts)
+    for y in others:
+        _grid_calls(y, after, rho)
+    got_after = _grid_calls(laws[name], after, rho)
+    for got in (alone, got_first, got_after):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_theta_zero_for_identical_tail(toy_setup):
     model, pt, _, sol, _ = toy_setup
     ht_pt = phase_type_tail(pt)
     pdata = perturb(sol, ht_pt, "replace")
-    fams = correction_coeffs(sol, pdata)
+    fams = correction_coeffs(sol, pdata.z)
     ts = np.linspace(0.0, 8.0, 15)
-    th1, th2 = theta(ts, fams, sol.w_law, pt, ht_pt, sol, "replace")
+    th1, th2 = theta(TermTable(ts), fams, sol.w_law, ht_pt, sol, "replace")
     # identical laws travel through closed-form and quadrature routes, which
     # leaves integration noise at the 1e-9 scale
     np.testing.assert_allclose(th1, 0.0, atol=1e-8)
@@ -272,7 +303,7 @@ def test_theta_limit_oracle_mmpp2(mmpp2_setup):
     eps = 0.002
     exact = exact_solve(model, pt, ht, eps, base=sol, deltas=pdata.delta)
     ts = np.linspace(0.25, 20.0, 12)
-    th1, th2 = theta(ts, fams, sol.w_law, pt, ht, sol, "replace")
+    th1, th2 = theta(TermTable(ts), fams, sol.w_law, ht, sol, "replace")
     th = (th1 + th2) / sol.uw
     base = sol.survival(ts)
     for idx, t in enumerate(ts):
@@ -285,6 +316,20 @@ def test_approximate_eps_zero_is_base(mmpp2_setup):
     ts = np.linspace(0.0, 10.0, 12)
     out = approximate(model, pt, ht, 0.0, t_grid=ts, sol=sol)
     np.testing.assert_allclose(out.corrected_raw, out.base, atol=1e-12)
+
+
+@pytest.mark.parametrize("other", ["service", "model"])
+def test_approximate_refuses_a_solution_of_another_model(mmpp2_setup, other):
+    # the mmpp2 solution for exp(3) service, passed with exp(4) service or
+    # with the mmpp5 model
+    model, pt, ht, sol, *_ = mmpp2_setup
+    if other == "service":
+        pt = RationalLST.exponential(4.0)
+    else:
+        model = paper_model("mmpp5")
+    with pytest.raises(CorrectionError,
+                       match="sol is the base solution of another model or service law"):
+        approximate(model, pt, ht, 0.01, t_grid=np.linspace(0.5, 50.0, 3), sol=sol)
 
 
 def test_approximate_discard_base_atom(mmpp2_setup):
@@ -415,9 +460,9 @@ def test_default_grid_end_takes_at_most_five_survival_calls(case, monkeypatch):
     calls = []
     survival = BaseSolution.survival
 
-    def counting(self, t, table=None):
+    def counting(self, t):
         calls.append(np.size(t))
-        return survival(self, t, table)
+        return survival(self, t)
 
     monkeypatch.setattr(BaseSolution, "survival", counting)
     default_grid(sol)
@@ -433,7 +478,7 @@ def test_default_grid_end_falls_back_to_the_rounds_when_the_window_misses():
     class Steep:
         calls = []
 
-        def survival(self, t, table=None):
+        def survival(self, t):
             self.calls.append(np.size(t))
             return GRID_FLOOR * np.exp(-np.cbrt(np.asarray(t, dtype=float) - 10.3))
 
@@ -816,8 +861,8 @@ def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     d_b, dd_b = ([law.convolve(b) for b in shapes] for law in (d_law, dd_law))
     rational = [[y.convolve(excess) for y in ys] for ys in (d_b, dd_b)]
-    nodes = _conv_nodes(ht, ts, _max_rate(d_b + dd_b))
-    heavy = heavy_conv_survival(d_b + dd_b, ht, ts, nodes)
+    nodes = _conv_nodes(ht, TermTable(ts), _max_rate(d_b + dd_b))
+    heavy = heavy_conv_survival(d_b + dd_b, ht, nodes)
     heavy = heavy.reshape(ts.size, 2, len(blocks)).transpose(1, 0, 2)
 
     def total(weights, coef, plain, rational, heavy):
@@ -836,7 +881,7 @@ def per_block_theta(ts, fams, base_law, pt, ht, sol, variant):
         return theta1, np.zeros(ts.size)
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
-    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :, 0].T, rhos, nodes)
+    between = heavy_between([d_law, dd_law], ht, heavy[:, :, 0].T, rhos, nodes)
 
     def betweens(y):
         return np.array([y.between_exp(rho, ts) for rho in rhos], dtype=complex).T
@@ -862,14 +907,13 @@ def _assert_theta_matches_the_per_block_recipe(model, pt, ht, variant, edit=lamb
     sol = solve_base(model, pt)
     pdata = perturb(sol, ht, "replace")
     if variant == "replace":
-        fams, base_law = correction_coeffs(sol, pdata), sol.w_law
+        fams, base_law = correction_coeffs(sol, pdata.z), sol.w_law
     else:
-        disc = perturb(sol, ht, "discard")
-        fams = correction_coeffs(sol, pdata, z_discard=disc.z)
+        fams = correction_coeffs(sol, pdata.z - perturb(sol, ht, "discard").z)
         base_law = solve_base(model, discard_base_lst(pt, 0.01)).w_law
     fams = edit(fams)
     ts = default_grid(sol)
-    got = theta(ts, fams, base_law, pt, ht, sol, variant)
+    got = theta(TermTable(ts), fams, base_law, ht, sol, variant)
     want = per_block_theta(ts, fams, base_law, pt, ht, sol, variant)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
@@ -906,27 +950,27 @@ def _complex_pair_families():
     upper member among the poles of the families."""
     model, pt, ht = _theta_case("erlang(12,3)-mmpp2")
     sol = solve_base(model, pt)
-    fams = correction_coeffs(sol, perturb(sol, ht, "replace"))
+    fams = correction_coeffs(sol, perturb(sol, ht, "replace").z)
     upper = [j for j, (pole, _) in enumerate(fams.poles)
              if pole.imag > 1.0 and abs(pole + 13.4 - 2.3j) < 0.1]
     assert len(upper) == 1
-    return fams, sol, pt, ht, upper[0]
+    return fams, sol, ht, upper[0]
 
 
 def test_theta_rejects_a_complex_family_constant():
-    fams, sol, pt, ht, _ = _complex_pair_families()
+    fams, sol, ht, _ = _complex_pair_families()
     bent = Families(fams.poles, fams.coefs, fams.const + np.array([1e-6j, 0.0, 0.0]))
     with pytest.raises(CorrectionError, match="family constant has a residual imaginary part"):
-        theta(np.linspace(0.0, 5.0, 6), bent, sol.w_law, pt, ht, sol, "replace")
+        theta(TermTable(np.linspace(0.0, 5.0, 6)), bent, sol.w_law, ht, sol, "replace")
 
 
 def test_theta_rejects_pole_parts_that_are_not_conjugate_at_a_complex_pair():
-    fams, sol, pt, ht, upper = _complex_pair_families()
+    fams, sol, ht, upper = _complex_pair_families()
     coefs = list(fams.coefs)
     coefs[upper] = 2.0 * coefs[upper]
     bent = Families(fams.poles, tuple(coefs), fams.const)
     with pytest.raises(CorrectionError, match="correction term has a residual imaginary part"):
-        theta(np.linspace(0.0, 5.0, 6), bent, sol.w_law, pt, ht, sol, "replace")
+        theta(TermTable(np.linspace(0.0, 5.0, 6)), bent, sol.w_law, ht, sol, "replace")
 
 
 @pytest.mark.parametrize("variant", ["replace", "discard"])

@@ -25,7 +25,7 @@ from heavyq.correction import (CONV_RATE_WIDTH, GAUSS16, V_PANEL, _conv_nodes, _
                                _paired, _psi, default_grid, heavy_between,
                                heavy_conv_survival)
 from heavyq.heavytail import abate_whitt, phase_type_tail
-from heavyq.measures import ExpPolyMeasure
+from heavyq.measures import ExpPolyMeasure, TermTable
 from test_perturbation import random_mmpp
 
 PAPER = os.path.join(os.path.dirname(__file__), os.pardir, "paper")
@@ -219,12 +219,12 @@ def mmpp2():
 
 
 def scan_conv_survival(y, ht, ts):
-    return heavy_conv_survival([y], ht, ts, _conv_nodes(ht, ts, _max_rate([y])))[:, 0]
+    return heavy_conv_survival([y], ht, _conv_nodes(ht, TermTable(ts), _max_rate([y])))[:, 0]
 
 
 def scan_between(y, ht, ts, surv, rho):
-    return heavy_between([y], ht, ts, surv[:, None], [rho],
-                         _conv_nodes(ht, ts, _max_rate([y])))[:, 0, 0]
+    return heavy_between([y], ht, surv[:, None], [rho],
+                         _conv_nodes(ht, TermTable(ts), _max_rate([y])))[:, 0, 0]
 
 
 def _assert_scan_agrees(y, ht, rho, ts):
@@ -345,12 +345,12 @@ def test_each_root_of_one_between_scan_equals_its_own_scan():
         rhos = _paired_roots(sol)
         assert np.any(rhos.imag > 0)
         laws = [sol.w_law, sol.w_law.convolve(sol.w_law)]
-        nodes = _conv_nodes(ht, ts, _max_rate(laws))
-        surv = heavy_conv_survival(laws, ht, ts, nodes)
-        every = heavy_between(laws, ht, ts, surv, rhos, nodes)
+        nodes = _conv_nodes(ht, TermTable(ts), _max_rate(laws))
+        surv = heavy_conv_survival(laws, ht, nodes)
+        every = heavy_between(laws, ht, surv, rhos, nodes)
         assert every.shape == (ts.size, len(laws), rhos.size)
         for k, rho in enumerate(rhos):
-            alone = heavy_between(laws, ht, ts, surv, [rho], nodes)
+            alone = heavy_between(laws, ht, surv, [rho], nodes)
             assert np.all(np.abs(every[:, :, k] - alone[:, :, 0]) <= 1e-14 * np.abs(surv))
 
 

@@ -13,7 +13,7 @@ from heavyq.cli import parse_config
 from heavyq.correction import (_conv_nodes, approximate, correction_coeffs, default_grid,
                                discard_base_lst, heavy_between, heavy_conv_survival, theta)
 from heavyq.heavytail import abate_whitt
-from heavyq.measures import ExpPolyMeasure
+from heavyq.measures import ExpPolyMeasure, TermTable
 from heavyq.perturbation import perturb
 from test_perturbation import random_mmpp
 from test_riccati import PAPER, paper_model
@@ -45,12 +45,12 @@ def test_theta_matches_the_per_law_route(case, variant):
     ts = default_grid(sol, points=points)
     pdata = perturb(sol, ht, "replace")
     if variant == "replace":
-        fams, base_law = correction_coeffs(sol, pdata), sol.w_law
+        fams, base_law = correction_coeffs(sol, pdata.z), sol.w_law
     else:
-        fams = correction_coeffs(sol, pdata, z_discard=perturb(sol, ht, "discard").z)
+        fams = correction_coeffs(sol, pdata.z - perturb(sol, ht, "discard").z)
         base_law = solve_base(model, discard_base_lst(pt, eps)).w_law
-    got = theta(ts, fams, base_law, pt, ht, sol, variant)
-    want = theta_references.reference_theta(ts, fams, base_law, pt, ht, sol, variant)
+    got = theta(TermTable(ts), fams, base_law, ht, sol, variant)
+    want = theta_references.reference_theta(TermTable(ts), fams, base_law, ht, sol, variant)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=AGREE)
 
@@ -88,12 +88,12 @@ def test_a_node_table_scans_again_for_what_its_sums_lack(monkeypatch):
     scans = []
     real = correction._scan
     monkeypatch.setattr(correction, "_scan", lambda *args: scans.append(1) or real(*args))
-    nodes = _conv_nodes(ht, ts, 2.5)
-    surv = heavy_conv_survival([first], ht, ts, nodes)
-    heavy_between([first], ht, ts, surv, [0.7, 1.9], nodes)
+    nodes = _conv_nodes(ht, TermTable(ts), 2.5)
+    surv = heavy_conv_survival([first], ht, nodes)
+    heavy_between([first], ht, surv, [0.7, 1.9], nodes)
     assert len(scans) == 1
     for law in (rate, power):
-        got = heavy_conv_survival([law], ht, ts, nodes)
-        want = heavy_conv_survival([law], ht, ts, _conv_nodes(ht, ts, 2.5))
+        got = heavy_conv_survival([law], ht, nodes)
+        want = heavy_conv_survival([law], ht, _conv_nodes(ht, TermTable(ts), 2.5))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert len(scans) == 5

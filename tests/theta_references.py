@@ -91,9 +91,9 @@ def scan(laws, tau, g, ts):
     return np.einsum("nrkc,rkl->nlc", sums, mix)[where]
 
 
-def heavy_conv_survival(laws, ht, ts, nodes):
+def heavy_conv_survival(laws, ht, nodes):
     """P(Y + E > t) as a [t, law] array, by one scan of the laws."""
-    ts = np.asarray(ts, dtype=float)
+    ts = nodes.table.t
     at_t = ht.excess_survival(ts)
     out = np.array([survival(y, ts) + y.atom * at_t for y in laws], dtype=complex).T
     if any(y.terms for y in laws) and np.any(ts > 0):
@@ -101,10 +101,10 @@ def heavy_conv_survival(laws, ht, ts, nodes):
     return out
 
 
-def heavy_between(laws, ht, ts, surv, rhos, nodes):
+def heavy_between(laws, ht, surv, rhos, nodes):
     """P(t < Y + E < t + Exp(rho)) as a [t, law, rho] array, by a second
     scan, of the tilted laws, over the same nodes."""
-    ts = np.asarray(ts, dtype=float)
+    ts = nodes.table.t
     rhos = np.asarray(rhos, dtype=complex)
     psi = _psi(ht, rhos, np.r_[0.0, ts])
     i_tail = np.array([[expo_tail_transform(y, rho, ts) + y.laplace(rho) * psi[1:, r]
@@ -115,11 +115,11 @@ def heavy_between(laws, ht, ts, surv, rhos, nodes):
     return np.asarray(surv, dtype=complex)[:, :, None] - rhos * i_tail
 
 
-def reference_theta(ts, fams, base_law, pt, ht, sol, variant, table=None):
+def reference_theta(table, fams, base_law, ht, sol, variant):
     """Theta_1 and Theta_2 by correction.theta's recipe, each law evaluated
-    on its own (table is accepted and ignored, so that this can stand in for
-    theta inside approximate)."""
-    ts = np.asarray(ts, dtype=float)
+    on its own; it takes theta's arguments, so that it can stand in for
+    theta inside approximate, and reads only the grid of table."""
+    ts, pt = table.t, sol.pt
     mp = pt.mean if variant == "replace" else 0.0
     mh = ht.mean
     n_pos = len(sol.rho_pos)
@@ -141,8 +141,8 @@ def reference_theta(ts, fams, base_law, pt, ht, sol, variant, table=None):
     d_law, dd_law = base_law, base_law.convolve(base_law)
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
-    nodes = _conv_nodes(ht, ts, _max_rate(laws))
-    heavy = heavy_conv_survival(laws, ht, ts, nodes)
+    nodes = _conv_nodes(ht, table, _max_rate(laws))
+    heavy = heavy_conv_survival(laws, ht, nodes)
 
     def recipe(coef, plain, rational, heavy):
         a, b, g = coef
@@ -157,7 +157,7 @@ def reference_theta(ts, fams, base_law, pt, ht, sol, variant, table=None):
         return theta1.real, np.zeros(ts.size)
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
-    between = heavy_between([d_law, dd_law], ht, ts, heavy[:, :2], rhos, nodes)
+    between = heavy_between([d_law, dd_law], ht, heavy[:, :2], rhos, nodes)
 
     def betweens(y):
         return np.array([between_exp(y, rho, ts) for rho in rhos], dtype=complex).T
