@@ -1,9 +1,11 @@
 """Batch front end: run files in, CSV and plain-text reports out.
 
-A run file is a line-based key = value format; values are numbers, exact
-rationals (8/9), bracketed vectors/matrices of those, or bare words.  Keys
-outside the schema and scalar settings out of range are rejected with the
-offending line number.  Commands:
+A run file is a line-based key = value format.  A value is a number (an int
+or float literal, signed, or a ratio such as 8/9 or 1/-2, taken exactly and
+rounded to float once), a vector [n, ...] or matrix [[n, ...], ...] of
+numbers, or else a bare word (both, replace) unless it starts with "[".
+Malformed values, unknown keys, settings out of range and values a builder
+rejects are reported at their own line.  Commands:
 
   heavyq solve    --config run.cfg --out dir     base-model report + survival
   heavyq approx   --config run.cfg --out dir     corrected approximations CSV
@@ -16,6 +18,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
 from dataclasses import dataclass
@@ -25,17 +28,10 @@ import numpy as np
 
 from .base_solver import RationalLST, SolverError, solve_base
 from .correction import CorrectionError, approximate, default_grid, mixture_stable
-from .heavytail import HeavyTail, HeavyTailError, abate_whitt
-from .model import MarpModel, ModelError, build_marp, build_mmpp, stability_report
+from .heavytail import HeavyTail, abate_whitt
+from .model import MarpModel, build_marp, build_mmpp, stability_report
 from .oracle import OracleError, exact_solve, simulate
 from .perturbation import PerturbationError
-
-KNOWN_KEYS = {
-    "d1", "d2", "mmpp.rates", "mmpp.p",
-    "service.exp", "service.q", "service.p",
-    "heavytail.abate_whitt",
-    "eps", "grid.tmax", "grid.points", "variants", "seed", "simulate.customers",
-}
 
 FLOAT_FMT = "%.12g"
 
@@ -44,78 +40,67 @@ def _is_int(v) -> bool:
     return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
 
 
-# range rules of the scalar settings: key -> (test, description)
-RULES = {
-    "eps": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "grid.points": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "grid.tmax": (lambda v: 0 < v < float("inf"), "a finite number > 0"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "simulate.customers": (lambda v: _is_int(v) and v >= 10 ** 4, "an integer >= 10000"),
+# the scalar settings: key -> (RunConfig field, default, test, what the value
+# must be); a setting with an integer default is stored as an int
+SETTINGS = {
+    "eps": ("eps", 0.01, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "grid.tmax": ("tmax", None, lambda v: 0 < v < float("inf"), "a finite number > 0"),
+    "grid.points": ("points", 200, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "seed": ("seed", 12345, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "simulate.customers": ("sim_customers", 10 ** 6,
+                           lambda v: _is_int(v) and v >= 10 ** 4, "an integer >= 10000"),
 }
+VARIANTS = {"replace": ("replace",), "discard": ("discard",), "both": ("replace", "discard")}
+KNOWN_KEYS = {"d1", "d2", "mmpp.rates", "mmpp.p", "service.exp", "service.q", "service.p",
+              "heavytail.abate_whitt", "variants", *SETTINGS}
 
 
 class ConfigError(ValueError):
     """Malformed run file; message carries the line number."""
 
 
-def _check(key: str, value, where: str):
-    test, rule = RULES[key]
+def _setting(key: str, value, where: str):
+    _, default, test, rule = SETTINGS[key]
     if not isinstance(value, (int, float)) or not test(value):
         raise ConfigError(f"{where}: {key} must be {rule}, got {value!r}")
-    return value
+    return int(value) if isinstance(default, int) else float(value)
 
 
-def _parse_scalar(tok: str):
-    tok = tok.strip()
-    if "/" in tok:
-        return float(Fraction(tok))
-    return float(tok)
+def _number(node) -> Fraction:
+    """The exact value of a number: a literal, a signed number or a ratio."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return Fraction(str(node.value))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return -_number(node.operand) if isinstance(node.op, ast.USub) else _number(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        num, den = _number(node.left), _number(node.right)
+        if not den:
+            raise ValueError("division by zero")
+        return num / den
+    raise ValueError(f"{ast.unparse(node)} is not a number")
 
 
 def _parse_value(text: str, line_no: int):
     text = text.strip()
-    if not text.startswith("["):
-        try:
-            return _parse_scalar(text)
-        except (ValueError, ZeroDivisionError):
-            return text  # bare word
-    # bracketed vector or matrix of scalars / rationals
-    depth = 0
-    rows: list = []
-    cur: list = []
-    token = ""
-
-    def flush_token():
-        nonlocal token
-        if token.strip():
-            cur.append(_parse_scalar(token))
-        token = ""
-
     try:
-        for ch in text:
-            if ch == "[":
-                depth += 1
-                if depth == 2:
-                    cur = []
-            elif ch == "]":
-                flush_token()
-                depth -= 1
-                if depth == 1:
-                    rows.append(cur)
-                    cur = []
-                if depth == 0:
-                    break
-            elif ch == ",":
-                flush_token()
-            else:
-                token += ch
-        if depth != 0:
-            raise ValueError("unbalanced brackets")
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"line {line_no}: cannot parse value {text!r}: {exc}") from exc
-    if rows:
-        return [list(r) for r in rows]
-    return list(cur)
+        node = ast.parse(text, mode="eval").body
+        if text.startswith("["):
+            if not isinstance(node, ast.List):
+                raise ValueError("not one bracketed list")
+            if node.elts and all(isinstance(row, ast.List) for row in node.elts):
+                return [[float(_number(v)) for v in row.elts] for row in node.elts]
+            return [float(_number(v)) for v in node.elts]
+        op = getattr(node, "op", None)  # a literal, a signed expression or a division
+        if isinstance(node, ast.Constant) or isinstance(op, (ast.UAdd, ast.USub, ast.Div)):
+            return float(_number(node))
+        return text  # bare word
+    except SyntaxError as exc:
+        if not text.startswith("["):
+            return text  # bare word
+        reason = exc.msg
+    except (ValueError, OverflowError) as exc:
+        reason = exc
+    raise ConfigError(f"line {line_no}: cannot parse value {text!r}: {reason}")
 
 
 @dataclass
@@ -148,59 +133,46 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"line {line_no}: duplicate key {key!r}")
             entries[key] = (_parse_value(value, line_no), line_no)
 
-    def take(key, default=None):
-        return entries.get(key, (default, 0))[0]
-
+    settings = {field: default for field, default, _, _ in SETTINGS.values()}
     for key, (value, line_no) in entries.items():
-        if key in RULES:
-            _check(key, value, f"line {line_no}")
+        if key in SETTINGS:
+            settings[SETTINGS[key][0]] = _setting(key, value, f"line {line_no}")
 
-    try:
-        if "d1" in entries or "d2" in entries:
-            if "mmpp.rates" in entries or "mmpp.p" in entries:
-                raise ConfigError("give either d1/d2 or an mmpp block, not both")
-            if "d1" not in entries or "d2" not in entries:
-                raise ConfigError("d1 and d2 must both be present")
-            model = build_marp(take("d1"), take("d2"))
-        elif "mmpp.rates" in entries:
-            model = build_mmpp(take("mmpp.rates"), take("mmpp.p"))
-        else:
-            raise ConfigError("no arrival model: need d1/d2 or mmpp.rates/mmpp.p")
+    def build(builder, *keys):
+        """builder on the keys' values; its errors name the last of their lines."""
+        try:
+            return builder(*(entries[key][0] for key in keys))
+        except (ValueError, TypeError) as exc:  # ModelError, HeavyTailError: ValueErrors
+            line_no = max(entries[key][1] for key in keys)
+            raise ConfigError(f"line {line_no}: {exc}") from exc
 
-        if "service.exp" in entries:
-            pt = RationalLST.exponential(float(take("service.exp")))
-        elif "service.q" in entries and "service.p" in entries:
-            pt = RationalLST.from_coeffs(take("service.q"), take("service.p"))
-        else:
-            raise ConfigError("no service transform: need service.exp or service.q/service.p")
+    if "d1" in entries or "d2" in entries:
+        if "mmpp.rates" in entries or "mmpp.p" in entries:
+            raise ConfigError("give either d1/d2 or an mmpp block, not both")
+        if "d1" not in entries or "d2" not in entries:
+            raise ConfigError("d1 and d2 must both be present")
+        model = build(build_marp, "d1", "d2")
+    elif "mmpp.rates" in entries and "mmpp.p" in entries:
+        model = build(build_mmpp, "mmpp.rates", "mmpp.p")
+    else:
+        raise ConfigError("no arrival model: need d1/d2 or mmpp.rates/mmpp.p")
 
-        if "heavytail.abate_whitt" in entries:
-            ht = abate_whitt(float(take("heavytail.abate_whitt")))
-        else:
-            raise ConfigError("no heavy tail: need heavytail.abate_whitt")
+    if "service.exp" in entries:
+        pt = build(lambda nu: RationalLST.exponential(float(nu)), "service.exp")
+    elif "service.q" in entries and "service.p" in entries:
+        pt = build(RationalLST.from_coeffs, "service.q", "service.p")
+    else:
+        raise ConfigError("no service transform: need service.exp or service.q/service.p")
 
-        variants_raw = take("variants", "replace")
-        if variants_raw == "both":
-            variants = ("replace", "discard")
-        elif variants_raw in ("replace", "discard"):
-            variants = (variants_raw,)
-        else:
-            raise ConfigError(f"variants must be replace, discard or both, got {variants_raw!r}")
+    if "heavytail.abate_whitt" not in entries:
+        raise ConfigError("no heavy tail: need heavytail.abate_whitt")
+    ht = build(lambda kappa: abate_whitt(float(kappa)), "heavytail.abate_whitt")
 
-        return RunConfig(
-            model=model, pt=pt, ht=ht,
-            eps=float(take("eps", 0.01)),
-            tmax=None if take("grid.tmax") is None else float(take("grid.tmax")),
-            points=int(take("grid.points", 200)),
-            variants=variants,
-            seed=int(take("seed", 12345)),
-            sim_customers=int(take("simulate.customers", 10 ** 6)),
-        )
-    except (ModelError, ValueError, HeavyTailError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        key_line = max((ln for _, ln in entries.values()), default=0)
-        raise ConfigError(f"line {key_line}: {exc}") from exc
+    variants, line_no = entries.get("variants", ("replace", 0))
+    if not isinstance(variants, str) or variants not in VARIANTS:
+        raise ConfigError(f"line {line_no}: variants must be replace, discard or both, "
+                          f"got {variants!r}")
+    return RunConfig(model=model, pt=pt, ht=ht, variants=VARIANTS[variants], **settings)
 
 
 def _write_csv(path: str, header: list, columns: list):
@@ -215,6 +187,10 @@ def _grid(cfg: RunConfig, sol) -> np.ndarray:
     return default_grid(sol, points=cfg.points, t_max=cfg.tmax)
 
 
+def _root(r) -> str:
+    return FLOAT_FMT % r.real + ("%+gj" % r.imag if r.imag else "")
+
+
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     sol = solve_base(cfg.model, cfg.pt)
     rep = stability_report(cfg.model, cfg.pt.mean)
@@ -227,16 +203,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         f"load (phase-type service): {FLOAT_FMT % rep['load']}",
         f"load (mixture, eps={FLOAT_FMT % cfg.eps}): {FLOAT_FMT % rep_mix['load']}",
         f"stability margin: {FLOAT_FMT % rep['margin']}",
-        "nonnegative determinant roots: 0, " + ", ".join(
-            FLOAT_FMT % r.real + ("%+gj" % r.imag if r.imag else "") for r in sol.rho_pos),
+        "nonnegative determinant roots: 0, " + ", ".join(_root(r) for r in sol.rho_pos),
         "boundary vector u: " + ", ".join(FLOAT_FMT % v for v in sol.u),
         f"u . omega (mass at zero): {FLOAT_FMT % sol.uw}",
         "transform numerator roots: " + ", ".join(
-            f"{FLOAT_FMT % r.real}{'%+gj' % r.imag if r.imag else ''} (x{m})"
-            for r, m in sol.num_roots),
+            f"{_root(r)} (x{m})" for r, m in sol.num_roots),
         "transform denominator roots: " + ", ".join(
-            f"{FLOAT_FMT % r.real}{'%+gj' % r.imag if r.imag else ''} (x{m})"
-            for r, m in sol.den_roots),
+            f"{_root(r)} (x{m})" for r, m in sol.den_roots),
     ]
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -320,18 +293,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--variant", choices=["replace", "discard", "both"], default=None)
+    parser.add_argument("--variant", choices=list(VARIANTS), default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)
-        if args.eps is not None:
-            cfg.eps = _check("eps", args.eps, "--eps")
-        if args.seed is not None:
-            cfg.seed = _check("seed", args.seed, "--seed")
+        for key in ("eps", "seed"):
+            if getattr(args, key) is not None:
+                setattr(cfg, SETTINGS[key][0], _setting(key, getattr(args, key), f"--{key}"))
         if args.variant is not None:
-            cfg.variants = ("replace", "discard") if args.variant == "both" else (args.variant,)
+            cfg.variants = VARIANTS[args.variant]
         if cfg.eps > 0 and not mixture_stable(cfg.model, cfg.pt, cfg.ht, cfg.eps):
             raise ConfigError("mixture model is unstable for the requested eps")
     except (ConfigError, OSError) as exc:

@@ -7,7 +7,8 @@ through the scaled complementary error function; the constructor verifies
 that form against numerical inversion of the excess transform before
 adopting it, and raises HeavyTailError when they disagree.  A tail whose
 excess survival is only known through its transform goes through
-custom_heavytail, which builds a cached inversion grid.
+custom_heavytail, which builds a cached inversion grid.  The transforms and
+lst_deriv take complex scalars and arrays alike.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ class HeavyTailError(ValueError):
 class HeavyTail:
     """Callable bundle: mean, transform, excess transform, excess survival.
 
-    The transforms receive complex scalars and complex numpy arrays (the
-    inversion oracle calls them once on its whole matrix of abscissae) and
-    return values of the same shape; lst_deriv receives scalars only.
+    The transforms and lst_deriv receive complex scalars and complex numpy
+    arrays (the inversion oracle and the oracle's Newton call them once on
+    all their points) and return values of the same shape.
     """
 
     mean: float
     lst: object              # complex array -> complex array
     excess_lst: object       # complex array -> complex array
     excess_survival: object  # array of t >= 0 -> array in [0, 1]
-    lst_deriv: object        # analytic d/ds of lst
+    lst_deriv: object        # complex array -> analytic d/ds of lst
     service_survival: object  # survival of the service law itself (simulation)
 
     def __call__(self, s):
@@ -47,8 +48,8 @@ class HeavyTail:
 
 def _numeric_lst_deriv(lst):
     def deriv(s):
-        h = 1e-6 * max(1.0, abs(s))
-        return (lst(s + h) - lst(s - h)) / (2.0 * h)
+        h = 1e-6 * np.maximum(1.0, np.abs(s))
+        return (lst(s + h) - lst(s - h)) * (0.5 / h)  # complex by real: same bits on arrays
     return deriv
 
 
@@ -88,11 +89,12 @@ def abate_whitt(kappa: float) -> HeavyTail:
         return kappa / ((kappa + rs) * (1.0 + rs))
 
     def lst_deriv(s):
-        s = complex(s)
+        # d/ds (1 - s / D) with D = (kappa + sqrt s)(1 + sqrt s) expanded: no
+        # complex product, which numpy rounds one way on arrays, another on scalars
+        s = np.asarray(s, dtype=complex)
         rs = np.sqrt(s)
-        denom = (kappa + rs) * (1.0 + rs)
-        ddenom = (1.0 / (2.0 * rs)) * (1.0 + rs) + (kappa + rs) / (2.0 * rs)
-        return -(denom - s * ddenom) / denom ** 2
+        denom = kappa + (kappa + 1.0) * rs + s
+        return -(kappa + 0.5 * (kappa + 1.0) * rs) / denom / denom
 
     def excess_survival(t):
         t = np.asarray(t, dtype=float)
@@ -165,10 +167,12 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
     survival, when omitted, is built by cached numerical inversion.  The
     excess transform must agree with the base transform at sampled points
     (tolerance 1e-6), and the excess survival with its own transform.
-    excess_lst and lst receive complex numpy arrays as well as scalars and
-    return values of the same shape; each inversion calls them once for all
-    its points.
+    excess_lst, lst and lst_deriv receive complex numpy arrays as well as
+    scalars and return values of the same shape (a lst_deriv that does not
+    is rejected); each inversion calls them once for all its points.
     """
+    from .oracle import invert
+
     if mean <= 0:
         raise HeavyTailError("mean must be positive")
     if lst is None:
@@ -177,9 +181,16 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
         excess_survival = _inversion_backed_survival(excess_lst, mean)
     if lst_deriv is None:
         lst_deriv = _numeric_lst_deriv(lst)
+    else:  # on two points at once it must give its values at each point
+        s = np.array([0.5 + 0.5j, 2.0])
+        try:
+            ok = np.allclose(lst_deriv(s), [lst_deriv(s[0]), lst_deriv(s[1])],
+                             rtol=1e-12, atol=0.0)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise HeavyTailError("lst_deriv must map an array to its derivative at each point")
     if service_survival is None:
-        from .oracle import invert
-
         def service_survival_fn(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
             out = np.ones(t.shape)
@@ -189,7 +200,6 @@ def custom_heavytail(mean: float, excess_lst, excess_survival=None,
         service_survival = service_survival_fn
 
     _check_consistency(mean, lst, excess_lst, 1e-6)
-    from .oracle import invert
     # tol 1e-7 keeps the contour damping moderate; user transforms often
     # carry ~1e-14 evaluation noise that a larger damping would amplify
     points = (0.1, 1.0, 10.0)

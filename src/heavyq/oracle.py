@@ -177,11 +177,9 @@ def _boundary_vector(model: MarpModel, null_vectors, margin: float) -> np.ndarra
 def _newton_steps(model: MarpModel, mix: _MixtureLST, x: np.ndarray) -> tuple:
     """Newton steps 1 / tr(E^-1 E') on det E at the points x, by one stacked
     LU, and the mask of the points where E is exactly singular (no step).
-
-    The derivative of the mixture transform is taken one point at a time.
     """
     mats = eval_E(model, x, mix(x))
-    ders = eval_E_deriv(model, np.array([mix.deriv(z) for z in x], dtype=complex))
+    ders = eval_E_deriv(model, mix.deriv(x))
     singular = np.zeros(x.size, dtype=bool)
     try:
         return 1.0 / np.trace(np.linalg.solve(mats, ders), axis1=-2, axis2=-1), singular
@@ -574,7 +572,8 @@ def simulate(model: MarpModel, pt: RationalLST, ht, eps: float,
     # one search in the sorted batch
     n_batches = 50
     usable = (n_customers // n_batches) * n_batches
-    batched = np.sort(delays[:usable].reshape(n_batches, -1), axis=1)
+    batched = delays[:usable].reshape(n_batches, -1)
+    batched.sort(axis=1)
     size = batched.shape[1]
     per_batch = np.array([size - row.searchsorted(grid, side="right") for row in batched]) / size
     surv = per_batch.mean(axis=0)

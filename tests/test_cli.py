@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heavyq.cli import ConfigError, main, parse_config
+from heavyq.cli import ConfigError, _parse_value, main, parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAPER = os.path.join(ROOT, "paper")
@@ -36,6 +37,88 @@ def test_parse_config_rationals(tmp_path):
     assert cfg.model.n_states == 2
     np.testing.assert_allclose(cfg.model.trans[0], [8 / 9, 1 / 9], rtol=1e-15)
     assert cfg.variants == ("replace", "discard")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("8/9", float(Fraction(8, 9))),
+    ("-1/2", float(Fraction(-1, 2))),
+    ("8 / 9", float(Fraction(8, 9))),
+    ("1/-2", float(Fraction(-1, 2))),
+    ("1e-3", float(Fraction(1, 1000))),
+    ("1e-3/2", float(Fraction(1, 2000))),
+    ("[10, 1/2]", [10.0, float(Fraction(1, 2))]),
+    ("[[8/9, 1/9], [97/100, 3/100]]", [[float(Fraction(8, 9)), float(Fraction(1, 9))],
+                                       [float(Fraction(97, 100)), float(Fraction(3, 100))]]),
+    ("both", "both"),
+])
+def test_values_parse_exactly(text, want):
+    # each number is the exact ratio rounded to float once (repr tells
+    # floats apart bit for bit, and a float from an int)
+    assert repr(_parse_value(text, 1)) == repr(want)
+
+
+def test_random_spaced_ratios_parse_exactly():
+    # small-integer ratios, some plain integers, in vectors and matrices
+    # written with random spacing around every token
+    rng = np.random.default_rng(35)
+
+    def gap():
+        return " " * int(rng.integers(0, 3))
+
+    def number():
+        p, q = int(rng.integers(-20, 21)), int(rng.integers(1, 21))
+        if rng.random() < 0.2:
+            return str(p), float(p)
+        if rng.random() < 0.2:
+            return f"{p}{gap()}/{gap()}-{q}", float(Fraction(-p, q))
+        return f"{p}{gap()}/{gap()}{q}", float(Fraction(p, q))
+
+    def vector(size):
+        cells = [number() for _ in range(size)]
+        text = "[" + gap() + f"{gap()},{gap()}".join(c[0] for c in cells) + gap() + "]"
+        return text, [c[1] for c in cells]
+
+    for draw in range(200):
+        size = int(rng.integers(1, 6))
+        if draw % 2:
+            rows = [vector(size) for _ in range(int(rng.integers(1, 5)))]
+            text = "[" + gap() + f"{gap()},{gap()}".join(r[0] for r in rows) + gap() + "]"
+            want = [r[1] for r in rows]
+        else:
+            text, want = vector(size)
+        got = _parse_value(gap() + text + gap(), 1)
+        assert repr(got) == repr(want), text
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("mmpp.p", "[[8/9, 1/9], [97/100, 3/100]], [1/2, 1/2]]", "cannot parse value"),
+    ("mmpp.p", "[[8/9, 1/9]]", "transition matrix shape does not match rates"),
+    ("mmpp.p", "[[8/9, 1/9], 97/100, 3/100]", "[8 / 9, 1 / 9] is not a number"),
+    ("mmpp.rates", "[1, [2, 3]]", "[2, 3] is not a number"),
+    ("mmpp.rates", "[10, 1/2]]", "unmatched ']'"),
+    ("mmpp.p", "[[8/9, 1/9]], [97/100, 3/100]]", "unmatched ']'"),
+    ("mmpp.rates", "[1,,2]", "invalid syntax"),
+    ("mmpp.p", "[[8/9, 1/9] [97/100, 3/100]]", "is not a number"),
+    ("eps", "3/0", "division by zero"),
+    ("seed", "True", "True is not a number"),
+    ("service.exp", "fast", "could not convert string to float: 'fast'"),
+    ("service.exp", "[3]", "float() argument must be a string or a real number"),
+    ("heavytail.abate_whitt", "1", "confluent"),
+    ("variants", "bogus", "variants must be replace, discard or both, got 'bogus'"),
+])
+def test_a_bad_value_in_a_paper_run_file_names_its_line(tmp_path, capsys, key, value, reason):
+    # malformed values and the builders' errors alike: nothing is dropped
+    # and the message names the line of the key, not the file's last line
+    lines = open(os.path.join(PAPER, "mmpp2.cfg"), encoding="utf-8").read().splitlines()
+    line_no = next(n for n, line in enumerate(lines, 1) if line.startswith(key + " = "))
+    lines[line_no - 1] = f"{key} = {value}"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value).startswith(f"line {line_no}: ") and reason in str(err.value)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

@@ -68,6 +68,32 @@ def test_lst_deriv_matches_difference():
         assert complex(ht.lst_deriv(s)) == pytest.approx(fd, rel=1e-5)
 
 
+def _tails():
+    ht, pt = abate_whitt(2.0), RationalLST.erlang(3.0, 2)
+    rational = phase_type_tail(pt)
+    return {"abate_whitt": ht,
+            "numeric": custom_heavytail(pt.mean, pt.excess, rational.excess_survival, lst=pt),
+            "phase_type": rational}
+
+
+@pytest.mark.parametrize("name", ["abate_whitt", "numeric", "phase_type"])
+def test_lst_deriv_on_an_array_gives_its_scalar_values(name):
+    # the oracle's Newton takes the derivative at all its roots at once;
+    # each point must get the bits it gets alone
+    tail = _tails()[name]
+    s = np.array([0.5, 2.0, 1.0 + 1.0j, 3.0 - 0.5j, 8.75 + 0.92j, 0.3 + 7.0j])
+    got = tail.lst_deriv(s)
+    assert got.shape == s.shape
+    assert np.array_equal(got, np.array([complex(tail.lst_deriv(z)) for z in s]))
+
+
+def test_custom_heavytail_rejects_a_scalar_only_lst_deriv():
+    ht = abate_whitt(2.0)
+    with pytest.raises(HeavyTailError, match="lst_deriv must map an array"):
+        custom_heavytail(ht.mean, ht.excess_lst, ht.excess_survival, lst=ht.lst,
+                         lst_deriv=lambda s: complex(ht.lst_deriv(s)))
+
+
 def test_service_survival_closed_form():
     ht = abate_whitt(2.0)
     for t in (0.2, 1.0, 5.0):
