@@ -363,8 +363,9 @@ class BaseSolution:
     @cached_property
     def kept(self) -> dict:
         """Store for what the correction derives from this solution and one
-        heavy tail (the replace and discard perturbations); see
-        perturbation.checked_perturb."""
+        heavy tail: the replace and discard perturbations (see
+        perturbation.checked_perturb) and the heavy tables of the last grid
+        (correction._kept_nodes)."""
         return {}
 
 

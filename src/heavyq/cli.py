@@ -69,6 +69,8 @@ def _setting(key: str, value, where: str):
 def _number(node) -> Fraction:
     """The exact value of a number: a literal, a signed number or a ratio."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        if node.value == float("inf"):   # a literal past the largest float
+            raise ValueError("number out of range")
         return Fraction(str(node.value))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         return -_number(node.operand) if isinstance(node.op, ast.USub) else _number(node.operand)

@@ -23,14 +23,30 @@ densities Y.tilted(rho), are the terms times the sums J_k of one scan over
 one table of nodes tau for the whole grid (_conv_nodes: 16-point panels in
 v = sqrt(tau), past the excess's square-root cusp, no wider than
 CONV_RATE_WIDTH / |a| for the fastest rate a).  The scan carries the sums
-from each grid point to the next by exact exponential propagation, so a
-grid costs time linear in its nodes; the sums travel with the node table
-(_Nodes), and the tilted laws, with their parents' rates and lower powers,
-are read off the survival scan's sums.  The tilted tails of the excess
-enter only at the grid points (heavy_between).
+between grid points by exact exponential propagation in a log-depth prefix
+scan; the sums travel with the node table (_Nodes), and the tilted laws,
+with their parents' rates and lower powers, are read off the survival
+scan's sums.  The tilted tails of the excess enter only at the grid points
+(heavy_between).
 tests/test_quadrature_reference.py checks both against adaptive quad and
 the former per-point composite rules, and tests/theta_references.py keeps
 the earlier per-law evaluation with its two scans per variant.
+
+The order of evaluation, so that nothing is computed once per root, per
+grid point or per variant when one computation serves them all:
+- per law, every paired positive root at once: the tilted terms of a law
+  share one list of (rate, power) pairs with a coefficient per root
+  (measures.tilted_terms), so its tilted tails and between probabilities
+  are one location on the table and one weighted sum, kept on the table
+  for the law's next use (d's serve the heavy and the closed between
+  terms alike), and its tilted laws' scanned sums one more;
+- per grid, the scan: a rate the node table's sums lack, or a higher
+  power, takes one scan, whose carries cost log2 of the grid size in
+  whole-grid steps;
+- per solution, tail and grid, for both variants: P(E > t) at the grid,
+  psi at the paired roots, and the node table with its sums when the
+  variant's rate bound gives the same panels, kept in sol.kept beside the
+  perturbations (_kept_nodes), one grid at a time.
 
 The perturbations depend only on the solution and the heavy tail, so each
 is built and checked once and kept on the solution, one tail at a time
@@ -46,7 +62,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused here; perfbench counts calls by this name
 
 from .base_solver import BaseSolution, RationalLST, solve_base
-from .measures import ExpPolyMeasure, TermTable
+from .measures import ExpPolyMeasure, TermTable, combine, tilted_terms
 from .model import stability_margin
 from .perturbation import Families, checked_perturb
 
@@ -100,75 +116,135 @@ def correction_coeffs(sol: BaseSolution, z: np.ndarray) -> Families:
 def _scan(rates: np.ndarray, powers: int, tau: np.ndarray, g: np.ndarray,
           ts: np.ndarray) -> np.ndarray:
     """The sums J_k(t) over the nodes tau_i < t of (t - tau_i)^k
-    e^(-a (t - tau_i)) g_i, for each t in ts, rate a of rates and power
-    k < powers, as a [t, rate, power] array.
+    e^(-a (t - tau_i)) g_i, for each rate a of rates, power k < powers and t
+    in ts, as a [rate, power, t] array of the rates' dtype (real rates take
+    real arithmetic throughout).
 
     tau is increasing and no node equals a grid point.  Each node is
     expanded about the first grid point p above it, where
     (p - tau)^k e^(-a (p - tau)) neither grows nor cancels, and the sums are
-    carried from one grid point to the next exactly:
-    J_k(p + L) = e^(-a L) sum_j C(k, j) L^(k-j) J_j(p) + the nodes in between.
+    carried between grid points by a log-depth prefix scan (Hillis & Steele
+    1986): at offsets d = 1, 2, 4, ... each grid point adds the sums of the
+    point d below it, carried over the span L between them by the exact
+    propagator, J_k += e^(-a L) sum_j C(k, j) L^(k-j) J_j.  Every operation
+    is elementwise in the rate, and power k reads only powers j <= k, so a
+    rate and a power get the same bits whatever else is scanned with them.
     """
     grid, where = np.unique(ts, return_inverse=True)
     cut = np.searchsorted(tau, grid)
     tau, g = tau[:cut[-1]], g[:cut[-1]]
-    k = np.arange(powers)
     rates = rates[:, None]
     gap = grid[np.searchsorted(grid, tau, side="right")] - tau
-    kernel = np.exp(-rates * gap)[:, None, :] * gap ** k[:, None] * g
-    starts = np.r_[0, cut[:-1]]
-    seg = np.zeros((rates.size, k.size, grid.size), dtype=complex)
+    weighted = np.exp(-rates * gap) * g
+    starts = np.concatenate(([0], cut[:-1]))
     live = starts < cut
-    seg[:, :, live] = np.add.reduceat(kernel, starts[live], axis=2)
-    steps = np.diff(grid, prepend=grid[0])
-    decay = np.exp(-rates * steps)
-    binom = np.array([[math.comb(i, j) for j in k] for i in k])
-    shift = binom * steps[:, None, None] ** np.maximum(k[:, None] - k, 0)
-    state = np.zeros((rates.size, k.size), dtype=complex)
-    sums = np.empty((grid.size,) + state.shape, dtype=complex)
-    for n in range(grid.size):
-        state = decay[:, n, None] * (state @ shift[n].T) + seg[:, :, n]
-        sums[n] = state
-    return sums[where]
+    sums = np.zeros((powers, rates.size, grid.size), dtype=rates.dtype)
+    for k in range(powers):
+        if k:
+            weighted = weighted * gap
+        sums[k][:, live] = np.add.reduceat(weighted, starts[live], axis=1)
+    offset = 1
+    while offset < grid.size:
+        span = grid[offset:] - grid[:-offset]
+        below = sums[:, :, :-offset]
+        carried = np.empty_like(below)
+        for k in range(powers):
+            acc = below[k]
+            for j in range(k):
+                acc = acc + math.comb(k, j) * span ** (k - j) * below[j]
+            carried[k] = acc
+        sums[:, :, offset:] += np.exp(-rates * span) * carried
+        offset *= 2
+    return sums[:, :, where].transpose(1, 0, 2)
 
 
 class _Nodes:
     """The node table of the heavy scans on the grid of table, a TermTable
-    (_conv_nodes): nodes tau, weights g times P(E > tau), and the sums J_k
-    of its last scan (_scan) over every rate the table knew then.  A term
-    list whose every (rate, power) pair those sums hold is read off them,
-    so the laws of one grid share one scan; tilted laws keep their
-    parents' rates and have lower powers."""
+    (_conv_nodes): nodes tau, weights g times P(E > tau) and the panel
+    counts that placed them, P(E > t) at the grid, psi at the tilting rates
+    asked for so far (_psi), and, per rate, the sums J_k of the scans
+    (_scan) for every power below the highest asked for.  A term list is
+    read off the sums; a rate they lack, or a higher power, takes a scan
+    first, real rates in real arithmetic.  Nothing here depends on a
+    variant, so theta keeps the table on the solution (_kept_nodes) for
+    the next variant on the same grid."""
 
-    def __init__(self, table: TermTable, tau: np.ndarray, g: np.ndarray):
-        self.table, self.tau, self.g = table, tau, g
-        self.sums = np.zeros((table.t.size, 0, 0), dtype=complex)
+    def __init__(self, table: TermTable, tau: np.ndarray, g: np.ndarray, pieces: np.ndarray,
+                 at_t: np.ndarray, psis: dict):
+        self.table, self.tau, self.g, self.pieces = table, tau, g, pieces
+        self.at_t, self.psis = at_t, psis
+        self.rows: dict = {}     # rate -> its row of sums
+        self.sums = np.zeros((0, 0, table.t.size), dtype=complex)
+
+    def basis(self, keys) -> np.ndarray:
+        """The sums J_m(t) at the (rate, power) pairs of keys, as a [key, t]
+        array, after a scan of the rates the sums lack, or of every rate when
+        a higher power is asked for."""
+        rows = self.rows
+        top = 1 + max((key[1] for key in keys), default=0)
+        n_rates, n_powers = self.sums.shape[:2]
+        fresh = list(dict.fromkeys(key[0] for key in keys if key[0] not in rows))
+        if top > n_powers and n_rates:
+            fresh, n_rates = list(rows) + fresh, 0
+            rows.clear()
+        if fresh:
+            rates = np.array(fresh, dtype=complex)
+            sums = np.empty((rates.size, max(top, n_powers), self.table.t.size), dtype=complex)
+            real = rates.imag == 0
+            for pick, group in ((real, rates.real), (~real, rates)):
+                if pick.any():
+                    sums[pick] = _scan(group[pick], sums.shape[1], self.tau, self.g, self.table.t)
+            self.sums = np.concatenate([self.sums[:n_rates], sums]) if n_rates else sums
+            rows.update((a, n_rates + i) for i, a in enumerate(fresh))
+        return self.sums[[rows[key[0]] for key in keys], [key[1] for key in keys]]
 
     def scanned(self, term_lists) -> np.ndarray:
         """For each list of terms (a, m, c), the sum of c sum_{tau_i < t}
         (t - tau_i)^m e^(-a (t - tau_i)) g_i over its terms, as a [t, list]
         array."""
-        located = [self.table.locate(terms) for terms in term_lists]
-        _, n_rates, n_powers = self.sums.shape
-        top = 1 + max(powers.max(initial=0) for _, powers, _ in located)
-        if top > n_powers or any(rows.max(initial=-1) >= n_rates for rows, _, _ in located):
-            self.sums = _scan(np.array(list(self.table.index), dtype=complex),
-                              max(top, n_powers), self.tau, self.g, self.table.t)
-        return np.array([(self.sums[:, rows, powers] * coefs).sum(axis=1)
-                         for rows, powers, coefs in located]).T
+        return self._combined([(terms, np.array([c for _, _, c in terms], dtype=complex)[:, None])
+                               for terms in term_lists])[:, :, 0]
+
+    def tilted_scanned(self, laws, rhos: np.ndarray) -> np.ndarray:
+        """The scanned sums of the tilted laws y.tilted(rho) for each law y of
+        laws and rho of rhos, as a [t, law, rho] array: one coefficient
+        matrix per law (tilted_terms) for all rates."""
+        return self._combined([tilted_terms(y.terms, rhos) for y in laws])
+
+    def _combined(self, parts) -> np.ndarray:
+        """combine for each (keys, [key, column] coefficients) of parts, as a
+        [t, part, column] array, from one basis of all their keys."""
+        basis = self.basis([key for keys, _ in parts for key in keys])
+        ends = np.cumsum([len(keys) for keys, _ in parts])
+        return np.stack([combine(coefs, basis[end - len(coefs):end])
+                         for (_, coefs), end in zip(parts, ends)], axis=1)
+
+    def psi(self, ht, rhos: np.ndarray) -> np.ndarray:
+        """_psi at 0 and the grid for the rates rhos, built once per set of
+        rates and checked against its closed-form anchor psi(0) = (1 -
+        excess_lst(rho)) / rho."""
+        key = rhos.tobytes()
+        if key not in self.psis:
+            psi = _psi(ht, rhos, np.append(0.0, self.table.t))
+            anchor = (1.0 - np.asarray(ht.excess_lst(rhos), dtype=complex)) / rhos
+            for at0, want in zip(psi[0], anchor):
+                if abs(at0 - want) > 1e-6 * max(1.0, abs(want)):
+                    raise CorrectionError(
+                        f"tilted-tail table failed its transform anchor: {complex(at0)} vs {want}")
+            self.psis[key] = psi
+        return self.psis[key]
 
 
-def _panels(edges: np.ndarray, width: float) -> tuple:
+def _panels(edges: np.ndarray, pieces: np.ndarray) -> tuple:
     """Ends of the panels that split each interval of the increasing edges
-    into equal pieces no wider than width (none for fewer than two edges)."""
+    into its number of pieces, equal ones (none for fewer than two edges)."""
     if edges.size < 2:
         return edges[:0], edges[:0]
     spans = np.diff(edges)
-    pieces = np.maximum(np.ceil(spans / width), 1).astype(int)
     owner = np.repeat(np.arange(pieces.size), pieces)
     offset = (np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]) * (spans / pieces)[owner]
     lo = edges[owner] + offset
-    return lo, np.r_[lo[1:], edges[-1]]
+    return lo, np.append(lo[1:], edges[-1])
 
 
 def _gauss(lo: np.ndarray, hi: np.ndarray, rule) -> tuple:
@@ -182,25 +258,46 @@ def _max_rate(laws) -> float:
     return max((abs(complex(a)) for y in laws for a, _, _ in y.terms), default=1.0)
 
 
-def _conv_nodes(ht, table: TermTable, rate: float) -> _Nodes:
+def _conv_nodes(ht, table: TermTable, rate: float, kept: _Nodes | None = None) -> _Nodes:
     """The node table of the heavy scans on the grid ts of table, a
     TermTable: 16-point Gauss-Legendre panels in v = sqrt(tau) between
     v = k V_PANEL and sqrt(t) for t in ts, no wider than CONV_RATE_WIDTH /
     rate in tau.  On a panel [lo, hi], tau = lo + (v - vlo) (v + vlo) covers
     [lo, hi] exactly; v^2 would cover the rounded sqrt(hi)^2 (1e5 + 1.5e-11
-    for 1e5), which shifts the integral by that sliver times its integrand."""
+    for 1e5), which shifts the integral by that sliver times its integrand.
+
+    kept, a node table of the same tail on the same grid, is taken over,
+    now on table, when its panels are these; otherwise the new table keeps
+    its P(E > t) at the grid and its psi tables."""
     ts = table.t
     t_max = float(ts.max(initial=0.0))
     edges = np.union1d((V_PANEL * np.arange(math.ceil(math.sqrt(t_max) / V_PANEL))) ** 2,
                        ts[ts > 0])
-    lo, hi = (x[:, None] for x in _panels(edges, CONV_RATE_WIDTH / rate))
+    pieces = np.maximum(np.ceil(np.diff(edges) / (CONV_RATE_WIDTH / rate)), 1).astype(int)
+    if kept is not None and np.array_equal(kept.pieces, pieces):
+        kept.table = table
+        return kept
+    lo, hi = (x[:, None] for x in _panels(edges, pieces))
     frac, w = _gauss(np.zeros(1), np.ones(1), GAUSS16)
     vlo, vhi = np.sqrt(lo), np.sqrt(hi)
     v = vlo + (vhi - vlo) * frac
     scale = (hi - lo) / (vhi + vlo)   # (v - vlo) (v + vlo) = frac (v + vlo) scale
     tau = (lo + frac * (v + vlo) * scale).ravel()
     g = (2.0 * v * w * scale).ravel() * ht.excess_survival(tau)
-    return _Nodes(table, tau, g)
+    if kept is None:
+        return _Nodes(table, tau, g, pieces, ht.excess_survival(ts), {})
+    return _Nodes(table, tau, g, pieces, kept.at_t, kept.psis)
+
+
+def _kept_nodes(sol: BaseSolution, ht, table: TermTable, rate: float) -> _Nodes:
+    """_conv_nodes for theta on sol, kept in sol.kept with the tail, for the
+    next variant or call on the same grid: one grid's node table at a time."""
+    kept = sol.kept.get("nodes")
+    if kept is not None and (kept[0] is not ht or not np.array_equal(kept[1].table.t, table.t)):
+        kept = None
+    nodes = _conv_nodes(ht, table, rate, None if kept is None else kept[1])
+    sol.kept["nodes"] = (ht, nodes)
+    return nodes
 
 
 def heavy_conv_survival(laws, ht, nodes: _Nodes) -> np.ndarray:
@@ -210,8 +307,7 @@ def heavy_conv_survival(laws, ht, nodes: _Nodes) -> np.ndarray:
     at a rate at least every |a| of the laws, which may be complex-valued.
     """
     ts = nodes.table.t
-    at_t = ht.excess_survival(ts)
-    out = np.array([y.survival(nodes.table) + y.atom * at_t for y in laws], dtype=complex).T
+    out = np.array([y.survival(nodes.table) + y.atom * nodes.at_t for y in laws], dtype=complex).T
     if any(y.terms for y in laws) and np.any(ts > 0):
         out += nodes.scanned([y.terms for y in laws])
     return out
@@ -229,8 +325,13 @@ def _psi(ht, rhos: np.ndarray, taus: np.ndarray) -> np.ndarray:
         width *= 2.0
     u, wu = _gauss(np.zeros(1), np.sqrt(edges[1:2]), GAUSS24)
     ys, w = _gauss(np.array(edges[1:-1]), np.array(edges[2:]), GAUSS24)
-    ys, w = np.r_[u * u, ys], np.r_[2.0 * u * wu, w]
-    return ht.excess_survival(taus[:, None] + ys) @ (np.exp(-np.outer(ys, rhos)) * w[:, None])
+    ys, w = np.concatenate((u * u, ys)), np.concatenate((2.0 * u * wu, w))
+    weights = np.exp(-np.outer(ys, rhos)) * w[:, None]
+    # one real product for both parts: a complex one converts the excess
+    # table to complex first and runs a far slower kernel
+    real, imag = np.hsplit(ht.excess_survival(taus[:, None] + ys)
+                           @ np.hstack([weights.real, weights.imag]), 2)
+    return real + 1j * imag
 
 
 def heavy_between(laws, ht, surv: np.ndarray, rhos, nodes: _Nodes) -> np.ndarray:
@@ -238,27 +339,21 @@ def heavy_between(laws, ht, surv: np.ndarray, rhos, nodes: _Nodes) -> np.ndarray
     rho of rhos and t on the grid of nodes, as a [t, law, rho] array: surv,
     the [t, law] survival of Y + E, less rho times I(t) =
     integral_0^inf e^(-rho y) P(Y + E > t + y) dy.
-    Split at tau = t, I(t) = Y.expo_tail_transform(rho, t) + Y.laplace(rho)
+    Split at tau = t, I(t) = Y.expo_tail_transforms(rhos, t) + Y.laplace(rho)
     psi(t) + integral_0^t P(E > tau) g(t - tau) dtau, with psi by _psi and
-    g = Y.tilted(rho); the last integrals are read off the sums of nodes,
-    which a survival scan of the laws over the same nodes already holds.
+    g = Y.tilted(rho); every rate is taken at once, and the last integrals
+    are read off the sums of nodes, which a survival scan of the laws over
+    the same nodes already holds.
     """
     ts = nodes.table.t
-    rhos = np.asarray(rhos, dtype=complex)
+    rhos = np.asarray(rhos, dtype=complex).ravel()
     if np.any(rhos.real <= 0):
         raise CorrectionError("tilting rate must have positive real part")
-    psi = _psi(ht, rhos, np.r_[0.0, ts])
-    # closed-form anchor: psi(0) = (1 - excess_lst(rho)) / rho
-    for rho, at0 in zip(rhos, psi[0]):
-        anchor = (1.0 - complex(ht.excess_lst(rho))) / rho
-        if abs(at0 - anchor) > 1e-6 * max(1.0, abs(anchor)):
-            raise CorrectionError(
-                f"tilted-tail table failed its transform anchor: {complex(at0)} vs {anchor}")
-    i_tail = np.array([[y.expo_tail_transform(rho, nodes.table) + y.laplace(rho) * psi[1:, r]
-                        for r, rho in enumerate(rhos)] for y in laws]).transpose(2, 0, 1)
+    psi = nodes.psi(ht, rhos)[1:]
+    i_tail = np.stack([y.expo_tail_transforms(rhos, nodes.table) + y.laplace(rhos) * psi
+                       for y in laws], axis=1)
     if any(y.terms for y in laws) and np.any(ts > 0):
-        tilted = [y.tilted(rho).terms for y in laws for rho in rhos]
-        i_tail = i_tail + nodes.scanned(tilted).reshape(i_tail.shape)
+        i_tail = i_tail + nodes.tilted_scanned(laws, rhos)
     return np.asarray(surv, dtype=complex)[:, :, None] - rhos * i_tail
 
 
@@ -304,10 +399,12 @@ def theta(table: TermTable, fams: Families, base_law: ExpPolyMeasure, ht,
     imaginary parts beyond 1e-10 raise.
 
     Every law is evaluated in one basis of (rate, power) pairs: its closed
-    forms by table, one exp per distinct rate and each survival once, and
-    its heavy convolutions by the sums of one scan over one table of nodes
-    (_conv_nodes), which heavy_conv_survival runs and heavy_between reads
-    again for the tilted laws.
+    forms by table, one exp per distinct rate, each survival once and its
+    tilted tails once for all paired roots, and its heavy convolutions by
+    the sums of one scan over one table of nodes (_conv_nodes, kept on sol
+    with psi and P(E > t) for the other variant: _kept_nodes), which
+    heavy_conv_survival runs and heavy_between reads again for the tilted
+    laws.
     """
     pt = sol.pt
     mp = pt.mean if variant == "replace" else 0.0
@@ -339,7 +436,7 @@ def theta(table: TermTable, fams: Families, base_law: ExpPolyMeasure, ht,
     # mp times the rational excess: no terms at all when mp = 0
     excess = ExpPolyMeasure.point_mass(mp).convolve(pt.excess_measure)
     laws = [d_law, dd_law, d_law.convolve(f_beta), dd_law.convolve(f_gamma)]
-    nodes = _conv_nodes(ht, table, _max_rate(laws))
+    nodes = _kept_nodes(sol, ht, table, _max_rate(laws))
     heavy = heavy_conv_survival(laws, ht, nodes)
 
     def recipe(coef, plain, rational, heavy):
@@ -357,12 +454,8 @@ def theta(table: TermTable, fams: Families, base_law: ExpPolyMeasure, ht,
     roots, weights = (np.array(v) for v in zip(*paired))
     rhos = rho_pos[roots]
     between = heavy_between([d_law, dd_law], ht, heavy[:, :2], rhos, nodes)
-
-    def betweens(y):
-        return np.array([y.between_exp(rho, table) for rho in rhos], dtype=complex).T
-
-    terms = recipe(residues[:, roots] / rhos, betweens(d_law),
-                   [betweens(y.convolve(excess)) for y in (d_law, dd_law)],
+    terms = recipe(residues[:, roots] / rhos, d_law.between_exps(rhos, table),
+                   [y.convolve(excess).between_exps(rhos, table) for y in (d_law, dd_law)],
                    between.transpose(1, 0, 2))
     if np.max(np.abs(terms.imag[:, weights == 1.0]), initial=0.0) > 1e-10:
         raise CorrectionError("correction term has a residual imaginary part")
@@ -477,8 +570,9 @@ def approximate(model, pt: RationalLST, ht, eps: float, t_grid=None,
     the thinned service law (1-eps) B(s) + eps solved exactly (a fluid solve
     that expands no subset sums), coefficients use z less the discard shift
     zd, and the prefactor uses u + eps zd.  A given sol must be solved for
-    these model and pt objects; it keeps the perturbations for ht
-    (BaseSolution.kept) until a call with another tail replaces them.
+    these model and pt objects; it keeps the perturbations for ht, and the
+    heavy tables of the last grid for both variants (BaseSolution.kept),
+    until a call with another tail replaces them.
     """
     if variant not in ("replace", "discard"):
         raise CorrectionError(f"unknown variant {variant!r}")

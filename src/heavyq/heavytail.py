@@ -80,21 +80,23 @@ def abate_whitt(kappa: float) -> HeavyTail:
     c1 = 1.0 / (1.0 - kappa)
     c2 = -kappa / (1.0 - kappa)
 
+    # D = (kappa + sqrt s)(1 + sqrt s) expanded: no complex product, which
+    # numpy rounds one way on arrays, another on scalars
+    def denominator(s):
+        return kappa + (kappa + 1.0) * np.sqrt(s) + s
+
     def lst(s):
-        rs = np.sqrt(np.asarray(s, dtype=complex))
-        return 1.0 - np.asarray(s, dtype=complex) / ((kappa + rs) * (1.0 + rs))
+        s = np.asarray(s, dtype=complex)
+        return 1.0 - s / denominator(s)
 
     def excess_lst(s):
-        rs = np.sqrt(np.asarray(s, dtype=complex))
-        return kappa / ((kappa + rs) * (1.0 + rs))
+        return kappa / denominator(np.asarray(s, dtype=complex))
 
     def lst_deriv(s):
-        # d/ds (1 - s / D) with D = (kappa + sqrt s)(1 + sqrt s) expanded: no
-        # complex product, which numpy rounds one way on arrays, another on scalars
+        # d/ds (1 - s / D)
         s = np.asarray(s, dtype=complex)
-        rs = np.sqrt(s)
-        denom = kappa + (kappa + 1.0) * rs + s
-        return -(kappa + 0.5 * (kappa + 1.0) * rs) / denom / denom
+        denom = denominator(s)
+        return -(kappa + 0.5 * (kappa + 1.0) * np.sqrt(s)) / denom / denom
 
     def excess_survival(t):
         t = np.asarray(t, dtype=float)

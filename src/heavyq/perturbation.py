@@ -57,6 +57,8 @@ TRACK_FLOOR = 10.0       # rounding floor of the tracked shifts, in eps_mach con
 TRACK_STEPS = 30         # Newton steps of the root tracking before giving up
 REGULAR_TOL = 1e-12      # 1/(|E^-1| |E|) at a zero below which E counts as singular there
 ZERO_STEP_TOL = 1e-8     # Newton step |D/D'| at a zero, over the distance to the nearest other pole
+RING_MEAN_TOL = 1e-12    # |mean - pole| / max(1, |pole|) of the zeros eig scatters round a service pole
+RING_GAP = 4.0           # the nearest other pole lies beyond this times the radius of such a ring
 
 
 class PerturbationError(RuntimeError):
@@ -345,8 +347,11 @@ def families(sol: BaseSolution) -> Families:
     D, r from its nearest other pole, takes the first rule that applies:
     (1) a simple zero that passes _zero_parts' tests (Newton step at most
     ZERO_STEP_TOL r, 1/(|E^-1| |E|) above REGULAR_TOL) takes its parts;
-    (2) a zero nearer than r to a pole of the service law, where E has a
-    pole and F none (eig scatters multiple zeros there), has zero parts;
+    (2) a zero at a pole p of the service law, where E has a pole and F
+    none, has zero parts: a zero nearer than r to p, or one of the ring
+    into which eig scatters an m-fold zero at p, of radius about the m-th
+    root of rounding, whose members lie nearer each other than p but whose
+    mean is p (_service_rings);
     (3) a simple zero where E is singular, a hidden mode of a lumpable
     environment (u . a = y . omega = 0, so D is regular), takes _root_parts
     from bordered_solve around the null vector of eig(E); any other raises.
@@ -370,14 +375,15 @@ def families(sol: BaseSolution) -> Families:
     near = np.abs(zeros[:, None] - np.array([c for c, _ in sol.pt.poles])).min(
         axis=1, initial=np.inf) / radii[n_roots:]
     simple = (mult == 1) & (step <= ZERO_STEP_TOL) & (gap > REGULAR_TOL)
-    removable = ~simple & (near < 1.0)
+    removable = ~simple & ((near < 1.0) | _service_rings(centres, n_roots, mult, sol.pt.poles))
     hidden = ~simple & ~removable & (mult == 1) & ~(gap > REGULAR_TOL)
     for k in np.flatnonzero(~(simple | removable | hidden))[:1]:
         raise PerturbationError(
             f"zero {zeros[k]} of multiplicity {mult[k]} has no closed form: Newton step "
             f"{step[k]:.3e} r (simple at most {ZERO_STEP_TOL:.0e}), 1/(|E^-1| |E|) = "
             f"{gap[k]:.3e} (regular above {REGULAR_TOL:.0e}), nearest service pole at "
-            f"{near[k]:.3e} r (removable below 1), r the distance to the nearest other pole")
+            f"{near[k]:.3e} r (removable below 1) and in no ring of one, r the distance "
+            f"to the nearest other pole")
     if hidden.any():
         g, g_der = sol.pt.value_and_deriv(zeros[hidden])
         e_num = eval_E(model, zeros[hidden], g)
@@ -391,6 +397,31 @@ def families(sol: BaseSolution) -> Families:
     const = value - sum((s0 - c) ** -np.arange(1.0, m + 1) @ coef
                         for (c, m), coef in zip(poles, coefs))
     return Families(poles=poles, coefs=tuple(coefs), const=const)
+
+
+def _service_rings(centres: np.ndarray, n_roots: int, mult: np.ndarray, service_poles) -> np.ndarray:
+    """Which zeros, centres[n_roots:] of multiplicities mult, form the ring
+    of a service pole p of multiplicity m: the zeros nearest p that count m
+    with their multiplicities, whose mean is p within RING_MEAN_TOL and whose
+    farthest member lies nearer p than 1/RING_GAP of every other pole.  The
+    mean of a cluster of eigenvalues is well conditioned where its members
+    are not (Kato, Perturbation Theory for Linear Operators, 1966)."""
+    zeros = centres[n_roots:]
+    ring = np.zeros(zeros.size, dtype=bool)
+    for pole, m in service_poles:
+        order = np.argsort(np.abs(zeros - pole), kind="stable")
+        count = np.cumsum(mult[order])
+        j = int(np.searchsorted(count, m))
+        if j == order.size or count[j] != m:
+            continue
+        members = order[:j + 1]
+        radius = np.abs(zeros[members] - pole).max()
+        mean = mult[members] @ zeros[members] / m
+        others = np.delete(centres, n_roots + members)
+        if (abs(mean - pole) <= RING_MEAN_TOL * max(1.0, abs(pole))
+                and np.abs(others - pole).min(initial=np.inf) > RING_GAP * radius):
+            ring[members] = True
+    return ring
 
 
 def perturb(sol: BaseSolution, ht, variant: str = "replace") -> PerturbationData:

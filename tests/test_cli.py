@@ -121,6 +121,17 @@ def test_a_bad_value_in_a_paper_run_file_names_its_line(tmp_path, capsys, key, v
     assert not (tmp_path / "o").exists()
 
 
+def test_an_overflowing_number_is_named_out_of_range(tmp_path):
+    # 1e999 is a float literal past the largest float: the message says so,
+    # at the key's line, instead of quoting Fraction's 'inf'
+    lines = open(os.path.join(PAPER, "mmpp2.cfg"), encoding="utf-8").read().splitlines()
+    line_no = next(n for n, line in enumerate(lines, 1) if line.startswith("eps = "))
+    lines[line_no - 1] = "eps = 1e999"
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, "\n".join(lines) + "\n"))
+    assert str(err.value) == f"line {line_no}: cannot parse value '1e999': number out of range"
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = write(tmp_path, GOOD + "\nbogus = 3\n")
     with pytest.raises(ConfigError) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import weakref
@@ -5,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heavyq import correction, perturbation, symbolic_kernel
+from heavyq import correction, measures, perturbation, symbolic_kernel
 from heavyq.base_solver import BaseSolution, RationalLST, SolverError, solve_base
 from heavyq.cli import parse_config
 from heavyq.correction import (
@@ -586,6 +587,11 @@ FAMILY_CASES = {
     "lumpable-erlang(6,2)": lambda: (LUMPABLE, SERVICES["erlang(6,2)"]),
     "mmpp2-erlang(12,3)": lambda: (mmpp2_model(), RationalLST.erlang(12.0, 3)),
     "mmpp5-erlang(12,4)": lambda: (paper_model("mmpp5"), RationalLST.erlang(12.0, 4)),
+    # eig scatters the k-fold zero at the Erlang pole into a ring of radius
+    # 7e-5 (k = 4) and 0.14 (k = 8) on mmpp2, whose mean is the pole
+    "mmpp2-erlang(12,4)": lambda: (mmpp2_model(), RationalLST.erlang(12.0, 4)),
+    "mmpp2-erlang(24,8)": lambda: (mmpp2_model(), RationalLST.erlang(24.0, 8)),
+    "random16-erlang(24,8)": lambda: (random_mmpp(16, 7, 0.8)[0], RationalLST.erlang(24.0, 8)),
     "random16": lambda: random_mmpp(16, 7, 0.8),
     "random32": lambda: random_mmpp(32, 11, 0.95),
     "random64": lambda: random_mmpp(64, 11, 0.95),
@@ -624,9 +630,11 @@ def test_a_zero_on_a_service_pole_is_removable():
     # every zero the families keep with zero coefficients, carries contour
     # parts (laurent_families) at rounding level, at most 1e-13 of the
     # largest contour coefficient or constant (measured at most 3.0e-16);
-    # the cases hold 24 zeros on a service pole, 14 of them kept with zero
-    # coefficients, and 4 more kept so: eig's scatter of the fourfold zero
-    # at -12 on mmpp5 with Erlang(12,4), 1.2e-3 away
+    # the cases hold 25 zeros on a service pole, 15 of them kept with zero
+    # coefficients, and 23 more kept so: eig's scatter of the k-fold zero at
+    # the Erlang pole, 1.2e-3 away at -12 on mmpp5 (k = 4), 7e-5 at -12 on
+    # mmpp2 (k = 4, one member on the pole) and 0.14 and 0.09 at -24 on mmpp2
+    # and random16 (k = 8)
     found = []
     for case, make in FAMILY_CASES.items():
         sol = solve_base(*make())
@@ -640,9 +648,9 @@ def test_a_zero_on_a_service_pole_is_removable():
             if on_pole or dropped:
                 found.append((on_pole, dropped))
                 assert np.max(np.abs(ref.coefs[k])) <= 1e-13 * largest, (case, zero)
-    assert found.count((True, True)) == 14
+    assert found.count((True, True)) == 15
     assert found.count((True, False)) == 10
-    assert found.count((False, True)) == 4
+    assert found.count((False, True)) == 23
 
 
 @pytest.mark.parametrize("case", ["lumpable-exp3", "lumpable-erlang(6,2)"])
@@ -679,6 +687,25 @@ def test_a_zero_that_fits_no_rule_raises(monkeypatch):
     with pytest.raises(perturbation.PerturbationError,
                        match=r"zero \(.*\) of multiplicity 1 has no closed form: Newton step inf"):
         sol.families
+
+
+@pytest.mark.parametrize("name,k", [("mmpp2", 4), ("mmpp2", 8), ("mmpp2", 12), ("mmpp5", 8)])
+def test_erlang_service_of_high_order_against_exact_solve(name, k):
+    # Erlang(3k, k) service, mean 1/3: the ring of k zeros at the pole -3k
+    # has zero parts, and replace leaves only the second-order term (error
+    # 7.7e-4 to 7.9e-4 on mmpp2 and 3.0e-4 on mmpp5 at eps 0.01, ratio 0.25
+    # as eps halves)
+    model, pt, ht = paper_model(name), RationalLST.erlang(3.0 * k, k), abate_whitt(2.0)
+    ts = np.linspace(0.5, 50.0, 20)
+    sol = solve_base(model, pt)
+    deltas = perturb(sol, ht, "replace").delta
+    errs = []
+    for eps in (0.01, 0.005):
+        out = approximate(model, pt, ht, eps, t_grid=ts, sol=sol)
+        exact = exact_solve(model, pt, ht, eps, base=sol, deltas=deltas)
+        errs.append(np.max(np.abs(out.corrected_raw - exact.survival_grid(ts))))
+    assert errs[0] <= 1e-3
+    assert 0.2 <= errs[1] / errs[0] <= 0.3, errs
 
 
 def test_families_of_a_coefficient_entered_fourfold_pole():
@@ -998,6 +1025,68 @@ def test_discard_after_replace_on_one_solution_equals_a_fresh_discard():
     fresh = approximate(model, pt, abate_whitt(2.0), 0.01, t_grid=ts, variant="discard",
                         sol=solve_base(model, pt))
     _assert_same_output(got, fresh)
+
+
+def test_discard_after_replace_reuses_the_heavy_tables(monkeypatch):
+    # psi at the paired roots, P(E > t) at the grid and the node table (whose
+    # panels both variants' rate bounds give here) depend on the solution,
+    # the tail and the grid only: replace builds them, with one _psi and
+    # three excess survival calls (nodes, grid, psi table), and discard on
+    # the same solution and grid reuses them all
+    model, pt, tail = mmpp2_model(), RationalLST.exponential(3.0), abate_whitt(2.0)
+    sizes = []
+    ht = dataclasses.replace(tail, excess_survival=lambda t: sizes.append(np.size(t))
+                             or tail.excess_survival(t))
+    ts = np.concatenate([[0.0], np.geomspace(0.05, 25.0, 20)])
+    psis = _counting(monkeypatch, correction, "_psi")
+    sol = solve_base(model, pt)
+    approximate(model, pt, ht, 0.01, t_grid=ts, variant="replace", sol=sol)
+    assert len(psis) == 1 and len(sizes) == 3 and ts.size in sizes
+    approximate(model, pt, ht, 0.01, t_grid=ts, variant="discard", sol=sol)
+    assert len(psis) == 1 and len(sizes) == 3
+    # another grid builds its own tables in place of these
+    approximate(model, pt, ht, 0.01, t_grid=ts[:-1], variant="discard", sol=sol)
+    assert len(psis) == 2 and len(sizes) == 6
+
+
+def test_each_law_takes_its_tilted_tails_at_every_root_once(monkeypatch):
+    # one replace approximate on mmpp5 (three paired roots, one of them a
+    # complex pair's member): the closed-form tilted tails of d (which the
+    # heavy and the closed between terms share), d*d, and d and d*d
+    # convolved with the rational excess, each one TermTable evaluation
+    # for all the roots
+    model, pt, ht = paper_model("mmpp5"), RationalLST.exponential(3.0), abate_whitt(2.0)
+    sol = solve_base(model, pt)
+    rhos = [sol.rho_pos[k] for k, _ in _paired(sol.rho_pos)]
+    evaluated = _counting(monkeypatch, measures, "tilted_terms")
+    approximate(model, pt, ht, 0.01, t_grid=default_grid(sol, points=40), sol=sol)
+    assert len(evaluated) == 4
+    assert len({id(terms) for terms, _ in evaluated}) == 4
+    for _, rates in evaluated:
+        np.testing.assert_array_equal(rates, rhos)
+
+
+@pytest.mark.parametrize("law", ["base", "self-convolved", "excess-convolved"])
+def test_all_roots_at_once_equal_each_root_alone(law):
+    # mmpp5 has a complex pair of positive roots: the tilted tails and
+    # between probabilities at every paired root at once equal those at one
+    # root, within 1e-15 of the survival
+    model, pt = paper_model("mmpp5"), RationalLST.exponential(3.0)
+    sol = solve_base(model, pt)
+    d = sol.w_law
+    y = {"base": d, "self-convolved": d.convolve(d),
+         "excess-convolved": d.convolve(pt.excess_measure)}[law]
+    rhos = np.array([sol.rho_pos[k] for k, _ in _paired(sol.rho_pos)])
+    assert np.any(rhos.imag != 0)
+    ts = default_grid(sol, points=200)
+    table = TermTable(ts)
+    surv = np.abs(y.survival(ts))
+    every = (y.between_exps(rhos, table), y.expo_tail_transforms(rhos, table),
+             y.tilted_tails(rhos, table))
+    for k, rho in enumerate(rhos):
+        alone = (y.between_exp(rho, ts), y.expo_tail_transform(rho, ts), y.tilted_tail(rho, ts))
+        for got, want in zip(every, alone):
+            assert np.all(np.abs(got[:, k] - want) <= 1e-15 * surv)
 
 
 def test_distinct_heavy_tails_on_one_solution_each_equal_their_fresh_results():

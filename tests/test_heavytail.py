@@ -87,6 +87,19 @@ def test_lst_deriv_on_an_array_gives_its_scalar_values(name):
     assert np.array_equal(got, np.array([complex(tail.lst_deriv(z)) for z in s]))
 
 
+@pytest.mark.parametrize("name", ["lst", "excess_lst"])
+def test_abate_whitt_transforms_on_an_array_give_their_scalar_values(name):
+    # the transforms take arrays and scalars alike, with the same bits at a
+    # point alone as inside an array (a complex product in the denominator
+    # gave 73 and 83 of these points other bits)
+    rng = np.random.default_rng(36)
+    s = rng.uniform(-2.0, 10.0, 200) + 1j * rng.uniform(-10.0, 10.0, 200)
+    transform = getattr(abate_whitt(2.0), name)
+    got = transform(s)
+    assert got.shape == s.shape
+    assert np.array_equal(got, np.array([complex(transform(z)) for z in s]))
+
+
 def test_custom_heavytail_rejects_a_scalar_only_lst_deriv():
     ht = abate_whitt(2.0)
     with pytest.raises(HeavyTailError, match="lst_deriv must map an array"):

@@ -97,3 +97,35 @@ def test_a_node_table_scans_again_for_what_its_sums_lack(monkeypatch):
         want = heavy_conv_survival([law], ht, _conv_nodes(ht, TermTable(ts), 2.5))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert len(scans) == 5
+
+
+def test_the_log_depth_scan_matches_the_per_point_recurrence():
+    # mmpp2's d*d has the slow rate 0.061, whose sums carry across the whole
+    # 200-point grid to t = 225: the log-depth scan, in complex and in real
+    # arithmetic, agrees with the per-point recurrence of
+    # theta_references.scan within 1e-15 of each sum's largest value on the
+    # grid (measured 8.5e-16), and with the sums taken node by node in long
+    # double within 1e-15 of each value (measured 5.2e-16; the recurrence:
+    # 9.4e-16)
+    cfg = parse_config(os.path.join(PAPER, "mmpp2.cfg"))
+    sol = solve_base(cfg.model, cfg.pt)
+    ts = default_grid(sol, points=200)
+    law = sol.w_law.convolve(sol.w_law)
+    rates = np.array(list(dict.fromkeys(a for a, _, _ in law.terms)), dtype=complex)
+    assert np.min(rates.real) < 0.062 and not np.any(rates.imag)
+    nodes = _conv_nodes(cfg.ht, TermTable(ts), correction._max_rate([law]))
+    units = [ExpPolyMeasure(0.0, ((a, k, 1.0),)) for a in rates for k in range(3)]
+    want = theta_references.scan(units, nodes.tau, nodes.g[:, None], ts)[:, :, 0]
+    want = want.T.reshape(rates.size, 3, ts.size)
+    exact = np.finfo(np.longdouble).eps < 1e-18
+    if exact:
+        gap = ts.astype(np.longdouble)[:, None] - nodes.tau.astype(np.longdouble)
+        gap = np.where(gap > 0, gap, np.nan)
+        direct = np.array([[np.nansum(gap ** k * np.exp(-a * gap) * nodes.g, axis=1)
+                            for k in range(3)] for a in rates.real.astype(np.longdouble)])
+    for group in (rates, rates.real):
+        got = correction._scan(group, 3, nodes.tau, nodes.g, ts)
+        assert got.dtype == group.dtype
+        assert np.all(np.abs(got - want) <= 1e-15 * np.max(np.abs(want), axis=2, keepdims=True))
+        if exact:
+            assert np.all(np.abs(got - direct) <= 1e-15 * np.abs(direct))
